@@ -45,7 +45,7 @@ ABLATION_VARIANTS: dict[int, dict] = {
     6: {"use_mip": False, "use_cb": False, "extend_time_on_disable": False},
 }
 
-FIT_ORDER = ("eta_lb", "eta_mip", "eta_ls", "p", "mu", "mu_min")
+FIT_ORDER = ("eta_lb", "eta_mip", "eta_ls", "p")
 
 
 def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
@@ -61,7 +61,7 @@ def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
 def config_from_dict(data: dict) -> DbmhConfig:
     data = dict(data)
     search = data.pop("search", {})
-    known_search = {"mu", "mu_min", "p", "mode", "seed"}
+    known_search = {"p", "mode", "seed"}
     known = {"eta_lb", "eta_mip", "eta_ls", "global_limit", "seed",
              "use_ch", "use_ls", "use_dbi", "use_cb", "use_mip",
              "extend_time_on_disable"}
@@ -78,8 +78,7 @@ def config_to_dict(cfg: DbmhConfig) -> dict:
         "use_ch": cfg.use_ch, "use_ls": cfg.use_ls, "use_dbi": cfg.use_dbi,
         "use_cb": cfg.use_cb, "use_mip": cfg.use_mip,
         "extend_time_on_disable": cfg.extend_time_on_disable,
-        "search": {"mu": cfg.search.mu, "mu_min": cfg.search.mu_min,
-                   "p": cfg.search.p, "mode": cfg.search.mode,
+        "search": {"p": cfg.search.p, "mode": cfg.search.mode,
                    "seed": cfg.search.seed},
     }
 
@@ -430,9 +429,8 @@ def cmd_fit(suite_dir: str, grid_path: str, out_path: str, base: DbmhConfig) -> 
     evaluations: list[tuple[str, object, float]] = []
 
     def apply(cfg: DbmhConfig, name: str, value) -> DbmhConfig:
-        if name in ("p", "mu", "mu_min"):
-            kw = {name: value}
-            return replace(cfg, search=replace(cfg.search, **kw))
+        if name == "p":
+            return replace(cfg, search=replace(cfg.search, p=value))
         return replace(cfg, **{name: value})
 
     def evaluate(cfg: DbmhConfig) -> list[tuple[str, int | None]]:

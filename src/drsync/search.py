@@ -7,20 +7,25 @@ steer until the route ends or the steering allowance runs out, then either
 wait for a break-sized gap or stay aboard to the terminal.
 
 The local search explores seven problem-specific operators over a frozen
-solution; ties on the driver count are ranked by remaining working time,
-pools are truncated to a share mu, and randomized choices are skewed by
-the perturbation exponent p.
+solution; randomized choices are skewed by the perturbation exponent p.
+Operators return their raw candidates without checking them. The search
+ranks the improving ones by driver count, then remaining working time,
+and accepts the first that passes the full feasibility check, so only the
+accepted move is certified. Segment reassignment tests trial insertions
+on cached piece-to-piece links (``ConnectionPlanner.link``) and asks for
+itineraries only when it builds a candidate's routes.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time as _time
 from dataclasses import dataclass
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE
 from .solution import (
+    LINK_NONE,
+    LINK_RENEW,
     ConnectionPlanner,
     PlanError,
     RidePlan,
@@ -42,18 +47,12 @@ class ConstructionError(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    mu: float = 0.2
-    mu_min: int = 2
     p: float = 3.0
     deadline: float | None = None     # seconds of wall budget
     mode: str = COMPOSITE
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.mu <= 1):
-            raise ValueError("mu must be in (0, 1]")
-        if self.mu_min < 1:
-            raise ValueError("mu_min must be >= 1")
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
@@ -64,15 +63,6 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
         raise ValueError("empty selection")
     y = rng.random()
     return min(int(y ** p * n), n - 1)
-
-
-def rank_and_truncate(candidates: list[Solution], mu: float, mu_min: int) -> list[Solution]:
-    """Keep the mu-share of candidates with the most remaining working time."""
-    if not candidates:
-        return []
-    ranked = sorted(candidates, key=lambda s: (-s.theta(), s.sort_key()))
-    keep = max(math.ceil(mu * len(ranked)), min(mu_min, len(ranked)))
-    return ranked[:keep]
 
 
 def theta(solution: Solution, legal=None) -> int:
@@ -331,55 +321,72 @@ def construct(instance: Instance, graph: TimeGraph) -> Solution:
 # Operators
 # ---------------------------------------------------------------------------
 
-def _feasible(cands: list[Solution], instance: Instance, graph: TimeGraph) -> list[Solution]:
-    return [c for c in cands if not check_feasibility(c, instance, graph)]
-
-
-def _driver_pieces(solution: Solution) -> list[list]:
-    g = solution.graph
-    idx = {}
-    for p in plan_pieces(g.instance, g, solution.plan):
-        idx[p.arc] = p
-    out = []
-    for route in solution.routes:
-        out.append([idx[a] for a in route if g.arcs[a].family == FAMILY_STEERING])
-    return out
-
-
-def _rebuild_driver(instance, graph, planner, pieces):
-    """Elements for a driver serving `pieces` in order, or None if illegal."""
-    legal = instance.legal
-    own = frozenset(p.arc for p in pieces)
-    first = pieces[0]
-    elements: list[tuple] = [("steer", first.arc)]
-    u = first.duration
-    daily = first.duration
-    base, now = first.to_base, first.end
-    for p in pieces[1:]:
-        if p.start < now:
-            return None
-        reachable, renewable, plan_any, plan_renew = planner.connect(
-            base, now, p.from_base, p.start, own)
-        if not reachable:
-            return None
-        u0 = 0 if renewable else u
+def _chain_legal(legal, planner, chain) -> bool:
+    """Whether one driver can steer the pieces at positions `chain`, in order."""
+    pieces = planner.pieces
+    first = pieces[chain[0]]
+    u = daily = first.duration
+    prev = chain[0]
+    for b in chain[1:]:
+        code = planner.link(prev, b)
+        if code == LINK_NONE:
+            return False
+        p = pieces[b]
+        u0 = 0 if code == LINK_RENEW else u
         if (u0 + p.duration > legal.t_cs or daily + p.duration > legal.t_ds
-                or p.end - pieces[0].start > legal.t_dw):
-            return None
-        elements += (plan_renew if renewable else plan_any) + [("steer", p.arc)]
+                or p.end - first.start > legal.t_dw):
+            return False
         u = u0 + p.duration
         daily += p.duration
-        base, now = p.to_base, p.end
+        prev = b
+    return True
+
+
+def _chain_elements(planner, pieces, chain) -> list[tuple]:
+    """Timeline of a driver steering the pieces at a legal `chain`."""
+    elements: list[tuple] = [("steer", pieces[chain[0]].arc)]
+    for a, b in zip(chain, chain[1:]):
+        pa, pb = pieces[a], pieces[b]
+        _reachable, renewable, plan_any, plan_renew = planner.connect(
+            pa.to_base, pa.end, pb.from_base, pb.start)
+        elements += (plan_renew if renewable else plan_any) + [("steer", pb.arc)]
     return elements
+
+
+def _splits_a_ride(pieces, chain, n_segments) -> bool:
+    """Whether the pieces at `chain` steer some ride without all its segments."""
+    steered: dict[str, set[int]] = {}
+    for i in chain:
+        steered.setdefault(pieces[i].ride, set()).add(pieces[i].segment)
+    return any(len(segs) != n_segments[rid] for rid, segs in steered.items())
 
 
 def operator_reassign_segments(solution, instance, graph, config, rng) -> list[Solution]:
     """Remove one driver by absorbing their pieces into the other routes."""
-    per_driver = _driver_pieces(solution)
-    if len(per_driver) < 2:
+    if len(solution.routes) < 2:
         return []
-    all_pieces = [p for dp in per_driver for p in dp]
-    planner = ConnectionPlanner(instance, graph, all_pieces)
+    legal = instance.legal
+    # pieces are in chronological order, so a sorted host is a sorted position list
+    pieces = plan_pieces(instance, graph, solution.plan)
+    pos = {p.arc: i for i, p in enumerate(pieces)}
+    per_driver = [[pos[a] for a in route if graph.arcs[a].family == FAMILY_STEERING]
+                  for route in solution.routes]
+    # reachability depends only on the plan, so the links found for one
+    # solution serve every candidate that only moves drivers between routes
+    links = solution.links or ConnectionPlanner(instance, graph, pieces)
+    # connect breaks ties between carriers with equal times by list order: route order
+    planner = ConnectionPlanner(instance, graph, [pieces[i] for dp in per_driver for i in dp])
+    n_segments = ({r.id: r.n_segments for r in instance.rides}
+                  if instance.exchange_policy == POLICY_NONE else None)
+    rebuilt: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+
+    def route_of(chain):
+        key = tuple(chain)
+        if key not in rebuilt:
+            rebuilt[key] = (assemble_route(graph, _chain_elements(planner, pieces, chain))
+                            if _chain_legal(legal, links, chain) else None)
+        return rebuilt[key]
+
     out = []
     for victim in range(len(per_driver)):
         hosts = [list(dp) for di, dp in enumerate(per_driver) if di != victim]
@@ -389,11 +396,10 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
                 return True
             piece = per_driver[victim][i]
             for h in hosts:
-                trial = sorted(h + [piece], key=lambda p: (p.start, p.end))
-                if _rebuild_driver(instance, graph, planner, trial) is None:
+                if not _chain_legal(legal, links, sorted(h + [piece])):
                     continue
                 h.append(piece)
-                h.sort(key=lambda p: (p.start, p.end))
+                h.sort()
                 if place(i + 1):
                     return True
                 h.remove(piece)
@@ -401,15 +407,14 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
 
         if not place(0):
             continue
-        routes = []
-        for h in hosts:
-            els = _rebuild_driver(instance, graph, planner, h)
-            if els is None:
-                break
-            routes.append(assemble_route(graph, els))
-        else:
+        if n_segments is not None and any(_splits_a_ride(pieces, h, n_segments)
+                                          for h in hosts):
+            continue   # under no exchange a driver steers whole rides
+        routes = [route_of(h) for h in hosts]
+        if None not in routes:
             out.append(Solution(graph, routes, solution.plan))
-    return _feasible(out, instance, graph)
+            out[-1].links = links
+    return out
 
 
 def _shift(solution, instance, graph, delta) -> list[Solution]:
@@ -436,12 +441,12 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
 
 def operator_postpone(solution, instance, graph, config, rng) -> list[Solution]:
     """Delay one ride's departures by one discretization step."""
-    return _feasible(_shift(solution, instance, graph, instance.ell), instance, graph)
+    return _shift(solution, instance, graph, instance.ell)
 
 
 def operator_prepone(solution, instance, graph, config, rng) -> list[Solution]:
     """Advance one ride's departures by one discretization step."""
-    return _feasible(_shift(solution, instance, graph, -instance.ell), instance, graph)
+    return _shift(solution, instance, graph, -instance.ell)
 
 
 def _insertable_segments(solution, instance):
@@ -484,7 +489,7 @@ def _insert_station(solution, instance, graph, config, rng, order_fn) -> list[So
         cand = assign_drivers(instance, graph, plan)
     except (PlanError, ConstructionError):
         return []
-    return _feasible([cand], instance, graph)
+    return [cand]
 
 
 def operator_insert_stop_random(solution, instance, graph, config, rng) -> list[Solution]:
@@ -538,7 +543,7 @@ def operator_remove_stop(solution, instance, graph, config, rng) -> list[Solutio
                 out.append(assign_drivers(instance, graph, plan))
             except (PlanError, ConstructionError):
                 continue
-    return _feasible(out, instance, graph)
+    return out
 
 
 OPERATORS = (
@@ -555,16 +560,6 @@ OPERATORS = (
 # ---------------------------------------------------------------------------
 # Local search
 # ---------------------------------------------------------------------------
-
-def _pool_truncate(cands: list[Solution], config: SearchConfig) -> list[Solution]:
-    groups: dict[int, list[Solution]] = {}
-    for c in cands:
-        groups.setdefault(c.objective, []).append(c)
-    out = []
-    for f in sorted(groups):
-        out.extend(rank_and_truncate(groups[f], config.mu, config.mu_min))
-    return out
-
 
 def _op_rng(config: SearchConfig, iteration: int, op_index: int) -> random.Random:
     return random.Random(config.seed * 1000003 + iteration * 101 + op_index)
@@ -587,17 +582,18 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
             pool: list[Solution] = []
             for oi, op in enumerate(OPERATORS):
                 rng = _op_rng(config, iteration, oi)
-                pool.extend(_pool_truncate(
-                    op(current, instance, graph, config, rng), config))
+                pool.extend(op(current, instance, graph, config, rng))
         else:
             rng = _op_rng(config, iteration, op_cursor)
-            pool = _pool_truncate(
-                OPERATORS[op_cursor](current, instance, graph, config, rng), config)
-        better = [c for c in pool
-                  if c.objective < f0 or (c.objective == f0 and c.theta() > th0)]
+            pool = OPERATORS[op_cursor](current, instance, graph, config, rng)
+        better = sorted(
+            (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
+            key=lambda c: (c.objective, -c.theta(), c.sort_key()))
+        # the best improving move that passes the full check is the one taken
+        accepted = next((c for c in better if not check_feasibility(c, instance, graph)), None)
         iteration += 1
-        if better:
-            current = min(better, key=lambda c: (c.objective, -c.theta(), c.sort_key()))
+        if accepted is not None:
+            current = accepted
             f0, th0 = current.objective, current.theta()
             if trace is not None:
                 trace.append((f0, th0))

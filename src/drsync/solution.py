@@ -207,13 +207,23 @@ class Solution:
         self.graph = graph
         self.routes = [tuple(r) for r in routes]
         self.plan = dict(plan)
+        self._theta: int | None = None   # theta() under the instance's own limits
+        # a ConnectionPlanner over the pieces of `plan` whose link() answers
+        # may be reused, set by whoever built one for this plan
+        self.links: ConnectionPlanner | None = None
 
     @property
     def objective(self) -> int:
         return len(self.routes)
 
     def theta(self, legal=None) -> int:
-        legal = legal or self.graph.instance.legal
+        if legal is None:
+            if self._theta is None:
+                self._theta = self._theta_under(self.graph.instance.legal)
+            return self._theta
+        return self._theta_under(legal)
+
+    def _theta_under(self, legal) -> int:
         total = 0
         for route in self.routes:
             first, last = self.route_span(route)
@@ -295,18 +305,28 @@ def plan_from_routes(instance: Instance, graph: TimeGraph,
 # Transfer planning (waits + deadhead hops between assignments)
 # ---------------------------------------------------------------------------
 
+# ConnectionPlanner.link codes
+LINK_NONE = 0      # the later piece cannot be reached in time
+LINK_REACH = 1     # reachable, but no rest renews continuous steering
+LINK_RENEW = 2     # reachable with a renewing rest on the way
+LINK_UNKNOWN = 255
+
 class ConnectionPlanner:
     """Finds wait/deadhead itineraries between two located points in time.
 
     Carriers are the pieces of the current plan; under the no-exchange
     policy a deadheading driver must ride whole rides, so carriers become
-    ride-level units there.
+    ride-level units there. ``link`` answers the reachability part of
+    ``connect`` between two of those pieces and remembers the answer.
     """
 
     def __init__(self, instance: Instance, graph: TimeGraph, pieces: list[Piece]):
         self.graph = graph
         self.t_b = instance.legal.t_b
         self.policy_none = instance.exchange_policy == POLICY_NONE
+        self.pieces = pieces
+        # link codes by piece position, a * len(pieces) + b; LINK_UNKNOWN until asked
+        self._links = bytearray([LINK_UNKNOWN]) * (len(pieces) * len(pieces))
         self.units: dict[str, list[tuple[int, str, int, tuple[Piece, ...]]]] = {}
         if self.policy_none:
             by_ride: dict[str, list[Piece]] = {}
@@ -322,15 +342,8 @@ class ConnectionPlanner:
         for fb, st, tb, en, legs in sorted(units, key=lambda u: (u[1], u[3])):
             self.units.setdefault(fb, []).append((st, tb, en, legs))
 
-    def connect(
-        self,
-        from_base: str,
-        from_time: int,
-        to_base: str,
-        to_time: int,
-        exclude: frozenset[int] = frozenset(),
-    ) -> tuple[bool, bool, list[tuple] | None, list[tuple] | None]:
-        """(reachable, renewable, some plan, some renewing plan)."""
+    def _search(self, from_base: str, from_time: int, to_base: str, to_time: int):
+        """Breadth-first search over carriers: (parents, any goal, renewing goal)."""
         t_b = self.t_b
         start = (from_base, from_time, 0, False)
         parents: dict[tuple, tuple | None] = {start: None}
@@ -354,8 +367,6 @@ class ConnectionPlanner:
             for st, _tb, en, legs in self.units.get(base, ()):
                 if st < time or en > to_time:
                     continue
-                if exclude and any(p.arc in exclude for p in legs):
-                    continue
                 wait = st - time
                 new_run = (run + en - st) if wait == 0 else (en - st)
                 nxt = (legs[-1].to_base, en, min(new_run, t_b),
@@ -364,6 +375,34 @@ class ConnectionPlanner:
                     parents[nxt] = (state, legs, wait)
                     queue.append(nxt)
                     check_goal(nxt)
+        return parents, goal_any, goal_renew
+
+    def link(self, a: int, b: int) -> int:
+        """LINK_NONE, LINK_REACH or LINK_RENEW from the end of piece a to the start of b.
+
+        ``a`` and ``b`` are positions in ``pieces``; the code is
+        ``connect``'s (reachable, renewable) pair for that gap.
+        """
+        key = a * len(self.pieces) + b
+        code = self._links[key]
+        if code == LINK_UNKNOWN:
+            pa, pb = self.pieces[a], self.pieces[b]
+            _parents, goal_any, goal_renew = self._search(
+                pa.to_base, pa.end, pb.from_base, pb.start)
+            code = (LINK_NONE if goal_any is None
+                    else LINK_RENEW if goal_renew is not None else LINK_REACH)
+            self._links[key] = code
+        return code
+
+    def connect(
+        self,
+        from_base: str,
+        from_time: int,
+        to_base: str,
+        to_time: int,
+    ) -> tuple[bool, bool, list[tuple] | None, list[tuple] | None]:
+        """(reachable, renewable, some plan, some renewing plan)."""
+        parents, goal_any, goal_renew = self._search(from_base, from_time, to_base, to_time)
         if goal_any is None:
             return False, False, None, None
 

@@ -21,11 +21,20 @@ from drsync.search import (
     operator_prepone,
     operator_reassign_segments,
     operator_remove_stop,
+    _op_rng,
     perturbed_select,
-    rank_and_truncate,
     theta,
 )
-from drsync.solution import check_feasibility
+from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.solution import (
+    LINK_NONE,
+    LINK_REACH,
+    LINK_RENEW,
+    ConnectionPlanner,
+    Solution,
+    check_feasibility,
+    plan_pieces,
+)
 from drsync.timegraph import build_graph
 
 from conftest import customer_stops
@@ -54,17 +63,6 @@ def test_perturbed_select_concentrates_for_large_p():
     # for any fixed y < 1, y**p * n drops below 1 as p grows
     for y in (0.0, 0.3, 0.9, 0.99):
         assert perturbed_select(10, 1000.0, FixedRng(y)) == 0
-
-
-def test_rank_and_truncate(sequential_pair):
-    g = build_graph(sequential_pair)
-    sol = construct(sequential_pair, g)
-    cands = [sol] * 10
-    kept = rank_and_truncate(cands, mu=0.2, mu_min=1)
-    assert len(kept) == 2
-    assert rank_and_truncate([sol], mu=0.2, mu_min=1) == [sol]
-    kept_min = rank_and_truncate(cands, mu=0.01, mu_min=3)
-    assert len(kept_min) == 3
 
 
 def test_ch_reuses_driver(sequential_pair):
@@ -267,12 +265,85 @@ def test_vnd_mode_matches_composite_on_fixture():
     assert vnd.objective == 1
 
 
-def test_operator_outputs_always_feasible():
-    rng_seed = 0
-    for inst in (postpone_fixture(), exchange_fixture(),
-                 redundant_station_fixture(), gap_fixture(2)):
+def _none_policy(shape, seed):
+    return generate_synthetic(GeneratorConfig(*shape, exchange_policy="none"), seed)[0]
+
+
+def test_operator_outputs_always_feasible(monkeypatch):
+    # operators must build feasible moves themselves: blind the search
+    # module's own check so that no filter inside an operator can hide one
+    monkeypatch.setattr("drsync.search.check_feasibility", lambda *args: [])
+    instances = [postpone_fixture(), exchange_fixture(),
+                 redundant_station_fixture(), gap_fixture(2)]
+    # under no exchange a host must steer whole rides
+    instances += [_none_policy(shape, seed)
+                  for shape in ((2, 2, 4), (3, 2, 3), (2, 3, 3)) for seed in range(10)]
+    for inst in instances:
         g = build_graph(inst)
         sol = construct(inst, g)
         for oi, op in enumerate(OPERATORS):
-            for c in op(sol, inst, g, CFG, random.Random(rng_seed + oi)):
+            for c in op(sol, inst, g, CFG, random.Random(oi)):
                 assert check_feasibility(c, inst, g) == []
+
+
+def test_link_matches_connect():
+    codes = {(False, False): LINK_NONE, (True, False): LINK_REACH, (True, True): LINK_RENEW}
+    for inst in (generate_synthetic(GeneratorConfig(3, 2, 3), 1)[0],
+                 _none_policy((2, 2, 4), 1)):
+        g = build_graph(inst)
+        pieces = plan_pieces(inst, g, construct(inst, g).plan)
+        planner = ConnectionPlanner(inst, g, pieces)
+        seen = set()
+        for a, pa in enumerate(pieces):
+            for b, pb in enumerate(pieces):
+                want = codes[planner.connect(pa.to_base, pa.end, pb.from_base, pb.start)[:2]]
+                assert planner.link(a, b) == want
+                assert planner.link(a, b) == want   # cached
+                seen.add(want)
+        assert seen == {LINK_NONE, LINK_REACH, LINK_RENEW}
+
+
+def _reference_search(solution, inst, g, config, operators):
+    """Composite descent that checks every candidate, then takes the best."""
+    current = solution
+    trace = [(current.objective, current.theta())]
+    iteration = 0
+    while True:
+        pool = []
+        for oi, op in enumerate(operators):
+            pool += op(current, inst, g, config, _op_rng(config, iteration, oi))
+        iteration += 1
+        f0, th0 = trace[-1]
+        better = [c for c in pool if not check_feasibility(c, inst, g)
+                  and (c.objective < f0 or (c.objective == f0 and c.theta() > th0))]
+        if not better:
+            return current, trace
+        current = min(better, key=lambda c: (c.objective, -c.theta(), c.sort_key()))
+        trace.append((current.objective, current.theta()))
+
+
+def _drop_first_driver(solution, instance, graph, config, rng):
+    """A move that saves a driver by leaving rides uncovered."""
+    if len(solution.routes) < 2:
+        return []
+    return [Solution(graph, solution.routes[1:], solution.plan)]
+
+
+def test_local_search_takes_best_feasible_move(monkeypatch):
+    # the extra operator's move often ranks first but is infeasible: local
+    # search must reject it at certification and take the next-best move
+    operators = OPERATORS + (_drop_first_driver,)
+    monkeypatch.setattr("drsync.search.OPERATORS", operators)
+    instances = [postpone_fixture()]
+    instances += [generate_synthetic(GeneratorConfig(4, 4, 3), seed)[0] for seed in (7, 8)]
+    # several moves here reach the same driver count; remaining time picks one
+    instances.append(generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0])
+    instances += [_none_policy((2, 2, 4), seed) for seed in range(5)]
+    for inst in instances:
+        g = build_graph(inst)
+        ch = construct(inst, g)
+        want, want_trace = _reference_search(ch, inst, g, CFG, operators)
+        trace = []
+        got = local_search(ch, inst, g, CFG, trace=trace)
+        assert trace == want_trace
+        assert got.to_dict() == want.to_dict()
