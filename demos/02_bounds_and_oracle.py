@@ -13,7 +13,7 @@ for name, inst in (
     ("long chained rides", dominance_lb1_fixture()),
     ("three parallel rides", dominance_lb2_fixture()),
 ):
-    bounds = compute_bounds(None, inst)
+    bounds = compute_bounds(inst)
     result = brute_force(inst)
     print(f"{name}:")
     print(f"  UB={bounds.ub}  LB1={bounds.lb1}  LB2={bounds.lb2}  "
@@ -23,7 +23,7 @@ for name, inst in (
 print("\nNeither bound dominates the other; the solver always uses their max.")
 
 inst = gap_fixture(3)
-bounds = compute_bounds(None, inst)
+bounds = compute_bounds(inst)
 result = brute_force(inst)
 print(f"\ngap fixture: LB={bounds.lb} but optimum={result.optimum} "
       f"(three rides that strand their drivers at isolated stops).")

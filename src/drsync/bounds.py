@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .instance import Instance, POLICY_NONE
 from .legality import chunk_count
-from .timegraph import TimeGraph
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def upper_bound(instance: Instance) -> tuple[int, dict[str, int]]:
     return sum(per_ride.values()), per_ride
 
 
-def lower_bound_steering(graph: TimeGraph | None, instance: Instance) -> int:
+def lower_bound_steering(instance: Instance) -> int:
     """Total direct drive time over the daily steering allowance, rounded up."""
     total = sum(sum(r.segment_minutes) for r in instance.rides)
     if total == 0:
@@ -111,9 +110,9 @@ def combined_lower_bound(lb1: int, lb2: int) -> int:
     return max(lb1, lb2)
 
 
-def compute_bounds(graph: TimeGraph | None, instance: Instance) -> BoundReport:
+def compute_bounds(instance: Instance) -> BoundReport:
     ub, per_ride = upper_bound(instance)
-    lb1 = lower_bound_steering(graph, instance)
+    lb1 = lower_bound_steering(instance)
     lb2, busiest = lower_bound_parallel(instance)
     return BoundReport(
         ub=ub,

@@ -90,7 +90,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     inst = _load(args)
     graph = build_graph(inst)
-    report = compute_bounds(graph, inst)
+    report = compute_bounds(inst)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     stats = graph_stats(graph)
     rows = [

@@ -152,7 +152,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     t = _time.monotonic()
     instance = check_instance(instance)
     graph = build_graph(instance)
-    bounds = compute_bounds(graph, instance)
+    bounds = compute_bounds(instance)
     model = build_model(graph, bounds)
     clock("prep", t)
     clb = bounds.lb

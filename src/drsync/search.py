@@ -13,13 +13,19 @@ ranks the improving ones by driver count, then remaining working time,
 and accepts the first that passes the full feasibility check, so only the
 accepted move is certified. Segment reassignment tests trial insertions
 on cached piece-to-piece links (``ConnectionPlanner.link``) and asks for
-itineraries only when it builds a candidate's routes.
+itineraries only when it builds a candidate's routes. The plan operators
+(postpone, prepone, the station insertions and removal) change one ride,
+then replay the greedy driver assignment from a checkpoint: the
+``GreedyRecord`` of the current plan holds the driver states before every
+vehicle route, and the rerun starts at the first route whose inputs the
+change touches. A deadline is checked between operators.
 """
 
 from __future__ import annotations
 
 import random
 import time as _time
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE
@@ -34,6 +40,7 @@ from .solution import (
     check_feasibility,
     normalize_ride_times,
     plan_pieces,
+    ride_pieces,
 )
 from .timegraph import FAMILY_STEERING, TimeGraph
 
@@ -127,6 +134,18 @@ class _Sim:
         self.trail_run = 0
         self.elements: list[tuple] = []
 
+    def state(self) -> tuple:
+        return (self.base, self.time, self.u, self.daily, self.start, self.trail_run,
+                len(self.elements))
+
+    @classmethod
+    def restore(cls, state: tuple, elements: list[tuple]) -> _Sim:
+        """The driver in `state`, whose timeline is a prefix of `elements`."""
+        sim = cls.__new__(cls)
+        sim.base, sim.time, sim.u, sim.daily, sim.start, sim.trail_run, n = state
+        sim.elements = elements[:n]
+        return sim
+
     def rested_u(self, at_time: int, t_b: int) -> int:
         return 0 if at_time - self.time >= t_b else self.u
 
@@ -137,74 +156,186 @@ def _fits(sim: _Sim, u_eff: int, piece, legal) -> bool:
             and piece.end - sim.start <= legal.t_dw)
 
 
+class GreedyRecord:
+    """One run of the greedy driver assignment over a plan, kept for replay.
+
+    The greedy walks the vehicle routes (one per ride, in ``keys`` order,
+    ``(first departure, ride id)``) and hands each route's pieces to drivers.
+    Before route j it records every driver's state in ``snapshots[j]``
+    (``_Sim.state``); the only thing a route reads beyond the drivers and
+    its own pieces is the next departure after a relief, logged in
+    ``reliefs`` as ``(j, base, now, next departure or None)``.
+    ``elements[d]`` and ``routes[d]`` are driver d's final timeline and
+    assembled route (None for an empty timeline).
+
+    After a plan change to one ride, ``replay`` restarts the greedy at the
+    first route whose inputs changed: the ride's old or new place in the
+    route order, or an earlier relief whose look-up the moved departures
+    answer differently. Everything here depends on the plan alone.
+    """
+
+    __slots__ = ("keys", "vehicle_routes", "departures_from", "snapshots",
+                 "reliefs", "elements", "routes")
+
+    def __init__(self, keys, vehicle_routes, departures_from, snapshots, reliefs,
+                 elements, routes):
+        self.keys: list[tuple[int, str]] = keys
+        self.vehicle_routes: list[list] = vehicle_routes
+        self.departures_from: dict[str, list[int]] = departures_from
+        self.snapshots: list[tuple[tuple, ...]] = snapshots
+        self.reliefs: list[tuple[int, str, int, int | None]] = reliefs
+        self.elements: list[list[tuple]] = elements
+        self.routes: list[tuple[int, ...] | None] = routes
+
+    def solution(self, graph: TimeGraph, plan: dict[str, RidePlan]) -> Solution:
+        sol = Solution(graph, [r for r in self.routes if r is not None], plan)
+        sol.greedy = self
+        return sol
+
+    def replay(self, instance: Instance, graph: TimeGraph,
+               plan: dict[str, RidePlan], ride) -> Solution:
+        """``assign_drivers(instance, graph, plan)`` for a `plan` that differs
+        from this record's only in `ride`; raises what that call raises."""
+        vp = ride_pieces(graph, ride, plan[ride.id])
+        keys = list(self.keys)
+        routes = list(self.vehicle_routes)
+        old_pos = next(j for j, key in enumerate(keys) if key[1] == ride.id)
+        del keys[old_pos]
+        old = routes.pop(old_pos)
+        key = (vp[0].start, ride.id)
+        new_pos = bisect_left(keys, key)
+        keys.insert(new_pos, key)
+        routes.insert(new_pos, vp)
+
+        delta: dict[tuple[str, int], int] = {}   # (base, departure) -> count change
+        for sign, pieces in ((-1, old), (1, vp)):
+            for p in pieces:
+                delta[p.from_base, p.start] = delta.get((p.from_base, p.start), 0) + sign
+        departures_from = dict(self.departures_from)
+        moved: dict[str, list[int]] = {}   # base -> departures added or removed there
+        for (base, t), d in delta.items():
+            if not d:
+                continue
+            if base not in moved:
+                departures_from[base] = list(departures_from.get(base, ()))
+            moved.setdefault(base, []).append(t)
+            times = departures_from[base]
+            for _ in range(d):
+                insort(times, t)
+            for _ in range(-d):
+                times.remove(t)
+
+        j0 = min(old_pos, new_pos)
+        for j, base, now, nxt in self.reliefs:
+            if j >= j0:
+                break
+            if any(now < t and (nxt is None or t <= nxt) for t in moved.get(base, ())):
+                j0 = j   # this relief's look-ahead now sees another departure
+                break
+        return _greedy(instance, graph, keys, routes, departures_from,
+                       self, j0).solution(graph, plan)
+
+
 def assign_drivers(instance: Instance, graph: TimeGraph,
                    plan: dict[str, RidePlan]) -> Solution:
-    """Greedy driver assignment over a fixed vehicle plan; always feasible."""
-    legal = instance.legal
+    """Greedy driver assignment over a fixed vehicle plan; always feasible.
+
+    The solution carries the run's ``GreedyRecord`` in ``greedy``.
+    """
     pieces = plan_pieces(instance, graph, plan)
-    if instance.exchange_policy == POLICY_NONE:
-        routes = _assign_none(instance, graph, plan, pieces)
-    else:
-        routes = _assign_exchange(instance, graph, plan, pieces)
-    return Solution(graph, routes, plan)
-
-
-def _assign_exchange(instance, graph, plan, pieces):
-    legal = instance.legal
     by_ride: dict[str, list] = {}
-    for p in pieces:
-        by_ride.setdefault(p.ride, []).append(p)
-    vehicle_routes = sorted(by_ride.values(), key=lambda vp: (vp[0].start, vp[0].ride))
     departures_from: dict[str, list[int]] = {}
-    for p in pieces:
+    for p in pieces:   # chronological, so every list below comes out sorted
+        by_ride.setdefault(p.ride, []).append(p)
         departures_from.setdefault(p.from_base, []).append(p.start)
-    for v in departures_from.values():
-        v.sort()
-
-    drivers: list[_Sim] = []
-
-    def take(sim: _Sim, vp, pos):
-        if sim.time < vp[pos].start:
-            sim.elements.append(("wait", sim.base, sim.time, vp[pos].start))
-            sim.u = sim.rested_u(vp[pos].start, legal.t_b)
-            sim.trail_run = 0
-            sim.time = vp[pos].start
-        while pos < len(vp) and _fits(sim, sim.u, vp[pos], legal):
-            p = vp[pos]
-            sim.elements.append(("steer", p.arc))
-            sim.u += p.duration
-            sim.daily += p.duration
-            sim.base, sim.time = p.to_base, p.end
-            sim.trail_run = 0
-            pos += 1
-        return pos
-
-    for vp in vehicle_routes:
-        pos = 0
-        while pos < len(vp):
-            p = vp[pos]
-            pick = None
-            for si, sim in enumerate(drivers):
-                if sim.base != p.from_base or sim.time > p.start:
-                    continue
-                if _fits(sim, sim.rested_u(p.start, legal.t_b), p, legal):
-                    pick = si
-                    break
-            if pick is None:
-                drivers.append(_Sim(p.from_base, p.start))
-                pick = len(drivers) - 1
-            sim = drivers[pick]
-            new_pos = take(sim, vp, pos)
-            pos = new_pos
-            if pos < len(vp):
-                _relieve(sim, vp, pos, departures_from, legal, graph)
-    return [assemble_route(graph, d.elements) for d in drivers if d.elements]
+    keys = sorted((vp[0].start, rid) for rid, vp in by_ride.items())
+    routes = [by_ride[rid] for _start, rid in keys]
+    return _greedy(instance, graph, keys, routes, departures_from).solution(graph, plan)
 
 
-def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph):
+def _greedy(instance, graph, keys, vehicle_routes, departures_from,
+            base: GreedyRecord | None = None, j0: int = 0) -> GreedyRecord:
+    """Run the greedy over `vehicle_routes`, from route `j0` of `base` on."""
+    legal = instance.legal
+    assign = _assign_none if instance.exchange_policy == POLICY_NONE else _assign_exchange
+    if base is None:
+        drivers: list[_Sim] = []
+        states: list[tuple] = []
+        snapshots: list[tuple] = []
+        reliefs: list[tuple] = []
+    else:
+        states = list(base.snapshots[j0])
+        drivers = [_Sim.restore(st, els) for st, els in zip(states, base.elements)]
+        snapshots = base.snapshots[:j0]
+        reliefs = base.reliefs[:bisect_left(base.reliefs, (j0,))]
+    for j in range(j0, len(vehicle_routes)):
+        snapshots.append(tuple(states))
+        touched = assign(drivers, vehicle_routes[j], j, legal, graph, departures_from, reliefs)
+        states.extend([None] * (len(drivers) - len(states)))
+        for di in touched:
+            states[di] = drivers[di].state()
+
+    elements, routes = [], []
+    for di, sim in enumerate(drivers):
+        if base is not None and di < len(base.elements) and sim.elements == base.elements[di]:
+            elements.append(base.elements[di])
+            routes.append(base.routes[di])
+        else:
+            elements.append(sim.elements)
+            routes.append(assemble_route(graph, sim.elements) if sim.elements else None)
+    return GreedyRecord(keys, vehicle_routes, departures_from, snapshots, reliefs,
+                        elements, routes)
+
+
+def _take(sim: _Sim, vp, pos, legal) -> int:
+    """Steer from piece `pos` of route `vp` while the limits allow; the next position."""
+    if sim.time < vp[pos].start:
+        sim.elements.append(("wait", sim.base, sim.time, vp[pos].start))
+        sim.u = sim.rested_u(vp[pos].start, legal.t_b)
+        sim.trail_run = 0
+        sim.time = vp[pos].start
+    while pos < len(vp) and _fits(sim, sim.u, vp[pos], legal):
+        p = vp[pos]
+        sim.elements.append(("steer", p.arc))
+        sim.u += p.duration
+        sim.daily += p.duration
+        sim.base, sim.time = p.to_base, p.end
+        sim.trail_run = 0
+        pos += 1
+    return pos
+
+
+def _assign_exchange(drivers, vp, j, legal, graph, departures_from, reliefs) -> list[int]:
+    """Crew route `vp` (the j-th): the first available driver steers on."""
+    touched = []
+    pos = 0
+    while pos < len(vp):
+        p = vp[pos]
+        pick = None
+        for si, sim in enumerate(drivers):
+            if sim.base != p.from_base or sim.time > p.start:
+                continue
+            if _fits(sim, sim.rested_u(p.start, legal.t_b), p, legal):
+                pick = si
+                break
+        if pick is None:
+            drivers.append(_Sim(p.from_base, p.start))
+            pick = len(drivers) - 1
+        touched.append(pick)
+        sim = drivers[pick]
+        pos = _take(sim, vp, pos, legal)
+        if pos < len(vp):
+            _relieve(sim, vp, pos, departures_from, legal, graph, reliefs, j)
+    return touched
+
+
+def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph, reliefs, j):
     """Relieved mid-route: wait here for a break-sized gap, else ride along."""
     here, now = sim.base, sim.time
-    nxt = next((t for t in departures_from.get(here, ()) if t > now), None)
+    times = departures_from.get(here, ())
+    i = bisect_right(times, now)
+    nxt = times[i] if i < len(times) else None
+    reliefs.append((j, here, now, nxt))
     wait_ok = nxt is not None and legal.t_b <= nxt - now <= 4 * legal.t_b
     span_ok = vp[-1].end - sim.start <= legal.t_dw
     if wait_ok or not span_ok:
@@ -218,98 +349,91 @@ def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph):
         sim.u = 0
 
 
-def _assign_none(instance, graph, plan, pieces):
-    legal = instance.legal
-    by_ride: dict[str, list] = {}
-    for p in pieces:
-        by_ride.setdefault(p.ride, []).append(p)
-    vehicle_routes = sorted(by_ride.values(), key=lambda vp: (vp[0].start, vp[0].ride))
-    drivers: list[_Sim] = []
-
-    for vp in vehicle_routes:
-        start_b, start_t = vp[0].from_base, vp[0].start
-        term_t = vp[-1].end
-        if term_t - start_t > legal.t_dw:
-            raise ConstructionError(
-                f"ride {vp[0].ride}: span {term_t - start_t} exceeds the daily "
-                "working limit for an aboard crew")
-        if any(p.duration > legal.t_cs for p in vp):
-            raise ConstructionError(
-                f"ride {vp[0].ride}: a leg exceeds continuous steering and "
-                "stations are disabled under this exchange policy")
-        crew: list[tuple[int, int]] = []   # (driver index, last_active time)
-        pos = 0
-        while pos < len(vp):
-            p = vp[pos]
-            pick = None
-            for ci, (di, last) in enumerate(crew):
-                sim = drivers[di]
-                u_eff = 0 if p.start - last >= legal.t_b else sim.u
-                if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
-                    pick = ci
-                    for q in vp:
-                        if last <= q.start < p.start:
-                            sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-                    sim.u = u_eff
-                    sim.base, sim.time = p.from_base, p.start
-                    break
-            if pick is None:
-                di = None
-                for si, sim in enumerate(drivers):
-                    if sim.base != start_b or sim.time > start_t:
-                        continue
-                    if term_t - sim.start > legal.t_dw:
-                        continue
-                    u_eff = sim.rested_u(start_t, legal.t_b)
-                    if p.start - start_t >= legal.t_b:
-                        u_eff = 0
-                    if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
-                        di = si
-                        break
-                if di is None:
-                    drivers.append(_Sim(start_b, start_t))
-                    di = len(drivers) - 1
-                sim = drivers[di]
-                if sim.time < start_t:
-                    sim.elements.append(("wait", sim.base, sim.time, start_t))
-                    sim.u = sim.rested_u(start_t, legal.t_b)
-                    sim.time = start_t
-                for q in vp[:pos]:
-                    sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-                if p.start - start_t >= legal.t_b:
-                    sim.u = 0
-                crew.append((di, start_t))
-                pick = len(crew) - 1
-            di, _last = crew[pick]
+def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list[int]:
+    """Crew route `vp` with drivers who all stay aboard to its terminal."""
+    start_b, start_t = vp[0].from_base, vp[0].start
+    term_t = vp[-1].end
+    if term_t - start_t > legal.t_dw:
+        raise ConstructionError(
+            f"ride {vp[0].ride}: span {term_t - start_t} exceeds the daily "
+            "working limit for an aboard crew")
+    if any(p.duration > legal.t_cs for p in vp):
+        raise ConstructionError(
+            f"ride {vp[0].ride}: a leg exceeds continuous steering and "
+            "stations are disabled under this exchange policy")
+    crew: list[tuple[int, int]] = []   # (driver index, last_active time)
+    pos = 0
+    while pos < len(vp):
+        p = vp[pos]
+        pick = None
+        for ci, (di, last) in enumerate(crew):
             sim = drivers[di]
-            stint_end = pos
-            while stint_end < len(vp):
-                q = vp[stint_end]
-                if (sim.u + q.duration > legal.t_cs
-                        or sim.daily + q.duration > legal.t_ds):
-                    break
-                sim.elements.append(("steer", q.arc))
-                sim.u += q.duration
-                sim.daily += q.duration
-                stint_end += 1
-            sim.base = vp[stint_end - 1].to_base
-            sim.time = vp[stint_end - 1].end
-            crew[pick] = (di, sim.time)
-            # everyone else is aboard; their state catches up at release
-            pos = stint_end
-        for di, last in crew:
-            sim = drivers[di]
-            if sim.time < term_t:
+            u_eff = 0 if p.start - last >= legal.t_b else sim.u
+            if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
+                pick = ci
                 for q in vp:
-                    if q.start >= last:
+                    if last <= q.start < p.start:
                         sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-                run = term_t - last
-                sim.u = 0 if run >= legal.t_b else sim.u
-                sim.trail_run = run
-                sim.base, sim.time = vp[-1].to_base, term_t
-            else:
-                sim.trail_run = 0
-    return [assemble_route(graph, d.elements) for d in drivers if d.elements]
+                sim.u = u_eff
+                sim.base, sim.time = p.from_base, p.start
+                break
+        if pick is None:
+            di = None
+            for si, sim in enumerate(drivers):
+                if sim.base != start_b or sim.time > start_t:
+                    continue
+                if term_t - sim.start > legal.t_dw:
+                    continue
+                u_eff = sim.rested_u(start_t, legal.t_b)
+                if p.start - start_t >= legal.t_b:
+                    u_eff = 0
+                if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
+                    di = si
+                    break
+            if di is None:
+                drivers.append(_Sim(start_b, start_t))
+                di = len(drivers) - 1
+            sim = drivers[di]
+            if sim.time < start_t:
+                sim.elements.append(("wait", sim.base, sim.time, start_t))
+                sim.u = sim.rested_u(start_t, legal.t_b)
+                sim.time = start_t
+            for q in vp[:pos]:
+                sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
+            if p.start - start_t >= legal.t_b:
+                sim.u = 0
+            crew.append((di, start_t))
+            pick = len(crew) - 1
+        di, _last = crew[pick]
+        sim = drivers[di]
+        stint_end = pos
+        while stint_end < len(vp):
+            q = vp[stint_end]
+            if (sim.u + q.duration > legal.t_cs
+                    or sim.daily + q.duration > legal.t_ds):
+                break
+            sim.elements.append(("steer", q.arc))
+            sim.u += q.duration
+            sim.daily += q.duration
+            stint_end += 1
+        sim.base = vp[stint_end - 1].to_base
+        sim.time = vp[stint_end - 1].end
+        crew[pick] = (di, sim.time)
+        # everyone else is aboard; their state catches up at release
+        pos = stint_end
+    for di, last in crew:
+        sim = drivers[di]
+        if sim.time < term_t:
+            for q in vp:
+                if q.start >= last:
+                    sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
+            run = term_t - last
+            sim.u = 0 if run >= legal.t_b else sim.u
+            sim.trail_run = run
+            sim.base, sim.time = vp[-1].to_base, term_t
+        else:
+            sim.trail_run = 0
+    return [di for di, _last in crew]
 
 
 def construct(instance: Instance, graph: TimeGraph) -> Solution:
@@ -414,14 +538,43 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
         if None not in routes:
             out.append(Solution(graph, routes, solution.plan))
             out[-1].links = links
+            out[-1].greedy = solution.greedy
     return out
 
 
+def _greedy_record(solution, instance, graph) -> GreedyRecord | None:
+    """The greedy's record for the solution's plan, built once and kept on it.
+
+    None when the greedy fails on that plan (possible only for a plan that
+    did not come from the greedy); every plan change then runs in full.
+    """
+    if solution.greedy is None:
+        try:
+            solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
+        except (PlanError, ConstructionError):
+            pass
+    return solution.greedy
+
+
+def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
+    """The greedy's solution once `ride` follows `rp`; None if it has none."""
+    plan = dict(solution.plan)
+    plan[ride.id] = rp
+    record = _greedy_record(solution, instance, graph)
+    try:
+        if record is None:
+            return assign_drivers(instance, graph, plan)
+        return record.replay(instance, graph, plan, ride)
+    except (PlanError, ConstructionError):
+        return None
+
+
 def _shift(solution, instance, graph, delta) -> list[Solution]:
+    rides = {r.id: r for r in instance.rides}
     out = []
     for rid in sorted(solution.plan):
         rp = solution.plan[rid]
-        ride = next(r for r in instance.rides if r.id == rid)
+        ride = rides[rid]
         times = [t + delta for t in rp.times]
         ok = all(
             instance.window(ride.departures[i]).earliest <= times[i]
@@ -430,12 +583,9 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
         )
         if not ok:
             continue
-        plan = dict(solution.plan)
-        plan[rid] = RidePlan(tuple(times), rp.stations)
-        try:
-            out.append(assign_drivers(instance, graph, plan))
-        except (PlanError, ConstructionError):
-            continue
+        cand = _replan(solution, instance, graph, ride, RidePlan(tuple(times), rp.stations))
+        if cand is not None:
+            out.append(cand)
     return out
 
 
@@ -450,10 +600,11 @@ def operator_prepone(solution, instance, graph, config, rng) -> list[Solution]:
 
 
 def _insertable_segments(solution, instance):
+    rides = {r.id: r for r in instance.rides}
     segs = []
     for rid in sorted(solution.plan):
         rp = solution.plan[rid]
-        ride = next(r for r in instance.rides if r.id == rid)
+        ride = rides[rid]
         for k in range(ride.n_segments):
             if rp.stations[k] is not None:
                 continue
@@ -483,13 +634,8 @@ def _insert_station(solution, instance, graph, config, rng, order_fn) -> list[So
     fixed = normalize_ride_times(instance, ride, times, tuple(stations))
     if fixed is None:
         return []
-    plan = dict(solution.plan)
-    plan[rid] = RidePlan(fixed, tuple(stations))
-    try:
-        cand = assign_drivers(instance, graph, plan)
-    except (PlanError, ConstructionError):
-        return []
-    return [cand]
+    cand = _replan(solution, instance, graph, ride, RidePlan(fixed, tuple(stations)))
+    return [] if cand is None else [cand]
 
 
 def operator_insert_stop_random(solution, instance, graph, config, rng) -> list[Solution]:
@@ -525,10 +671,11 @@ def operator_insert_stop_highest_sync(solution, instance, graph, config, rng) ->
 
 def operator_remove_stop(solution, instance, graph, config, rng) -> list[Solution]:
     """Drop a station visit wherever the direct leg is available."""
+    rides = {r.id: r for r in instance.rides}
     out = []
     for rid in sorted(solution.plan):
         rp = solution.plan[rid]
-        ride = next(r for r in instance.rides if r.id == rid)
+        ride = rides[rid]
         for k in range(ride.n_segments):
             if rp.stations[k] is None:
                 continue
@@ -537,12 +684,9 @@ def operator_remove_stop(solution, instance, graph, config, rng) -> list[Solutio
                 continue
             stations = list(rp.stations)
             stations[k] = None
-            plan = dict(solution.plan)
-            plan[rid] = RidePlan(rp.times, tuple(stations))
-            try:
-                out.append(assign_drivers(instance, graph, plan))
-            except (PlanError, ConstructionError):
-                continue
+            cand = _replan(solution, instance, graph, ride, RidePlan(rp.times, tuple(stations)))
+            if cand is not None:
+                out.append(cand)
     return out
 
 
@@ -581,6 +725,8 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
         if config.mode == COMPOSITE:
             pool: list[Solution] = []
             for oi, op in enumerate(OPERATORS):
+                if oi and t_end is not None and _time.monotonic() >= t_end:
+                    return current   # the deadline passed inside this iteration
                 rng = _op_rng(config, iteration, oi)
                 pool.extend(op(current, instance, graph, config, rng))
         else:

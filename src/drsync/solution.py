@@ -9,7 +9,7 @@ piece must be steered by exactly one driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 
 from .instance import Instance, POLICY_NONE
@@ -62,10 +62,10 @@ class Piece:
     to_base: str
     end: int
     arc: int
+    duration: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
+    def __post_init__(self):
+        object.__setattr__(self, "duration", self.end - self.start)
 
 
 _LEG_RANK = {LEG_IN: 0, LEG_DIRECT: 1, LEG_OUT: 2}
@@ -84,35 +84,51 @@ def _steer_index(graph: TimeGraph) -> dict:
     return idx
 
 
+def _expand_ride(idx: dict, ride, rp: RidePlan, pieces: list[Piece]) -> None:
+    """Append the steering pieces of one ride's plan to `pieces`."""
+    rid = ride.id
+    for k in range(ride.n_segments):
+        t0, t1 = rp.times[k], rp.times[k + 1]
+        a, b = ride.stops[k], ride.stops[k + 1]
+        st = rp.stations[k]
+        if st is None:
+            arc = idx.get((rid, k, LEG_DIRECT, None, t0, t1))
+            if arc is None:
+                raise PlanError(f"ride {rid} segment {k}: no direct arc {t0}->{t1}")
+            pieces.append(Piece(rid, k, LEG_DIRECT, None, a, t0, b, t1, arc))
+        else:
+            acc = next((x for x in ride.stations[k] if x.station_id == st), None)
+            if acc is None:
+                raise PlanError(f"ride {rid} segment {k}: station {st} not admissible")
+            ts = t0 + acc.minutes_in
+            arc_in = idx.get((rid, k, LEG_IN, st, t0, ts))
+            arc_out = idx.get((rid, k, LEG_OUT, st, ts, t1))
+            if arc_in is None or arc_out is None:
+                raise PlanError(f"ride {rid} segment {k}: no via-{st} arcs {t0}->{ts}->{t1}")
+            pieces.append(Piece(rid, k, LEG_IN, st, a, t0, st, ts, arc_in))
+            pieces.append(Piece(rid, k, LEG_OUT, st, st, ts, b, t1, arc_out))
+
+
+def _piece_key(ride_order: dict[str, int]):
+    return lambda p: (p.start, p.end, ride_order[p.ride], p.segment, _LEG_RANK[p.leg])
+
+
 def plan_pieces(instance: Instance, graph: TimeGraph, plan: dict[str, RidePlan]) -> list[Piece]:
     """Expand a plan into its chronologically ordered steering pieces."""
     idx = _steer_index(graph)
-    ride_order = {r.id: i for i, r in enumerate(instance.rides)}
     rides = {r.id: r for r in instance.rides}
     pieces: list[Piece] = []
     for rid, rp in plan.items():
-        ride = rides[rid]
-        for k in range(ride.n_segments):
-            t0, t1 = rp.times[k], rp.times[k + 1]
-            a, b = ride.stops[k], ride.stops[k + 1]
-            st = rp.stations[k]
-            if st is None:
-                arc = idx.get((rid, k, LEG_DIRECT, None, t0, t1))
-                if arc is None:
-                    raise PlanError(f"ride {rid} segment {k}: no direct arc {t0}->{t1}")
-                pieces.append(Piece(rid, k, LEG_DIRECT, None, a, t0, b, t1, arc))
-            else:
-                acc = next((x for x in ride.stations[k] if x.station_id == st), None)
-                if acc is None:
-                    raise PlanError(f"ride {rid} segment {k}: station {st} not admissible")
-                ts = t0 + acc.minutes_in
-                arc_in = idx.get((rid, k, LEG_IN, st, t0, ts))
-                arc_out = idx.get((rid, k, LEG_OUT, st, ts, t1))
-                if arc_in is None or arc_out is None:
-                    raise PlanError(f"ride {rid} segment {k}: no via-{st} arcs {t0}->{ts}->{t1}")
-                pieces.append(Piece(rid, k, LEG_IN, st, a, t0, st, ts, arc_in))
-                pieces.append(Piece(rid, k, LEG_OUT, st, st, ts, b, t1, arc_out))
-    pieces.sort(key=lambda p: (p.start, p.end, ride_order[p.ride], p.segment, _LEG_RANK[p.leg]))
+        _expand_ride(idx, rides[rid], rp, pieces)
+    pieces.sort(key=_piece_key({r.id: i for i, r in enumerate(instance.rides)}))
+    return pieces
+
+
+def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[Piece]:
+    """The pieces of one ride's plan, in the order ``plan_pieces`` gives them."""
+    pieces: list[Piece] = []
+    _expand_ride(_steer_index(graph), ride, rp, pieces)
+    pieces.sort(key=_piece_key({ride.id: 0}))
     return pieces
 
 
@@ -211,6 +227,9 @@ class Solution:
         # a ConnectionPlanner over the pieces of `plan` whose link() answers
         # may be reused, set by whoever built one for this plan
         self.links: ConnectionPlanner | None = None
+        # the greedy driver assignment's run over `plan` (search.GreedyRecord),
+        # from which a one-ride plan change replays; set like `links`
+        self.greedy = None
 
     @property
     def objective(self) -> int:

@@ -67,7 +67,7 @@ def test_criterion_2_bound_sandwich(suite, oracle_results, dbmh_reports):
     bad = []
     lb1_dom = lb2_dom = 0
     for name, inst in suite:
-        b = compute_bounds(None, inst)
+        b = compute_bounds(inst)
         lb1_dom += b.lb1 > b.lb2
         lb2_dom += b.lb2 > b.lb1
         if b.lb != max(b.lb1, b.lb2):

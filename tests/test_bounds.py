@@ -60,12 +60,12 @@ def test_upper_bound_oversized_leg_chunks():
 
 
 def test_lb1_values():
-    assert lower_bound_steering(None, build(chain_ride("a", [240, 240, 120]))) == 1
+    assert lower_bound_steering(build(chain_ride("a", [240, 240, 120]))) == 1
     long = build(chain_ride("a", [240, 240, 220], start=480),
                  chain_ride("b", [240, 240, 200], start=1600))
-    assert lower_bound_steering(None, long) == 3   # ceil(1380/660)
+    assert lower_bound_steering(long) == 3   # ceil(1380/660)
     empty = Instance(rides=(), stops=(), theta_tw=10, zeta=0, ell=10)
-    assert lower_bound_steering(None, empty) == 0
+    assert lower_bound_steering(empty) == 0
 
 
 def test_lb2_parallel(parallel_triplet, sequential_pair):
@@ -89,9 +89,9 @@ def test_combined():
 
 
 def test_dominance_both_directions():
-    a = compute_bounds(None, dominance_lb1_fixture())
+    a = compute_bounds(dominance_lb1_fixture())
     assert a.lb1 > a.lb2
-    b = compute_bounds(None, dominance_lb2_fixture())
+    b = compute_bounds(dominance_lb2_fixture())
     assert b.lb2 > b.lb1
     assert a.lb == a.lb1 and b.lb == b.lb2
 
@@ -100,9 +100,9 @@ def test_dominance_both_directions():
 @given(seed=st.integers(0, 5000))
 def test_monotone_under_ride_addition(seed):
     inst, _ = generate_synthetic(GeneratorConfig(n_lines=2, rides_per_line=2), seed)
-    full = compute_bounds(None, inst)
+    full = compute_bounds(inst)
     fewer = check_instance(replace(inst, rides=inst.rides[:-1]))
-    part = compute_bounds(None, fewer)
+    part = compute_bounds(fewer)
     assert part.ub <= full.ub
     assert part.lb1 <= full.lb1
     assert part.lb2 <= full.lb2
@@ -112,7 +112,7 @@ def test_monotone_under_ride_addition(seed):
 @given(seed=st.integers(0, 3000))
 def test_bound_report_invariants(seed):
     inst, _ = generate_synthetic(GeneratorConfig(), seed)
-    rep = compute_bounds(None, inst)
+    rep = compute_bounds(inst)
     assert rep.lb == max(rep.lb1, rep.lb2)
     assert rep.lb <= rep.ub
     assert rep.lb >= 1

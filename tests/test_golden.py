@@ -1,0 +1,35 @@
+"""Pinned digests of CH+LS outputs.
+
+A change that means to alter these outputs updates the pins and says so;
+any other change must leave them byte-identical.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.search import SearchConfig, construct, local_search
+from drsync.timegraph import build_graph
+
+# (generator config, generator seed) -> sha256 of the canonical to_dict() JSON
+GOLDEN = [
+    (GeneratorConfig(4, 4, 3), 7,
+     "59506fca5416174c13da29914467190d0ec6b9d271e6d2fde21106348c1416b7"),
+    (GeneratorConfig(4, 4, 3), 8,
+     "1b24fe24a20ccfc4ac0e261cab9c148410de676218151631617fe3ad5cb063c1"),
+    (GeneratorConfig(2, 2, 4, exchange_policy="none"), 0,
+     "ee847fb27501c32c1d69c0e0df206d1495e630719891a0327713dee55b0bdb57"),
+    (GeneratorConfig(2, 2, 4, exchange_policy="regular_stops"), 0,
+     "31ba1c1c7d54a09390b2a5b59165055c22b6cf1fd8a7f46fbcb290333d6e3fec"),
+]
+
+
+@pytest.mark.parametrize("config, seed, digest", GOLDEN)
+def test_ch_ls_output_digest(config, seed, digest):
+    inst = generate_synthetic(config, seed)[0]
+    g = build_graph(inst)
+    out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
+    blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -21,7 +21,7 @@ from drsync.timegraph import build_graph
 
 def model_for(inst):
     g = build_graph(inst)
-    return build_model(g, compute_bounds(g, inst))
+    return build_model(g, compute_bounds(inst))
 
 
 def test_build_model_fig2(fig2):

@@ -48,7 +48,7 @@ def test_refusal_on_size(parallel_triplet):
 
 def test_bounds_sandwich(fig2, sequential_pair, parallel_triplet):
     for inst in (fig2, sequential_pair, parallel_triplet):
-        b = compute_bounds(None, inst)
+        b = compute_bounds(inst)
         res = brute_force(inst)
         assert b.lb <= res.optimum <= b.ub
 

@@ -39,7 +39,7 @@ def test_gap_instance_found_by_dbi():
 def test_dbi_unit_semantics():
     inst = gap_fixture(3)          # constructive lb 1, optimum 3
     g = build_graph(inst)
-    model = build_model(g, compute_bounds(g, inst))
+    model = build_model(g, compute_bounds(inst))
     start = construct(inst, g)
     lb, status, sol = destructive_bound_improvement(model, 1, start, eta_lb=60)
     assert (lb, status) == (3, "optimal")

@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from drsync.fixtures import (
     exchange_fixture,
     gap_fixture,
@@ -12,7 +14,10 @@ from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
 from drsync.oracle import brute_force
 from drsync.search import (
     OPERATORS,
+    ConstructionError,
+    GreedyRecord,
     SearchConfig,
+    assign_drivers,
     construct,
     local_search,
     operator_insert_stop_random,
@@ -31,6 +36,8 @@ from drsync.solution import (
     LINK_REACH,
     LINK_RENEW,
     ConnectionPlanner,
+    PlanError,
+    RidePlan,
     Solution,
     check_feasibility,
     plan_pieces,
@@ -347,3 +354,171 @@ def test_local_search_takes_best_feasible_move(monkeypatch):
         got = local_search(ch, inst, g, CFG, trace=trace)
         assert trace == want_trace
         assert got.to_dict() == want.to_dict()
+
+
+def _record_fields(rec):
+    departures = {b: ts for b, ts in rec.departures_from.items() if ts}
+    return (rec.keys, rec.vehicle_routes, departures, rec.snapshots, rec.reliefs,
+            rec.elements, rec.routes)
+
+
+def _checked_replay(outcomes):
+    """GreedyRecord.replay that also runs the full greedy and compares."""
+    replay = GreedyRecord.replay
+
+    def checked(self, instance, graph, plan, ride):
+        try:
+            want = assign_drivers(instance, graph, plan)
+        except (PlanError, ConstructionError) as exc:
+            with pytest.raises(type(exc)):
+                replay(self, instance, graph, plan, ride)
+            outcomes.append(type(exc))
+            raise
+        got = replay(self, instance, graph, plan, ride)
+        assert got.routes == want.routes
+        assert got.plan == want.plan
+        # the replayed record must serve later replays as the full one would
+        assert _record_fields(got.greedy) == _record_fields(want.greedy)
+        outcomes.append(Solution)
+        return got
+    return checked
+
+
+def _one_ride_changes(inst, plan):
+    """Shifts and stretches of single rides that the greedy may reject."""
+    for ride in inst.rides:
+        rp = plan[ride.id]
+        for d in (-2 * inst.ell, inst.ell, 3 * inst.ell):
+            yield ride, RidePlan(tuple(t + d for t in rp.times), rp.stations)
+        yield ride, RidePlan(rp.times[:-1] + (rp.times[-1] + 2 * inst.ell,), rp.stations)
+
+
+def _long_ride_none():
+    # legs of 260, 260 and 250 minutes: delaying the last stop by 20
+    # minutes takes the span past t_dw, too long for a crew that stays aboard
+    return check_instance(Instance(
+        rides=(
+            Ride("x", "L1", ("A", "B", "C", "D"), (480, 740, 1000, 1250), (260, 260, 250),
+                 ((), (), ())),
+            Ride("y", "L2", ("D", "A"), (500, 600), (100,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C", "D"),
+        theta_tw=20, zeta=0, ell=10, exchange_policy="none",
+    ))
+
+
+def test_replay_matches_full_greedy(monkeypatch):
+    # every one-ride plan change that local search makes, replayed from the
+    # record of the solution it changes, against a from-scratch run
+    outcomes = []
+    checked = _checked_replay(outcomes)
+    monkeypatch.setattr(GreedyRecord, "replay", checked)
+    instances = [_long_ride_none()]
+    for policy in ("regular_and_intermediate", "regular_stops", "none"):
+        for shape in ((2, 2, 4), (3, 2, 3), (4, 4, 3)):
+            instances += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy),
+                                             seed)[0] for seed in range(10)]
+    for inst in instances:
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        out = local_search(ch, inst, g, CFG)
+        # and changes the operators never make, for error parity
+        for sol in (ch, out):
+            for ride, rp in _one_ride_changes(inst, sol.plan):
+                plan = dict(sol.plan)
+                plan[ride.id] = rp
+                try:
+                    checked(sol.greedy, inst, g, plan, ride)
+                except (PlanError, ConstructionError):
+                    pass
+    assert outcomes.count(Solution) > 1000
+    assert PlanError in outcomes and ConstructionError in outcomes
+
+
+def test_replay_redoes_earlier_relief():
+    # ride a relieves its driver at B at 735; ride b leaves B at 775, too
+    # soon for a break, so the driver rides along to C. Postponing b to 785
+    # makes the gap a break: the driver now waits at B and takes b over.
+    # The change to b flips the choice made while crewing the earlier ride a.
+    inst = check_instance(Instance(
+        rides=(
+            Ride("a", "L1", ("A", "B", "C"), (480, 740, 970), (260, 230), ((), ())),
+            Ride("b", "L2", ("B", "D"), (780, 900), (120,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C", "D"),
+        theta_tw=10, zeta=0, ell=10,
+    ))
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    assert ch.plan["a"].times[1] == 735 and ch.plan["b"].times[0] == 775
+    assert ch.objective == 3
+    plan = dict(ch.plan)
+    plan["b"] = RidePlan((785, 905), (None,))
+    got = ch.greedy.replay(inst, g, plan, inst.rides[1])
+    want = assign_drivers(inst, g, plan)
+    assert want.objective == 2
+    assert not any(g.arcs[a].family == "deadhead" for r in want.routes for a in r)
+    assert got.routes == want.routes
+    assert _record_fields(got.greedy) == _record_fields(want.greedy)
+    assert want.routes in [c.routes for c in operator_postpone(ch, inst, g, CFG,
+                                                               random.Random(0))]
+
+
+def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):
+    # a plan that did not come from the greedy and that it cannot crew has
+    # no record to replay from; every change then runs the greedy in full
+    inst = sequential_pair
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    early = dict(ch.plan)
+    early["a"] = RidePlan(tuple(t - inst.ell for t in ch.plan["a"].times), ch.plan["a"].stations)
+    with pytest.raises(PlanError):
+        assign_drivers(inst, g, early)
+    sol = Solution(g, ch.routes, early)
+    cands = operator_postpone(sol, inst, g, CFG, random.Random(0))
+    assert sol.greedy is None
+    # postponing a restores the greedy's own plan; postponing b leaves a broken
+    assert [c.routes for c in cands] == [ch.routes]
+    assert cands[0].plan == ch.plan
+
+
+class _Clock:
+    """Stands in for the time module inside drsync.search."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_deadline_checked_between_operators(monkeypatch):
+    # every operator call takes one second on the stand-in clock; the
+    # deadline passes inside the first composite iteration, so the search
+    # runs no further operator and returns its start solution
+    clock = _Clock()
+    calls = []
+
+    def timed(op):
+        def run(*args):
+            calls.append(op.__name__)
+            clock.now += 1.0
+            return op(*args)
+        return run
+
+    monkeypatch.setattr("drsync.search._time", clock)
+    monkeypatch.setattr("drsync.search.OPERATORS", tuple(timed(op) for op in OPERATORS))
+    inst = postpone_fixture()
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    out = local_search(ch, inst, g, SearchConfig(seed=3, deadline=2.5))
+    assert calls == [op.__name__ for op in OPERATORS[:3]]
+    assert out is ch
+    # postpone's move, found before the deadline, is taken when time remains
+    calls.clear()
+    clock.now = 0.0
+    assert local_search(ch, inst, g, SearchConfig(seed=3, deadline=100.0)).objective == 1
+    assert len(calls) > len(OPERATORS)
