@@ -9,7 +9,11 @@ assigns each steering piece to an existing or a fresh driver, validates
 relocations (waits and deadhead hops) eagerly against the pieces already
 scheduled, and prunes with the incumbent, the constructive lower bound
 and the optional driver cap. It is exact whenever it finishes within the
-time limit.
+time limit. The search is iterative: every open node is a generator kept on
+an explicit stack, which applies one child's change, yields, and undoes the
+change when resumed, so the depth of the tree (several pieces per ride) is
+not bounded by the interpreter's recursion limit. The deadline is checked
+at every node.
 
 Export caveat: renewals earned by multi-arc deadhead runs whose single
 arcs are each shorter than the break length are not representable in the
@@ -20,7 +24,7 @@ embedded backend and the feasibility checker handle them exactly.
 from __future__ import annotations
 
 import time as _time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -39,9 +43,6 @@ from .timegraph import (
     FAMILY_DEPOT,
     FAMILY_STEERING,
     FAMILY_WAITING,
-    LEG_DIRECT,
-    LEG_IN,
-    LEG_OUT,
     TimeGraph,
 )
 
@@ -70,6 +71,7 @@ class SolveOutcome:
     best_bound: int
     elapsed: float
     incumbent_log: list[tuple[float, int]] = field(default_factory=list)
+    nodes: int = 0                   # branch-and-bound nodes visited
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,7 @@ class _Stop(Exception):
 
 class _Driver:
     __slots__ = ("base", "time", "u", "daily", "start", "trail_run",
-                 "elements", "pieces", "engaged", "last_active")
+                 "elements", "engaged", "last_active")
 
     def __init__(self, base, time, u, daily, start):
         self.base = base
@@ -358,7 +360,6 @@ class _Driver:
         self.start = start
         self.trail_run = 0
         self.elements: list[tuple] = []
-        self.pieces: set[int] = set()
         self.engaged: int | None = None   # ride index while aboard (policy none)
         self.last_active = time
 
@@ -370,23 +371,42 @@ class _Driver:
         return (self.base, self.time, self.u, self.daily, self.start,
                 self.trail_run, len(self.elements), self.engaged, self.last_active)
 
-    def rollback(self, snap, added_pieces):
+    def rollback(self, snap):
         (self.base, self.time, self.u, self.daily, self.start,
          self.trail_run, n_el, self.engaged, self.last_active) = snap
         del self.elements[n_el:]
-        self.pieces -= added_pieces
 
 
 class _Search:
+    """Depth-first branch-and-bound over an explicit stack of search nodes.
+
+    A node's children are produced by one generator: ``_start_children``, or
+    ``_hand_out`` over the piece assignments that ``_exchange_children`` or
+    ``_crew_children`` list when the node is entered (a node with none gets
+    no generator). Each step applies one child's change to the shared search
+    state and yields, and the next step undoes it before applying the next
+    child. ``_search`` keeps the open generators on a list, so a deep tree
+    costs list entries rather than interpreter frames. ``_TimeUp`` and
+    ``_Stop`` end the search from any depth; the state they leave behind is
+    not used again.
+    """
+
     def __init__(self, model: Model, config: SolverConfig):
         self.g = model.graph
         self.inst = model.instance
-        self.legal = model.instance.legal
+        self.legal = legal = model.instance.legal
+        self.t_b, self.t_ds, self.t_dw, self.t_cs = legal.t_b, legal.t_ds, legal.t_dw, legal.t_cs
         self.model = model
         self.config = config
         self.policy_none = self.inst.exchange_policy == POLICY_NONE
+        self._children = self._crew_children if self.policy_none else self._exchange_children
         self.rides = list(self.inst.rides)
         self.nrides = len(self.rides)
+        self.n_segments = [r.n_segments for r in self.rides]
+        self.node_time = [n.time for n in self.g.nodes]
+        # steering arc id -> piece, and -> the piece as a carrier unit, on first use
+        self._piece_of: dict[int, Piece] = {}
+        self._unit_of: dict[int, tuple[int, int, tuple[Piece]]] = {}
         self.deadline = _time.monotonic() + config.time_limit
         self.t0 = _time.monotonic()
         self.nodes_visited = 0
@@ -402,10 +422,12 @@ class _Search:
             self.inst.window(r.departures[0]).grid(self.inst.ell) for r in self.rides
         ]
         self.crew: list[dict[int, int]] = [dict() for _ in range(self.nrides)]
+        # per ride: (segment, node) or a pending tuple -> candidate pieces, on first use
+        self._segment_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
-        self.pieces: list[Piece] = []
-        self.carriers: dict[str, list[Piece]] = {}
+        # base -> (start, end, (piece,)) of each scheduled piece leaving it
+        self.carriers: defaultdict[str, list[tuple]] = defaultdict(list)
         self.ride_pieces: list[list[Piece]] = [[] for _ in range(self.nrides)]
 
         self.best_f: int | None = None
@@ -414,30 +436,36 @@ class _Search:
             self.best_f = config.start_solution.objective
             self.best_solution = config.start_solution
         self.incumbent_log: list[tuple[float, int]] = []
+        self._set_threshold()
 
     # -- plumbing ---------------------------------------------------------
 
-    def _tick(self):
-        self.nodes_visited += 1
-        if (self.nodes_visited & 0xFF) == 0 and _time.monotonic() > self.deadline:
-            raise _TimeUp
-
-    def _threshold(self) -> int:
+    def _set_threshold(self):
+        """Driver count at which a node is pruned; changes only with best_f."""
         thr = self.best_f if self.best_f is not None else (1 << 30)
         if self.config.cutoff is not None:
             thr = min(thr, self.config.cutoff)
         if self.model.cardinality_cap is not None:
             thr = min(thr, self.model.cardinality_cap + 1)
-        return thr
+        self.threshold = thr
 
-    def _node_time(self, nid: int) -> int:
-        return self.g.nodes[nid].time
+    def _piece(self, aid: int) -> Piece:
+        piece = self._piece_of.get(aid)
+        if piece is None:
+            arc = self.g.arcs[aid]
+            nodes = self.g.nodes
+            piece = self._piece_of[aid] = Piece(
+                arc.ride, arc.segment, arc.leg, arc.station,
+                nodes[arc.tail].base, nodes[arc.tail].time,
+                nodes[arc.head].base, nodes[arc.head].time, aid)
+            self._unit_of[aid] = (piece.start, piece.end, (piece,))
+        return piece
 
     # -- relocation -------------------------------------------------------
 
     def _connect(self, d: _Driver, to_base: str, to_time: int):
         """(ok, u_after, plan elements, trailing deadhead run) for moving d."""
-        t_b = self.legal.t_b
+        t_b = self.t_b
         if d.time > to_time:
             return False, 0, None, 0
         if d.base == to_base:
@@ -445,38 +473,38 @@ class _Search:
             plan = [("wait", d.base, d.time, to_time)] if gap else []
             u = 0 if gap >= t_b else d.u
             return True, u, plan, (d.trail_run if gap == 0 else 0)
+        units = self._carrier_units
+        # most relocations fail at once: nothing leaves d's base in time
+        for st, en, _legs in units(d.base):
+            if st >= d.time and en <= to_time:
+                break
+        else:
+            return False, 0, None, 0
         start = (d.base, d.time, min(d.trail_run, t_b), False)
         parents: dict[tuple, tuple | None] = {start: None}
         queue = deque([start])
         goal_any = goal_renew = None
-
-        def check_goal(state):
-            nonlocal goal_any, goal_renew
-            base, tm, run, renewed = state
-            if base == to_base and tm <= to_time:
-                if goal_any is None:
-                    goal_any = state
-                if goal_renew is None and (renewed or to_time - tm >= t_b):
-                    goal_renew = state
-
-        check_goal(start)
         while queue and goal_renew is None:
             state = queue.popleft()
             base, tm, run, renewed = state
-            for unit in self._carrier_units(base):
-                st, en, legs = unit
+            for st, en, legs in units(base):
                 if st < tm or en > to_time:
-                    continue
-                if any(p.arc in d.pieces for p in legs):
                     continue
                 wait = st - tm
                 new_run = (run + en - st) if wait == 0 else (en - st)
-                nxt = (legs[-1].to_base, en, min(new_run, t_b),
-                       renewed or wait >= t_b or new_run >= t_b)
-                if nxt not in parents:
-                    parents[nxt] = (state, legs, wait)
-                    queue.append(nxt)
-                    check_goal(nxt)
+                nxt_base = legs[-1].to_base
+                nxt_renewed = renewed or wait >= t_b or new_run >= t_b
+                nxt = (nxt_base, en, min(new_run, t_b), nxt_renewed)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (state, legs, wait)
+                queue.append(nxt)
+                if nxt_base == to_base:
+                    if goal_any is None:
+                        goal_any = nxt
+                    if nxt_renewed or to_time - en >= t_b:
+                        goal_renew = nxt
+                        break
         goal = goal_renew if goal_renew is not None else goal_any
         if goal is None:
             return False, 0, None, 0
@@ -497,17 +525,18 @@ class _Search:
         return True, u, steps, end_run
 
     def _carrier_units(self, base: str):
+        """(start, end, legs) of each scheduled run a driver can ride from base."""
         if not self.policy_none:
-            for p in self.carriers.get(base, ()):
-                yield p.start, p.end, (p,)
-        else:
-            for ri in range(self.nrides):
-                chunk = self.ride_pieces[ri]
-                if not chunk or self.pos[ri] < self.rides[ri].n_segments:
-                    continue  # only completed rides can carry passengers
-                if chunk[0].from_base != base:
-                    continue
-                yield chunk[0].start, chunk[-1].end, tuple(chunk)
+            return self.carriers.get(base, ())
+        units = []
+        for ri in range(self.nrides):
+            chunk = self.ride_pieces[ri]
+            if not chunk or self.pos[ri] < self.n_segments[ri]:
+                continue  # only completed rides can carry passengers
+            if chunk[0].from_base != base:
+                continue
+            units.append((chunk[0].start, chunk[-1].end, tuple(chunk)))
+        return units
 
     # -- main search ------------------------------------------------------
 
@@ -517,77 +546,104 @@ class _Search:
             if self.nrides == 0:
                 self._record_leaf()
             else:
-                self._dfs()
+                self._search()
         except _TimeUp:
             status = "timeout"
         except _Stop:
             status = "optimal"
         elapsed = _time.monotonic() - self.t0
+        nodes = self.nodes_visited
         if status == "timeout":
             if self.best_solution is not None:
-                return SolveOutcome("feasible", self.best_solution,
-                                    self.model.bounds.lb, elapsed, self.incumbent_log)
-            return SolveOutcome("timeout_no_solution", None,
-                                self.model.bounds.lb, elapsed, self.incumbent_log)
+                return SolveOutcome("feasible", self.best_solution, self.model.bounds.lb,
+                                    elapsed, self.incumbent_log, nodes)
+            return SolveOutcome("timeout_no_solution", None, self.model.bounds.lb,
+                                elapsed, self.incumbent_log, nodes)
         if self.best_solution is None:
             cap = self.model.cardinality_cap
             bound = (cap + 1) if cap is not None else 0
             if self.config.cutoff is not None:
                 bound = max(bound, self.config.cutoff)
-            return SolveOutcome("infeasible", None, bound, elapsed, self.incumbent_log)
+            return SolveOutcome("infeasible", None, bound, elapsed, self.incumbent_log, nodes)
         return SolveOutcome("optimal", self.best_solution, self.best_f,
-                            elapsed, self.incumbent_log)
+                            elapsed, self.incumbent_log, nodes)
+
+    def _search(self):
+        """Depth-first walk: visit a node, then resume the deepest open node's next child."""
+        stack = []
+        while True:
+            self.nodes_visited += 1
+            if _time.monotonic() > self.deadline:
+                raise _TimeUp
+            if len(self.drivers) < self.threshold:
+                ev = self._next_event()
+                if ev is None:
+                    self._record_leaf()
+                else:
+                    kind, ri, t_active = ev
+                    children = None     # dead: a ride was deferred past its window
+                    if kind == "seg":
+                        children = self._children(ri, self._segment_pieces(ri))
+                    elif kind == "out":
+                        children = self._children(ri, self._out_pieces(ri))
+                    elif kind == "start":
+                        children = self._start_children(ri, t_active)
+                    if children is not None:
+                        stack.append(children)
+            while stack:
+                if next(stack[-1], None) is not None:
+                    break
+                stack.pop()      # every child was visited and undone
+            else:
+                return
 
     def _next_event(self):
+        node_time = self.node_time
+        cur_node = self.cur_node
+        pending = self.pending
+        pos = self.pos
+        n_segments = self.n_segments
         t_active = None
         choice = None
+        unstarted = None
         for ri in range(self.nrides):
-            if self.pending[ri] is not None:
-                t = self._node_time(self.pending[ri][0])
+            pend = pending[ri]
+            if pend is not None:
+                t = node_time[pend[0]]
                 if t_active is None or t < t_active:
                     t_active, choice = t, ("out", ri)
-            elif self.cur_node[ri] >= 0 and self.pos[ri] < self.rides[ri].n_segments:
-                t = self._node_time(self.cur_node[ri])
+                continue
+            node = cur_node[ri]
+            if node < 0:
+                if unstarted is None:
+                    unstarted = [ri]
+                else:
+                    unstarted.append(ri)
+            elif pos[ri] < n_segments[ri]:
+                t = node_time[node]
                 if t_active is None or t < t_active:
                     t_active, choice = t, ("seg", ri)
-        best_start = None
-        for ri in range(self.nrides):
-            if self.cur_node[ri] >= 0:
-                continue
-            grid = self.start_grids[ri]
-            if self.minstart[ri] >= len(grid):
-                return ("dead", ri, None)  # deferred past the window: infeasible branch
-            e_min = grid[self.minstart[ri]]
-            if (t_active is None or e_min <= t_active) and (
-                    best_start is None or e_min < best_start[1]):
-                best_start = (ri, e_min)
-        if best_start is not None:
-            return ("start", best_start[0], t_active)
+        if unstarted is not None:
+            best_start = None
+            for ri in unstarted:
+                grid = self.start_grids[ri]
+                if self.minstart[ri] >= len(grid):
+                    return ("dead", ri, None)  # deferred past the window: infeasible branch
+                e_min = grid[self.minstart[ri]]
+                if (t_active is None or e_min <= t_active) and (
+                        best_start is None or e_min < best_start[1]):
+                    best_start = (ri, e_min)
+            if best_start is not None:
+                return ("start", best_start[0], t_active)
         if choice is None:
             return None
         return (choice[0], choice[1], t_active)
 
-    def _dfs(self):
-        self._tick()
-        if len(self.drivers) >= self._threshold():
-            return
-        ev = self._next_event()
-        if ev is None:
-            self._record_leaf()
-            return
-        kind, ri, t_active = ev
-        if kind == "dead":
-            return
-        if kind == "start":
-            self._branch_start(ri, t_active)
-        elif kind == "seg":
-            self._branch_segment(ri)
-        else:
-            self._branch_out(ri)
-
-    def _branch_start(self, ri: int, t_active):
+    def _start_children(self, ri: int, t_active):
+        """Start ride ri at each grid time up to t_active, then defer it past t_active."""
         grid = self.start_grids[ri]
         base = self.rides[ri].stops[0]
+        times = self.times[ri]
         lo = self.minstart[ri]
         for gi in range(lo, len(grid)):
             t = grid[gi]
@@ -597,217 +653,217 @@ class _Search:
             if node is None:
                 continue
             self.cur_node[ri] = node
-            self.times[ri].append(t)
-            self._dfs()
-            self.times[ri].pop()
+            times.append(t)
+            yield True
+            times.pop()
             self.cur_node[ri] = -1
         if t_active is not None:
             nxt = lo
             while nxt < len(grid) and grid[nxt] <= t_active:
                 nxt += 1
             if nxt > lo:
-                saved = self.minstart[ri]
                 self.minstart[ri] = nxt
-                self._dfs()
-                self.minstart[ri] = saved
+                yield True
+                self.minstart[ri] = lo
 
-    def _branch_segment(self, ri: int):
-        ride = self.rides[ri]
+    def _segment_pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
+        """(piece, advance kind, head node) for each way to drive ride ri's next segment."""
         k = self.pos[ri]
         node = self.cur_node[ri]
-        for aid in self.g.seg_direct.get((ride.id, k), ()):
-            arc = self.g.arcs[aid]
-            if arc.tail != node:
-                continue
-            piece = self._mk_piece(ride.id, k, LEG_DIRECT, None, arc)
-            self._try_piece(ri, piece, advance=("direct", arc.head))
+        cache = self._segment_cache[ri]
+        out = cache.get((k, node))
+        if out is not None:
+            return out
+        rid = self.rides[ri].id
+        arcs = self.g.arcs
+        out = [(self._piece(aid), "direct", arcs[aid].head)
+               for aid in self.g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
         if not self.policy_none:
-            for acc in ride.stations[k]:
-                for aid in self.g.seg_in.get((ride.id, k, acc.station_id), ()):
-                    arc = self.g.arcs[aid]
-                    if arc.tail != node:
-                        continue
-                    piece = self._mk_piece(ride.id, k, LEG_IN, acc.station_id, arc)
-                    self._try_piece(ri, piece, advance=("pending", arc.head))
+            for acc in self.rides[ri].stations[k]:
+                out += [(self._piece(aid), "pending", arcs[aid].head)
+                        for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
+                        if arcs[aid].tail == node]
+        cache[(k, node)] = out
+        return out
 
-    def _branch_out(self, ri: int):
-        ride = self.rides[ri]
-        snode, k, station = self.pending[ri]
-        for aid in self.g.seg_out.get((ride.id, k, station), ()):
-            arc = self.g.arcs[aid]
-            if arc.tail != snode:
-                continue
-            piece = self._mk_piece(ride.id, k, LEG_OUT, station, arc)
-            self._try_piece(ri, piece, advance=("out", arc.head))
-
-    def _mk_piece(self, rid, seg, leg, station, arc) -> Piece:
-        return Piece(rid, seg, leg, station,
-                     self.g.nodes[arc.tail].base, self.g.nodes[arc.tail].time,
-                     self.g.nodes[arc.head].base, self.g.nodes[arc.head].time,
-                     arc.id)
+    def _out_pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
+        pend = self.pending[ri]
+        cache = self._segment_cache[ri]
+        out = cache.get(pend)
+        if out is not None:
+            return out
+        snode, k, station = pend
+        arcs = self.g.arcs
+        out = cache[pend] = [
+            (self._piece(aid), "out", arcs[aid].head)
+            for aid in self.g.seg_out.get((self.rides[ri].id, k, station), ())
+            if arcs[aid].tail == snode]
+        return out
 
     # -- piece assignment ---------------------------------------------------
 
-    def _try_piece(self, ri: int, piece: Piece, advance):
-        if self.policy_none:
-            self._try_piece_none(ri, piece, advance)
-            return
+    def _exchange_children(self, ri: int, candidates):
+        """Each piece goes to every distinct free driver able to take it, then to a new one."""
+        children: list[tuple] = []
+        for piece, kind, head in candidates:
+            self._exchange_takers(piece, kind, head, children)
+        return self._hand_out(ri, children) if children else None
+
+    def _exchange_takers(self, piece: Piece, kind: str, head: int, children: list):
+        """Append the children that give `piece` to a free driver or a new one.
+
+        The children of a node are listed when it is entered: each child
+        leaves the drivers as it found them, so later ones see the same state.
+        """
+        dur = piece.duration
+        base = piece.from_base
+        start = piece.start
+        max_daily = self.t_ds - dur
+        min_start = piece.end - self.t_dw
+        max_u = self.t_cs - dur
         seen = set()
         for idx, d in enumerate(self.drivers):
+            # drivers with equal keys pass or fail these filters alike
+            if (d.engaged is not None or d.time > start or d.daily > max_daily
+                    or d.start < min_start):
+                continue
             key = d.key()
             if key in seen:
                 continue
             seen.add(key)
-            ok, u0, plan, _run = self._connect(d, piece.from_base, piece.start)
-            if not ok:
-                continue
-            dur = piece.duration
-            if (u0 + dur > self.legal.t_cs or d.daily + dur > self.legal.t_ds
-                    or piece.end - d.start > self.legal.t_dw):
-                continue
-            self._commit(ri, idx, piece, plan, u0, advance)
-        if len(self.drivers) + 1 < self._threshold():
-            self._commit_new(ri, piece, advance)
+            ok, u0, plan, _run = self._connect(d, base, start)
+            if ok and u0 <= max_u:
+                children.append((piece, kind, head, idx, plan, u0, None))
+        if len(self.drivers) + 1 < self.threshold:
+            children.append((piece, kind, head, None, (), 0, (base, start)))
 
-    def _commit_new(self, ri: int, piece: Piece, advance, boarded_at=None):
-        d = _Driver(piece.from_base if boarded_at is None else boarded_at[0],
-                    piece.start if boarded_at is None else boarded_at[1],
-                    0, 0, piece.start if boarded_at is None else boarded_at[1])
-        self.drivers.append(d)
-        plan: list[tuple] = []
-        if boarded_at is not None:
-            plan = boarded_at[2]
-        self._commit(ri, len(self.drivers) - 1, piece, plan, 0, advance, new=True)
-        self.drivers.pop()
+    def _hand_out(self, ri: int, children: list[tuple]):
+        """Visit each child (piece, advance kind, head node, driver index, plan,
+        u before the piece, new driver's (base, time) or None) in order.
 
-    def _commit(self, ri, idx, piece, plan, u0, advance, new=False):
-        d = self.drivers[idx]
-        snap = d.snapshot()
-        for el in plan or []:
-            d.elements.append(el)
-        d.elements.append(("steer", piece.arc))
-        d.pieces.add(piece.arc)
-        d.base, d.time = piece.to_base, piece.end
-        d.u = u0 + piece.duration
-        d.daily += piece.duration
-        d.trail_run = 0
-        d.last_active = piece.end
-        self._advance_and_recurse(ri, piece, advance, idx)
-        d.rollback(snap, {piece.arc})
-
-    def _advance_and_recurse(self, ri, piece, advance, steerer_idx):
-        self.pieces.append(piece)
-        self.carriers.setdefault(piece.from_base, []).append(piece)
-        self.ride_pieces[ri].append(piece)
-        kind, head = advance
-        prev_node = self.cur_node[ri]
-        prev_pending = self.pending[ri]
-        undo_crew = None
-        if kind == "pending":
-            self.pending[ri] = (head, piece.segment, piece.station)
-            self.stations[ri].append(piece.station)
-        elif kind == "out":
-            self.pending[ri] = None
-            self.pos[ri] += 1
-            self.times[ri].append(self._node_time(head))
-            self.cur_node[ri] = head
-        else:
-            self.pos[ri] += 1
-            self.times[ri].append(self._node_time(head))
-            self.cur_node[ri] = head
-            self.stations[ri].append(None)
-        ok = True
-        if self.policy_none:
-            undo_crew = self._crew_update(ri, piece, steerer_idx)
-            if undo_crew == "violates":
-                undo_crew = None
-                ok = False
-        if ok:
-            self._dfs()
-        if undo_crew is not None:
-            self._crew_rollback(ri, undo_crew)
-        if kind == "pending":
-            self.stations[ri].pop()
-        elif kind == "out":
-            self.pos[ri] -= 1
-            self.times[ri].pop()
-        else:
-            self.pos[ri] -= 1
-            self.times[ri].pop()
-            self.stations[ri].pop()
-        self.pending[ri] = prev_pending
-        self.cur_node[ri] = prev_node
-        self.ride_pieces[ri].pop()
-        self.carriers[piece.from_base].pop()
-        self.pieces.pop()
+        Children with a new driver are listed only while the threshold allows
+        one more driver; one is still skipped if incumbents found in earlier
+        children have lowered the threshold since.
+        """
+        drivers = self.drivers
+        carriers = self.carriers
+        unit_of = self._unit_of
+        ride_pieces = self.ride_pieces[ri]
+        stations = self.stations[ri]
+        times = self.times[ri]
+        pos = self.pos
+        cur_node = self.cur_node
+        pending = self.pending
+        for piece, kind, head, idx, plan, u0, new_at in children:
+            if new_at is not None:
+                if len(drivers) + 1 >= self.threshold:
+                    continue
+                drivers.append(_Driver(new_at[0], new_at[1], 0, 0, new_at[1]))
+                idx = len(drivers) - 1
+            # apply: driver idx steers the piece after the plan, and the ride moves on
+            d = drivers[idx]
+            elements = d.elements
+            undo = (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active,
+                    len(elements), cur_node[ri], pending[ri])
+            if plan:
+                elements.extend(plan)
+            elements.append(("steer", piece.arc))
+            d.base = piece.to_base
+            d.time = d.last_active = piece.end
+            d.u = u0 + piece.duration
+            d.daily += piece.duration
+            d.trail_run = 0
+            carriers[piece.from_base].append(unit_of[piece.arc])
+            ride_pieces.append(piece)
+            if kind == "pending":
+                pending[ri] = (head, piece.segment, piece.station)
+                stations.append(piece.station)
+            else:
+                if kind == "out":
+                    pending[ri] = None
+                else:
+                    stations.append(None)
+                pos[ri] += 1
+                times.append(self.node_time[head])
+                cur_node[ri] = head
+            if not self.policy_none:
+                yield True
+            else:
+                crew_undo = self._crew_update(ri, piece, idx)
+                if crew_undo is not None:
+                    yield True
+                    self._crew_rollback(ri, crew_undo)
+            # undo
+            (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active, n_elements,
+             cur_node[ri], pending[ri]) = undo
+            del elements[n_elements:]
+            carriers[piece.from_base].pop()
+            ride_pieces.pop()
+            if kind == "pending":
+                stations.pop()
+            else:
+                if kind == "direct":
+                    stations.pop()
+                pos[ri] -= 1
+                times.pop()
+            if new_at is not None:
+                drivers.pop()
 
     # -- policy-none crew handling ----------------------------------------
 
-    def _try_piece_none(self, ri: int, piece: Piece, advance):
-        ride = self.rides[ri]
-        k = piece.segment
+    def _crew_children(self, ri: int, candidates):
+        """Like ``_exchange_children``, for crews that stay aboard to the terminal."""
+        t_b, t_ds, t_dw, t_cs = self.t_b, self.t_ds, self.t_dw, self.t_cs
+        drivers = self.drivers
+        arcs = self.g.arcs
         start_t = self.times[ri][0]
-        start_b = ride.stops[0]
-        seen = set()
-        if k == 0:
-            for idx, d in enumerate(self.drivers):
-                if d.engaged is not None:
+        start_b = self.rides[ri].stops[0]
+        crew = self.crew[ri]
+        ride_pieces = self.ride_pieces[ri]
+        children: list[tuple] = []
+        for piece, kind, head in candidates:
+            if piece.segment == 0:
+                self._exchange_takers(piece, kind, head, children)
+                continue
+            dur = piece.duration
+            ride_dh = [("deadhead", arcs[p.arc].twin) for p in ride_pieces]
+            # later segment: crew members or late recruits who boarded at the start
+            for idx in sorted(crew):
+                d = drivers[idx]
+                u0 = 0 if piece.start - d.last_active >= t_b else d.u
+                if (u0 + dur > t_cs or d.daily + dur > t_ds
+                        or piece.end - d.start > t_dw):
+                    continue
+                plan = [("deadhead", arcs[p.arc].twin)
+                        for p in ride_pieces if p.start >= d.last_active]
+                children.append((piece, kind, head, idx, plan, u0, None))
+            seen = set()
+            for idx, d in enumerate(drivers):
+                if (d.engaged is not None or idx in crew
+                        or d.daily + dur > t_ds or piece.end - d.start > t_dw):
                     continue
                 key = d.key()
                 if key in seen:
                     continue
                 seen.add(key)
-                ok, u0, plan, _run = self._connect(d, piece.from_base, piece.start)
+                ok, u0, plan, end_run = self._connect(d, start_b, start_t)
                 if not ok:
                     continue
-                if (u0 + piece.duration > self.legal.t_cs
-                        or d.daily + piece.duration > self.legal.t_ds
-                        or piece.end - d.start > self.legal.t_dw):
+                if end_run + (piece.start - start_t) >= t_b:
+                    u0 = 0
+                if u0 + dur > t_cs:
                     continue
-                self._commit(ri, idx, piece, plan, u0, advance)
-            if len(self.drivers) + 1 < self._threshold():
-                self._commit_new(ri, piece, advance)
-            return
-        # later segment: crew members or late recruits who boarded at the start
-        for idx in sorted(self.crew[ri]):
-            d = self.drivers[idx]
-            run = piece.start - d.last_active
-            u0 = 0 if run >= self.legal.t_b else d.u
-            if (u0 + piece.duration > self.legal.t_cs
-                    or d.daily + piece.duration > self.legal.t_ds
-                    or piece.end - d.start > self.legal.t_dw):
-                continue
-            plan = [("deadhead", self.g.arcs[p.arc].twin)
-                    for p in self.ride_pieces[ri] if p.start >= d.last_active]
-            self._commit(ri, idx, piece, plan, u0, advance)
-        for idx, d in enumerate(self.drivers):
-            if d.engaged is not None or idx in self.crew[ri]:
-                continue
-            key = d.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            ok, u0, plan, end_run = self._connect(d, start_b, start_t)
-            if not ok:
-                continue
-            if end_run + (piece.start - start_t) >= self.legal.t_b:
-                u0 = 0
-            if (u0 + piece.duration > self.legal.t_cs
-                    or d.daily + piece.duration > self.legal.t_ds
-                    or piece.end - d.start > self.legal.t_dw):
-                continue
-            ride_dh = [("deadhead", self.g.arcs[p.arc].twin)
-                       for p in self.ride_pieces[ri]]
-            self._commit(ri, idx, piece, (plan or []) + ride_dh, u0, advance)
-        if len(self.drivers) + 1 < self._threshold():
-            if piece.end - start_t <= self.legal.t_dw:
-                ride_dh = [("deadhead", self.g.arcs[p.arc].twin)
-                           for p in self.ride_pieces[ri]]
-                u0 = 0
-                self._commit_new(ri, piece, advance,
-                                 boarded_at=(start_b, start_t, ride_dh))
+                children.append((piece, kind, head, idx, plan + ride_dh, u0, None))
+            if piece.end - start_t <= t_dw and len(drivers) + 1 < self.threshold:
+                children.append((piece, kind, head, None, ride_dh, 0, (start_b, start_t)))
+        return self._hand_out(ri, children) if children else None
 
     def _crew_update(self, ri: int, piece: Piece, steerer_idx: int):
+        """Record the steerer in ride ri's crew; release the crew if the ride ended.
+
+        Returns the undo record, or None (with nothing changed) when the
+        release would break a crew member's working span.
+        """
         ride = self.rides[ri]
         undo: dict[int, tuple] = {}
         d = self.drivers[steerer_idx]
@@ -827,11 +883,11 @@ class _Search:
             m = self.drivers[idx]
             if terminal_t - m.start > self.legal.t_dw:
                 self._crew_rollback(ri, undo)
-                return "violates"
+                return None
             undo.setdefault(idx, ("release", m.snapshot()))
             if m.time < terminal_t:
                 for p in self.ride_pieces[ri]:
-                    if p.start >= m.last_active and p.arc not in m.pieces:
+                    if p.start >= m.last_active:
                         m.elements.append(("deadhead", self.g.arcs[p.arc].twin))
                 run = terminal_t - m.last_active
                 if run >= self.legal.t_b:
@@ -854,7 +910,7 @@ class _Search:
             elif tag == "stamp":
                 self.crew[ri][idx] = data
             else:  # release
-                d.rollback(data, set())
+                d.rollback(data)
                 d.engaged = ri
 
     # -- incumbents ---------------------------------------------------------
@@ -880,6 +936,7 @@ class _Search:
                 self.best_f = better.objective
                 self.best_solution = better
                 self.incumbent_log.append((_time.monotonic() - self.t0, better.objective))
+        self._set_threshold()
         if self.best_f <= max(self.model.objective_floor, 0):
             raise _Stop  # incumbent meets a proven lower bound
 

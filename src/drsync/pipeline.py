@@ -72,6 +72,8 @@ class RunReport:
     solution: Solution | None = None
     instance_id: str | None = None
     seed: int = 0
+    # B&B nodes per phase that ran: "dbi_caps" (one count per cap), "cold", "warm"
+    bb_nodes: dict[str, int | list[int]] = field(default_factory=dict)
 
     @property
     def gap(self) -> float:
@@ -101,6 +103,7 @@ class RunReport:
         return {
             "phase_timings": {k: round(v, 6) for k, v in self.phase_timings.items()},
             "incumbent_log": [[round(t, 6), f] for t, f in self.incumbent_log],
+            "bb_nodes": self.bb_nodes,
         }
 
 
@@ -109,11 +112,13 @@ def destructive_bound_improvement(
     lb: int,
     s: Solution | None,
     eta_lb: float,
+    cap_nodes: list[int] | None = None,
 ) -> tuple[int, str, Solution | None]:
     """Raise lb by refuting P(lb) until one is feasible (then it is optimal).
 
     Requires lb to be a valid lower bound on entry; every increment is
-    justified by an exhausted search, so it stays valid throughout.
+    justified by an exhausted search, so it stays valid throughout. The
+    B&B node count of each cap's solve is appended to `cap_nodes` if given.
     """
     deadline = _time.monotonic() + eta_lb
     while True:
@@ -126,6 +131,8 @@ def destructive_bound_improvement(
             return lb, DBI_BOUND_ONLY, None
         restricted = replace(restrict(model, lb), objective_floor=lb)
         out = solve(restricted, SolverConfig(time_limit=remaining))
+        if cap_nodes is not None:
+            cap_nodes.append(out.nodes)
         if out.status == "optimal":
             return lb, DBI_OPTIMAL, out.best_solution
         if out.status == "infeasible":
@@ -141,6 +148,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     t0 = _time.monotonic()
     deadline = t0 + config.global_limit
     timings: dict[str, float] = {}
+    bb_nodes: dict[str, int | list[int]] = {}
     log: list[tuple[float, int]] = []
 
     def clock(name, since):
@@ -190,7 +198,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             final_lb=final_lb if final_lb is not None else dlb,
             clb=clb, dlb=dlb, phase_timings=timings, found_by=found_by,
             incumbent_log=log, solution=best, instance_id=instance_id,
-            seed=config.seed,
+            seed=config.seed, bb_nodes=bb_nodes,
         )
 
     if best is not None and best.objective == clb:
@@ -202,7 +210,10 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         if config.extend_time_on_disable and not config.use_mip:
             budget = config.global_limit
         budget = min(budget, max(remaining(), 0.01))
-        dlb, dbi_status, dbi_sol = destructive_bound_improvement(model, clb, best, budget)
+        cap_nodes: list[int] = []
+        bb_nodes["dbi_caps"] = cap_nodes
+        dlb, dbi_status, dbi_sol = destructive_bound_improvement(
+            model, clb, best, budget, cap_nodes)
         clock("dbi", t)
         if dbi_status == DBI_INFEASIBLE:
             proven_infeasible = True
@@ -224,12 +235,15 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         floor_model = replace(model, objective_floor=max(model.objective_floor, dlb))
         cold_budget = min(config.eta_mip, max(remaining(), 0.01))
         out = solve(floor_model, SolverConfig(time_limit=cold_budget, seed=config.seed))
+        bb_nodes["cold"] = out.nodes
         for dt, f in out.incumbent_log:
             log.append((offset + dt, f))
         stage_origin: dict[int, str] = {}
 
         def callback(sol: Solution) -> Solution | None:
-            cfg = replace(config.search, deadline=config.eta_ls, seed=config.seed)
+            # the callback runs inside the warm solve: it must not outlast the run
+            cfg = replace(config.search, deadline=min(config.eta_ls, max(remaining(), 0.01)),
+                          seed=config.seed)
             better = local_search(sol, instance, graph, cfg)
             if better.objective < sol.objective:
                 stage_origin[id(better)] = FOUND_CALLBACK
@@ -249,6 +263,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 seed=config.seed,
             )
             out = solve(floor_model, warm)
+            bb_nodes["warm"] = out.nodes
             for dt, f in out.incumbent_log:
                 log.append((offset + dt, f))
         clock("mip", t)

@@ -123,7 +123,7 @@ def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
 # ---------------------------------------------------------------------------
 
 class _Sim:
-    __slots__ = ("base", "time", "u", "daily", "start", "trail_run", "elements")
+    __slots__ = ("base", "time", "u", "daily", "start", "elements")
 
     def __init__(self, base, time):
         self.base = base
@@ -131,18 +131,16 @@ class _Sim:
         self.u = 0
         self.daily = 0
         self.start = time
-        self.trail_run = 0
         self.elements: list[tuple] = []
 
     def state(self) -> tuple:
-        return (self.base, self.time, self.u, self.daily, self.start, self.trail_run,
-                len(self.elements))
+        return (self.base, self.time, self.u, self.daily, self.start, len(self.elements))
 
     @classmethod
     def restore(cls, state: tuple, elements: list[tuple]) -> _Sim:
         """The driver in `state`, whose timeline is a prefix of `elements`."""
         sim = cls.__new__(cls)
-        sim.base, sim.time, sim.u, sim.daily, sim.start, sim.trail_run, n = state
+        sim.base, sim.time, sim.u, sim.daily, sim.start, n = state
         sim.elements = elements[:n]
         return sim
 
@@ -292,7 +290,6 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
     if sim.time < vp[pos].start:
         sim.elements.append(("wait", sim.base, sim.time, vp[pos].start))
         sim.u = sim.rested_u(vp[pos].start, legal.t_b)
-        sim.trail_run = 0
         sim.time = vp[pos].start
     while pos < len(vp) and _fits(sim, sim.u, vp[pos], legal):
         p = vp[pos]
@@ -300,7 +297,6 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
         sim.u += p.duration
         sim.daily += p.duration
         sim.base, sim.time = p.to_base, p.end
-        sim.trail_run = 0
         pos += 1
     return pos
 
@@ -344,7 +340,6 @@ def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph, reliefs, j):
         sim.elements.append(("deadhead", graph.arcs[p.arc].twin))
     run = vp[-1].end - now
     sim.base, sim.time = vp[-1].to_base, vp[-1].end
-    sim.trail_run = run
     if run >= legal.t_b:
         sim.u = 0
 
@@ -427,12 +422,9 @@ def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list
             for q in vp:
                 if q.start >= last:
                     sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-            run = term_t - last
-            sim.u = 0 if run >= legal.t_b else sim.u
-            sim.trail_run = run
+            if term_t - last >= legal.t_b:
+                sim.u = 0
             sim.base, sim.time = vp[-1].to_base, term_t
-        else:
-            sim.trail_run = 0
     return [di for di, _last in crew]
 
 

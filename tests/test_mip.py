@@ -1,12 +1,16 @@
+import sys
+import time
 from dataclasses import replace
 
 import pytest
 
 from drsync.bounds import compute_bounds
-from drsync.fixtures import gap_fixture
+from drsync.fixtures import gap_fixture, micro_suite
+from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance
 from drsync.mip import (
     AssignmentError,
+    SolveOutcome,
     SolverConfig,
     build_model,
     export_model,
@@ -16,7 +20,7 @@ from drsync.mip import (
 )
 from drsync.oracle import brute_force
 from drsync.solution import check_feasibility
-from drsync.timegraph import build_graph
+from drsync.timegraph import FAMILY_DEADHEAD, FAMILY_STEERING, build_graph
 
 
 def model_for(inst):
@@ -225,3 +229,114 @@ def test_export_well_formed_with_chain_binaries(tmp_path, sequential_pair):
                 referenced.add(tok)
     missing = referenced - declared
     assert not missing, f"undeclared variables: {sorted(missing)[:5]}"
+
+
+# -- the iterative search --------------------------------------------------
+
+def _cap_model(inst, extra):
+    """P(cLB + extra) with its floor at the cap, as DBI builds it."""
+    m = model_for(inst)
+    cap = m.bounds.lb + extra
+    return replace(restrict(m, cap), objective_floor=cap)
+
+
+# (status, objective, nodes) of searches that finish, pinned from the
+# recursive search this one replaced: the same tree in the same order
+SAME_TREE = {
+    ((2, 2, 4), 0): [("infeasible", None, 17033), ("optimal", 5, 417)],
+    ((2, 2, 4), 1): [("infeasible", None, 358), ("optimal", 3, 21)],
+    ((2, 2, 4), 2): [("infeasible", None, 24665), ("optimal", 5, 28)],
+    ((2, 2, 4), 3): [("infeasible", None, 1396), ("infeasible", None, 15228)],
+    ((2, 2, 4), 4): [("infeasible", None, 3145), ("optimal", 4, 21)],
+    ((2, 2, 4), 5): [("infeasible", None, 2412), ("infeasible", None, 43995)],
+    ((2, 2, 4), 6): [("infeasible", None, 2199), ("infeasible", None, 40772)],
+    ((2, 2, 4), 7): [("infeasible", None, 2585), ("optimal", 4, 21)],
+    ((2, 2, 4), 8): [("infeasible", None, 2000), ("optimal", 4, 77)],
+    ((2, 2, 4), 9): [("infeasible", None, 1284), ("infeasible", None, 11668)],
+    # the only finished search here where two drivers share a dedupe key
+    ((2, 2, 4), 19): [("infeasible", None, 3113), ("optimal", 4, 107)],
+    ((3, 2, 3), 0): [("optimal", 4, 25), ("optimal", 4, 25)],
+    ((3, 2, 3), 1): [("optimal", 6, 25), ("optimal", 6, 25)],
+    ((3, 2, 3), 2): [("optimal", 5, 25), ("optimal", 5, 25)],
+    ((3, 2, 3), 3): [("optimal", 5, 25), ("optimal", 5, 25)],
+    ((3, 2, 3), 4): [("optimal", 4, 25), ("optimal", 4, 25)],
+    ((2, 2, 4, "none"), 3): [("infeasible", None, 328), ("infeasible", None, 1648)],
+    ((2, 2, 4, "none"), 4): [("infeasible", None, 786), ("optimal", 4, 21)],
+    ((2, 2, 4, "regular_stops"), 0): [("infeasible", None, 3063), ("optimal", 5, 107)],
+    ((2, 2, 4, "regular_stops"), 3): [("infeasible", None, 392), ("infeasible", None, 2551)],
+}
+
+
+def _outcome_key(out):
+    obj = out.best_solution.objective if out.best_solution is not None else None
+    return (out.status, obj, out.nodes)
+
+
+@pytest.mark.parametrize("shape, seed", list(SAME_TREE),
+                         ids=["x".join(map(str, shape)) + f"-{seed}" for shape, seed in SAME_TREE])
+def test_same_tree_on_generated_caps(shape, seed):
+    cfg = GeneratorConfig(*shape[:3], **({"exchange_policy": shape[3]} if len(shape) > 3 else {}))
+    inst = generate_synthetic(cfg, seed)[0]
+    got = [_outcome_key(solve(_cap_model(inst, extra), SolverConfig(time_limit=60)))
+           for extra in (0, 1)]
+    assert got == SAME_TREE[shape, seed]
+
+
+def test_same_tree_on_fixtures(fig2, sequential_pair, parallel_triplet):
+    # per fixture: the unrestricted model, then P(cLB) and P(cLB + 1)
+    expected = {
+        "fig2": [("optimal", 1, 3)] * 3,
+        "sequential_pair": [("optimal", 1, 5)] * 3,
+        "parallel_triplet": [("optimal", 3, 7)] * 3,
+        "gap2": [("optimal", 2, 13), ("infeasible", None, 12), ("optimal", 2, 5)],
+        "gap3": [("optimal", 3, 40), ("infeasible", None, 12), ("infeasible", None, 39)],
+    }
+    instances = {"fig2": fig2, "sequential_pair": sequential_pair,
+                 "parallel_triplet": parallel_triplet,
+                 "gap2": gap_fixture(2), "gap3": gap_fixture(3)}
+    for name, inst in instances.items():
+        models = [model_for(inst), _cap_model(inst, 0), _cap_model(inst, 1)]
+        got = [_outcome_key(solve(m, SolverConfig(time_limit=60))) for m in models]
+        assert got == expected[name], name
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 4), (8, 12, 4)], ids=["8x6x4", "8x12x4"])
+def test_deep_trees_return_within_limit(shape):
+    # 48 and 96 rides: several hundred pieces deep, past the interpreter's
+    # recursion limit; every node checks the deadline
+    inst = generate_synthetic(GeneratorConfig(*shape), 7)[0]
+    m = model_for(inst)
+    limit_before = sys.getrecursionlimit()
+    start = time.monotonic()
+    out = solve(m, SolverConfig(time_limit=1.0))
+    elapsed = time.monotonic() - start
+    assert sys.getrecursionlimit() == limit_before
+    assert isinstance(out, SolveOutcome)
+    assert out.status in ("feasible", "timeout_no_solution")
+    assert out.nodes > 0
+    assert elapsed <= 1.3
+    if out.best_solution is not None:
+        assert check_feasibility(out.best_solution, inst, m.graph) == []
+
+
+def _policy_instances():
+    out = [inst for _name, inst in micro_suite(100)]
+    for policy in ("regular_and_intermediate", "regular_stops", "none"):
+        for shape in ((2, 2, 4), (3, 2, 3), (2, 3, 3)):
+            out += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), s)[0]
+                    for s in range(3)]
+    return out
+
+
+def test_no_route_deadheads_on_an_arc_it_steers():
+    # a driver never rides as a passenger on a piece it steers itself
+    for inst in _policy_instances():
+        m = model_for(inst)
+        out = solve(m, SolverConfig(time_limit=0.2))
+        if out.best_solution is None:
+            continue
+        arcs = m.graph.arcs
+        for route in out.best_solution.routes:
+            steered = {a for a in route if arcs[a].family == FAMILY_STEERING}
+            ridden = {arcs[a].twin for a in route if arcs[a].family == FAMILY_DEADHEAD}
+            assert not steered & ridden

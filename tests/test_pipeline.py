@@ -1,7 +1,14 @@
-import pytest
+import sys
+import time
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from drsync import pipeline
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, postpone_fixture, station_exchange_fixture
+from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance, Ride, check_instance
 from drsync.mip import build_model
 from drsync.oracle import brute_force
@@ -117,3 +124,57 @@ def test_incumbent_log_objectives_decrease(sequential_pair):
     rep = run(sequential_pair, DbmhConfig())
     objs = [f for _, f in rep.incumbent_log]
     assert all(a >= b for a, b in zip(objs, objs[1:]))
+
+
+def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
+    # a stand-in local search that improves nothing, so the warm B&B finds
+    # better incumbents and calls back; eta_ls equals the global limit, so
+    # only the time left can bound the callback's deadline
+    calls = []
+
+    def recording_local_search(sol, instance, graph, cfg):
+        calls.append((time.monotonic(), cfg.deadline))
+        return sol
+
+    monkeypatch.setattr(pipeline, "local_search", recording_local_search)
+    inst = generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0]
+    limit = 2.0
+    start = time.monotonic()
+    rep = run(inst, DbmhConfig(global_limit=limit, eta_lb=limit, eta_mip=0.001,
+                               eta_ls=limit, use_dbi=False))
+    assert len(calls) >= 2          # the LS stage, then at least one callback
+    for called_at, deadline in calls:
+        assert deadline <= start + limit - called_at + 0.01
+
+
+def test_budget_run_on_48_rides():
+    # the budget benchmark's largest rung, once past the recursion limit
+    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    limit_before = sys.getrecursionlimit()
+    rep = run(inst, DbmhConfig(global_limit=8.0, eta_lb=1.0, eta_mip=2.0, eta_ls=0.5))
+    assert sys.getrecursionlimit() == limit_before
+    assert rep.solution is not None
+    assert check_feasibility(rep.solution, inst) == []
+    assert rep.clb <= rep.final_lb <= rep.objective
+    nodes = rep.timings_dict()["bb_nodes"]
+    assert set(nodes) == {"dbi_caps", "cold", "warm"}
+    assert nodes["dbi_caps"] and all(n > 0 for n in nodes["dbi_caps"])
+    assert nodes["cold"] > 0 and nodes["warm"] > 0
+    assert "bb_nodes" not in rep.to_dict()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n_lines=st.integers(1, 6), rides_per_line=st.integers(1, 5),
+       segments=st.integers(1, 4),
+       policy=st.sampled_from(["regular_and_intermediate", "regular_stops", "none"]),
+       seed=st.integers(0, 10_000))
+@example(n_lines=6, rides_per_line=5, segments=4, policy="regular_and_intermediate", seed=7)
+@example(n_lines=6, rides_per_line=5, segments=3, policy="none", seed=7)
+def test_short_runs_on_random_shapes(n_lines, rides_per_line, segments, policy, seed):
+    cfg = GeneratorConfig(n_lines, rides_per_line, segments, exchange_policy=policy)
+    inst = generate_synthetic(cfg, seed)[0]
+    rep = run(inst, DbmhConfig(global_limit=0.2, eta_lb=0.2, eta_mip=0.2, eta_ls=0.2))
+    assert rep.solution is not None, rep.status
+    assert check_feasibility(rep.solution, inst) == []
+    assert rep.clb <= rep.final_lb <= rep.objective
