@@ -18,8 +18,3 @@ def rest_renews(minutes: int, legal: LegalParams) -> bool:
 def chunk_count(duration: int, t_cs: int) -> int:
     """Minimum number of <= t_cs chunks a duration must be split into."""
     return -(-duration // t_cs)
-
-
-def steer_after_wait(u: int, wait: int, legal: LegalParams) -> int:
-    """Continuous-steering level after idling `wait` minutes in one place."""
-    return 0 if rest_renews(wait, legal) else u

@@ -7,13 +7,14 @@ embedded backend does not touch the algebraic rows: it is a depth-first
 branch-and-bound that schedules ride segments in chronological order,
 assigns each steering piece to an existing or a fresh driver, validates
 relocations (waits and deadhead hops) eagerly against the pieces already
-scheduled, and prunes with the incumbent, the constructive lower bound
-and the optional driver cap. It is exact whenever it finishes within the
-time limit. The search is iterative: every open node is a generator kept on
-an explicit stack, which applies one child's change, yields, and undoes the
-change when resumed, so the depth of the tree (several pieces per ride) is
-not bounded by the interpreter's recursion limit. The deadline is checked
-at every node.
+scheduled, with the relocation search that local search also uses
+(``solution.plan_relocation``), and prunes with the incumbent, the
+constructive lower bound and the optional driver cap. It is exact whenever
+it finishes within the time limit. The search is iterative: every open node
+is a generator kept on an explicit stack, which applies one child's change,
+yields, and undoes the change when resumed, so the depth of the tree
+(several pieces per ride) is not bounded by the interpreter's recursion
+limit. The deadline is checked at every node.
 
 Export caveat: renewals earned by multi-arc deadhead runs whose single
 arcs are each shorter than the break length are not representable in the
@@ -24,7 +25,7 @@ embedded backend and the feasibility checker handle them exactly.
 from __future__ import annotations
 
 import time as _time
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -37,6 +38,8 @@ from .solution import (
     assemble_route,
     check_feasibility,
     plan_from_routes,
+    plan_relocation,
+    unwind,
 )
 from .timegraph import (
     FAMILY_DEADHEAD,
@@ -61,7 +64,6 @@ class SolverConfig:
     cutoff: int | None = None
     start_solution: Solution | None = None
     incumbent_callback: Callable[[Solution], Solution | None] | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -289,10 +291,6 @@ def export_model(model: Model, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _segment_required(inst: Instance, rid: str, seg: int) -> bool:
-    return any(r.id == rid and seg < r.n_segments for r in inst.rides)
-
-
 def extract_solution(model: Model, assignment) -> Solution:
     """Build a Solution from active (driver, arc) pairs; errors name the defect."""
     g = model.graph
@@ -465,62 +463,20 @@ class _Search:
 
     def _connect(self, d: _Driver, to_base: str, to_time: int):
         """(ok, u_after, plan elements, trailing deadhead run) for moving d."""
-        t_b = self.t_b
         if d.time > to_time:
             return False, 0, None, 0
         if d.base == to_base:
             gap = to_time - d.time
             plan = [("wait", d.base, d.time, to_time)] if gap else []
-            u = 0 if gap >= t_b else d.u
+            u = 0 if gap >= self.t_b else d.u
             return True, u, plan, (d.trail_run if gap == 0 else 0)
-        units = self._carrier_units
-        # most relocations fail at once: nothing leaves d's base in time
-        for st, en, _legs in units(d.base):
-            if st >= d.time and en <= to_time:
-                break
-        else:
-            return False, 0, None, 0
-        start = (d.base, d.time, min(d.trail_run, t_b), False)
-        parents: dict[tuple, tuple | None] = {start: None}
-        queue = deque([start])
-        goal_any = goal_renew = None
-        while queue and goal_renew is None:
-            state = queue.popleft()
-            base, tm, run, renewed = state
-            for st, en, legs in units(base):
-                if st < tm or en > to_time:
-                    continue
-                wait = st - tm
-                new_run = (run + en - st) if wait == 0 else (en - st)
-                nxt_base = legs[-1].to_base
-                nxt_renewed = renewed or wait >= t_b or new_run >= t_b
-                nxt = (nxt_base, en, min(new_run, t_b), nxt_renewed)
-                if nxt in parents:
-                    continue
-                parents[nxt] = (state, legs, wait)
-                queue.append(nxt)
-                if nxt_base == to_base:
-                    if goal_any is None:
-                        goal_any = nxt
-                    if nxt_renewed or to_time - en >= t_b:
-                        goal_renew = nxt
-                        break
+        parents, goal_any, goal_renew = plan_relocation(
+            self._carrier_units, self.t_b, d.base, d.time, d.trail_run, to_base, to_time)
         goal = goal_renew if goal_renew is not None else goal_any
         if goal is None:
             return False, 0, None, 0
-        steps: list[tuple] = []
-        cur = goal
-        while parents[cur] is not None:
-            prev, legs, wait = parents[cur]
-            chunk = [("deadhead", self.g.arcs[p.arc].twin) for p in legs]
-            if wait:
-                chunk.insert(0, ("wait", legs[0].from_base, prev[1], legs[0].start))
-            steps = chunk + steps
-            cur = prev
-        end_run = goal[2]
-        if goal[1] < to_time:
-            steps.append(("wait", to_base, goal[1], to_time))
-            end_run = 0
+        steps = unwind(self.g, parents, goal, to_base, to_time)
+        end_run = goal[2] if goal[1] == to_time else 0
         u = 0 if goal_renew is not None else d.u
         return True, u, steps, end_run
 

@@ -234,7 +234,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         offset = t - t0
         floor_model = replace(model, objective_floor=max(model.objective_floor, dlb))
         cold_budget = min(config.eta_mip, max(remaining(), 0.01))
-        out = solve(floor_model, SolverConfig(time_limit=cold_budget, seed=config.seed))
+        out = solve(floor_model, SolverConfig(time_limit=cold_budget))
         bb_nodes["cold"] = out.nodes
         for dt, f in out.incumbent_log:
             log.append((offset + dt, f))
@@ -260,7 +260,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 time_limit=max(remaining(), 0.01),
                 start_solution=best,
                 incumbent_callback=callback if config.use_cb else None,
-                seed=config.seed,
             )
             out = solve(floor_model, warm)
             bb_nodes["warm"] = out.nodes

@@ -15,7 +15,6 @@ from collections import deque
 from .instance import Instance, POLICY_NONE
 from .legality import rest_renews
 from .timegraph import (
-    DEPOT,
     FAMILY_DEADHEAD,
     FAMILY_DEPOT,
     FAMILY_STEERING,
@@ -330,71 +329,119 @@ LINK_REACH = 1     # reachable, but no rest renews continuous steering
 LINK_RENEW = 2     # reachable with a renewing rest on the way
 LINK_UNKNOWN = 255
 
+
+def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
+                    to_base: str, to_time: int):
+    """Breadth-first search for a wait/deadhead itinerary between two bases.
+
+    ``units(base)`` lists the carriers leaving ``base`` as ``(start, end,
+    legs)``, ``legs`` being the steering pieces a passenger rides in order;
+    ties between equally short itineraries break by that order. ``run`` is
+    the deadhead run the mover has just ridden, which a hop at once extends.
+    A state is ``(base, time, run capped at t_b, renewed)``. Returns
+    ``(parents, goal_any, goal_renew)``: the search tree, the first state at
+    ``to_base`` no later than ``to_time``, and the first one whose itinerary
+    has a rest of at least ``t_b`` (the search stops there). Goals are None
+    when not found. ``from_base`` must differ from ``to_base``: the start is
+    never a goal.
+    """
+    # most relocations fail at once: nothing leaves the start base in time
+    for st, en, _legs in units(from_base):
+        if st >= from_time and en <= to_time:
+            break
+    else:
+        return None, None, None
+    start = (from_base, from_time, min(run, t_b), False)
+    parents: dict[tuple, tuple | None] = {start: None}
+    queue = deque([start])
+    goal_any = goal_renew = None
+    while queue and goal_renew is None:
+        state = queue.popleft()
+        base, time, run, renewed = state
+        for st, en, legs in units(base):
+            if st < time or en > to_time:
+                continue
+            wait = st - time
+            new_run = (run + en - st) if wait == 0 else (en - st)
+            nxt_base = legs[-1].to_base
+            nxt_renewed = renewed or wait >= t_b or new_run >= t_b
+            nxt = (nxt_base, en, min(new_run, t_b), nxt_renewed)
+            if nxt in parents:
+                continue
+            parents[nxt] = (state, legs, wait)
+            queue.append(nxt)
+            if nxt_base == to_base:
+                if goal_any is None:
+                    goal_any = nxt
+                if nxt_renewed or to_time - en >= t_b:
+                    goal_renew = nxt
+                    break
+    return parents, goal_any, goal_renew
+
+
+def unwind(graph: TimeGraph, parents: dict, goal: tuple, to_base: str,
+           to_time: int) -> list[tuple]:
+    """Timeline elements from the search's start to ``goal``, then a wait to ``to_time``."""
+    steps: list[tuple] = []
+    cur = goal
+    while parents[cur] is not None:
+        prev, legs, wait = parents[cur]
+        chunk = [("deadhead", graph.arcs[p.arc].twin) for p in legs]
+        if wait:
+            chunk.insert(0, ("wait", legs[0].from_base, prev[1], legs[0].start))
+        steps = chunk + steps
+        cur = prev
+    if goal[1] < to_time:
+        steps.append(("wait", to_base, goal[1], to_time))
+    return steps
+
+
 class ConnectionPlanner:
     """Finds wait/deadhead itineraries between two located points in time.
 
     Carriers are the pieces of the current plan; under the no-exchange
     policy a deadheading driver must ride whole rides, so carriers become
-    ride-level units there. ``link`` answers the reachability part of
-    ``connect`` between two of those pieces and remembers the answer.
+    ride-level units there. The search itself is ``plan_relocation``, which
+    the embedded branch-and-bound (``mip``) shares. ``link`` answers the
+    reachability part of ``connect`` between two of those pieces and
+    remembers the answer.
     """
 
     def __init__(self, instance: Instance, graph: TimeGraph, pieces: list[Piece]):
         self.graph = graph
         self.t_b = instance.legal.t_b
-        self.policy_none = instance.exchange_policy == POLICY_NONE
         self.pieces = pieces
         # link codes by piece position, a * len(pieces) + b; LINK_UNKNOWN until asked
         self._links = bytearray([LINK_UNKNOWN]) * (len(pieces) * len(pieces))
-        self.units: dict[str, list[tuple[int, str, int, tuple[Piece, ...]]]] = {}
-        if self.policy_none:
+        # from_base -> (start, end, legs) of each carrier, by (start, end)
+        self.units: dict[str, list[tuple[int, int, tuple[Piece, ...]]]] = {}
+        if instance.exchange_policy == POLICY_NONE:
             by_ride: dict[str, list[Piece]] = {}
             for p in pieces:
                 by_ride.setdefault(p.ride, []).append(p)
             units = []
             for chunk in by_ride.values():
                 chunk.sort(key=lambda p: p.start)
-                units.append((chunk[0].from_base, chunk[0].start,
-                              chunk[-1].to_base, chunk[-1].end, tuple(chunk)))
+                units.append((chunk[0].from_base, chunk[0].start, chunk[-1].end, tuple(chunk)))
         else:
-            units = [(p.from_base, p.start, p.to_base, p.end, (p,)) for p in pieces]
-        for fb, st, tb, en, legs in sorted(units, key=lambda u: (u[1], u[3])):
-            self.units.setdefault(fb, []).append((st, tb, en, legs))
+            units = [(p.from_base, p.start, p.end, (p,)) for p in pieces]
+        for fb, st, en, legs in sorted(units, key=lambda u: (u[1], u[2])):
+            self.units.setdefault(fb, []).append((st, en, legs))
+
+    def _units_at(self, base: str):
+        return self.units.get(base, ())
 
     def _search(self, from_base: str, from_time: int, to_base: str, to_time: int):
-        """Breadth-first search over carriers: (parents, any goal, renewing goal)."""
-        t_b = self.t_b
-        start = (from_base, from_time, 0, False)
-        parents: dict[tuple, tuple | None] = {start: None}
-        queue = deque([start])
-        goal_any: tuple | None = None
-        goal_renew: tuple | None = None
-
-        def check_goal(state):
-            nonlocal goal_any, goal_renew
-            base, time, run, renewed = state
-            if base == to_base and time <= to_time:
-                if goal_any is None:
-                    goal_any = state
-                if goal_renew is None and (renewed or to_time - time >= t_b):
-                    goal_renew = state
-
-        check_goal(start)
-        while queue and goal_renew is None:
-            state = queue.popleft()
-            base, time, run, renewed = state
-            for st, _tb, en, legs in self.units.get(base, ()):
-                if st < time or en > to_time:
-                    continue
-                wait = st - time
-                new_run = (run + en - st) if wait == 0 else (en - st)
-                nxt = (legs[-1].to_base, en, min(new_run, t_b),
-                       renewed or wait >= t_b or new_run >= t_b)
-                if nxt not in parents:
-                    parents[nxt] = (state, legs, wait)
-                    queue.append(nxt)
-                    check_goal(nxt)
-        return parents, goal_any, goal_renew
+        """``plan_relocation``'s (parents, any goal, renewing goal) with no run carried in."""
+        if from_time > to_time:
+            return None, None, None
+        if from_base == to_base:
+            # the start is the goal; no itinerary inside a gap shorter than
+            # a break renews, so only a long enough gap does
+            start = (from_base, from_time, 0, False)
+            return {start: None}, start, (start if to_time - from_time >= self.t_b else None)
+        return plan_relocation(self._units_at, self.t_b, from_base, from_time, 0,
+                               to_base, to_time)
 
     def link(self, a: int, b: int) -> int:
         """LINK_NONE, LINK_REACH or LINK_RENEW from the end of piece a to the start of b.
@@ -424,23 +471,9 @@ class ConnectionPlanner:
         parents, goal_any, goal_renew = self._search(from_base, from_time, to_base, to_time)
         if goal_any is None:
             return False, False, None, None
-
-        def unwind(goal):
-            steps: list[tuple] = []
-            cur = goal
-            while parents[cur] is not None:
-                prev, legs, wait = parents[cur]
-                chunk = [("deadhead", self.graph.arcs[p.arc].twin) for p in legs]
-                if wait:
-                    chunk.insert(0, ("wait", legs[0].from_base, prev[1], legs[0].start))
-                steps = chunk + steps
-                cur = prev
-            if goal[1] < to_time:
-                steps.append(("wait", to_base, goal[1], to_time))
-            return steps
-
-        plan_any = unwind(goal_any)
-        plan_renew = unwind(goal_renew) if goal_renew is not None else None
+        plan_any = unwind(self.graph, parents, goal_any, to_base, to_time)
+        plan_renew = (unwind(self.graph, parents, goal_renew, to_base, to_time)
+                      if goal_renew is not None else None)
         return True, goal_renew is not None, plan_any, plan_renew
 
 

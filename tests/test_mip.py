@@ -7,7 +7,7 @@ import pytest
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import Instance
+from drsync.instance import POLICY_NONE, Instance, LegalParams, Ride, check_instance
 from drsync.mip import (
     AssignmentError,
     SolveOutcome,
@@ -21,6 +21,8 @@ from drsync.mip import (
 from drsync.oracle import brute_force
 from drsync.solution import check_feasibility
 from drsync.timegraph import FAMILY_DEADHEAD, FAMILY_STEERING, build_graph
+
+from conftest import customer_stops
 
 
 def model_for(inst):
@@ -204,6 +206,31 @@ def test_solver_matches_oracle_and_symmetry(fig2, sequential_pair, parallel_trip
         assert out.best_solution.objective == res.optimum
         for route in out.best_solution.routes:
             assert any(m.graph.arcs[a].mode == 1 for a in route)
+
+
+def test_released_crew_carries_its_deadhead_run_into_the_next_hop():
+    # Policy none, fixed times, t_cs 200 and t_b 60. d steers r1's first leg
+    # (200 min) and rides its second (40 min) as a passenger, because a
+    # second crew member must steer it; both leave the crew at C at 720.
+    # Only that second member can steer r2 (C->D, 720-750), so d rides it
+    # on at once: 40 + 30 minutes of passenger run renew d's steering,
+    # although neither run alone reaches t_b. Only then can d steer r3
+    # (150 min from D at 750), and two drivers suffice instead of three.
+    inst = check_instance(Instance(
+        rides=(
+            Ride("r1", "L1", ("A", "B", "C"), (480, 680, 720), (200, 40), ((), ())),
+            Ride("r2", "L2", ("C", "D"), (720, 750), (30,), ((),)),
+            Ride("r3", "L3", ("D", "E"), (750, 900), (150,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C", "D", "E"),
+        legal=LegalParams(t_cs=200, t_b=60, t_ds=600, t_dw=780),
+        theta_tw=0, zeta=0, ell=10, exchange_policy=POLICY_NONE,
+    ))
+    m = model_for(inst)
+    out = solve(m, SolverConfig(time_limit=30))
+    assert out.status == "optimal"
+    assert out.best_solution.objective == 2 == brute_force(inst).optimum
+    assert check_feasibility(out.best_solution, inst, m.graph) == []
 
 
 def test_export_well_formed_with_chain_binaries(tmp_path, sequential_pair):

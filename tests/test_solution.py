@@ -3,6 +3,7 @@ import pytest
 from drsync.instance import Instance, Ride, check_instance
 from drsync.search import construct
 from drsync.solution import (
+    ConnectionPlanner,
     RidePlan,
     Solution,
     SolutionStructureError,
@@ -169,3 +170,31 @@ def test_serialization_shape(fig2):
     assert d["schema"] == "drsync-solution/1"
     assert d["objective"] == len(d["drivers"])
     assert d["rides"][0]["id"] == "r1"
+
+
+@pytest.mark.parametrize("query, want", [
+    # same base: the start is the goal; the wait renews from t_b (45) on
+    (("Q", 600, "Q", 600), (True, False, [], None)),
+    (("Q", 600, "Q", 630), (True, False, [("wait", "Q", 600, 630)], None)),
+    (("Q", 600, "Q", 645), (True, True, [("wait", "Q", 600, 645)],
+                            [("wait", "Q", 600, 645)])),
+    # no way back in time, at the same base or another
+    (("Q", 660, "Q", 600), (False, False, None, None)),
+    (("P", 700, "Q", 600), (False, False, None, None)),
+], ids=["same-base-gap-0", "same-base-short-gap", "same-base-break",
+        "same-base-reversed", "other-base-reversed"])
+def test_connect_edge_cases(sequential_pair, query, want):
+    g = build_graph(sequential_pair)
+    pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+    assert ConnectionPlanner(sequential_pair, g, pieces).connect(*query) == want
+
+
+def test_connect_rides_a_carrier_then_waits(sequential_pair):
+    # from ride a's start to Q at 660: ride along a (120 min, which renews),
+    # then wait at Q for the rest
+    g = build_graph(sequential_pair)
+    pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+    a = next(p for p in pieces if p.ride == "a")
+    plan = [("deadhead", g.arcs[a.arc].twin), ("wait", "Q", a.end, 660)]
+    got = ConnectionPlanner(sequential_pair, g, pieces).connect("P", a.start, "Q", 660)
+    assert got == (True, True, plan, plan)
