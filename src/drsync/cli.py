@@ -10,10 +10,9 @@ from dataclasses import replace
 
 from . import harness
 from .bounds import compute_bounds
-from .generator import GeneratorConfig, GeneratorConfigError
+from .generator import GeneratorConfig
 from .instance import (
     Instance,
-    InstanceError,
     POLICY_FULL,
     POLICY_NONE,
     POLICY_REGULAR,
@@ -35,7 +34,6 @@ def _build_config(args) -> DbmhConfig:
     if getattr(args, "time_limit", None) is not None:
         cfg = replace(cfg, global_limit=args.time_limit,
                       eta_lb=min(cfg.eta_lb, args.time_limit),
-                      eta_mip=min(cfg.eta_mip, args.time_limit),
                       eta_ls=min(cfg.eta_ls, args.time_limit))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed,
@@ -275,8 +273,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, GeneratorConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # input errors and internal failures alike: one line, exit 1
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -45,7 +45,7 @@ ABLATION_VARIANTS: dict[int, dict] = {
     6: {"use_mip": False, "use_cb": False, "extend_time_on_disable": False},
 }
 
-FIT_ORDER = ("eta_lb", "eta_mip", "eta_ls", "p")
+FIT_ORDER = ("eta_lb", "eta_ls", "p")
 
 
 def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
@@ -73,7 +73,7 @@ def config_from_dict(data: dict) -> DbmhConfig:
 
 def config_to_dict(cfg: DbmhConfig) -> dict:
     return {
-        "eta_lb": cfg.eta_lb, "eta_mip": cfg.eta_mip, "eta_ls": cfg.eta_ls,
+        "eta_lb": cfg.eta_lb, "eta_ls": cfg.eta_ls,
         "global_limit": cfg.global_limit, "seed": cfg.seed,
         "use_ch": cfg.use_ch, "use_ls": cfg.use_ls, "use_dbi": cfg.use_dbi,
         "use_cb": cfg.use_cb, "use_mip": cfg.use_mip,

@@ -61,7 +61,6 @@ class AssignmentError(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     time_limit: float = 3600.0
-    cutoff: int | None = None
     start_solution: Solution | None = None
     incumbent_callback: Callable[[Solution], Solution | None] | None = None
 
@@ -441,8 +440,6 @@ class _Search:
     def _set_threshold(self):
         """Driver count at which a node is pruned; changes only with best_f."""
         thr = self.best_f if self.best_f is not None else (1 << 30)
-        if self.config.cutoff is not None:
-            thr = min(thr, self.config.cutoff)
         if self.model.cardinality_cap is not None:
             thr = min(thr, self.model.cardinality_cap + 1)
         self.threshold = thr
@@ -518,8 +515,6 @@ class _Search:
         if self.best_solution is None:
             cap = self.model.cardinality_cap
             bound = (cap + 1) if cap is not None else 0
-            if self.config.cutoff is not None:
-                bound = max(bound, self.config.cutoff)
             return SolveOutcome("infeasible", None, bound, elapsed, self.incumbent_log, nodes)
         return SolveOutcome("optimal", self.best_solution, self.best_f,
                             elapsed, self.incumbent_log, nodes)
@@ -874,8 +869,6 @@ class _Search:
     def _record_leaf(self):
         f = len(self.drivers)
         if self.best_f is not None and f >= self.best_f:
-            return
-        if self.config.cutoff is not None and f >= self.config.cutoff:
             return
         routes = [assemble_route(self.g, d.elements) for d in self.drivers]
         plan = {}

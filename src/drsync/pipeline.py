@@ -3,8 +3,9 @@
 Stages: constructive bounds, greedy construction, local search, then, if a
 gap remains, destructive bound improvement (refute driver counts from the
 lower bound upward on objective-capped restricted problems) and finally
-the exact backend alternating with local search on every new incumbent.
-Each stage can be toggled off for component studies.
+one exact solve for the rest of the budget, seeded with the best incumbent,
+that runs local search on every new incumbent it finds. Each stage can be
+toggled off for component studies.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ DBI_INFEASIBLE = "infeasible"
 @dataclass(frozen=True)
 class DbmhConfig:
     eta_lb: float = 600.0       # destructive-improvement budget
-    eta_mip: float = 60.0       # cold solver budget before start injection
+    eta_mip: float = 60.0       # ignored; kept until the benchmark stops passing it
     eta_ls: float = 10.0        # local-search budget per incumbent callback
-    global_limit: float = 3600.0
+    global_limit: float = 3600.0  # the exact solve gets whatever is left of it
     search: SearchConfig = field(default_factory=SearchConfig)
     use_ch: bool = True
     use_ls: bool = True
@@ -50,11 +51,11 @@ class DbmhConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("eta_lb", "eta_mip", "eta_ls", "global_limit"):
+        for name in ("eta_lb", "eta_ls", "global_limit"):
             v = getattr(self, name)
             if v <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("eta_lb", "eta_mip", "eta_ls"):
+        for name in ("eta_lb", "eta_ls"):
             if getattr(self, name) > self.global_limit:
                 raise ValueError(f"{name} exceeds the global limit")
 
@@ -72,7 +73,7 @@ class RunReport:
     solution: Solution | None = None
     instance_id: str | None = None
     seed: int = 0
-    # B&B nodes per phase that ran: "dbi_caps" (one count per cap), "cold", "warm"
+    # B&B nodes per phase that ran: "dbi_caps" (one count per cap), "mip"
     bb_nodes: dict[str, int | list[int]] = field(default_factory=dict)
 
     @property
@@ -233,15 +234,10 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         t = _time.monotonic()
         offset = t - t0
         floor_model = replace(model, objective_floor=max(model.objective_floor, dlb))
-        cold_budget = min(config.eta_mip, max(remaining(), 0.01))
-        out = solve(floor_model, SolverConfig(time_limit=cold_budget))
-        bb_nodes["cold"] = out.nodes
-        for dt, f in out.incumbent_log:
-            log.append((offset + dt, f))
         stage_origin: dict[int, str] = {}
 
         def callback(sol: Solution) -> Solution | None:
-            # the callback runs inside the warm solve: it must not outlast the run
+            # the callback runs inside the solve: it must not outlast the run
             cfg = replace(config.search, deadline=min(config.eta_ls, max(remaining(), 0.01)),
                           seed=config.seed)
             better = local_search(sol, instance, graph, cfg)
@@ -250,33 +246,24 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 return better
             return None
 
-        if out.status not in ("optimal", "infeasible") and remaining() > 0:
-            if out.best_solution is not None and (
-                    best is None or out.best_solution.objective < best.objective):
-                found_by = FOUND_MIP
-                best = out.best_solution
-            offset = _time.monotonic() - t0
-            warm = SolverConfig(
-                time_limit=max(remaining(), 0.01),
-                start_solution=best,
-                incumbent_callback=callback if config.use_cb else None,
-            )
-            out = solve(floor_model, warm)
-            bb_nodes["warm"] = out.nodes
-            for dt, f in out.incumbent_log:
-                log.append((offset + dt, f))
+        # one solve for the rest of the budget, from the best incumbent if there is one
+        out = solve(floor_model, SolverConfig(
+            time_limit=max(remaining(), 0.01),
+            start_solution=best,
+            incumbent_callback=callback if config.use_cb else None,
+        ))
+        bb_nodes["mip"] = out.nodes
+        for dt, f in out.incumbent_log:
+            log.append((offset + dt, f))
         clock("mip", t)
-        if out.status == "optimal":
-            if out.best_solution is not None and out.best_solution is not best:
-                found_by = stage_origin.get(id(out.best_solution), FOUND_MIP)
-                best = out.best_solution
-            return finish("optimal")
         if out.status == "infeasible":
             return finish("infeasible")
-        if out.best_solution is not None and (
-                best is None or out.best_solution.objective < best.objective):
+        # the solve only ever adopts strictly better incumbents than its start
+        if out.best_solution is not None and out.best_solution is not best:
             found_by = stage_origin.get(id(out.best_solution), FOUND_MIP)
             best = out.best_solution
+        if out.status == "optimal":
+            return finish("optimal")
 
     if best is not None:
         return finish("optimal" if best.objective == dlb else "feasible")

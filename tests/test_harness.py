@@ -1,6 +1,7 @@
 import json
 import os
 
+from drsync import cli
 from drsync.cli import main
 from drsync.fixtures import (
     dominance_lb1_fixture,
@@ -56,6 +57,20 @@ def test_cmd_solve_exit_codes(tmp_path, sequential_pair):
     assert main(["solve", str(bad_path), "--out", str(tmp_path / "o2")]) == 2
 
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
+
+
+def test_internal_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                sequential_pair):
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("report objective does not match the solution")
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    inst_path = tmp_path / "inst.json"
+    save_instance(sequential_pair, str(inst_path))
+    assert main(["solve", str(inst_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: report objective does not match the solution\n"
+    assert "Traceback" not in err
 
 
 def test_cmd_solve_byte_identical(tmp_path, sequential_pair):

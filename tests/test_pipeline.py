@@ -117,13 +117,25 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         DbmhConfig(eta_lb=0)
     with pytest.raises(ValueError):
-        DbmhConfig(eta_mip=5000, global_limit=3600)
+        DbmhConfig(eta_ls=5000, global_limit=3600)
 
 
 def test_incumbent_log_objectives_decrease(sequential_pair):
     rep = run(sequential_pair, DbmhConfig())
     objs = [f for _, f in rep.incumbent_log]
     assert all(a >= b for a, b in zip(objs, objs[1:]))
+
+
+@pytest.mark.parametrize("shape,seed", [((3, 3, 3), 7), ((2, 3, 3), 2)])
+def test_incumbent_log_never_increases_through_the_bb(shape, seed):
+    # both runs reach the B&B; a solve that is not seeded with the CH+LS
+    # incumbent logs worse incumbents after it
+    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.3, eta_ls=0.3))
+    assert "mip" in rep.phase_timings
+    objs = [f for _, f in rep.incumbent_log]
+    assert all(a >= b for a, b in zip(objs, objs[1:])), objs
+    assert rep.objective == objs[-1]
 
 
 def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
@@ -157,9 +169,9 @@ def test_budget_run_on_48_rides():
     assert check_feasibility(rep.solution, inst) == []
     assert rep.clb <= rep.final_lb <= rep.objective
     nodes = rep.timings_dict()["bb_nodes"]
-    assert set(nodes) == {"dbi_caps", "cold", "warm"}
+    assert set(nodes) == {"dbi_caps", "mip"}
     assert nodes["dbi_caps"] and all(n > 0 for n in nodes["dbi_caps"])
-    assert nodes["cold"] > 0 and nodes["warm"] > 0
+    assert nodes["mip"] > 0
     assert "bb_nodes" not in rep.to_dict()
 
 
