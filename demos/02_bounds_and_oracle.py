@@ -16,11 +16,12 @@ for name, inst in (
     bounds = compute_bounds(inst)
     result = brute_force(inst)
     print(f"{name}:")
-    print(f"  UB={bounds.ub}  LB1={bounds.lb1}  LB2={bounds.lb2}  "
+    print(f"  UB={bounds.ub}  LB1={bounds.lb1}  LB2={bounds.lb2}  LB3={bounds.lb3}  "
           f"LB={bounds.lb}  optimum={result.optimum}")
     assert bounds.lb <= result.optimum <= bounds.ub
 
-print("\nNeither bound dominates the other; the solver always uses their max.")
+print("\nNeither LB1 nor LB2 dominates the other. LB3, the time-window bound,")
+print("is never below either, and the solver uses the max of all three.")
 
 inst = gap_fixture(3)
 bounds = compute_bounds(inst)

@@ -95,8 +95,9 @@ def _cmd_bounds(args) -> int:
         ("upper bound (UB)", report.ub),
         ("steering-time bound (LB1)", report.lb1),
         ("parallel-rides bound (LB2)", report.lb2),
+        ("time-window bound (LB3)", report.lb3),
         ("combined bound (LB)", report.lb),
-        ("busiest minute", report.busiest_interval),
+        ("binding windows", " ".join(f"[{a}, {b}]:{n}" for a, b, n in report.busiest_interval)),
         ("graph nodes", stats.n_nodes),
         ("graph arcs", stats.n_arcs),
         ("size class", stats.size_class),

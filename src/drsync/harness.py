@@ -307,9 +307,9 @@ def _lp_bound(inst: Instance, lp_cmd: str) -> float | None:
 def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig,
                        lp_cmd: str | None = None) -> str:
     instances, _meta = load_suite(suite_dir)
-    header = ["instance", "size_class", "lb1", "lb2", "lb", "dlb", "lp"]
+    header = ["instance", "size_class", "lb1", "lb2", "lb3", "lb", "dlb", "lp"]
     rows = []
-    n = dom1 = dom2 = equal = 0
+    n = dom1 = dom2 = dom3 = equal = 0
     for iid, inst in instances:
         graph = build_graph(inst)
         bounds = compute_bounds(inst)
@@ -322,15 +322,17 @@ def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig,
         dlb, _status, _sol = destructive_bound_improvement(
             model, bounds.lb, start, base.eta_lb)
         lp = _lp_bound(inst, lp_cmd) if lp_cmd else None
-        rows.append([iid, _size_class(inst), bounds.lb1, bounds.lb2,
+        rows.append([iid, _size_class(inst), bounds.lb1, bounds.lb2, bounds.lb3,
                      bounds.lb, dlb, _fmt(lp)])
         n += 1
         dom1 += bounds.lb1 > bounds.lb2
         dom2 += bounds.lb2 > bounds.lb1
+        dom3 += bounds.lb3 > max(bounds.lb1, bounds.lb2)
         equal += bounds.lb1 == bounds.lb2
     summary = [
         ["share_lb1_dominates_pct", _fmt(100.0 * dom1 / n if n else 0.0)],
         ["share_lb2_dominates_pct", _fmt(100.0 * dom2 / n if n else 0.0)],
+        ["share_lb3_dominates_pct", _fmt(100.0 * dom3 / n if n else 0.0)],
         ["share_equal_pct", _fmt(100.0 * equal / n if n else 0.0)],
     ]
     _write_csv(os.path.join(out_dir, "bounds.csv"), header, rows)

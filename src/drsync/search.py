@@ -18,7 +18,8 @@ itineraries only when it builds a candidate's routes. The plan operators
 then replay the greedy driver assignment from a checkpoint: the
 ``GreedyRecord`` of the current plan holds the driver states before every
 vehicle route, and the rerun starts at the first route whose inputs the
-change touches. A deadline is checked between operators.
+change touches. A deadline is checked between operators and inside the
+backtracking of segment reassignment.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 import time as _time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE
 from .solution import (
@@ -52,12 +53,19 @@ class ConstructionError(Exception):
     """No feasible vehicle plan or crew exists for some ride."""
 
 
+class _Expired(Exception):
+    """An operator ran past the search's deadline."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     p: float = 3.0
     deadline: float | None = None     # seconds of wall budget
     mode: str = COMPOSITE
     seed: int = 0
+    # the search's deadline on the ``_time.monotonic()`` clock, which
+    # local_search sets in the config it hands its operators
+    t_end: float | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -266,9 +274,13 @@ def _greedy(instance, graph, keys, vehicle_routes, departures_from,
         drivers = [_Sim.restore(st, els) for st, els in zip(states, base.elements)]
         snapshots = base.snapshots[:j0]
         reliefs = base.reliefs[:bisect_left(base.reliefs, (j0,))]
+    at_base: dict[str, list[int]] = {}   # base -> drivers standing there, in creation order
+    for di, sim in enumerate(drivers):
+        at_base.setdefault(sim.base, []).append(di)
     for j in range(j0, len(vehicle_routes)):
         snapshots.append(tuple(states))
-        touched = assign(drivers, vehicle_routes[j], j, legal, graph, departures_from, reliefs)
+        touched = assign(drivers, at_base, vehicle_routes[j], j, legal, graph,
+                         departures_from, reliefs)
         states.extend([None] * (len(drivers) - len(states)))
         for di in touched:
             states[di] = drivers[di].state()
@@ -301,27 +313,40 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
     return pos
 
 
-def _assign_exchange(drivers, vp, j, legal, graph, departures_from, reliefs) -> list[int]:
-    """Crew route `vp` (the j-th): the first available driver steers on."""
+def _refile(at_base, di: int, old: str, new: str) -> None:
+    """Move driver `di` from `old` to `new` in the base index, keeping creation order."""
+    if new != old:
+        at_base[old].remove(di)
+        insort(at_base.setdefault(new, []), di)
+
+
+def _assign_exchange(drivers, at_base, vp, j, legal, graph, departures_from,
+                     reliefs) -> list[int]:
+    """Crew route `vp` (the j-th): the first available driver steers on.
+
+    ``at_base`` lists the drivers standing at each base, so the first fit
+    in creation order is found among those at the piece's base only.
+    """
     touched = []
     pos = 0
     while pos < len(vp):
         p = vp[pos]
         pick = None
-        for si, sim in enumerate(drivers):
-            if sim.base != p.from_base or sim.time > p.start:
-                continue
-            if _fits(sim, sim.rested_u(p.start, legal.t_b), p, legal):
+        for si in at_base.get(p.from_base, ()):
+            sim = drivers[si]
+            if sim.time <= p.start and _fits(sim, sim.rested_u(p.start, legal.t_b), p, legal):
                 pick = si
                 break
         if pick is None:
             drivers.append(_Sim(p.from_base, p.start))
             pick = len(drivers) - 1
+            at_base.setdefault(p.from_base, []).append(pick)
         touched.append(pick)
         sim = drivers[pick]
         pos = _take(sim, vp, pos, legal)
         if pos < len(vp):
             _relieve(sim, vp, pos, departures_from, legal, graph, reliefs, j)
+        _refile(at_base, pick, p.from_base, sim.base)
     return touched
 
 
@@ -344,8 +369,15 @@ def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph, reliefs, j):
         sim.u = 0
 
 
-def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list[int]:
-    """Crew route `vp` with drivers who all stay aboard to its terminal."""
+def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
+                 reliefs) -> list[int]:
+    """Crew route `vp` with drivers who all stay aboard to its terminal.
+
+    Every crew member joins at the route's first base and leaves at its
+    terminal, so ``at_base`` is brought up to date once, at the end; until
+    then a crew member may still be listed at the first base, but is past
+    the route's start and is skipped.
+    """
     start_b, start_t = vp[0].from_base, vp[0].start
     term_t = vp[-1].end
     if term_t - start_t > legal.t_dw:
@@ -374,7 +406,8 @@ def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list
                 break
         if pick is None:
             di = None
-            for si, sim in enumerate(drivers):
+            for si in at_base.get(start_b, ()):
+                sim = drivers[si]
                 if sim.base != start_b or sim.time > start_t:
                     continue
                 if term_t - sim.start > legal.t_dw:
@@ -388,6 +421,7 @@ def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list
             if di is None:
                 drivers.append(_Sim(start_b, start_t))
                 di = len(drivers) - 1
+                at_base.setdefault(start_b, []).append(di)
             sim = drivers[di]
             if sim.time < start_t:
                 sim.elements.append(("wait", sim.base, sim.time, start_t))
@@ -425,6 +459,7 @@ def _assign_none(drivers, vp, j, legal, graph, departures_from, reliefs) -> list
             if term_t - last >= legal.t_b:
                 sim.u = 0
             sim.base, sim.time = vp[-1].to_base, term_t
+        _refile(at_base, di, start_b, sim.base)
     return [di for di, _last in crew]
 
 
@@ -503,6 +538,7 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
                             if _chain_legal(legal, links, chain) else None)
         return rebuilt[key]
 
+    t_end = config.t_end
     out = []
     for victim in range(len(per_driver)):
         hosts = [list(dp) for di, dp in enumerate(per_driver) if di != victim]
@@ -510,6 +546,8 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
         def place(i) -> bool:
             if i == len(per_driver[victim]):
                 return True
+            if t_end is not None and _time.monotonic() >= t_end:
+                raise _Expired
             piece = per_driver[victim][i]
             for h in hosts:
                 if not _chain_legal(legal, links, sorted(h + [piece])):
@@ -521,8 +559,11 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
                 h.remove(piece)
             return False
 
-        if not place(0):
-            continue
+        try:
+            if not place(0):
+                continue
+        except _Expired:
+            break   # past the deadline: hand back the moves found so far
         if n_segments is not None and any(_splits_a_ride(pieces, h, n_segments)
                                           for h in hosts):
             continue   # under no exchange a driver steers whole rides
@@ -707,6 +748,7 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
     """Lexicographic descent on (driver count, -remaining working time)."""
     config = config or SearchConfig()
     t_end = None if config.deadline is None else _time.monotonic() + config.deadline
+    config = replace(config, t_end=t_end)
     current = solution
     f0, th0 = current.objective, current.theta()
     if trace is not None:

@@ -65,12 +65,13 @@ def test_criterion_1_oracle_equivalence(suite, oracle_results, dbmh_reports):
 def test_criterion_2_bound_sandwich(suite, oracle_results, dbmh_reports):
     reports, _ = dbmh_reports
     bad = []
-    lb1_dom = lb2_dom = 0
+    lb1_dom = lb2_dom = lb3_dom = 0
     for name, inst in suite:
         b = compute_bounds(inst)
         lb1_dom += b.lb1 > b.lb2
         lb2_dom += b.lb2 > b.lb1
-        if b.lb != max(b.lb1, b.lb2):
+        lb3_dom += b.lb3 > max(b.lb1, b.lb2)
+        if b.lb != max(b.lb1, b.lb2, b.lb3):
             bad.append(name)
             continue
         res, rep = oracle_results[name], reports[name]
@@ -79,8 +80,9 @@ def test_criterion_2_bound_sandwich(suite, oracle_results, dbmh_reports):
         if not (b.lb <= rep.dlb <= res.optimum <= b.ub):
             bad.append(name)
     report("criterion 2: LB <= dLB <= optimum <= UB with non-dominance pair",
-           not bad and lb1_dom >= 1 and lb2_dom >= 1,
-           f"0 exceptions, LB1-dominant: {lb1_dom}, LB2-dominant: {lb2_dom}")
+           not bad and lb1_dom >= 1 and lb2_dom >= 1 and lb3_dom >= 1,
+           f"0 exceptions, LB1-dominant: {lb1_dom}, LB2-dominant: {lb2_dom}, "
+           f"LB3 above both: {lb3_dom}")
 
 
 def test_criterion_3_destructive_improvement():

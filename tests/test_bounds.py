@@ -1,18 +1,28 @@
+import random
 from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from drsync.bounds import (
-    combined_lower_bound,
     compute_bounds,
     lower_bound_parallel,
     lower_bound_steering,
+    lower_bound_windows,
     upper_bound,
 )
-from drsync.fixtures import dominance_lb1_fixture, dominance_lb2_fixture
+from drsync.fixtures import (
+    MICRO_LIMIT_ARCS,
+    MICRO_LIMIT_RIDES,
+    dominance_lb1_fixture,
+    dominance_lb2_fixture,
+)
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import Instance, Ride, check_instance
+from drsync.instance import POLICIES, Instance, LegalParams, Ride, check_instance
 from drsync.oracle import brute_force
+from drsync.search import ConstructionError, SearchConfig, construct, local_search
+from drsync.solution import check_feasibility
+from drsync.timegraph import build_graph
 
 from conftest import customer_stops
 
@@ -82,12 +92,6 @@ def test_lb2_empty_mandatory_interval_still_valid():
     assert res.optimum == 1       # the bound stays valid: 0 <= 1
 
 
-def test_combined():
-    assert combined_lower_bound(3, 5) == 5
-    assert combined_lower_bound(5, 3) == 5
-    assert combined_lower_bound(0, 0) == 0
-
-
 def test_dominance_both_directions():
     a = compute_bounds(dominance_lb1_fixture())
     assert a.lb1 > a.lb2
@@ -113,6 +117,139 @@ def test_monotone_under_ride_addition(seed):
 def test_bound_report_invariants(seed):
     inst, _ = generate_synthetic(GeneratorConfig(), seed)
     rep = compute_bounds(inst)
-    assert rep.lb == max(rep.lb1, rep.lb2)
+    assert rep.lb == max(rep.lb1, rep.lb2, rep.lb3)
+    assert rep.lb3 >= max(rep.lb1, rep.lb2)
     assert rep.lb <= rep.ub
     assert rep.lb >= 1
+
+
+# -- the time-window bound (lb3) ---------------------------------------------
+
+MICRO_SHAPES = [
+    GeneratorConfig(n_lines=1, rides_per_line=1, segments_per_ride=2,
+                    drive_min=60, drive_max=260),
+    GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=2,
+                    drive_min=40, drive_max=200, overlap="sequential"),
+    GeneratorConfig(n_lines=2, rides_per_line=1, segments_per_ride=2,
+                    stations_per_segment=0, drive_min=60, drive_max=240,
+                    overlap="parallel"),
+    GeneratorConfig(n_lines=2, rides_per_line=2, segments_per_ride=1,
+                    drive_min=30, drive_max=150),
+    GeneratorConfig(n_lines=1, rides_per_line=3, segments_per_ride=1,
+                    stations_per_segment=0, drive_min=90, drive_max=250,
+                    overlap="sequential"),
+    GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=3,
+                    drive_min=30, drive_max=90, overlap="sequential"),
+]
+# shorter limits, so that micro instances also chain windows a working span apart
+TIGHT = LegalParams(t_cs=150, t_b=30, t_ds=240, t_dw=360)
+
+
+def _shape(cfg, policy, legal):
+    if legal == TIGHT:
+        cfg = replace(cfg, drive_min=min(cfg.drive_min, 60), drive_max=min(cfg.drive_max, 150))
+    return replace(cfg, exchange_policy=policy, legal=legal)
+
+
+def _naive_lb3(inst):
+    """lb3 by listing every window and chaining them pairwise (small instances only)."""
+    legal, half = inst.legal, inst.theta_tw // 2
+    legs = [(r.departures[k] - half, r.departures[k + 1] + half, d)
+            for r in inst.rides for k, d in enumerate(r.segment_minutes)]
+    if not legs:
+        return 0
+    period = legal.t_cs + legal.t_b
+
+    def cap(w):
+        return min(legal.t_ds, w // period * legal.t_cs + min(w % period, legal.t_cs))
+
+    windows = []
+    for a in {s for s, _e, _d in legs}:
+        for b in {e for _s, e, _d in legs}:
+            if b > a:
+                minutes = sum(max(0, min(d, e - s) - max(0, a - s) - max(0, e - b))
+                              for s, e, d in legs)
+                windows.append((a, b, -(-minutes // cap(b - a))))
+    level = 0
+    for t, delta in sorted((r.departures[i] + sign * half, sign)
+                           for r in inst.rides for i, sign in ((0, 1), (-1, -1))
+                           if r.departures[-1] - r.departures[0] > 2 * half):
+        level += delta
+        windows.append((t, t, level))
+    windows.sort(key=lambda w: w[1])
+    best = []
+    for a, b, need in windows:
+        best.append(need + max([v for (_a, b2, _n), v in zip(windows, best)
+                                if a - b2 > legal.t_dw], default=0))
+    first = min(s for s, _e, _d in legs)
+    last = max(e for _s, e, _d in legs)
+    total = sum(d for _s, _e, d in legs)
+    return max(max(best), -(-total // cap(last - first)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
+def test_lb3_sweep_matches_naive_windows(shape):
+    for seed in range(8):
+        inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+        assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
+    for cfg in MICRO_SHAPES:
+        for seed in range(6):
+            for legal in (LegalParams(), TIGHT):
+                inst = generate_synthetic(_shape(cfg, cfg.exchange_policy, legal), seed)[0]
+                assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(MICRO_SHAPES), policy=st.sampled_from(POLICIES),
+       legal=st.sampled_from([LegalParams(), TIGHT]), seed=st.integers(0, 100_000))
+def test_lb3_never_exceeds_the_oracle_optimum(shape, policy, legal, seed):
+    inst, stats = generate_synthetic(_shape(shape, policy, legal), seed)
+    assume(len(inst.rides) <= MICRO_LIMIT_RIDES and stats.n_arcs <= MICRO_LIMIT_ARCS)
+    rep = compute_bounds(inst)
+    assert rep.lb3 >= max(rep.lb1, rep.lb2)
+    res = brute_force(inst)
+    if res.optimum is not None:
+        assert rep.lb3 <= res.optimum
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lb3_never_exceeds_a_certified_search_objective(policy):
+    seen = 0
+    for shape in [(2, 2, 4), (3, 2, 3), (2, 3, 3), (3, 3, 3), (4, 4, 3)]:
+        for seed in range(4):
+            inst = generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+            rep = compute_bounds(inst)
+            assert rep.lb3 >= max(rep.lb1, rep.lb2)
+            g = build_graph(inst)
+            try:
+                sol = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
+            except ConstructionError:
+                continue
+            assert check_feasibility(sol, inst, g) == []
+            assert rep.lb3 <= sol.objective
+            seen += 1
+    assert seen >= 10
+
+
+def test_lb3_ignores_ride_order():
+    for shape in [(3, 3, 3), (4, 4, 3), (6, 4, 4)]:
+        inst = generate_synthetic(GeneratorConfig(*shape), 7)[0]
+        want = lower_bound_windows(inst)
+        rides = list(inst.rides)
+        for seed in range(3):
+            random.Random(seed).shuffle(rides)
+            assert lower_bound_windows(replace(inst, rides=tuple(rides))) == want
+
+
+def test_lb3_hand_built_windows():
+    # day one: a 400-minute ride whose stop windows leave no room for a
+    # break, so two drivers steer inside [475, 885]; day two, more than a
+    # working span later: one 240-minute ride. cLB is 1, lb3 is 3.
+    a, a_stops = chain_ride("a", [200, 200], start=480)
+    b, b_stops = chain_ride("b", [240], start=1920, line="M")
+    inst = build((a, a_stops), (b, b_stops))
+    rep = compute_bounds(inst)
+    assert (rep.lb1, rep.lb2, rep.lb3, rep.lb) == (1, 1, 3, 3)
+    # the day-two ride is underway from 1925 on; that instant binds first
+    assert rep.busiest_interval == ((475, 885, 2), (1925, 1925, 1))
+    assert brute_force(inst).optimum == 3

@@ -261,9 +261,12 @@ def test_export_well_formed_with_chain_binaries(tmp_path, sequential_pair):
 # -- the iterative search --------------------------------------------------
 
 def _cap_model(inst, extra):
-    """P(cLB + extra) with its floor at the cap, as DBI builds it."""
+    """P(max(lb1, lb2) + extra) with its floor at the cap, as DBI builds it.
+
+    The cap leaves lb3 out, so these trees stay the ones pinned below.
+    """
     m = model_for(inst)
-    cap = m.bounds.lb + extra
+    cap = max(m.bounds.lb1, m.bounds.lb2) + extra
     return replace(restrict(m, cap), objective_floor=cap)
 
 

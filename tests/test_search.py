@@ -522,3 +522,29 @@ def test_deadline_checked_between_operators(monkeypatch):
     clock.now = 0.0
     assert local_search(ch, inst, g, SearchConfig(seed=3, deadline=100.0)).objective == 1
     assert len(calls) > len(OPERATORS)
+
+
+def test_reassignment_backtracking_stops_at_the_deadline(monkeypatch):
+    # the stand-in clock moves one second per reading; segment reassignment
+    # reads it once per placement step, and only under a deadline
+    reads = []
+
+    class Ticking:
+        def monotonic(self):
+            reads.append(None)
+            return float(len(reads))
+
+    monkeypatch.setattr("drsync.search._time", Ticking())
+    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    full = operator_reassign_segments(ch, inst, g, CFG, random.Random(0))
+    assert reads == [] and len(full) == 3
+    cut = operator_reassign_segments(ch, inst, g, replace(CFG, t_end=5.0), random.Random(0))
+    assert len(reads) == 5   # the fifth reading reaches the deadline: no sixth
+    assert [c.routes for c in cut] == [c.routes for c in full[:1]]
+    # local search hands its own deadline down: the backtracking stops
+    # inside the first operator and the start solution comes back
+    reads.clear()
+    assert local_search(ch, inst, g, SearchConfig(seed=0, deadline=6.0)) is ch
+    assert len(reads) == 8   # start, loop test, five placement steps, next operator
