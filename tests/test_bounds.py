@@ -92,6 +92,20 @@ def test_lb2_empty_mandatory_interval_still_valid():
     assert res.optimum == 1       # the bound stays valid: 0 <= 1
 
 
+def test_combined():
+    # the combined bound is the largest of lb1, lb2 and lb3, whichever binds
+    a, a_stops = chain_ride("a", [200, 200], start=480)
+    b, b_stops = chain_ride("b", [240], start=1920, line="M")
+    windows_bind = build((a, a_stops), (b, b_stops))
+    for inst in (dominance_lb1_fixture(), dominance_lb2_fixture(), windows_bind,
+                 build(chain_ride("a", [5]))):
+        rep = compute_bounds(inst)
+        assert rep.lb == max(rep.lb1, rep.lb2, rep.lb3)
+        assert rep.lb3 >= max(rep.lb1, rep.lb2)
+    rep = compute_bounds(windows_bind)
+    assert rep.lb == rep.lb3 > max(rep.lb1, rep.lb2)
+
+
 def test_dominance_both_directions():
     a = compute_bounds(dominance_lb1_fixture())
     assert a.lb1 > a.lb2
