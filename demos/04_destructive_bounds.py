@@ -23,7 +23,7 @@ from drsync.mip import SolverConfig
 instance = gap_fixture(3)
 graph = build_graph(instance)
 bounds = compute_bounds(instance)
-model = build_model(graph, bounds)
+model = build_model(instance, graph, bounds)
 start = construct(instance, graph)
 print(f"constructive LB = {bounds.lb}, start solution uses {start.objective} drivers")
 

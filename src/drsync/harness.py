@@ -287,7 +287,7 @@ def cmd_ablate(suite_dir: str, out_dir: str, base: DbmhConfig,
 def _lp_bound(inst: Instance, lp_cmd: str) -> float | None:
     """Export the model and ask an external solver for its LP bound."""
     graph = build_graph(inst)
-    model = build_model(graph, compute_bounds(inst))
+    model = build_model(inst, graph, compute_bounds(inst))
     with tempfile.NamedTemporaryFile(suffix=".lp", delete=False) as fh:
         path = fh.name
     try:
@@ -313,7 +313,7 @@ def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig,
     for iid, inst in instances:
         graph = build_graph(inst)
         bounds = compute_bounds(inst)
-        model = build_model(graph, bounds)
+        model = build_model(inst, graph, bounds)
         try:
             start = local_search(construct(inst, graph), inst, graph,
                                  replace(base.search, seed=base.seed))

@@ -399,7 +399,16 @@ def _sub_instance(inst: Instance, rides: list[Ride]) -> Instance:
 
 
 def decompose(inst: Instance) -> list[Instance]:
-    """Split into connected components of the ride/stop sharing graph."""
+    """Split into connected components of the ride/stop sharing graph.
+
+    Components are independent problems: a driver moves only by waiting at
+    a stop or station or by riding along a scheduled ride (deadheading),
+    and every ride visits only its component's stops and stations, so no
+    driver can serve rides of two components. An optimum of the instance
+    is the union of optima of its components, and the components' lower
+    bounds add up. The order of the components is a pure function of the
+    instance, and each keeps its rides in instance order.
+    """
     parent = list(range(len(inst.rides)))
 
     def find(i: int) -> int:

@@ -97,8 +97,14 @@ class Model:
         return self.driver_count * len(self.graph.nodes)
 
 
-def build_model(graph: TimeGraph, bounds: BoundReport) -> Model:
-    return Model(graph=graph, instance=graph.instance, bounds=bounds,
+def build_model(instance: Instance, graph: TimeGraph, bounds: BoundReport) -> Model:
+    """The model of ``instance``'s rides over ``graph``.
+
+    ``graph`` may have been built for a larger instance that contains these
+    rides (an independent component's model shares its parent's graph);
+    ``bounds`` must be ``instance``'s own.
+    """
+    return Model(graph=graph, instance=instance, bounds=bounds,
                  driver_count=bounds.ub, objective_floor=bounds.lb)
 
 

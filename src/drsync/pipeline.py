@@ -6,6 +6,17 @@ lower bound upward on objective-capped restricted problems) and finally
 one exact solve for the rest of the budget, seeded with the best incumbent,
 that runs local search on every new incumbent it finds. Each stage can be
 toggled off for component studies.
+
+Before the two exact stages the instance is split into its independent
+components (``instance.decompose``): groups of rides that share no stop or
+station, which no driver can move between. Each component gets its own
+constructive bounds and model over the one time graph, and its share of
+the incumbent. DBI and then the exact solve run on each open component in
+turn, each with an equal share of the stage's time left, so time one
+leaves unused rolls on to the next. The run's solution joins the
+components' routes and plans, and dLB is the larger of the whole
+instance's constructive bound and the sum of the components' dLBs. An
+instance that does not split runs as one component: the whole instance.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .bounds import compute_bounds
-from .instance import Instance, check_instance
+from .bounds import BoundReport, compute_bounds
+from .instance import Instance, check_instance, decompose
 from .mip import Model, SolverConfig, build_model, restrict, solve
 from .search import (
     ConstructionError,
@@ -23,7 +34,7 @@ from .search import (
     local_search,
 )
 from .solution import Solution
-from .timegraph import build_graph
+from .timegraph import FAMILY_STEERING, TimeGraph, build_graph
 
 FOUND_CH_LS = "ch_ls"
 FOUND_CALLBACK = "ls_callback"
@@ -73,8 +84,12 @@ class RunReport:
     solution: Solution | None = None
     instance_id: str | None = None
     seed: int = 0
-    # B&B nodes per phase that ran: "dbi_caps" (one count per cap), "mip"
+    # B&B nodes per phase that ran: "dbi_caps" (one count per cap, parts in
+    # order), "mip" (summed over the parts' solves)
     bb_nodes: dict[str, int | list[int]] = field(default_factory=dict)
+    # per component DBI and the B&B worked on: rides, dlb, objective and the
+    # stage that closed it (ch_ls, dbi, mip) or "open"
+    parts: list[dict] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
@@ -105,6 +120,7 @@ class RunReport:
             "phase_timings": {k: round(v, 6) for k, v in self.phase_timings.items()},
             "incumbent_log": [[round(t, 6), f] for t, f in self.incumbent_log],
             "bb_nodes": self.bb_nodes,
+            "parts": self.parts,
         }
 
 
@@ -142,6 +158,79 @@ def destructive_bound_improvement(
         return lb, DBI_BOUND_ONLY, None   # timeout inside the restricted solve
 
 
+@dataclass
+class _Part:
+    """One independent component of the instance and its share of the run."""
+
+    instance: Instance
+    model: Model
+    best: Solution | None
+    lb: int                    # its constructive bound, raised by DBI
+    closed: str | None = None  # the stage that proved `best` optimal
+
+    def report(self) -> dict:
+        return {
+            "rides": len(self.instance.rides),
+            "dlb": self.lb,
+            "objective": self.best.objective if self.best is not None else None,
+            "closed": self.closed or "open",
+        }
+
+
+def _split(instance: Instance, graph: TimeGraph, bounds: BoundReport, model: Model,
+           best: Solution | None) -> list[_Part]:
+    """The components of `instance` (see ``decompose``), each with its share of `best`.
+
+    A component's share is the routes whose steering arcs serve its rides,
+    plus its rides' plans. An instance that does not split is one part made
+    of the whole run's own instance, model and incumbent.
+    """
+    components = decompose(instance)
+    if len(components) <= 1:
+        return [_Part(instance, model, best, bounds.lb)]
+    part_of = {r.id: i for i, comp in enumerate(components) for r in comp.rides}
+    routes: list[list[tuple[int, ...]]] = [[] for _ in components]
+    if best is not None:
+        for route in best.routes:
+            ride = next(graph.arcs[a].ride for a in route
+                        if graph.arcs[a].family == FAMILY_STEERING)
+            routes[part_of[ride]].append(route)
+    parts = []
+    for comp, comp_routes in zip(components, routes):
+        comp_bounds = compute_bounds(comp)
+        share = None
+        if best is not None:
+            share = Solution(graph, comp_routes, {r.id: best.plan[r.id] for r in comp.rides})
+        part = _Part(comp, build_model(comp, graph, comp_bounds), share, comp_bounds.lb)
+        if share is not None and share.objective == part.lb:
+            part.closed = FOUND_CH_LS
+        parts.append(part)
+    return parts
+
+
+def _join(graph: TimeGraph, parts: list[_Part]) -> Solution | None:
+    """The whole instance's solution made of the parts' incumbents, if each has one."""
+    if len(parts) == 1:
+        return parts[0].best
+    if any(p.best is None for p in parts):
+        return None
+    return Solution(graph, [r for p in parts for r in p.best.routes],
+                    {rid: rp for p in parts for rid, rp in p.best.plan.items()})
+
+
+def _shares(parts: list[_Part], end: float):
+    """Each part with an equal share of the time left until `end`.
+
+    Shares are taken in turn, so time a part leaves unused rolls on to the
+    next ones; parts reached after `end` are not yielded.
+    """
+    for i, part in enumerate(parts):
+        left = end - _time.monotonic()
+        if left <= 0:
+            return
+        yield part, left / (len(parts) - i)
+
+
 def run(instance: Instance, config: DbmhConfig | None = None,
         instance_id: str | None = None) -> RunReport:
     """Full pipeline; honors component toggles and the global time limit."""
@@ -162,14 +251,13 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     instance = check_instance(instance)
     graph = build_graph(instance)
     bounds = compute_bounds(instance)
-    model = build_model(graph, bounds)
+    model = build_model(instance, graph, bounds)
     clock("prep", t)
     clb = bounds.lb
-    dlb = clb
 
     best: Solution | None = None
     found_by: str | None = None
-    proven_infeasible = False
+    parts: list[_Part] = []     # the components DBI and the B&B work on
 
     if config.use_ch:
         t = _time.monotonic()
@@ -191,80 +279,106 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         best = improved
         clock("ls", t)
 
+    def lower_bounds():
+        """dLB, and the best bound proven: a closed part adds its optimum."""
+        dlb = max(clb, sum(p.lb for p in parts))
+        return dlb, max(dlb, sum(p.best.objective if p.closed else p.lb for p in parts))
+
     def finish(status):
         objective = best.objective if best is not None else None
-        final_lb = objective if status == "optimal" else dlb
+        dlb, proven = lower_bounds()
         return RunReport(
             status=status, objective=objective,
-            final_lb=final_lb if final_lb is not None else dlb,
+            final_lb=objective if status == "optimal" else proven,
             clb=clb, dlb=dlb, phase_timings=timings, found_by=found_by,
             incumbent_log=log, solution=best, instance_id=instance_id,
-            seed=config.seed, bb_nodes=bb_nodes,
+            seed=config.seed, bb_nodes=bb_nodes, parts=[p.report() for p in parts],
         )
 
     if best is not None and best.objective == clb:
         return finish("optimal")
+
+    if (config.use_dbi or config.use_mip) and remaining() > 0:
+        t = _time.monotonic()
+        parts = _split(instance, graph, bounds, model, best)
+        clock("prep", t)
 
     if config.use_dbi and remaining() > 0:
         t = _time.monotonic()
         budget = config.eta_lb
         if config.extend_time_on_disable and not config.use_mip:
             budget = config.global_limit
-        budget = min(budget, max(remaining(), 0.01))
+        phase_end = t + min(budget, max(remaining(), 0.01))
         cap_nodes: list[int] = []
         bb_nodes["dbi_caps"] = cap_nodes
-        dlb, dbi_status, dbi_sol = destructive_bound_improvement(
-            model, clb, best, budget, cap_nodes)
+        for part, share in _shares([p for p in parts if not p.closed], phase_end):
+            part.lb, dbi_status, dbi_sol = destructive_bound_improvement(
+                part.model, part.lb, part.best, share, cap_nodes)
+            if dbi_status == DBI_INFEASIBLE:
+                clock("dbi", t)
+                return finish("infeasible")
+            if dbi_status == DBI_OPTIMAL:
+                part.closed = FOUND_DBI
+                if dbi_sol is not part.best:
+                    found_by = FOUND_DBI
+                    part.best = dbi_sol
+                    best = _join(graph, parts)
+                    if best is not None:
+                        log.append((_time.monotonic() - t0, best.objective))
         clock("dbi", t)
-        if dbi_status == DBI_INFEASIBLE:
-            proven_infeasible = True
-        elif dbi_status == DBI_OPTIMAL:
+        if all(p.closed for p in parts):
             # optimality was established here, whichever object carries it
             found_by = FOUND_DBI
-            if dbi_sol is not None and (best is None or dbi_sol.objective <= best.objective):
-                if dbi_sol is not best:
-                    best = dbi_sol
-                    log.append((_time.monotonic() - t0, best.objective))
-            return finish("optimal")
 
-    if proven_infeasible:
-        return finish("infeasible")
+    if parts and all(p.closed for p in parts):
+        return finish("optimal")
 
     if config.use_mip and remaining() > 0:
         t = _time.monotonic()
-        offset = t - t0
-        floor_model = replace(model, objective_floor=max(model.objective_floor, dlb))
-        stage_origin: dict[int, str] = {}
+        nodes = 0
+        for part, share in _shares([p for p in parts if not p.closed], deadline):
+            start = _time.monotonic()
+            limit = max(share, 0.01)
+            part_end = start + limit
+            floor_model = replace(part.model,
+                                  objective_floor=max(part.model.objective_floor, part.lb))
+            stage_origin: dict[int, str] = {}
 
-        def callback(sol: Solution) -> Solution | None:
-            # the callback runs inside the solve: it must not outlast the run
-            cfg = replace(config.search, deadline=min(config.eta_ls, max(remaining(), 0.01)),
-                          seed=config.seed)
-            better = local_search(sol, instance, graph, cfg)
-            if better.objective < sol.objective:
-                stage_origin[id(better)] = FOUND_CALLBACK
-                return better
-            return None
+            def callback(sol: Solution) -> Solution | None:
+                # the callback runs inside the solve: it must not outlast the part's share
+                cfg = replace(config.search, seed=config.seed, deadline=min(
+                    config.eta_ls, max(part_end - _time.monotonic(), 0.01)))
+                better = local_search(sol, part.instance, graph, cfg)
+                if better.objective < sol.objective:
+                    stage_origin[id(better)] = FOUND_CALLBACK
+                    return better
+                return None
 
-        # one solve for the rest of the budget, from the best incumbent if there is one
-        out = solve(floor_model, SolverConfig(
-            time_limit=max(remaining(), 0.01),
-            start_solution=best,
-            incumbent_callback=callback if config.use_cb else None,
-        ))
-        bb_nodes["mip"] = out.nodes
-        for dt, f in out.incumbent_log:
-            log.append((offset + dt, f))
+            # one solve per part, from its share of the best incumbent if there is one
+            out = solve(floor_model, SolverConfig(
+                time_limit=limit,
+                start_solution=part.best,
+                incumbent_callback=callback if config.use_cb else None,
+            ))
+            nodes += out.nodes
+            others = [p.best.objective for p in parts if p is not part and p.best is not None]
+            if len(others) == len(parts) - 1:
+                for dt, f in out.incumbent_log:
+                    log.append((start - t0 + dt, sum(others) + f))
+            if out.status == "infeasible":
+                bb_nodes["mip"] = nodes
+                clock("mip", t)
+                return finish("infeasible")
+            # the solve only ever adopts strictly better incumbents than its start
+            if out.best_solution is not None and out.best_solution is not part.best:
+                found_by = stage_origin.get(id(out.best_solution), FOUND_MIP)
+                part.best = out.best_solution
+                best = _join(graph, parts)
+            if out.status == "optimal":
+                part.closed = FOUND_MIP
+        bb_nodes["mip"] = nodes
         clock("mip", t)
-        if out.status == "infeasible":
-            return finish("infeasible")
-        # the solve only ever adopts strictly better incumbents than its start
-        if out.best_solution is not None and out.best_solution is not best:
-            found_by = stage_origin.get(id(out.best_solution), FOUND_MIP)
-            best = out.best_solution
-        if out.status == "optimal":
-            return finish("optimal")
 
-    if best is not None:
-        return finish("optimal" if best.objective == dlb else "feasible")
-    return finish("no_solution")
+    if best is None:
+        return finish("no_solution")
+    return finish("optimal" if best.objective == lower_bounds()[1] else "feasible")

@@ -151,8 +151,8 @@ def test_compare_bounds(tmp_path):
     header, data = rows[0].split(","), [r.split(",") for r in rows[1:]]
     col = {name: i for i, name in enumerate(header)}
     for r in data:
-        lb1, lb2, lb, dlb = (int(r[col[c]]) for c in ("lb1", "lb2", "lb", "dlb"))
-        assert lb == max(lb1, lb2)
+        lb1, lb2, lb3, lb, dlb = (int(r[col[c]]) for c in ("lb1", "lb2", "lb3", "lb", "dlb"))
+        assert lb == max(lb1, lb2, lb3)
         assert dlb >= lb
     summary = dict(r.split(",") for r in
                    (tmp_path / "cb" / "bounds_summary.csv").read_text().splitlines()[1:])

@@ -27,7 +27,7 @@ from conftest import customer_stops
 
 def model_for(inst):
     g = build_graph(inst)
-    return build_model(g, compute_bounds(inst))
+    return build_model(inst, g, compute_bounds(inst))
 
 
 def test_build_model_fig2(fig2):

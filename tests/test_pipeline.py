@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import sys
 import time
 
@@ -9,8 +12,8 @@ from drsync import pipeline
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import Instance, Ride, check_instance
-from drsync.mip import build_model
+from drsync.instance import Instance, Ride, check_instance, decompose
+from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
 from drsync.pipeline import (
     DbmhConfig,
@@ -18,8 +21,8 @@ from drsync.pipeline import (
     run,
 )
 from drsync.search import construct
-from drsync.solution import check_feasibility
-from drsync.timegraph import build_graph
+from drsync.solution import check_feasibility, plan_from_routes
+from drsync.timegraph import FAMILY_STEERING, build_graph
 
 from conftest import customer_stops
 
@@ -46,7 +49,7 @@ def test_gap_instance_found_by_dbi():
 def test_dbi_unit_semantics():
     inst = gap_fixture(3)          # constructive lb 1, optimum 3
     g = build_graph(inst)
-    model = build_model(g, compute_bounds(inst))
+    model = build_model(inst, g, compute_bounds(inst))
     start = construct(inst, g)
     lb, status, sol = destructive_bound_improvement(model, 1, start, eta_lb=60)
     assert (lb, status) == (3, "optimal")
@@ -126,16 +129,23 @@ def test_incumbent_log_objectives_decrease(sequential_pair):
     assert all(a >= b for a, b in zip(objs, objs[1:]))
 
 
-@pytest.mark.parametrize("shape,seed", [((3, 3, 3), 7), ((2, 3, 3), 2)])
-def test_incumbent_log_never_increases_through_the_bb(shape, seed):
-    # both runs reach the B&B; a solve that is not seeded with the CH+LS
-    # incumbent logs worse incumbents after it
+@pytest.mark.parametrize("shape,seed,flags", [
+    ((8, 6, 4), 7, dict(global_limit=2.0)),
+    # DBI alone closes this one in about 0.3 s
+    ((6, 4, 4), 7, dict(global_limit=1.0, use_dbi=False)),
+], ids=["8x6x4-7", "6x4x4-7"])
+def test_incumbent_log_never_increases_through_the_bb(shape, seed, flags):
+    # both runs leave components open for the B&B; the log holds
+    # whole-instance totals, so a part's solve that is not seeded with its
+    # share of the CH+LS incumbent would log worse ones
     inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
-    rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.3, eta_ls=0.3))
+    rep = run(inst, DbmhConfig(eta_lb=0.3, eta_ls=0.3, **flags))
     assert "mip" in rep.phase_timings
+    assert len(rep.parts) > 1
     objs = [f for _, f in rep.incumbent_log]
     assert all(a >= b for a, b in zip(objs, objs[1:])), objs
     assert rep.objective == objs[-1]
+    assert rep.objective == sum(p["objective"] for p in rep.parts)
 
 
 def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
@@ -188,5 +198,101 @@ def test_short_runs_on_random_shapes(n_lines, rides_per_line, segments, policy, 
     inst = generate_synthetic(cfg, seed)[0]
     rep = run(inst, DbmhConfig(global_limit=0.2, eta_lb=0.2, eta_mip=0.2, eta_ls=0.2))
     assert rep.solution is not None, rep.status
+    assert check_feasibility(rep.solution, inst) == []
+    assert rep.clb <= rep.final_lb <= rep.objective
+
+
+@pytest.mark.parametrize("flags", [{}, {"use_ch": False}], ids=["ch_ls", "no_ch"])
+def test_split_matches_the_joint_solve(monkeypatch, flags):
+    # small multi-line instances the joint B&B finishes; without CH every
+    # one of them reaches DBI and the B&B split into its lines
+    cfg = DbmhConfig(global_limit=60, eta_lb=30, eta_ls=5, **flags)
+    split_runs = 0
+    for shape in ((2, 2, 2), (3, 1, 2), (2, 2, 3)):
+        for policy in ("regular_and_intermediate", "regular_stops", "none"):
+            for seed in range(10):
+                inst = generate_synthetic(
+                    GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+                rep = run(inst, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(pipeline, "decompose", lambda instance: [instance])
+                    joint = run(inst, cfg)
+                assert len(joint.parts) <= 1
+                key = (shape, policy, seed)
+                assert (rep.status, rep.objective, rep.final_lb) == \
+                    (joint.status, joint.objective, joint.final_lb), key
+                assert check_feasibility(rep.solution, inst) == [], key
+                g = rep.solution.graph
+                assert rep.solution.plan == plan_from_routes(inst, g, rep.solution.routes), key
+                if len(rep.parts) < 2:
+                    continue
+                split_runs += 1
+                part_of = {r.id: i for i, comp in enumerate(decompose(inst))
+                           for r in comp.rides}
+                for route in rep.solution.routes:
+                    parts = {part_of[g.arcs[a].ride] for a in route
+                             if g.arcs[a].family == FAMILY_STEERING}
+                    assert len(parts) == 1, key
+    assert split_runs >= (90 if flags else 3)
+
+
+def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
+    # every B&B solve times out on its start solution: the parts stay open,
+    # and the bound is the sum of the parts' constructive bounds
+    solved = []
+
+    def timing_out(model, config=None):
+        solved.append(len(model.instance.rides))
+        return SolveOutcome("feasible", config.start_solution, model.bounds.lb, 0.0, [], 1)
+
+    monkeypatch.setattr(pipeline, "solve", timing_out)
+    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    rep = run(inst, DbmhConfig(use_dbi=False))
+    assert [(p["dlb"], p["objective"], p["closed"]) for p in rep.parts] == \
+        [(1, 2, "open"), (1, 1, "ch_ls"), (4, 5, "open")]
+    assert solved == [3, 3]
+    assert rep.bb_nodes == {"mip": 2}
+    assert (rep.status, rep.objective, rep.clb, rep.dlb, rep.final_lb) == \
+        ("feasible", 8, 5, 6, 6)
+
+
+def _shared_terminal(shape, seed):
+    """A generated two-line instance whose lines end at the same stop."""
+    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    old, new = f"L1S{shape[2]}", f"L0S{shape[2]}"
+    rides = tuple(dataclasses.replace(r, stops=tuple(new if s == old else s for s in r.stops))
+                  for r in inst.rides)
+    stops = tuple(s for s in inst.stops if s.id != old)
+    return check_instance(dataclasses.replace(inst, rides=rides, stops=stops))
+
+
+@pytest.mark.parametrize("flags,report,nodes", [
+    ({}, {"clb": 3, "dlb": 4, "final_lb": 4, "found_by": "dbi",
+          "incumbent_objectives": [5, 4], "objective": 4, "seed": 0,
+          "status": "optimal"}, {"dbi_caps": [3145]}),
+    ({"use_dbi": False}, {"clb": 3, "dlb": 3, "final_lb": 4, "found_by": "ch_ls",
+                          "incumbent_objectives": [5, 4], "objective": 4, "seed": 0,
+                          "status": "optimal"}, {"mip": 3145}),
+], ids=["dbi", "mip"])
+def test_one_component_takes_the_joint_path(flags, report, nodes):
+    # the values are those of the pipeline before it split instances
+    inst = _shared_terminal((2, 2, 4), 4)
+    assert len(decompose(inst)) == 1
+    rep = run(inst, DbmhConfig(**flags))
+    assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(report, sort_keys=True)
+    assert rep.bb_nodes == nodes
+    digest = hashlib.sha256(json.dumps(rep.solution.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "49113a33c221a764c83cba87918cde04e2e7f259e0df988efa515ca23825690f"
+    assert [p["closed"] for p in rep.timings_dict()["parts"]] == \
+        ["dbi" if not flags else "mip"]
+
+
+def test_split_run_keeps_the_global_limit():
+    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    assert len(decompose(inst)) == 8
+    start = time.monotonic()
+    rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.1, eta_ls=0.3))
+    assert time.monotonic() - start < 1.3
     assert check_feasibility(rep.solution, inst) == []
     assert rep.clb <= rep.final_lb <= rep.objective
