@@ -153,8 +153,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_compare_bounds(args) -> int:
-    path = harness.cmd_compare_bounds(args.suite, args.out, _build_config(args),
-                                      lp_cmd=args.lp_cmd)
+    path = harness.cmd_compare_bounds(args.suite, args.out, _build_config(args))
     print(path)
     return 0
 
@@ -184,8 +183,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["composite", "vnd"], default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 1; exit code 2 means infeasible."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="drsync",
         description="Minimize bus drivers for a day of rides with mid-route "
                     "handovers under EU hours-of-service rules.")
@@ -248,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare-bounds", help="constructive vs destructive bounds")
     sp.add_argument("suite")
     sp.add_argument("--out", default="bounds_out")
-    sp.add_argument("--lp-cmd", default=None,
-                    help="external LP solver command; receives the .lp path")
     _add_config_flags(sp)
     sp.set_defaults(fn=_cmd_compare_bounds)
 
@@ -271,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help (0) or a usage error (1)
+        return exc.code
     try:
         return args.fn(args)
     except Exception as exc:  # input errors and internal failures alike: one line, exit 1

@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import subprocess
-import tempfile
 from dataclasses import replace
 
 from .bounds import compute_bounds
@@ -25,9 +23,8 @@ from .instance import (
     save_instance,
     split_by_line,
 )
-from .mip import build_model, export_model
-from .pipeline import DbmhConfig, RunReport, destructive_bound_improvement, run
-from .search import SearchConfig, ConstructionError, construct, local_search
+from .pipeline import DbmhConfig, RunReport, run
+from .search import SearchConfig, ConstructionError
 from .timegraph import build_graph, graph_stats
 
 METHOD_DBMH = "dbmh"
@@ -284,46 +281,22 @@ def cmd_ablate(suite_dir: str, out_dir: str, base: DbmhConfig,
 # compare-bounds
 # ---------------------------------------------------------------------------
 
-def _lp_bound(inst: Instance, lp_cmd: str) -> float | None:
-    """Export the model and ask an external solver for its LP bound."""
-    graph = build_graph(inst)
-    model = build_model(inst, graph, compute_bounds(inst))
-    with tempfile.NamedTemporaryFile(suffix=".lp", delete=False) as fh:
-        path = fh.name
-    try:
-        export_model(model, path)
-        out = subprocess.run(lp_cmd.split() + [path], capture_output=True,
-                             text=True, timeout=600, check=False)
-        for tok in reversed(out.stdout.split()):
-            try:
-                return float(tok)
-            except ValueError:
-                continue
-        return None
-    finally:
-        os.unlink(path)
+def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig) -> str:
+    """Constructive bounds per instance beside the dLB a bound-only run proves.
 
-
-def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig,
-                       lp_cmd: str | None = None) -> str:
+    The dLB is ``run``'s own: CH+LS, then DBI on each independent component
+    within ``eta_lb``, with the exact solve and its callback switched off.
+    """
     instances, _meta = load_suite(suite_dir)
-    header = ["instance", "size_class", "lb1", "lb2", "lb3", "lb", "dlb", "lp"]
+    header = ["instance", "size_class", "lb1", "lb2", "lb3", "lb", "dlb"]
+    bound_only = replace(base, use_mip=False, use_cb=False, extend_time_on_disable=False)
     rows = []
     n = dom1 = dom2 = dom3 = equal = 0
     for iid, inst in instances:
-        graph = build_graph(inst)
         bounds = compute_bounds(inst)
-        model = build_model(inst, graph, bounds)
-        try:
-            start = local_search(construct(inst, graph), inst, graph,
-                                 replace(base.search, seed=base.seed))
-        except ConstructionError:
-            start = None
-        dlb, _status, _sol = destructive_bound_improvement(
-            model, bounds.lb, start, base.eta_lb)
-        lp = _lp_bound(inst, lp_cmd) if lp_cmd else None
+        rep = run(inst, bound_only, instance_id=iid)
         rows.append([iid, _size_class(inst), bounds.lb1, bounds.lb2, bounds.lb3,
-                     bounds.lb, dlb, _fmt(lp)])
+                     bounds.lb, rep.dlb])
         n += 1
         dom1 += bounds.lb1 > bounds.lb2
         dom2 += bounds.lb2 > bounds.lb1

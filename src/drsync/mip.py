@@ -1,25 +1,18 @@
-"""Compact integer model over the time graph plus an embedded exact backend.
+"""The driver-count model over the time graph and its exact backend.
 
-The model object carries the variable index (x[driver, arc] binary,
-r[driver, node] continuous) and the reconstructed constraint families; it
-can be written out in LP interchange format for external solvers. The
-embedded backend does not touch the algebraic rows: it is a depth-first
-branch-and-bound that schedules ride segments in chronological order,
-assigns each steering piece to an existing or a fresh driver, validates
-relocations (waits and deadhead hops) eagerly against the pieces already
-scheduled, with the relocation search that local search also uses
-(``solution.plan_relocation``), and prunes with the incumbent, the
-constructive lower bound and the optional driver cap. It is exact whenever
-it finishes within the time limit. The search is iterative: every open node
-is a generator kept on an explicit stack, which applies one child's change,
-yields, and undoes the change when resumed, so the depth of the tree
-(several pieces per ride) is not bounded by the interpreter's recursion
-limit. The deadline is checked at every node.
-
-Export caveat: renewals earned by multi-arc deadhead runs whose single
-arcs are each shorter than the break length are not representable in the
-exported rows (waiting chains are, via auxiliary chain binaries); the
-embedded backend and the feasibility checker handle them exactly.
+A model names the rides, their time graph and constructive bounds, the
+optional driver cap of the restricted problem P(cap) and a proven floor on
+the objective. The backend is a depth-first branch-and-bound that schedules
+ride segments in chronological order, assigns each steering piece to an
+existing or a fresh driver, validates relocations (waits and deadhead hops)
+eagerly against the pieces already scheduled, with the relocation search
+that local search also uses (``solution.plan_relocation``), and prunes with
+the incumbent, the constructive lower bound and the optional driver cap. It
+is exact whenever it finishes within the time limit. The search is
+iterative: every open node is a generator kept on an explicit stack, which
+applies one child's change, yields, and undoes the change when resumed, so
+the depth of the tree (several pieces per ride) is not bounded by the
+interpreter's recursion limit. The deadline is checked at every node.
 """
 
 from __future__ import annotations
@@ -36,26 +29,10 @@ from .solution import (
     RidePlan,
     Solution,
     assemble_route,
-    check_feasibility,
-    plan_from_routes,
     plan_relocation,
     unwind,
 )
-from .timegraph import (
-    FAMILY_DEADHEAD,
-    FAMILY_DEPOT,
-    FAMILY_STEERING,
-    FAMILY_WAITING,
-    TimeGraph,
-)
-
-
-class AssignmentError(Exception):
-    """An explicit variable assignment violates flow or coverage."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("; ".join(problems))
+from .timegraph import TimeGraph
 
 
 @dataclass(frozen=True)
@@ -86,16 +63,6 @@ class Model:
     # lower bound asserted by the caller; the constructive LB by default)
     objective_floor: int = 0
 
-    @property
-    def lower_bound(self) -> int:
-        return self.bounds.lb
-
-    def n_binary(self) -> int:
-        return self.driver_count * len(self.graph.arcs)
-
-    def n_continuous(self) -> int:
-        return self.driver_count * len(self.graph.nodes)
-
 
 def build_model(instance: Instance, graph: TimeGraph, bounds: BoundReport) -> Model:
     """The model of ``instance``'s rides over ``graph``.
@@ -113,230 +80,6 @@ def restrict(model: Model, cap: int) -> Model:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     return replace(model, cardinality_cap=cap)
-
-
-# ---------------------------------------------------------------------------
-# LP export
-# ---------------------------------------------------------------------------
-
-def _chain_pairs(graph: TimeGraph, t_b: int):
-    """Same-base copy pairs at least a break apart, with the wait arcs between."""
-    for base, ids in graph.copies.items():
-        for i in range(len(ids)):
-            arcs: list[int] = []
-            for j in range(i + 1, len(ids)):
-                arcs.append(graph.wait_next[ids[j - 1]])
-                if graph.nodes[ids[j]].time - graph.nodes[ids[i]].time >= t_b:
-                    yield base, ids[i], ids[j], list(arcs)
-
-
-def export_model(model: Model, path: str) -> None:
-    """Write the integer program in LP interchange text format, deterministically."""
-    g = model.graph
-    inst = model.instance
-    legal = inst.legal
-    K = model.driver_count
-    horizon = max((n.time for n in g.nodes if n.time is not None), default=0) + legal.t_dw
-
-    def x(k, a):
-        return f"x_{k}_{a}"
-
-    def r(k, n):
-        return f"r_{k}_{n}"
-
-    src_arcs = sorted(g.depot_out.values())
-    sink_arcs = sorted(g.depot_in.values())
-
-    rows: list[str] = []
-
-    def row(name, terms, sense, rhs):
-        body = " ".join(f"{'+' if c >= 0 else '-'} {abs(c)} {v}" for c, v in terms)
-        rows.append(f" {name}: {body} {sense} {rhs}")
-
-    for k in range(K):
-        for node in g.nodes:
-            if node.base == "__depot__":
-                continue
-            terms = [(1, x(k, a)) for a in g.into[node.id]]
-            terms += [(-1, x(k, a)) for a in g.out_of[node.id]]
-            row(f"flow_{k}_{node.id}", terms, "=", 0)
-        row(f"act_out_{k}", [(1, x(k, a)) for a in src_arcs], "<=", 1)
-        row(f"act_pair_{k}",
-            [(1, x(k, a)) for a in src_arcs] + [(-1, x(k, a)) for a in sink_arcs], "=", 0)
-
-    for (rid, seg), arcs in sorted(g.seg_direct.items()):
-        entry = list(arcs)
-        for (rid2, seg2, st), ins in sorted(g.seg_in.items()):
-            if rid2 == rid and seg2 == seg:
-                entry += ins
-        terms = [(1, x(k, a)) for k in range(K) for a in sorted(entry)]
-        if terms:
-            row(f"cover_{rid}_{seg}", terms, "=", 1)
-        elif K > 0 and g.arcs:
-            # uncoverable segment: an explicitly contradictory row
-            row(f"cover_{rid}_{seg}", [(0, x(0, 0))], "=", 1)
-
-    for (rid, seg, st), ins in sorted(g.seg_in.items()):
-        outs = g.seg_out.get((rid, seg, st), [])
-        by_copy: dict[int, tuple[list[int], list[int]]] = {}
-        for a in ins:
-            by_copy.setdefault(g.arcs[a].head, ([], []))[0].append(a)
-        for a in outs:
-            by_copy.setdefault(g.arcs[a].tail, ([], []))[1].append(a)
-        for copy_node, (iarcs, oarcs) in sorted(by_copy.items()):
-            terms = [(1, x(k, a)) for k in range(K) for a in sorted(iarcs)]
-            terms += [(-1, x(k, a)) for k in range(K) for a in sorted(oarcs)]
-            row(f"statflow_{rid}_{seg}_{copy_node}", terms, "=", 0)
-
-    # ride continuity: the copy reached by segment seg equals the copy left by seg+1
-    rides = {rd.id: rd for rd in inst.rides}
-    for rid, rd in sorted(rides.items()):
-        for pos in range(1, len(rd.stops) - 1):
-            into_arcs = [a for a in g.seg_direct.get((rid, pos - 1), [])]
-            into_arcs += [a for (r2, s2, _), arcs in sorted(g.seg_out.items())
-                          if r2 == rid and s2 == pos - 1 for a in arcs]
-            out_arcs = [a for a in g.seg_direct.get((rid, pos), [])]
-            out_arcs += [a for (r2, s2, _), arcs in sorted(g.seg_in.items())
-                         if r2 == rid and s2 == pos for a in arcs]
-            by_copy2: dict[int, tuple[list[int], list[int]]] = {}
-            for a in into_arcs:
-                by_copy2.setdefault(g.arcs[a].head, ([], []))[0].append(a)
-            for a in out_arcs:
-                by_copy2.setdefault(g.arcs[a].tail, ([], []))[1].append(a)
-            for copy_node, (iarcs, oarcs) in sorted(by_copy2.items()):
-                terms = [(1, x(k, a)) for k in range(K) for a in sorted(iarcs)]
-                terms += [(-1, x(k, a)) for k in range(K) for a in sorted(oarcs)]
-                row(f"cont_{rid}_{pos}_{copy_node}", terms, "=", 0)
-
-    for arc in g.arcs:
-        if arc.family == FAMILY_DEADHEAD:
-            terms = [(1, x(k, arc.id)) for k in range(K)]
-            terms += [(-(K - 1), x(k, arc.twin)) for k in range(K)]
-            if K > 1:
-                row(f"dh_{arc.id}", terms, "<=", 0)
-            else:
-                row(f"dh_{arc.id}", [(1, x(0, arc.id))], "<=", 0)
-
-    # steering resource: r is the remaining continuous allowance at each node
-    chain_z: list[tuple[str, int, int, list[int]]] = list(_chain_pairs(g, legal.t_b))
-    for k in range(K):
-        for arc in g.arcs:
-            M = legal.t_cs + max(arc.duration, 0)
-            if arc.family == FAMILY_STEERING:
-                row(f"rprop_{k}_{arc.id}",
-                    [(1, r(k, arc.head)), (-1, r(k, arc.tail)), (M, x(k, arc.id))],
-                    "<=", M - arc.duration)
-                row(f"rcap_{k}_{arc.id}",
-                    [(1, r(k, arc.tail)), (-arc.duration, x(k, arc.id))], ">=", 0)
-            elif arc.consumption == 0 and arc.family != FAMILY_DEPOT:
-                relax = []
-                if arc.family == FAMILY_WAITING:
-                    relax = [(legal.t_cs, f"z_{k}_{b}_{i}_{j}")
-                             for b, i, j, chain in chain_z if arc.head == j]
-                row(f"rprop_{k}_{arc.id}",
-                    [(1, r(k, arc.head)), (-1, r(k, arc.tail)), (M, x(k, arc.id))] + [
-                        (-c, v) for c, v in relax],
-                    "<=", M)
-        for b, i, j, chain in chain_z:
-            for a in chain:
-                row(f"zlink_{k}_{b}_{i}_{j}_{a}",
-                    [(1, f"z_{k}_{b}_{i}_{j}"), (-1, x(k, a))], "<=", 0)
-
-    for k in range(K):
-        terms = [(g.arcs[a].duration, x(k, a)) for a in range(len(g.arcs))
-                 if g.arcs[a].family == FAMILY_STEERING]
-        if terms:
-            row(f"daily_steer_{k}", terms, "<=", legal.t_ds)
-        span_terms = [(g.nodes[g.arcs[a].tail].time, x(k, a)) for a in sink_arcs]
-        span_terms += [(-g.nodes[g.arcs[a].head].time, x(k, a)) for a in src_arcs]
-        span_terms += [(horizon, x(k, a)) for a in src_arcs]
-        if span_terms:
-            row(f"span_{k}", span_terms, "<=", legal.t_dw + horizon)
-
-    lb = model.bounds.lb
-    if src_arcs and lb > 0:
-        row("min_total_activation",
-            [(1, x(k, a)) for k in range(K) for a in src_arcs], ">=", lb)
-        for k in range(min(lb, K)):
-            row(f"force_out_{k}", [(1, x(k, a)) for a in src_arcs], ">=", 1)
-            row(f"force_in_{k}", [(1, x(k, a)) for a in sink_arcs], ">=", 1)
-    for k in range(K - 1):
-        row(f"sym_{k}",
-            [(1, x(k, a)) for a in src_arcs] + [(-1, x(k + 1, a)) for a in src_arcs],
-            ">=", 0)
-        start_terms = [(g.nodes[g.arcs[a].head].time, x(k, a)) for a in src_arcs]
-        start_terms += [(-g.nodes[g.arcs[a].head].time, x(k + 1, a)) for a in src_arcs]
-        start_terms += [(-horizon, x(k + 1, a)) for a in src_arcs]
-        if start_terms:
-            row(f"sym_start_{k}", start_terms, ">=", -horizon)
-    if model.cardinality_cap is not None and src_arcs:
-        row("cap_total_activation",
-            [(1, x(k, a)) for k in range(K) for a in src_arcs],
-            "<=", model.cardinality_cap)
-
-    obj_terms = [x(k, a) for k in range(K) for a in src_arcs]
-    lines = ["\\ drsync driver routing model", f"\\ drivers={K} lb={lb}"]
-    lines.append("Minimize")
-    lines.append(" obj: " + (" + ".join(obj_terms) if obj_terms else "0 x_none"))
-    lines.append("Subject To")
-    lines.extend(rows)
-    lines.append("Bounds")
-    for k in range(K):
-        for node in g.nodes:
-            lines.append(f" 0 <= {r(k, node.id)} <= {legal.t_cs}")
-    lines.append("Binaries")
-    names = [x(k, a) for k in range(K) for a in range(len(g.arcs))]
-    names += [f"z_{k}_{b}_{i}_{j}" for k in range(K) for b, i, j, _ in chain_z]
-    if not obj_terms:
-        names.append("x_none")
-    for i in range(0, len(names), 8):
-        lines.append(" " + " ".join(names[i:i + 8]))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def extract_solution(model: Model, assignment) -> Solution:
-    """Build a Solution from active (driver, arc) pairs; errors name the defect."""
-    g = model.graph
-    if isinstance(assignment, dict):
-        active = {ka for ka, v in assignment.items() if v}
-    else:
-        active = set(assignment)
-    per_driver: dict[int, list[int]] = {}
-    for k, a in active:
-        per_driver.setdefault(k, []).append(a)
-    routes = []
-    for k in sorted(per_driver):
-        arcs = per_driver[k]
-        by_tail = {g.arcs[a].tail: a for a in arcs}
-        if len(by_tail) != len(arcs):
-            raise AssignmentError([f"driver {k}: branching flow (two arcs leave one node)"])
-        if not any(g.arcs[a].tail == g.source for a in arcs):
-            raise AssignmentError([f"driver {k}: no source arc"])
-        route = []
-        node = g.source
-        seen = 0
-        while node != g.sink:
-            a = by_tail.get(node)
-            if a is None:
-                raise AssignmentError([f"driver {k}: flow stops at node {node}"])
-            route.append(a)
-            node = g.arcs[a].head
-            seen += 1
-            if seen > len(arcs):
-                raise AssignmentError([f"driver {k}: flow does not reach the sink"])
-        if seen != len(arcs):
-            raise AssignmentError([f"driver {k}: disconnected arcs in assignment"])
-        if any(g.arcs[a].mode == 1 for a in route):
-            routes.append(tuple(route))
-    plan = plan_from_routes(model.instance, g, routes)
-    sol = Solution(g, routes, plan)
-    violations = check_feasibility(sol, model.instance, g)
-    hard = [v for v in violations if v.kind in ("uncovered_segment", "desync")]
-    if hard:
-        raise AssignmentError([f"{v.kind} at {v.subject}" for v in hard])
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,6 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
     return min(int(y ** p * n), n - 1)
 
 
-def theta(solution: Solution, legal=None) -> int:
-    """Total unused working time over the active drivers."""
-    return solution.theta(legal)
-
-
 # ---------------------------------------------------------------------------
 # Vehicle plan construction
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from drsync.fixtures import (
     gap_fixture,
     postpone_fixture,
 )
+from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.harness import (
     cmd_bench,
     cmd_compare_bounds,
@@ -39,7 +40,7 @@ def read(path):
         return fh.read()
 
 
-def test_cmd_solve_exit_codes(tmp_path, sequential_pair):
+def test_cmd_solve_exit_codes(tmp_path, capsys, sequential_pair):
     inst_path = tmp_path / "inst.json"
     save_instance(sequential_pair, str(inst_path))
     out = tmp_path / "out"
@@ -57,6 +58,16 @@ def test_cmd_solve_exit_codes(tmp_path, sequential_pair):
     assert main(["solve", str(bad_path), "--out", str(tmp_path / "o2")]) == 2
 
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
+
+    # usage errors exit 1 with argparse's message on one line: 2 means infeasible
+    capsys.readouterr()
+    for argv in (["solve", str(inst_path), "--bogus", "x"], ["solve"],
+                 ["compare-bounds", str(tmp_path), "--lp-cmd", "x"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err
+    assert main(["solve", "--help"]) == 0
+    assert "usage: drsync solve" in capsys.readouterr().out
 
 
 def test_internal_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
@@ -141,19 +152,29 @@ def test_ablation_consistency(tmp_path):
 
 
 def test_compare_bounds(tmp_path):
+    # six lines that share no stop: the components' own bounds sum to more
+    # than the whole instance's lb, so its dLB exceeds lb whatever DBI refutes
+    split, _ = generate_synthetic(GeneratorConfig(
+        n_lines=6, rides_per_line=4, segments_per_ride=4), 7)
     suite = make_suite(tmp_path, [
         ("lb1dom", dominance_lb1_fixture()),
         ("lb2dom", dominance_lb2_fixture()),
         ("gap2", gap_fixture(2)),
+        ("split", split),
     ])
-    cmd_compare_bounds(suite, str(tmp_path / "cb"), DbmhConfig())
+    cmd_compare_bounds(suite, str(tmp_path / "cb"), DbmhConfig(eta_lb=1))
     rows = (tmp_path / "cb" / "bounds.csv").read_text().splitlines()
     header, data = rows[0].split(","), [r.split(",") for r in rows[1:]]
+    assert header == ["instance", "size_class", "lb1", "lb2", "lb3", "lb", "dlb"]
     col = {name: i for i, name in enumerate(header)}
+    lb_dlb = {}
     for r in data:
         lb1, lb2, lb3, lb, dlb = (int(r[col[c]]) for c in ("lb1", "lb2", "lb3", "lb", "dlb"))
         assert lb == max(lb1, lb2, lb3)
         assert dlb >= lb
+        lb_dlb[r[col["instance"]]] = (lb, dlb)
+    lb, dlb = lb_dlb["split"]
+    assert dlb > lb
     summary = dict(r.split(",") for r in
                    (tmp_path / "cb" / "bounds_summary.csv").read_text().splitlines()[1:])
     assert float(summary["share_lb1_dominates_pct"]) > 0

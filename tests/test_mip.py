@@ -9,12 +9,9 @@ from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import POLICY_NONE, Instance, LegalParams, Ride, check_instance
 from drsync.mip import (
-    AssignmentError,
     SolveOutcome,
     SolverConfig,
     build_model,
-    export_model,
-    extract_solution,
     restrict,
     solve,
 )
@@ -33,8 +30,6 @@ def model_for(inst):
 def test_build_model_fig2(fig2):
     m = model_for(fig2)
     assert m.driver_count == 1          # UB from one 60-minute leg
-    assert m.n_binary() == 1 * 22
-    assert m.n_continuous() == 1 * 7
 
 
 def test_restrict_copies(fig2):
@@ -133,71 +128,6 @@ def test_empty_instance():
     assert out.best_solution.objective == 0
 
 
-def test_export_deterministic(tmp_path, fig2):
-    m = model_for(fig2)
-    p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
-    export_model(m, str(p1))
-    export_model(m, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    assert text.splitlines()[-1] == "End"
-    # K * |A| binaries and K * |V| continuous bounds
-    binaries = [t for line in text.split("Binaries")[1].splitlines()
-                for t in line.split() if t.startswith("x_")]
-    assert len(binaries) == m.n_binary()
-    bounds_lines = [l for l in text.split("Bounds")[1].split("Binaries")[0].splitlines()
-                    if l.strip()]
-    assert len(bounds_lines) == m.n_continuous()
-    assert "min_total_activation" in text
-    assert "cover_r1_0" in text
-
-
-def test_export_empty_model(tmp_path):
-    inst = Instance(rides=(), stops=(), theta_tw=10, zeta=0, ell=10)
-    m = model_for(inst)
-    path = tmp_path / "empty.lp"
-    export_model(m, str(path))
-    text = path.read_text()
-    assert text.splitlines()[0].startswith("\\")
-    assert "Minimize" in text and text.strip().endswith("End")
-
-
-def test_export_restricted_has_cap_row(tmp_path, fig2):
-    m = restrict(model_for(fig2), 1)
-    path = tmp_path / "cap.lp"
-    export_model(m, str(path))
-    assert "cap_total_activation" in path.read_text()
-
-
-def test_extract_solution_direct_and_station(fig2):
-    m = model_for(fig2)
-    g = m.graph
-    by_view = {}
-    for a in g.arcs:
-        if a.family == "steering":
-            key = (g.nodes[a.tail].base, g.nodes[a.tail].time,
-                   g.nodes[a.head].base, g.nodes[a.head].time)
-            by_view[key] = a.id
-    src = {n: a for n, a in g.depot_out.items()}
-    snk = {n: a for n, a in g.depot_in.items()}
-
-    def route_from(arcs):
-        first, last = g.arcs[arcs[0]], g.arcs[arcs[-1]]
-        return [(0, src[first.tail])] + [(0, a) for a in arcs] + [(0, snk[last.head])]
-
-    via = route_from([by_view[("i", 475, "s", 505)], by_view[("s", 505, "j", 545)]])
-    sol = extract_solution(m, set(via))
-    assert sol.plan["r1"].stations == ("s",)
-    direct = route_from([by_view[("i", 475, "j", 535)]])
-    sol2 = extract_solution(m, set(direct))
-    assert sol2.plan["r1"].stations == (None,)
-
-    # an idle driver covers nothing: the segment is named in the error
-    node = g.arcs[by_view[("i", 475, "j", 535)]].tail
-    with pytest.raises(AssignmentError, match="segment"):
-        extract_solution(m, {(0, src[node]), (0, snk[node])})
-
-
 def test_solver_matches_oracle_and_symmetry(fig2, sequential_pair, parallel_triplet):
     for inst in (fig2, sequential_pair, parallel_triplet):
         m = model_for(inst)
@@ -232,33 +162,6 @@ def test_released_crew_carries_its_deadhead_run_into_the_next_hop():
     assert out.best_solution.objective == 2 == brute_force(inst).optimum
     assert check_feasibility(out.best_solution, inst, m.graph) == []
 
-
-def test_export_well_formed_with_chain_binaries(tmp_path, sequential_pair):
-    # the hour-long gaps at Q create waiting chains >= t_b: z variables appear
-    m = model_for(sequential_pair)
-    path = tmp_path / "chain.lp"
-    export_model(m, str(path))
-    text = path.read_text()
-    head, _, tail = text.partition("Bounds")
-    bounds_sec, _, bin_sec = tail.partition("Binaries")
-    declared = set()
-    for line in bin_sec.replace("End", "").split():
-        declared.add(line.strip())
-    for line in bounds_sec.splitlines():
-        toks = line.split()
-        if len(toks) == 5:          # 0 <= name <= cap
-            declared.add(toks[2])
-    assert any(v.startswith("z_") for v in declared)
-    referenced = set()
-    for line in head.splitlines():
-        for tok in line.split():
-            if tok[0] in "xrz" and "_" in tok and not tok.endswith(":"):
-                referenced.add(tok)
-    missing = referenced - declared
-    assert not missing, f"undeclared variables: {sorted(missing)[:5]}"
-
-
-# -- the iterative search --------------------------------------------------
 
 def _cap_model(inst, extra):
     """P(max(lb1, lb2) + extra) with its floor at the cap, as DBI builds it.

@@ -28,7 +28,6 @@ from drsync.search import (
     operator_remove_stop,
     _op_rng,
     perturbed_select,
-    theta,
 )
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.solution import (
@@ -124,12 +123,6 @@ def test_ch_deadhead_rule_rides_to_terminal():
     deadheads = [a for route in sol.routes for a in route
                  if g.arcs[a].family == "deadhead"]
     assert deadheads
-
-
-def test_theta_helper(sequential_pair):
-    g = build_graph(sequential_pair)
-    sol = construct(sequential_pair, g)
-    assert theta(sol) == sol.theta()
 
 
 def test_reassign_merges_drivers(sequential_pair):
