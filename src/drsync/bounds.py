@@ -49,20 +49,36 @@ dep_{k+1} + h]`` and ``d`` for its direct drive time.
    t need that many distinct drivers steering at t: the window ``[t, t]``
    with need ``level(t)``. Its maximum over t is lb2.
 4. *Disjoint drivers.* A driver's working span (first to last minute of
-   the route) is at most ``t_dw`` and contains every minute it steers. A
-   driver who steers inside ``[a1, b1]`` and inside ``[a2, b2]`` with
+   the route) is at most ``t_dw`` and contains every minute it steers or
+   rides. A driver who serves ``[a1, b1]`` and ``[a2, b2]`` with
    ``a2 - b1 > t_dw`` would have a longer span, so windows more than
    ``t_dw`` apart are served by disjoint sets of drivers, and their needs
    add up.
+5. *Whole crews (policy ``none`` only).* Under ``none``,
+   ``check_feasibility`` makes every driver who touches ride r, steering or
+   riding along, cover all of its segments, so each is aboard from r's
+   first departure to its last. That stretch lasts at most ``W_r``, the
+   last stop's latest departure minus the first stop's earliest, so each
+   crew member steers at most ``cap(W_r)`` of r's at least ``D_r``
+   minutes (its total direct drive time). Ride r therefore has a crew of
+   at least ``c_r = max(1, ceil(D_r / cap(W_r)))`` drivers, all aboard r
+   at every minute it is mandatorily underway. One driver is aboard one
+   bus at a time, so the crews of the rides underway at t are disjoint,
+   and the instant ``[t, t]`` needs the sum of their ``c_r``. Step 4
+   applies unchanged, since every crew member's span contains t. lb2
+   stays the plain count.
 
 lb3 is the largest sum of needs over a chain of windows whose gaps exceed
 ``t_dw``, found by a dynamic program over windows that start at a leg's
 ``s`` and end at a leg's ``e`` (every such window, whatever its length),
-plus the instant windows at the times where ``level`` changes. The
-whole-horizon window alone gives at least lb1 and the best instant alone
-gives lb2. Nothing in the argument depends on the exchange policy: the
-``none`` policy only forbids some handovers, so its optima can only be
-larger.
+plus the instant windows at the first and the last minute of each span
+over which the (crew-weighted) level stays constant. Every window is
+valid on its own, so this choice sets only how tight lb3 is: a span's
+other minutes have the same need, its first minute is the best one to
+follow an earlier window and its last the best one to precede a later
+window. The whole-horizon window alone gives at least lb1 and the best
+instant alone gives lb2. Steps 1-4 hold under every exchange policy;
+step 5 needs ``none``, and the other policies count each ride once.
 
 The program runs over window starts in time order. For a start a it
 sweeps the window ends with the running slope of ``m(a, .)``, which rises
@@ -153,16 +169,21 @@ def lower_bound_steering(instance: Instance) -> int:
     return chunk_count(total, instance.legal.t_ds)
 
 
-def _underway_levels(instance: Instance) -> list[tuple[int, int]]:
-    """(minute, rides mandatorily underway from it on) wherever that count changes."""
+def _underway_levels(instance: Instance,
+                     weights: dict[str, int] | None = None) -> list[tuple[int, int]]:
+    """(minute, rides mandatorily underway from it on) wherever that count changes.
+
+    ``weights``, if given, counts each ride that many times (by ride id) instead of once.
+    """
     half = instance.theta_tw // 2
     events: list[tuple[int, int]] = []
     for ride in instance.rides:
         start = ride.departures[0] + half       # latest possible pickup departure
         end = ride.departures[-1] - half        # earliest possible completion
         if end > start:
-            events.append((start, 1))
-            events.append((end, -1))
+            w = 1 if weights is None else weights[ride.id]
+            events.append((start, w))
+            events.append((end, -w))
     events.sort()
     levels: list[tuple[int, int]] = []
     level = 0
@@ -201,6 +222,12 @@ def _cap_table(legal: LegalParams) -> tuple[int, ...]:
     return tuple(caps)
 
 
+def _min_crew(ride, half: int, legal: LegalParams) -> int:
+    """Fewest drivers who can steer a ride that each of them rides end to end (step 5)."""
+    longest = ride.departures[-1] - ride.departures[0] + 2 * half
+    return max(1, chunk_count(sum(ride.segment_minutes), _cap(legal, longest)))
+
+
 def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
     """lb3 and a chain of windows that attains it (see the module docstring)."""
     legal = instance.legal
@@ -223,7 +250,15 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
     caps = _cap_table(legal)
     n_caps, t_ds, t_dw = len(caps), legal.t_ds, legal.t_dw
 
-    peaks = {t: level for t, level in _underway_levels(instance) if level > 0}
+    crews = None
+    if instance.exchange_policy == POLICY_NONE:
+        crews = {ride.id: _min_crew(ride, half, legal) for ride in instance.rides}
+    levels = _underway_levels(instance, crews)
+    # instant windows at the first and the last minute of each level's span
+    peaks = {}
+    for (t, level), (t_next, _next) in zip(levels, levels[1:]):
+        if level > 0:
+            peaks[t] = peaks[t_next - 1] = level
     leg_starts = {s for s, _d, _e in legs}
     leg_ends = {e for _s, _d, e in legs}
     ends = sorted(leg_ends.union(peaks))

@@ -90,6 +90,9 @@ class RunReport:
     # per component DBI and the B&B worked on: rides, dlb, objective and the
     # stage that closed it (ch_ls, dbi, mip) or "open"
     parts: list[dict] = field(default_factory=list)
+    # the whole instance's constructive bounds, which of them set clb (the
+    # first to reach it) and the size of the time graph
+    bounds: dict = field(default_factory=dict)
 
     @property
     def gap(self) -> float:
@@ -121,6 +124,7 @@ class RunReport:
             "incumbent_log": [[round(t, 6), f] for t, f in self.incumbent_log],
             "bb_nodes": self.bb_nodes,
             "parts": self.parts,
+            "bounds": self.bounds,
         }
 
 
@@ -254,6 +258,13 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     model = build_model(instance, graph, bounds)
     clock("prep", t)
     clb = bounds.lb
+    bound_values = {"lb1": bounds.lb1, "lb2": bounds.lb2, "lb3": bounds.lb3}
+    bound_info = {
+        **bound_values,
+        "clb_set_by": next(k for k, v in bound_values.items() if v == clb),
+        "graph_nodes": len(graph.nodes),
+        "graph_arcs": len(graph.arcs),
+    }
 
     best: Solution | None = None
     found_by: str | None = None
@@ -293,6 +304,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             clb=clb, dlb=dlb, phase_timings=timings, found_by=found_by,
             incumbent_log=log, solution=best, instance_id=instance_id,
             seed=config.seed, bb_nodes=bb_nodes, parts=[p.report() for p in parts],
+            bounds=bound_info,
         )
 
     if best is not None and best.objective == clb:

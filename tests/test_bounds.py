@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from drsync.fixtures import (
     MICRO_LIMIT_RIDES,
     dominance_lb1_fixture,
     dominance_lb2_fixture,
+    micro_suite,
 )
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import POLICIES, Instance, LegalParams, Ride, check_instance
@@ -166,7 +168,7 @@ def _shape(cfg, policy, legal):
 
 
 def _naive_lb3(inst):
-    """lb3 by listing every window and chaining them pairwise (small instances only)."""
+    """lb3 by listing every window and every instant of the horizon (small instances only)."""
     legal, half = inst.legal, inst.theta_tw // 2
     legs = [(r.departures[k] - half, r.departures[k + 1] + half, d)
             for r in inst.rides for k, d in enumerate(r.segment_minutes)]
@@ -184,33 +186,42 @@ def _naive_lb3(inst):
                 minutes = sum(max(0, min(d, e - s) - max(0, a - s) - max(0, e - b))
                               for s, e, d in legs)
                 windows.append((a, b, -(-minutes // cap(b - a))))
-    level = 0
-    for t, delta in sorted((r.departures[i] + sign * half, sign)
-                           for r in inst.rides for i, sign in ((0, 1), (-1, -1))
-                           if r.departures[-1] - r.departures[0] > 2 * half):
-        level += delta
-        windows.append((t, t, level))
-    windows.sort(key=lambda w: w[1])
-    best = []
-    for a, b, need in windows:
-        best.append(need + max([v for (_a, b2, _n), v in zip(windows, best)
-                                if a - b2 > legal.t_dw], default=0))
     first = min(s for s, _e, _d in legs)
     last = max(e for _s, e, _d in legs)
+    # (latest start, earliest end, crew) of each ride: its whole crew rides
+    # along under "none", so it counts as many drivers as it needs at least
+    underway = []
+    for r in inst.rides:
+        crew = 1
+        if inst.exchange_policy == "none":
+            span = r.departures[-1] - r.departures[0] + 2 * half
+            crew = max(1, -(-sum(r.segment_minutes) // cap(span)))
+        underway.append((r.departures[0] + half, r.departures[-1] - half, crew))
+    for t in range(first, last + 1):
+        level = sum(crew for start, end, crew in underway if start <= t < end)
+        if level:
+            windows.append((t, t, level))
+    windows.sort(key=lambda w: w[1])
+    ends = [b for _a, b, _n in windows]
+    best = [0]          # best[i]: best chain over windows[:i]
+    for a, b, need in windows:
+        before = bisect_left(ends, a - legal.t_dw)
+        best.append(max(best[-1], need + best[before]))
     total = sum(d for _s, _e, d in legs)
-    return max(max(best), -(-total // cap(last - first)))
+    return max(best[-1], -(-total // cap(last - first)))
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
 def test_lb3_sweep_matches_naive_windows(shape):
-    for seed in range(8):
-        inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
-        assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
-    for cfg in MICRO_SHAPES:
-        for seed in range(6):
-            for legal in (LegalParams(), TIGHT):
-                inst = generate_synthetic(_shape(cfg, cfg.exchange_policy, legal), seed)[0]
-                assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
+    for policy in POLICIES:
+        for seed in range(8):
+            inst = generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+            assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
+        for cfg in MICRO_SHAPES:
+            for seed in range(6):
+                for legal in (LegalParams(), TIGHT):
+                    inst = generate_synthetic(_shape(cfg, policy, legal), seed)[0]
+                    assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -267,3 +278,40 @@ def test_lb3_hand_built_windows():
     # the day-two ride is underway from 1925 on; that instant binds first
     assert rep.busiest_interval == ((475, 885, 2), (1925, 1925, 1))
     assert brute_force(inst).optimum == 3
+
+
+def test_lb3_span_ends_chain_rides_a_working_span_apart():
+    # two 100-minute rides on separate lines: their starts and their leg
+    # windows lie less than a working span (780) apart, but the first
+    # ride's earliest mandatory minute (485) and the second's latest (1274)
+    # lie 789 apart. Only the instant at the end of the second ride's span
+    # chains the two; at change points alone lb3 was 1.
+    inst = build(chain_ride("a", [100], start=480),
+                 chain_ride("b", [100], start=1180, line="M"))
+    rep = compute_bounds(inst)
+    assert (rep.lb1, rep.lb2, rep.lb3) == (1, 1, 2)
+    assert rep.busiest_interval == ((485, 485, 1), (1274, 1274, 1))
+    assert brute_force(inst).optimum == 2
+
+
+def test_lb3_counts_whole_crews_under_no_exchange():
+    # under "none" every crew member rides the whole ride, so an instant
+    # counts each ride underway by its minimum crew; lb2 stays the plain count
+    inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)[0]
+    rep = compute_bounds(inst)
+    assert (rep.lb1, rep.lb2, rep.lb3) == (2, 2, 5)
+    assert rep.busiest_interval == ((365, 365, 3), (1156, 1156, 2))
+    handover = compute_bounds(replace(inst, exchange_policy="regular_stops"))
+    assert (handover.lb2, handover.lb3) == (2, 3)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lb_never_exceeds_the_oracle_on_the_micro_suite(policy):
+    checked = 0
+    for name, inst in micro_suite(300):
+        inst = check_instance(replace(inst, exchange_policy=policy))
+        res = brute_force(inst)
+        if res.optimum is not None:
+            assert compute_bounds(inst).lb <= res.optimum, name
+            checked += 1
+    assert checked >= 290

@@ -70,6 +70,17 @@ def test_cmd_solve_exit_codes(tmp_path, capsys, sequential_pair):
     assert "usage: drsync solve" in capsys.readouterr().out
 
 
+def test_cmd_solve_writes_the_bounds_to_the_sidecar_only(tmp_path, sequential_pair):
+    inst_path = tmp_path / "inst.json"
+    save_instance(sequential_pair, str(inst_path))
+    out = tmp_path / "out"
+    assert main(["solve", str(inst_path), "--out", str(out)]) == 0
+    timings = json.loads((out / "report_timings.json").read_text())
+    assert set(timings["bounds"]) == {"lb1", "lb2", "lb3", "clb_set_by",
+                                      "graph_nodes", "graph_arcs"}
+    assert "bounds" not in json.loads((out / "report.json").read_text())
+
+
 def test_internal_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                 sequential_pair):
     def failing_run(*args, **kwargs):

@@ -106,6 +106,29 @@ def test_report_serialization_deterministic(sequential_pair):
     assert "phase_timings" in t
 
 
+def test_timings_carry_the_constructive_bounds(sequential_pair):
+    # every bound reaches clb on the pair, so the first one is named; on the
+    # no-exchange instance only the crew-weighted instants of lb3 reach it
+    none_1 = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)[0]
+    for inst, values in ((sequential_pair, (1, 1, 1, "lb1")), (none_1, (2, 2, 5, "lb3"))):
+        rep = run(inst, DbmhConfig())
+        g = build_graph(inst)
+        assert rep.timings_dict()["bounds"] == dict(
+            zip(("lb1", "lb2", "lb3", "clb_set_by"), values),
+            graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
+        assert "bounds" not in rep.to_dict(include_timings=True)
+
+
+def test_no_exchange_library_closes_at_the_constructive_bound():
+    # the exact benchmark's "none" shape: whole crews lift lb3 to the CH+LS
+    # objective, so neither DBI nor the B&B runs
+    for seed in range(4):
+        inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), seed)[0]
+        rep = run(inst, DbmhConfig(global_limit=5, eta_lb=5, eta_ls=5))
+        assert (rep.status, rep.found_by, rep.bb_nodes) == ("optimal", "ch_ls", {}), seed
+        assert rep.clb == rep.objective
+
+
 def test_ablation_never_beats_full_pipeline():
     from drsync.harness import ABLATION_VARIANTS
     for inst in (gap_fixture(2), postpone_fixture()):
@@ -210,7 +233,8 @@ def test_split_matches_the_joint_solve(monkeypatch, flags):
     split_runs = 0
     for shape in ((2, 2, 2), (3, 1, 2), (2, 2, 3)):
         for policy in ("regular_and_intermediate", "regular_stops", "none"):
-            for seed in range(10):
+            # seeds up to 11: with CH, lb3 closes most of these before the split
+            for seed in range(12):
                 inst = generate_synthetic(
                     GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
                 rep = run(inst, cfg)
