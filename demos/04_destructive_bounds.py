@@ -1,7 +1,10 @@
 """Destructive bound improvement, step by step.
 
 The constructive bounds say one driver might cover the gap fixture's
-rides; in truth every ride strands its driver. Capping the total driver
+rides; in truth every ride strands its driver. In the hub variant all
+rides leave one shared stop, so the instance does not split into one
+component per ride, which would close at its bound of one driver by
+construction alone. Capping the total driver
 activations and refuting the capped problems raises the bound until a
 feasible capped solution appears, which is then optimal by construction.
 """
@@ -20,7 +23,7 @@ from drsync import (
 from drsync.fixtures import gap_fixture
 from drsync.mip import SolverConfig
 
-instance = gap_fixture(3)
+instance = gap_fixture(3, hub=True)
 graph = build_graph(instance)
 bounds = compute_bounds(instance)
 model = build_model(instance, graph, bounds)

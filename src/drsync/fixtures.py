@@ -47,20 +47,22 @@ def station_exchange_fixture() -> Instance:
     ))
 
 
-def gap_fixture(n_rides: int = 2) -> Instance:
+def gap_fixture(n_rides: int = 2, hub: bool = False) -> Instance:
     """Sequential but unchainable rides: constructive bounds say 1 driver.
 
     The rides never overlap (parallel bound 1) and total steering is far
     below a day (steering bound 1), yet each ride strands its driver at an
-    isolated stop, so the optimum is n_rides. Only refuting the capped
-    problems proves it.
+    isolated stop, so the optimum is n_rides. Each ride is its own
+    component, whose bound of 1 is its optimum. With `hub`, every ride
+    leaves one shared stop P instead, so the instance does not split and
+    only refuting the capped problems proves the optimum.
     """
     rides = []
-    stops: list[Stop] = []
+    stops: list[Stop] = list(_customer("P")) if hub else []
     start = 480
     for i in range(n_rides):
-        a, b = f"P{i}", f"Q{i}"
-        stops.extend(_customer(a, b))
+        a, b = ("P" if hub else f"P{i}"), f"Q{i}"
+        stops.extend(_customer(b) if hub else _customer(a, b))
         rides.append(Ride(f"g{i}", f"L{i}", (a, b), (start, start + 120), (120,), ((),)))
         start += 180
     return check_instance(Instance(

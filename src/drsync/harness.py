@@ -19,6 +19,7 @@ from .generator import GeneratorConfig, generate_synthetic
 from .instance import (
     Instance,
     InstanceError,
+    decompose,
     load_instance,
     save_instance,
     split_by_line,
@@ -365,6 +366,12 @@ def cmd_sweep(suite_dir: str, out_dir: str, base: DbmhConfig, axis: str,
                         status = rep.status
                         total = None
                         break
+                if value == "line" and total is not None and any(
+                        len({r.line_id for r in comp.rides}) > 1 for comp in decompose(inst)):
+                    # lines that share a stop or station are not independent:
+                    # their bounds do not add up, only the whole instance's holds
+                    lbsum = compute_bounds(inst).lb
+                    status = "optimal" if total == lbsum else "feasible"
                 rows.append([iid, axis, value, status, _fmt(total),
                              lbsum if total is not None else "", len(parts)])
                 timing_rows.append([iid, axis, value, _fmt(elapsed)])

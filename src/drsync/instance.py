@@ -114,19 +114,6 @@ class Instance:
         return TimeWindow(departure - half, departure + half)
 
 
-def derive_time_windows(ride: Ride, theta_tw: int) -> list[TimeWindow]:
-    """Window per customer stop: scheduled departure plus/minus half the width."""
-    half = theta_tw // 2
-    windows = []
-    for tau in ride.departures:
-        if tau - half < 0:
-            raise InstanceValidationError(
-                [f"ride {ride.id}: window underflows start of day (departure {tau}, width {theta_tw})"]
-            )
-        windows.append(TimeWindow(tau - half, tau + half))
-    return windows
-
-
 def validate_instance(inst: Instance) -> list[str]:
     """Return every violated invariant (empty list when valid)."""
     bad: list[str] = []

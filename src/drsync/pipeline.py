@@ -7,16 +7,20 @@ one exact solve for the rest of the budget, seeded with the best incumbent,
 that runs local search on every new incumbent it finds. Each stage can be
 toggled off for component studies.
 
-Before the two exact stages the instance is split into its independent
-components (``instance.decompose``): groups of rides that share no stop or
-station, which no driver can move between. Each component gets its own
-constructive bounds and model over the one time graph, and its share of
-the incumbent. DBI and then the exact solve run on each open component in
-turn, each with an equal share of the stage's time left, so time one
-leaves unused rolls on to the next. The run's solution joins the
-components' routes and plans, and dLB is the larger of the whole
-instance's constructive bound and the sum of the components' dLBs. An
-instance that does not split runs as one component: the whole instance.
+Right after the whole instance's graph and constructive bounds, the
+instance is split into its independent components (``instance.decompose``):
+groups of rides that share no stop or station, which no driver can move
+between. Every stage works on each component in turn over the one time
+graph: construction, then local search, DBI and the exact solve, each with
+an equal share of the stage's time left, so time one leaves unused rolls on
+to the next. The run's solution joins the components' routes and plans. If
+it meets the whole instance's constructive bound the run stops there;
+otherwise each component gets its own constructive bounds (and, if DBI
+or the exact solve will run, its model), and one whose incumbent meets its
+bound is closed. dLB is the larger of the whole instance's constructive
+bound and the sum of the components' dLBs.
+An instance that does not split runs as one component: the whole instance,
+its bounds and its model.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .bounds import BoundReport, compute_bounds
+from .bounds import compute_bounds
 from .instance import Instance, check_instance, decompose
 from .mip import Model, SolverConfig, build_model, restrict, solve
 from .search import (
@@ -34,7 +38,7 @@ from .search import (
     local_search,
 )
 from .solution import Solution
-from .timegraph import FAMILY_STEERING, TimeGraph, build_graph
+from .timegraph import TimeGraph, build_graph
 
 FOUND_CH_LS = "ch_ls"
 FOUND_CALLBACK = "ls_callback"
@@ -167,9 +171,9 @@ class _Part:
     """One independent component of the instance and its share of the run."""
 
     instance: Instance
-    model: Model
-    best: Solution | None
-    lb: int                    # its constructive bound, raised by DBI
+    best: Solution | None = None
+    model: Model | None = None  # built only for DBI and the B&B
+    lb: int = 0                # its constructive bound, raised by DBI
     closed: str | None = None  # the stage that proved `best` optimal
 
     def report(self) -> dict:
@@ -179,37 +183,6 @@ class _Part:
             "objective": self.best.objective if self.best is not None else None,
             "closed": self.closed or "open",
         }
-
-
-def _split(instance: Instance, graph: TimeGraph, bounds: BoundReport, model: Model,
-           best: Solution | None) -> list[_Part]:
-    """The components of `instance` (see ``decompose``), each with its share of `best`.
-
-    A component's share is the routes whose steering arcs serve its rides,
-    plus its rides' plans. An instance that does not split is one part made
-    of the whole run's own instance, model and incumbent.
-    """
-    components = decompose(instance)
-    if len(components) <= 1:
-        return [_Part(instance, model, best, bounds.lb)]
-    part_of = {r.id: i for i, comp in enumerate(components) for r in comp.rides}
-    routes: list[list[tuple[int, ...]]] = [[] for _ in components]
-    if best is not None:
-        for route in best.routes:
-            ride = next(graph.arcs[a].ride for a in route
-                        if graph.arcs[a].family == FAMILY_STEERING)
-            routes[part_of[ride]].append(route)
-    parts = []
-    for comp, comp_routes in zip(components, routes):
-        comp_bounds = compute_bounds(comp)
-        share = None
-        if best is not None:
-            share = Solution(graph, comp_routes, {r.id: best.plan[r.id] for r in comp.rides})
-        part = _Part(comp, build_model(comp, graph, comp_bounds), share, comp_bounds.lb)
-        if share is not None and share.objective == part.lb:
-            part.closed = FOUND_CH_LS
-        parts.append(part)
-    return parts
 
 
 def _join(graph: TimeGraph, parts: list[_Part]) -> Solution | None:
@@ -255,7 +228,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     instance = check_instance(instance)
     graph = build_graph(instance)
     bounds = compute_bounds(instance)
-    model = build_model(instance, graph, bounds)
+    components = decompose(instance)
     clock("prep", t)
     clb = bounds.lb
     bound_values = {"lb1": bounds.lb1, "lb2": bounds.lb2, "lb3": bounds.lb3}
@@ -266,25 +239,33 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         "graph_arcs": len(graph.arcs),
     }
 
+    # an instance that does not split is one part: the whole instance
+    split = len(components) > 1
+    parts = [_Part(c) for c in components] if split else [_Part(instance)]
     best: Solution | None = None
     found_by: str | None = None
-    parts: list[_Part] = []     # the components DBI and the B&B work on
+    bounded = False     # the parts are bounded, and reported, past the whole clb
 
     if config.use_ch:
         t = _time.monotonic()
-        try:
-            best = construct(instance, graph)
+        for part in parts:
+            try:
+                part.best = construct(part.instance, graph)
+            except ConstructionError:
+                pass
+        best = _join(graph, parts)
+        if best is not None:
             found_by = FOUND_CH_LS
             log.append((_time.monotonic() - t0, best.objective))
-        except ConstructionError:
-            best = None
         clock("ch", t)
 
     if best is not None and config.use_ls:
         t = _time.monotonic()
-        ls_budget = max(remaining(), 0.01)
-        cfg = replace(config.search, deadline=ls_budget, seed=config.seed)
-        improved = local_search(best, instance, graph, cfg)
+        ls_end = max(deadline, t + 0.01)    # local search gets at least 0.01 s
+        for part, share in _shares(parts, ls_end):
+            cfg = replace(config.search, deadline=share, seed=config.seed)
+            part.best = local_search(part.best, part.instance, graph, cfg)
+        improved = _join(graph, parts)
         if improved.objective < best.objective:
             log.append((_time.monotonic() - t0, improved.objective))
         best = improved
@@ -303,17 +284,27 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             final_lb=objective if status == "optimal" else proven,
             clb=clb, dlb=dlb, phase_timings=timings, found_by=found_by,
             incumbent_log=log, solution=best, instance_id=instance_id,
-            seed=config.seed, bb_nodes=bb_nodes, parts=[p.report() for p in parts],
+            seed=config.seed, bb_nodes=bb_nodes,
+            parts=[p.report() for p in parts] if bounded else [],
             bounds=bound_info,
         )
 
     if best is not None and best.objective == clb:
         return finish("optimal")
 
-    if (config.use_dbi or config.use_mip) and remaining() > 0:
-        t = _time.monotonic()
-        parts = _split(instance, graph, bounds, model, best)
-        clock("prep", t)
+    t = _time.monotonic()
+    bounded = True
+    modelled = (config.use_dbi or config.use_mip) and remaining() > 0
+    for part in parts:
+        part_bounds = compute_bounds(part.instance) if split else bounds
+        part.lb = part_bounds.lb
+        if modelled:
+            part.model = build_model(part.instance, graph, part_bounds)
+        if part.best is not None and part.best.objective == part.lb:
+            part.closed = FOUND_CH_LS
+    clock("prep", t)
+    if all(p.closed for p in parts):
+        return finish("optimal")
 
     if config.use_dbi and remaining() > 0:
         t = _time.monotonic()
@@ -342,7 +333,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             # optimality was established here, whichever object carries it
             found_by = FOUND_DBI
 
-    if parts and all(p.closed for p in parts):
+    if all(p.closed for p in parts):
         return finish("optimal")
 
     if config.use_mip and remaining() > 0:

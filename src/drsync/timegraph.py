@@ -67,8 +67,6 @@ class TimeGraph:
         self.copies: dict[str, list[int]] = {}
         self.source: int = -1
         self.sink: int = -1
-        self.out_of: list[list[int]] = []
-        self.into: list[list[int]] = []
         # steering arc ids per (ride, segment), split by leg
         self.seg_direct: dict[tuple[str, int], list[int]] = {}
         self.seg_in: dict[tuple[str, int, str], list[int]] = {}
@@ -87,19 +85,6 @@ class TimeGraph:
             self.node_at[(base, time)] = nid
             self.copies.setdefault(base, []).append(nid)
         return nid
-
-    def node_time(self, nid: int) -> int | None:
-        return self.nodes[nid].time
-
-    def t_map(self, base: str) -> list[int]:
-        """Timed copies of a base node; the depot maps to [source, sink]."""
-        if base == DEPOT:
-            return [self.source, self.sink]
-        if base in self.copies:
-            return self.copies[base]
-        if any(s.id == base for s in self.instance.stops):
-            return []   # known stop that earned no copies (e.g. unusable station)
-        raise KeyError(f"unknown base node {base!r}")
 
 
 def expand_nodes(instance: Instance) -> TimeGraph:
@@ -208,12 +193,6 @@ def build_arcs(graph: TimeGraph) -> None:
         graph.depot_out[node.id] = add(graph.source, node.id, 0, FAMILY_DEPOT, 0, 0)
         graph.depot_in[node.id] = add(node.id, graph.sink, 0, FAMILY_DEPOT, 0, 0)
 
-    graph.out_of = [[] for _ in graph.nodes]
-    graph.into = [[] for _ in graph.nodes]
-    for arc in graph.arcs:
-        graph.out_of[arc.tail].append(arc.id)
-        graph.into[arc.head].append(arc.id)
-
 
 def build_graph(instance: Instance) -> TimeGraph:
     """Filter stations by detour limit, expand nodes, and wire all arc families."""
@@ -223,39 +202,8 @@ def build_graph(instance: Instance) -> TimeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Cut sets and stats
+# Stats
 # ---------------------------------------------------------------------------
-
-CUT_KINDS = ("out", "in", "out_steering", "in_steering")
-
-
-def cut(graph: TimeGraph, base: str, kind: str) -> list[int]:
-    """Arc ids crossing the boundary of a base node's copy set."""
-    if kind not in CUT_KINDS:
-        raise ValueError(f"unknown cut kind {kind!r}")
-    members = set(graph.t_map(base))
-    out = []
-    steering_only = kind.endswith("steering")
-    if kind.startswith("out"):
-        for nid in members:
-            for aid in graph.out_of[nid]:
-                arc = graph.arcs[aid]
-                if arc.head in members:
-                    continue
-                if steering_only and arc.mode != 1:
-                    continue
-                out.append(aid)
-    else:
-        for nid in members:
-            for aid in graph.into[nid]:
-                arc = graph.arcs[aid]
-                if arc.tail in members:
-                    continue
-                if steering_only and arc.mode != 1:
-                    continue
-                out.append(aid)
-    return sorted(out)
-
 
 SIZE_SMALL = "small"
 SIZE_MEDIUM = "medium"

@@ -89,11 +89,12 @@ def test_criterion_3_destructive_improvement():
     closed = []
     ratios = []
     for k in (2, 3, 4):
-        inst = gap_fixture(k)
+        inst = gap_fixture(k, hub=True)     # one component: no split closes it
         res = brute_force(inst)
         rep = run(inst, DbmhConfig(seed=0))
         clb = rep.clb
-        closed.append(rep.status == "optimal" and rep.dlb == res.optimum == k)
+        closed.append(rep.status == "optimal" and rep.dlb == res.optimum == k
+                      and bool(rep.bb_nodes["dbi_caps"]))
         ratios.append(rep.dlb / clb)
     report("criterion 3: gap family closed by destructive improvement",
            all(closed) and max(ratios) >= 1.2,

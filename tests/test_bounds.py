@@ -211,13 +211,18 @@ def _naive_lb3(inst):
     return max(best[-1], -(-total // cap(last - first)))
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
+SWEEP_SHAPES = [(2, 2, 2), (2, 2, 4), (3, 2, 3), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES)
 def test_lb3_sweep_matches_naive_windows(shape):
+    # the micro shapes are dealt out over the parameters: each instance once
+    micro_shapes = MICRO_SHAPES[SWEEP_SHAPES.index(shape)::len(SWEEP_SHAPES)]
     for policy in POLICIES:
         for seed in range(8):
             inst = generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
             assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
-        for cfg in MICRO_SHAPES:
+        for cfg in micro_shapes:
             for seed in range(6):
                 for legal in (LegalParams(), TIGHT):
                     inst = generate_synthetic(_shape(cfg, policy, legal), seed)[0]

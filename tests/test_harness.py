@@ -2,6 +2,7 @@ import json
 import os
 
 from drsync import cli
+from drsync.bounds import compute_bounds
 from drsync.cli import main
 from drsync.fixtures import (
     dominance_lb1_fixture,
@@ -20,6 +21,7 @@ from drsync.harness import (
     config_to_dict,
 )
 from drsync.instance import Instance, Ride, check_instance, save_instance
+from drsync.oracle import brute_force
 from drsync.pipeline import DbmhConfig
 
 from conftest import customer_stops
@@ -220,6 +222,24 @@ def test_sweep_decomposition(tmp_path, parallel_triplet):
     assert got["line"][0] == "optimal" and got["whole"][0] == "optimal"
     assert int(got["line"][1]) >= int(got["whole"][1])
     assert int(got["line"][2]) == 3
+
+
+def test_sweep_decomposition_of_coupled_lines(tmp_path):
+    # both exchange lines use stop B, so solving them apart gives 3 drivers
+    # where the optimum is 2: the line row is feasible, under the whole bound;
+    # the hub gap lines share stop P, and the whole row keeps DBI's optimum
+    exchange, hub = exchange_fixture(), gap_fixture(2, hub=True)
+    suite = make_suite(tmp_path, [("exchange", exchange), ("hub", hub)])
+    cmd_sweep(suite, str(tmp_path / "sw"), DbmhConfig(), "decomposition")
+    rows = [r.split(",") for r in
+            (tmp_path / "sw" / "sweep_decomposition.csv").read_text().splitlines()[1:]]
+    got = {(r[0], r[2]): (r[3], int(r[4]), int(r[5])) for r in rows}
+    assert brute_force(exchange).optimum == compute_bounds(exchange).lb == 2
+    assert got["exchange", "whole"] == ("optimal", 2, 2)
+    assert got["exchange", "line"] == ("feasible", 3, 2)
+    assert compute_bounds(hub).lb == 1
+    assert got["hub", "whole"] == ("optimal", 2, 2)
+    assert got["hub", "line"] == ("feasible", 2, 1)
 
 
 def test_fit_singleton_and_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from drsync.instance import (
     TimeWindow,
     check_instance,
     decompose,
-    derive_time_windows,
     filter_stations,
     instance_from_dict,
     instance_to_dict,
@@ -94,17 +94,18 @@ def test_every_violation_reported():
     assert "drive time must be positive" in text
 
 
-def test_derive_time_windows_values():
-    ride = Ride("r", "L", ("A", "B"), (480, 540), (60,), ((),))
-    assert derive_time_windows(ride, 10)[0] == TimeWindow(475, 485)
-    assert derive_time_windows(ride, 0)[0] == TimeWindow(480, 480)
-    assert derive_time_windows(ride, 30)[0] == TimeWindow(465, 495)
+def test_window_values():
+    inst = Instance(rides=(), stops=())
+    assert replace(inst, theta_tw=10).window(480) == TimeWindow(475, 485)
+    assert replace(inst, theta_tw=0).window(480) == TimeWindow(480, 480)
+    assert replace(inst, theta_tw=30).window(480) == TimeWindow(465, 495)
 
 
 def test_window_underflow():
-    ride = Ride("r", "L", ("A", "B"), (4, 540), (60,), ((),))
+    inst = Instance(rides=(Ride("r", "L", ("A", "B"), (4, 540), (60,), ((),)),),
+                    stops=customer_stops("A", "B"), theta_tw=10, zeta=0)
     with pytest.raises(InstanceValidationError, match="underflow"):
-        derive_time_windows(ride, 10)
+        check_instance(inst)
 
 
 def _with_station(direct, m_in, m_out, zeta):

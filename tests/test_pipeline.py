@@ -12,6 +12,7 @@ from drsync import pipeline
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.harness import method_config
 from drsync.instance import Instance, Ride, check_instance, decompose
 from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
@@ -37,13 +38,24 @@ def test_optimal_via_ch_ls(sequential_pair):
 
 
 def test_gap_instance_found_by_dbi():
-    inst = gap_fixture(2)
+    # the hub variant is one component: only DBI lifts its bound of 1
+    inst = gap_fixture(2, hub=True)
     rep = run(inst, DbmhConfig())
     assert rep.status == "optimal"
     assert rep.objective == 2
     assert rep.found_by == "dbi"
     assert rep.clb == 1 and rep.dlb == 2
     assert rep.dlb == brute_force(inst).optimum
+    assert rep.bb_nodes["dbi_caps"]
+
+
+def test_gap_instance_splits_into_closed_rides():
+    # each ride of the plain gap family is a component whose bound is met
+    # by construction, so no DBI cap is tried
+    rep = run(gap_fixture(3), DbmhConfig())
+    assert (rep.status, rep.objective, rep.found_by, rep.bb_nodes) == \
+        ("optimal", 3, "ch_ls", {})
+    assert [p["closed"] for p in rep.parts] == ["ch_ls"] * 3
 
 
 def test_dbi_unit_semantics():
@@ -273,11 +285,22 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
     inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
     rep = run(inst, DbmhConfig(use_dbi=False))
     assert [(p["dlb"], p["objective"], p["closed"]) for p in rep.parts] == \
-        [(1, 2, "open"), (1, 1, "ch_ls"), (4, 5, "open")]
-    assert solved == [3, 3]
-    assert rep.bb_nodes == {"mip": 2}
+        [(1, 1, "ch_ls"), (1, 1, "ch_ls"), (4, 5, "open")]
+    assert solved == [3]
+    assert rep.bb_nodes == {"mip": 1}
     assert (rep.status, rep.objective, rep.clb, rep.dlb, rep.final_lb) == \
-        ("feasible", 8, 5, 6, 6)
+        ("feasible", 7, 5, 6, 6)
+
+
+def test_ch_ls_runs_per_component():
+    # construction and local search on each line: 1 + 1 + 5 drivers, where
+    # the same stages on the whole instance end at 8
+    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    rep = run(inst, method_config("ch_ls", DbmhConfig()))
+    assert rep.objective == 7
+    assert [p["closed"] for p in rep.parts] == ["ch_ls", "ch_ls", "open"]
+    assert (rep.status, rep.dlb, rep.final_lb) == ("feasible", 6, 6)
+    assert check_feasibility(rep.solution, inst) == []
 
 
 def _shared_terminal(shape, seed):

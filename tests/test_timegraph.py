@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from drsync.generator import GeneratorConfig, generate_synthetic
@@ -8,7 +7,6 @@ from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
 from drsync.timegraph import (
     DEPOT,
     build_graph,
-    cut,
     graph_stats,
     graph_to_dict,
     graph_to_dot,
@@ -50,13 +48,13 @@ def test_fig2_arcs_exact(fig2):
 
 def test_copy_counts(fig2):
     g = build_graph(fig2)
-    assert len(g.t_map("i")) == 2           # theta/ell + 1 = 2
+    assert len(g.copies["i"]) == 2           # theta/ell + 1 = 2
     wide = check_instance(replace(fig2, theta_tw=30))
     g30 = build_graph(wide)
-    assert len(g30.t_map("i")) == 4
+    assert len(g30.copies["i"]) == 4
     # the station always has strictly fewer copies than its customers
-    assert len(g.t_map("s")) == 1
-    assert len(g30.t_map("s")) < len(g30.t_map("i"))
+    assert len(g.copies["s"]) == 1
+    assert len(g30.copies["s"]) < len(g30.copies["i"])
 
 
 def test_long_segment_has_no_direct_arc():
@@ -86,23 +84,7 @@ def test_long_wait_carries_renewal():
     assert (10, 0) in waits
 
 
-def test_cuts(fig2):
-    g = build_graph(fig2)
-    depot_out = cut(g, DEPOT, "out")
-    assert {g.arcs[a].tail for a in depot_out} == {g.source}
-    assert len(depot_out) == 5
-    steer_out = cut(g, "i", "out_steering")
-    assert {arc_view(g, g.arcs[a]) for a in steer_out} == {
-        ("i", 475, "j", 535), ("i", 475, "j", 545), ("i", 485, "j", 545),
-        ("i", 475, "s", 505),
-    }
-    with pytest.raises(KeyError):
-        cut(g, "nope", "out")
-    with pytest.raises(ValueError):
-        cut(g, "i", "sideways")
-
-
-def test_cut_station_without_copies():
+def test_station_without_copies():
     # detour fits, but the inbound drive alone exceeds continuous steering,
     # so no station copy is ever admissible
     inst = check_instance(Instance(
@@ -112,8 +94,8 @@ def test_cut_station_without_copies():
         theta_tw=10, zeta=10, ell=10,
     ))
     g = build_graph(inst)
-    assert g.t_map("S") == []
-    assert cut(g, "S", "in_steering") == []
+    assert "S" not in g.copies
+    assert not [a for a in g.arcs if a.station == "S"]
 
 
 def test_size_classes():
@@ -169,6 +151,6 @@ def test_station_copy_law(seed):
     for stop in inst.stops:
         if stop.kind != "station":
             continue
-        n = len(g.t_map(stop.id))
+        n = len(g.copies.get(stop.id, []))
         assert n <= inst.theta_tw // inst.ell
         assert n < per_customer
