@@ -151,15 +151,14 @@ def run_suite(
     instances: list[tuple[str, Instance]],
     configs: dict[str, DbmhConfig],
     seeds: list[int],
-    best_known: dict[str, int],
 ) -> tuple[list[dict], dict[str, int]]:
     """One row per (config label, instance, seed); returns rows and proven optima."""
     rows = []
     proven: dict[str, int] = {}
+    sized = [(iid, inst, _size_class(inst)) for iid, inst in instances]
     for label in sorted(configs):
         cfg = configs[label]
-        for iid, inst in instances:
-            size = _size_class(inst)
+        for iid, inst, size in sized:
             for seed in seeds:
                 try:
                     rep = run(inst, replace(cfg, seed=seed), instance_id=iid)
@@ -241,41 +240,38 @@ def tabulate_rows(rows: list[dict], best_known: dict[str, int]):
         ["label", "size_class", "n", "mean_time_s"], agg_timing)
 
 
-def cmd_bench(suite_dir: str, out_dir: str, base: DbmhConfig,
-              runs: int | None = None, methods: list[str] | None = None) -> str:
-    instances, meta = load_suite(suite_dir)
+def _run_and_write(suite_dir: str, out_dir: str, prefix: str,
+                   instances: list[tuple[str, Instance]], meta: dict,
+                   configs: dict[str, DbmhConfig], runs: int | None) -> str:
+    """Run the suite under each config, record proven optima, write the four CSVs."""
     seeds = meta.get("seeds")
     if seeds is None:
         seeds = list(range(runs if runs is not None else meta.get("runs", 1)))
-    methods = methods or meta.get("methods", list(METHODS))
-    configs = {m: method_config(m, base) for m in methods}
-    rows, proven = run_suite(instances, configs, seeds, {})
+    rows, proven = run_suite(instances, configs, seeds)
     best = update_best_known(suite_dir, proven)
     (dh, drows), (ah, arows), (th, trows), (tah, tarows) = tabulate_rows(rows, best)
-    _write_csv(os.path.join(out_dir, "bench.csv"), dh, drows)
-    _write_csv(os.path.join(out_dir, "bench_aggregate.csv"), ah, arows)
-    _write_csv(os.path.join(out_dir, "bench_timings.csv"), th, trows)
-    _write_csv(os.path.join(out_dir, "bench_aggregate_timings.csv"), tah, tarows)
-    return os.path.join(out_dir, "bench_aggregate.csv")
+    _write_csv(os.path.join(out_dir, f"{prefix}.csv"), dh, drows)
+    _write_csv(os.path.join(out_dir, f"{prefix}_aggregate.csv"), ah, arows)
+    _write_csv(os.path.join(out_dir, f"{prefix}_timings.csv"), th, trows)
+    _write_csv(os.path.join(out_dir, f"{prefix}_aggregate_timings.csv"), tah, tarows)
+    return os.path.join(out_dir, f"{prefix}_aggregate.csv")
+
+
+def cmd_bench(suite_dir: str, out_dir: str, base: DbmhConfig,
+              runs: int | None = None, methods: list[str] | None = None) -> str:
+    instances, meta = load_suite(suite_dir)
+    methods = methods or meta.get("methods", list(METHODS))
+    configs = {m: method_config(m, base) for m in methods}
+    return _run_and_write(suite_dir, out_dir, "bench", instances, meta, configs, runs)
 
 
 def cmd_ablate(suite_dir: str, out_dir: str, base: DbmhConfig,
                runs: int | None = None) -> str:
     instances, meta = load_suite(suite_dir)
-    seeds = meta.get("seeds")
-    if seeds is None:
-        seeds = list(range(runs if runs is not None else meta.get("runs", 1)))
     configs = {
         f"variant{v}": replace(base, **flags) for v, flags in ABLATION_VARIANTS.items()
     }
-    rows, proven = run_suite(instances, configs, seeds, {})
-    best = update_best_known(suite_dir, proven)
-    (dh, drows), (ah, arows), (th, trows), (tah, tarows) = tabulate_rows(rows, best)
-    _write_csv(os.path.join(out_dir, "ablation.csv"), dh, drows)
-    _write_csv(os.path.join(out_dir, "ablation_aggregate.csv"), ah, arows)
-    _write_csv(os.path.join(out_dir, "ablation_timings.csv"), th, trows)
-    _write_csv(os.path.join(out_dir, "ablation_aggregate_timings.csv"), tah, tarows)
-    return os.path.join(out_dir, "ablation_aggregate.csv")
+    return _run_and_write(suite_dir, out_dir, "ablation", instances, meta, configs, runs)
 
 
 # ---------------------------------------------------------------------------

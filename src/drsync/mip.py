@@ -47,7 +47,6 @@ class SolveOutcome:
     status: str                      # optimal | infeasible | feasible | timeout_no_solution
     best_solution: Solution | None
     best_bound: int
-    elapsed: float
     incumbent_log: list[tuple[float, int]] = field(default_factory=list)
     nodes: int = 0                   # branch-and-bound nodes visited
 
@@ -57,7 +56,6 @@ class Model:
     graph: TimeGraph
     instance: Instance
     bounds: BoundReport
-    driver_count: int
     cardinality_cap: int | None = None
     # proving a solution at or below this value ends the search (a valid
     # lower bound asserted by the caller; the constructive LB by default)
@@ -71,8 +69,7 @@ def build_model(instance: Instance, graph: TimeGraph, bounds: BoundReport) -> Mo
     rides (an independent component's model shares its parent's graph);
     ``bounds`` must be ``instance``'s own.
     """
-    return Model(graph=graph, instance=instance, bounds=bounds,
-                 driver_count=bounds.ub, objective_floor=bounds.lb)
+    return Model(graph=graph, instance=instance, bounds=bounds, objective_floor=bounds.lb)
 
 
 def restrict(model: Model, cap: int) -> Model:
@@ -253,20 +250,19 @@ class _Search:
             status = "timeout"
         except _Stop:
             status = "optimal"
-        elapsed = _time.monotonic() - self.t0
         nodes = self.nodes_visited
         if status == "timeout":
             if self.best_solution is not None:
                 return SolveOutcome("feasible", self.best_solution, self.model.bounds.lb,
-                                    elapsed, self.incumbent_log, nodes)
+                                    self.incumbent_log, nodes)
             return SolveOutcome("timeout_no_solution", None, self.model.bounds.lb,
-                                elapsed, self.incumbent_log, nodes)
+                                self.incumbent_log, nodes)
         if self.best_solution is None:
             cap = self.model.cardinality_cap
             bound = (cap + 1) if cap is not None else 0
-            return SolveOutcome("infeasible", None, bound, elapsed, self.incumbent_log, nodes)
+            return SolveOutcome("infeasible", None, bound, self.incumbent_log, nodes)
         return SolveOutcome("optimal", self.best_solution, self.best_f,
-                            elapsed, self.incumbent_log, nodes)
+                            self.incumbent_log, nodes)
 
     def _search(self):
         """Depth-first walk: visit a node, then resume the deepest open node's next child."""
@@ -635,16 +631,10 @@ class _Search:
                 self.best_solution = better
                 self.incumbent_log.append((_time.monotonic() - self.t0, better.objective))
         self._set_threshold()
-        if self.best_f <= max(self.model.objective_floor, 0):
+        if self.best_f <= self.model.objective_floor:
             raise _Stop  # incumbent meets a proven lower bound
 
 
 def solve(model: Model, config: SolverConfig | None = None) -> SolveOutcome:
     """Run the embedded exact backend on the model."""
-    config = config or SolverConfig()
-    if model.cardinality_cap is not None and model.cardinality_cap == 0:
-        feasible_empty = len(model.instance.rides) == 0
-        if feasible_empty:
-            return SolveOutcome("optimal", Solution(model.graph, [], {}), 0, 0.0, [])
-        return SolveOutcome("infeasible", None, 1, 0.0, [])
-    return _Search(model, config).run()
+    return _Search(model, config or SolverConfig()).run()

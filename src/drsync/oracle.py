@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE, check_instance, filter_stations
 from .solution import RidePlan, Solution, assemble_route, _steer_index
-from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, TimeGraph, build_graph
+from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph
 
 
 class OracleSizeError(Exception):
@@ -47,11 +47,10 @@ class OracleResult:
 _FRESH = None
 
 
-def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300,
-                graph: TimeGraph | None = None) -> OracleResult:
+def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> OracleResult:
     t0 = _time.monotonic()
     inst = filter_stations(check_instance(instance))
-    g = graph if graph is not None else build_graph(instance)
+    g = build_graph(instance)
     if len(inst.rides) > max_rides:
         raise OracleSizeError(f"{len(inst.rides)} rides exceeds the limit of {max_rides}")
     if len(g.arcs) > max_arcs:

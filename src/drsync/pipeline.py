@@ -104,7 +104,7 @@ class RunReport:
             return 0.0
         return (self.objective - self.final_lb) / self.objective
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "status": self.status,
             "objective": self.objective,
@@ -117,9 +117,6 @@ class RunReport:
         }
         if self.instance_id is not None:
             out["instance"] = self.instance_id
-        if include_timings:
-            out["phase_timings"] = {k: round(v, 6) for k, v in self.phase_timings.items()}
-            out["incumbent_log"] = [[round(t, 6), f] for t, f in self.incumbent_log]
         return out
 
     def timings_dict(self) -> dict:
@@ -149,7 +146,7 @@ def destructive_bound_improvement(
     while True:
         if s is not None and s.objective == lb:
             return lb, DBI_OPTIMAL, s
-        if lb > model.driver_count:
+        if lb > model.bounds.ub:
             return lb, DBI_INFEASIBLE, None
         remaining = deadline - _time.monotonic()
         if remaining <= 0:
@@ -343,8 +340,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             start = _time.monotonic()
             limit = max(share, 0.01)
             part_end = start + limit
-            floor_model = replace(part.model,
-                                  objective_floor=max(part.model.objective_floor, part.lb))
+            floor_model = replace(part.model, objective_floor=part.lb)
             stage_origin: dict[int, str] = {}
 
             def callback(sol: Solution) -> Solution | None:

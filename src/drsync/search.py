@@ -70,6 +70,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.mode not in (COMPOSITE, VND):
+            raise ValueError(f"mode must be {COMPOSITE!r} or {VND!r}, got {self.mode!r}")
 
 
 def perturbed_select(n: int, p: float, rng: random.Random) -> int:
@@ -84,7 +86,7 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
 # Vehicle plan construction
 # ---------------------------------------------------------------------------
 
-def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
+def earliest_plan(instance: Instance) -> dict[str, RidePlan]:
     """Earliest departures, direct legs unless a leg must be split at a station."""
     t_cs = instance.legal.t_cs
     plan: dict[str, RidePlan] = {}
@@ -460,7 +462,7 @@ def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
 
 def construct(instance: Instance, graph: TimeGraph) -> Solution:
     """Greedy start solution: earliest station-free plan, then driver assignment."""
-    return assign_drivers(instance, graph, earliest_plan(instance, graph))
+    return assign_drivers(instance, graph, earliest_plan(instance))
 
 
 # ---------------------------------------------------------------------------

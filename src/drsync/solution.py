@@ -222,7 +222,7 @@ class Solution:
         self.graph = graph
         self.routes = [tuple(r) for r in routes]
         self.plan = dict(plan)
-        self._theta: int | None = None   # theta() under the instance's own limits
+        self._theta: int | None = None   # theta(), computed on first use
         # a ConnectionPlanner over the pieces of `plan` whose link() answers
         # may be reused, set by whoever built one for this plan
         self.links: ConnectionPlanner | None = None
@@ -234,19 +234,16 @@ class Solution:
     def objective(self) -> int:
         return len(self.routes)
 
-    def theta(self, legal=None) -> int:
-        if legal is None:
-            if self._theta is None:
-                self._theta = self._theta_under(self.graph.instance.legal)
-            return self._theta
-        return self._theta_under(legal)
-
-    def _theta_under(self, legal) -> int:
-        total = 0
-        for route in self.routes:
-            first, last = self.route_span(route)
-            total += legal.t_dw - (last - first)
-        return total
+    def theta(self) -> int:
+        """Remaining working time: the daily limit minus each route's span, summed."""
+        if self._theta is None:
+            t_dw = self.graph.instance.legal.t_dw
+            total = 0
+            for route in self.routes:
+                first, last = self.route_span(route)
+                total += t_dw - (last - first)
+            self._theta = total
+        return self._theta
 
     def route_span(self, route: tuple[int, ...]) -> tuple[int, int]:
         times = [

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from drsync import cli
 from drsync.bounds import compute_bounds
 from drsync.cli import main
@@ -258,6 +260,24 @@ def test_fit_singleton_and_determinism(tmp_path):
 def test_config_round_trip():
     cfg = DbmhConfig(eta_lb=30, seed=9)
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_config_rejects_an_unknown_search_mode(tmp_path, capsys, sequential_pair):
+    # modes are case-sensitive; an unknown one must not fall through to VND
+    for mode in ("composite", "vnd"):
+        assert config_from_dict({"search": {"mode": mode}}).search.mode == mode
+    with pytest.raises(ValueError, match="mode"):
+        config_from_dict({"search": {"mode": "Composite"}})
+    inst_path = tmp_path / "inst.json"
+    save_instance(sequential_pair, str(inst_path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"search": {"mode": "Composite"}}))
+    capsys.readouterr()
+    argv = ["solve", str(inst_path), "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: mode must be")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bounds_and_oracle(tmp_path, capsys, fig2):

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unreferenced functions in the package."""
+"""Source hygiene: no unused imports, unreferenced functions or unread parameters."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,41 @@ def test_every_top_level_function_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name not in referenced)
     assert not unreferenced, f"never referenced: {unreferenced}"
+
+
+# functions whose signature is a protocol every function of its kind shares:
+# the local-search operators take (solution, instance, graph, config, rng) and
+# the greedy's crew assigners take the same arguments whichever policy they serve
+PROTOCOL_SIGNATURES = {
+    "operator_reassign_segments", "operator_postpone", "operator_prepone",
+    "operator_insert_stop_random", "operator_insert_stop_shortest_detour",
+    "operator_insert_stop_highest_sync", "operator_remove_stop", "_assign_none",
+}
+
+
+def _functions(tree: ast.Module):
+    """Top-level functions and the methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in MODULES:
+        for name, fn in _functions(_tree(path)):
+            if fn.name in PROTOCOL_SIGNATURES:
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            # a read anywhere in the body counts, nested closures included
+            loaded = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{name}({p})" for p in params
+                       if p not in loaded and p not in ("self", "cls")]
+    assert not unread, f"parameters never read: {unread}"

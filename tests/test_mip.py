@@ -29,7 +29,7 @@ def model_for(inst):
 
 def test_build_model_fig2(fig2):
     m = model_for(fig2)
-    assert m.driver_count == 1          # UB from one 60-minute leg
+    assert m.bounds.ub == 1          # UB from one 60-minute leg
 
 
 def test_restrict_copies(fig2):

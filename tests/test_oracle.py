@@ -1,10 +1,14 @@
+import inspect
 from dataclasses import replace
 
 import pytest
 
 from drsync.bounds import compute_bounds
 from drsync.fixtures import (
+    MICRO_LIMIT_ARCS,
+    MICRO_LIMIT_RIDES,
     exchange_fixture,
+    micro_suite,
     station_exchange_fixture,
 )
 from drsync.generator import GeneratorConfig, generate_synthetic
@@ -93,3 +97,18 @@ def test_empty_instance():
     res = brute_force(inst)
     assert res.optimum == 0
     assert res.witness.objective == 0
+
+
+def test_micro_suite_stays_within_the_oracle_limits():
+    # micro_suite filters generated instances by these limits and trusts the
+    # crafted ones; every instance, crafted included, must be one the oracle
+    # accepts with its default limits
+    defaults = inspect.signature(brute_force).parameters
+    assert MICRO_LIMIT_RIDES == defaults["max_rides"].default
+    assert MICRO_LIMIT_ARCS == defaults["max_arcs"].default
+    suite = micro_suite(300)
+    assert len(suite) == 300
+    assert sum(name.startswith("crafted-") for name, _ in suite) == 8
+    for name, inst in suite:
+        assert len(inst.rides) <= MICRO_LIMIT_RIDES, name
+        assert len(build_graph(inst).arcs) <= MICRO_LIMIT_ARCS, name

@@ -128,7 +128,7 @@ def test_timings_carry_the_constructive_bounds(sequential_pair):
         assert rep.timings_dict()["bounds"] == dict(
             zip(("lb1", "lb2", "lb3", "clb_set_by"), values),
             graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
-        assert "bounds" not in rep.to_dict(include_timings=True)
+        assert "bounds" not in rep.to_dict()
 
 
 def test_no_exchange_library_closes_at_the_constructive_bound():
@@ -279,7 +279,7 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
 
     def timing_out(model, config=None):
         solved.append(len(model.instance.rides))
-        return SolveOutcome("feasible", config.start_solution, model.bounds.lb, 0.0, [], 1)
+        return SolveOutcome("feasible", config.start_solution, model.bounds.lb, [], 1)
 
     monkeypatch.setattr(pipeline, "solve", timing_out)
     inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
