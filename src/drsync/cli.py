@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -212,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exhaustive optimum for micro instances")
     sp.add_argument("instance")
     sp.add_argument("--policy", choices=sorted(POLICY_FLAG))
-    sp.add_argument("--max-rides", type=int, default=4)
-    sp.add_argument("--max-arcs", type=int, default=300)
+    limits = inspect.signature(brute_force).parameters
+    sp.add_argument("--max-rides", type=int, default=limits["max_rides"].default)
+    sp.add_argument("--max-arcs", type=int, default=limits["max_arcs"].default)
     sp.add_argument("--witness", action="store_true",
                     help="include the witness routes in the output")
     sp.set_defaults(fn=_cmd_oracle)

@@ -59,7 +59,7 @@ def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
 def config_from_dict(data: dict) -> DbmhConfig:
     data = dict(data)
     search = data.pop("search", {})
-    known_search = {"p", "mode", "seed"}
+    known_search = {"p", "mode", "seed"}   # "seed" still loads, though no run reads it
     known = {"eta_lb", "eta_mip", "eta_ls", "global_limit", "seed",
              "use_ch", "use_ls", "use_dbi", "use_cb", "use_mip",
              "extend_time_on_disable"}
@@ -76,8 +76,8 @@ def config_to_dict(cfg: DbmhConfig) -> dict:
         "use_ch": cfg.use_ch, "use_ls": cfg.use_ls, "use_dbi": cfg.use_dbi,
         "use_cb": cfg.use_cb, "use_mip": cfg.use_mip,
         "extend_time_on_disable": cfg.extend_time_on_disable,
-        "search": {"p": cfg.search.p, "mode": cfg.search.mode,
-                   "seed": cfg.search.seed},
+        # no search seed: the run's own seed sets it
+        "search": {"p": cfg.search.p, "mode": cfg.search.mode},
     }
 
 

@@ -85,8 +85,10 @@ class Ride:
         return len(self.stops) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimeWindow:
+    """Slotted, not frozen: ``Instance.window`` builds one per call."""
+
     earliest: int
     latest: int
 

@@ -15,7 +15,7 @@ import time as _time
 from dataclasses import dataclass
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE, check_instance, filter_stations
-from .solution import RidePlan, Solution, assemble_route, _steer_index
+from .solution import RidePlan, Solution, assemble_route
 from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph
 
 
@@ -442,7 +442,7 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
 
     plans, element_sets = best
     plan = {rides[ri].id: plans[ri] for ri in range(nr)}
-    sidx = _steer_index(g)
+    sidx = g.steer_idx
     routes = []
     for els in element_sets:
         conv = []

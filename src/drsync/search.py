@@ -8,6 +8,7 @@ wait for a break-sized gap or stay aboard to the terminal.
 
 The local search explores seven problem-specific operators over a frozen
 solution; randomized choices are skewed by the perturbation exponent p.
+Each operator call gets its own random stream, seeded on its first draw.
 Operators return their raw candidates without checking them. The search
 ranks the improving ones by driver count, then remaining working time,
 and accepts the first that passes the full feasibility check, so only the
@@ -630,6 +631,12 @@ def operator_prepone(solution, instance, graph, config, rng) -> list[Solution]:
 
 
 def _insertable_segments(solution, instance):
+    """Station-free segments with an admissible station, longest first.
+
+    The scan depends on the plan alone, so it is kept on the solution.
+    """
+    if solution.insertable is not None:
+        return solution.insertable
     rides = {r.id: r for r in instance.rides}
     segs = []
     for rid in sorted(solution.plan):
@@ -644,6 +651,7 @@ def _insertable_segments(solution, instance):
             if accs:
                 segs.append((rp.times[k + 1] - rp.times[k], rid, k, ride, accs))
     segs.sort(key=lambda s: (-s[0], s[1], s[2]))
+    solution.insertable = segs
     return segs
 
 
@@ -735,8 +743,33 @@ OPERATORS = (
 # Local search
 # ---------------------------------------------------------------------------
 
-def _op_rng(config: SearchConfig, iteration: int, op_index: int) -> random.Random:
-    return random.Random(config.seed * 1000003 + iteration * 101 + op_index)
+class _LazyRng:
+    """An operator's random stream, seeded on its first draw.
+
+    Most operator calls draw nothing, and seeding a ``random.Random`` costs
+    more than many of them; the stream, once seeded, is the same.
+    """
+
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._rng: random.Random | None = None
+
+    def _stream(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
+
+    def random(self) -> float:
+        return self._stream().random()
+
+    def shuffle(self, x: list) -> None:
+        self._stream().shuffle(x)
+
+
+def _op_rng(config: SearchConfig, iteration: int, op_index: int) -> _LazyRng:
+    return _LazyRng(config.seed * 1000003 + iteration * 101 + op_index)
 
 
 def local_search(solution: Solution, instance: Instance, graph: TimeGraph,

@@ -48,9 +48,12 @@ class RidePlan:
     stations: tuple[str | None, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Piece:
-    """One steering arc a plan requires, in instance terms."""
+    """One steering arc a plan requires, in instance terms.
+
+    Slotted, not frozen, because every plan expansion builds a fresh set.
+    """
 
     ride: str
     segment: int
@@ -64,23 +67,10 @@ class Piece:
     duration: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "duration", self.end - self.start)
+        self.duration = self.end - self.start
 
 
 _LEG_RANK = {LEG_IN: 0, LEG_DIRECT: 1, LEG_OUT: 2}
-
-
-def _steer_index(graph: TimeGraph) -> dict:
-    idx = getattr(graph, "_steer_idx", None)
-    if idx is None:
-        idx = {}
-        for arc in graph.arcs:
-            if arc.family == FAMILY_STEERING:
-                tail_t = graph.nodes[arc.tail].time
-                head_t = graph.nodes[arc.head].time
-                idx[(arc.ride, arc.segment, arc.leg, arc.station, tail_t, head_t)] = arc.id
-        graph._steer_idx = idx
-    return idx
 
 
 def _expand_ride(idx: dict, ride, rp: RidePlan, pieces: list[Piece]) -> None:
@@ -114,7 +104,7 @@ def _piece_key(ride_order: dict[str, int]):
 
 def plan_pieces(instance: Instance, graph: TimeGraph, plan: dict[str, RidePlan]) -> list[Piece]:
     """Expand a plan into its chronologically ordered steering pieces."""
-    idx = _steer_index(graph)
+    idx = graph.steer_idx
     rides = {r.id: r for r in instance.rides}
     pieces: list[Piece] = []
     for rid, rp in plan.items():
@@ -126,7 +116,7 @@ def plan_pieces(instance: Instance, graph: TimeGraph, plan: dict[str, RidePlan])
 def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[Piece]:
     """The pieces of one ride's plan, in the order ``plan_pieces`` gives them."""
     pieces: list[Piece] = []
-    _expand_ride(_steer_index(graph), ride, rp, pieces)
+    _expand_ride(graph.steer_idx, ride, rp, pieces)
     pieces.sort(key=_piece_key({ride.id: 0}))
     return pieces
 
@@ -229,6 +219,9 @@ class Solution:
         # the greedy driver assignment's run over `plan` (search.GreedyRecord),
         # from which a one-ride plan change replays; set like `links`
         self.greedy = None
+        # the segments of `plan` a station could be inserted into, found by
+        # the first station-insertion operator that looks (search)
+        self.insertable: list[tuple] | None = None
 
     @property
     def objective(self) -> int:

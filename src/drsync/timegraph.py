@@ -33,14 +33,16 @@ LEG_IN = "in"
 LEG_OUT = "out"
 
 
-@dataclass(frozen=True)
+# Nodes and arcs are slotted, not frozen: a frozen dataclass costs several
+# times as much to build, and a graph build makes thousands of them
+@dataclass(slots=True)
 class TimedNode:
     id: int
     base: str            # stop/station id, or DEPOT for source/sink
     time: int | None     # None only for the depot endpoints
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimedArc:
     id: int
     tail: int
@@ -57,7 +59,15 @@ class TimedArc:
 
 
 class TimeGraph:
-    """Immutable after build; all orderings are pure functions of the instance."""
+    """The graph of one instance; all orderings are pure functions of it.
+
+    Immutable after build by contract, checked by
+    ``tests/test_timegraph.py::test_solving_leaves_the_graph_as_built``.
+    """
+
+    __slots__ = ("instance", "nodes", "arcs", "node_at", "copies", "source", "sink",
+                 "seg_direct", "seg_in", "seg_out", "steer_idx",
+                 "depot_out", "depot_in", "wait_next")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -71,6 +81,8 @@ class TimeGraph:
         self.seg_direct: dict[tuple[str, int], list[int]] = {}
         self.seg_in: dict[tuple[str, int, str], list[int]] = {}
         self.seg_out: dict[tuple[str, int, str], list[int]] = {}
+        # steering arc id by (ride, segment, leg, station, tail time, head time)
+        self.steer_idx: dict[tuple, int] = {}
         # route-assembly indexes
         self.depot_out: dict[int, int] = {}   # node -> source arc id
         self.depot_in: dict[int, int] = {}    # node -> sink arc id
@@ -128,20 +140,23 @@ def build_arcs(graph: TimeGraph) -> None:
     t_cs, t_b = inst.legal.t_cs, inst.legal.t_b
     use_stations = inst.exchange_policy == POLICY_FULL
 
-    def add(tail, head, mode, family, duration, consumption, **kw) -> int:
-        aid = len(graph.arcs)
-        graph.arcs.append(TimedArc(aid, tail, head, mode, family, duration, consumption, **kw))
+    arcs, nodes, steer_idx = graph.arcs, graph.nodes, graph.steer_idx
+
+    def add(tail, head, mode, family, duration, consumption) -> int:
+        aid = len(arcs)
+        arcs.append(TimedArc(aid, tail, head, mode, family, duration, consumption))
         return aid
 
     def steer_pair(tail, head, ride, seg, leg, station=None):
-        dur = graph.nodes[head].time - graph.nodes[tail].time
-        sid = add(tail, head, 1, FAMILY_STEERING, dur, dur,
-                  ride=ride, segment=seg, leg=leg, station=station)
-        rest = -t_cs if dur >= t_b else 0
-        did = add(tail, head, 0, FAMILY_DEADHEAD, dur, rest,
-                  ride=ride, segment=seg, leg=leg, station=station, twin=sid)
-        graph.arcs[sid] = TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, dur,
-                                   ride=ride, segment=seg, leg=leg, station=station, twin=did)
+        """The steering arc and its deadhead twin, built once each."""
+        tail_t, head_t = nodes[tail].time, nodes[head].time
+        dur = head_t - tail_t
+        sid = len(arcs)
+        arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, dur,
+                             ride, seg, leg, station, sid + 1))
+        arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur,
+                             -t_cs if dur >= t_b else 0, ride, seg, leg, station, sid))
+        steer_idx[(ride, seg, leg, station, tail_t, head_t)] = sid
         return sid
 
     for ride in inst.rides:

@@ -1,4 +1,4 @@
-"""Pinned digests of CH+LS outputs.
+"""Pinned digests of the time graph and of CH+LS outputs.
 
 A change that means to alter these outputs updates the pins and says so;
 any other change must leave them byte-identical.
@@ -11,7 +11,7 @@ import pytest
 
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.search import SearchConfig, construct, local_search
-from drsync.timegraph import build_graph
+from drsync.timegraph import build_graph, graph_to_dict
 
 # (generator config, generator seed) -> sha256 of the canonical to_dict() JSON
 GOLDEN = [
@@ -24,6 +24,28 @@ GOLDEN = [
     (GeneratorConfig(2, 2, 4, exchange_policy="regular_stops"), 0,
      "31ba1c1c7d54a09390b2a5b59165055c22b6cf1fd8a7f46fbcb290333d6e3fec"),
 ]
+
+
+# sha256 of the canonical graph_to_dict() JSON for the same four instances;
+# "none" and "regular_stops" both build a graph without station copies
+GOLDEN_GRAPH = [
+    "3e43e6aa355e2f42bf33f620bf7d94058c635053eae4d6384c2f5b595a03e1da",
+    "1502a56c593b0ab778c50e47fcc0135cadb2f4a691ed9ebef56f7e35bba7aa00",
+    "c22aa1a3c193a61a497584cf3bbdac60cb78cc5ceba87837c6c5ce90846d2fa0",
+    "c22aa1a3c193a61a497584cf3bbdac60cb78cc5ceba87837c6c5ce90846d2fa0",
+]
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("config, seed, digest",
+                         [(c, s, d) for (c, s, _), d in zip(GOLDEN, GOLDEN_GRAPH)])
+def test_graph_digest(config, seed, digest):
+    inst = generate_synthetic(config, seed)[0]
+    assert _digest(graph_to_dict(build_graph(inst))) == digest
 
 
 @pytest.mark.parametrize("config, seed, digest", GOLDEN)

@@ -262,6 +262,15 @@ def test_config_round_trip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_config_round_trip_drops_the_search_seed():
+    # every run overrides the search seed with its own, so a config file
+    # written before that still loads, and writing it back drops the key
+    cfg = config_from_dict({"seed": 9, "search": {"p": 2.0, "seed": 5}})
+    out = config_to_dict(cfg)
+    assert "seed" not in out["search"]
+    assert out["seed"] == 9 and out["search"]["p"] == 2.0
+
+
 def test_config_rejects_an_unknown_search_mode(tmp_path, capsys, sequential_pair):
     # modes are case-sensitive; an unknown one must not fall through to VND
     for mode in ("composite", "vnd"):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from drsync.bounds import compute_bounds
+from drsync.cli import build_parser
 from drsync.fixtures import (
     MICRO_LIMIT_ARCS,
     MICRO_LIMIT_RIDES,
@@ -106,6 +107,9 @@ def test_micro_suite_stays_within_the_oracle_limits():
     defaults = inspect.signature(brute_force).parameters
     assert MICRO_LIMIT_RIDES == defaults["max_rides"].default
     assert MICRO_LIMIT_ARCS == defaults["max_arcs"].default
+    # and `drsync oracle` applies the same limits when given none
+    args = build_parser().parse_args(["oracle", "instance.json"])
+    assert (args.max_rides, args.max_arcs) == (MICRO_LIMIT_RIDES, MICRO_LIMIT_ARCS)
     suite = micro_suite(300)
     assert len(suite) == 300
     assert sum(name.startswith("crafted-") for name, _ in suite) == 8

@@ -2,10 +2,14 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from drsync.fixtures import gap_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
+from drsync.pipeline import DbmhConfig, run
+from drsync.search import SearchConfig, construct, local_search
 from drsync.timegraph import (
     DEPOT,
+    TimeGraph,
     build_graph,
     graph_stats,
     graph_to_dict,
@@ -154,3 +158,25 @@ def test_station_copy_law(seed):
         n = len(g.copies.get(stop.id, []))
         assert n <= inst.theta_tw // inst.ell
         assert n < per_customer
+
+
+def _assert_as_built(graph, instance):
+    fresh = build_graph(instance)
+    assert graph_to_dict(graph) == graph_to_dict(fresh)
+    for name in TimeGraph.__slots__:   # the indexes too
+        assert getattr(graph, name) == getattr(fresh, name), name
+
+
+def test_solving_leaves_the_graph_as_built():
+    # nodes and arcs are not frozen, so nothing but this test stops a solver
+    # stage from editing the graph it shares with every other stage
+    inst = generate_synthetic(GeneratorConfig(4, 4, 3), 7)[0]
+    g = build_graph(inst)
+    local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
+    _assert_as_built(g, inst)
+    hub = gap_fixture(3, hub=True)
+    # with DBI its cap solves, without it the final B&B and its LS callback
+    for config, phase in ((DbmhConfig(), "dbi_caps"), (DbmhConfig(use_dbi=False), "mip")):
+        report = run(hub, config)
+        assert report.bb_nodes[phase]
+        _assert_as_built(report.solution.graph, hub)
