@@ -37,10 +37,9 @@ def _build_config(args) -> DbmhConfig:
                       eta_lb=min(cfg.eta_lb, args.time_limit),
                       eta_ls=min(cfg.eta_ls, args.time_limit))
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed,
-                      search=replace(cfg.search, seed=args.seed))
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, search=replace(cfg.search, mode=args.mode))
+        cfg = replace(cfg, mode=args.mode)
     return cfg
 
 

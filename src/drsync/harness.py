@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bounds import compute_bounds
 from .generator import GeneratorConfig, generate_synthetic
@@ -25,7 +25,7 @@ from .instance import (
     split_by_line,
 )
 from .pipeline import DbmhConfig, RunReport, run
-from .search import SearchConfig, ConstructionError
+from .search import ConstructionError
 from .timegraph import build_graph, graph_stats
 
 METHOD_DBMH = "dbmh"
@@ -56,29 +56,25 @@ def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
     raise ValueError(f"unknown method {method!r}")
 
 
+# the DbmhConfig fields a config file keeps in its "search" object
+_SEARCH_KEYS = ("p", "mode")
+
+
 def config_from_dict(data: dict) -> DbmhConfig:
     data = dict(data)
-    search = data.pop("search", {})
-    known_search = {"p", "mode", "seed"}   # "seed" still loads, though no run reads it
-    known = {"eta_lb", "eta_mip", "eta_ls", "global_limit", "seed",
-             "use_ch", "use_ls", "use_dbi", "use_cb", "use_mip",
-             "extend_time_on_disable"}
-    bad = (set(data) - known) | (set(search) - known_search)
+    search = dict(data.pop("search", {}))
+    search.pop("seed", None)   # older files carry it; the run's seed sets it
+    top = {f.name for f in fields(DbmhConfig)} - set(_SEARCH_KEYS)
+    bad = (set(data) - top) | (set(search) - set(_SEARCH_KEYS))
     if bad:
         raise ValueError(f"unknown config keys {sorted(bad)}")
-    return DbmhConfig(search=SearchConfig(**search), **data)
+    return DbmhConfig(**data, **search)
 
 
 def config_to_dict(cfg: DbmhConfig) -> dict:
-    return {
-        "eta_lb": cfg.eta_lb, "eta_ls": cfg.eta_ls,
-        "global_limit": cfg.global_limit, "seed": cfg.seed,
-        "use_ch": cfg.use_ch, "use_ls": cfg.use_ls, "use_dbi": cfg.use_dbi,
-        "use_cb": cfg.use_cb, "use_mip": cfg.use_mip,
-        "extend_time_on_disable": cfg.extend_time_on_disable,
-        # no search seed: the run's own seed sets it
-        "search": {"p": cfg.search.p, "mode": cfg.search.mode},
-    }
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "eta_mip"}
+    out["search"] = {k: out.pop(k) for k in _SEARCH_KEYS}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +402,6 @@ def cmd_fit(suite_dir: str, grid_path: str, out_path: str, base: DbmhConfig) -> 
     best_seen: dict[str, int] = {}
     evaluations: list[tuple[str, object, float]] = []
 
-    def apply(cfg: DbmhConfig, name: str, value) -> DbmhConfig:
-        if name == "p":
-            return replace(cfg, search=replace(cfg.search, p=value))
-        return replace(cfg, **{name: value})
-
     def evaluate(cfg: DbmhConfig) -> list[tuple[str, int | None]]:
         outs = []
         for iid, inst in instances:
@@ -428,7 +419,7 @@ def cmd_fit(suite_dir: str, grid_path: str, out_path: str, base: DbmhConfig) -> 
         if name not in grid:
             continue
         for vi, value in enumerate(grid[name]):
-            trials[(name, vi)] = evaluate(apply(current, name, value))
+            trials[(name, vi)] = evaluate(replace(current, **{name: value}))
         best_value = None
         best_score = None
         for vi, value in enumerate(grid[name]):
@@ -443,7 +434,7 @@ def cmd_fit(suite_dir: str, grid_path: str, out_path: str, base: DbmhConfig) -> 
             if best_score is None or score < best_score:
                 best_score, best_value = score, value
         if best_value is not None:
-            current = apply(current, name, best_value)
+            current = replace(current, **{name: best_value})
 
     fitted = config_to_dict(current)
     fitted["_fit_trace"] = [

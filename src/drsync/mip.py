@@ -242,10 +242,7 @@ class _Search:
     def run(self) -> SolveOutcome:
         status = "optimal"
         try:
-            if self.nrides == 0:
-                self._record_leaf()
-            else:
-                self._search()
+            self._search()
         except _TimeUp:
             status = "timeout"
         except _Stop:

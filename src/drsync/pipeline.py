@@ -15,12 +15,11 @@ graph: construction, then local search, DBI and the exact solve, each with
 an equal share of the stage's time left, so time one leaves unused rolls on
 to the next. The run's solution joins the components' routes and plans. If
 it meets the whole instance's constructive bound the run stops there;
-otherwise each component gets its own constructive bounds (and, if DBI
-or the exact solve will run, its model), and one whose incumbent meets its
-bound is closed. dLB is the larger of the whole instance's constructive
-bound and the sum of the components' dLBs.
-An instance that does not split runs as one component: the whole instance,
-its bounds and its model.
+otherwise each component gets its own constructive bounds and model, and
+one whose incumbent meets its bound is closed. dLB is the larger of the
+whole instance's constructive bound and the sum of the components' dLBs.
+An instance that does not split is one component, which differs from the
+instance only in the stops no ride uses.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ from dataclasses import dataclass, field, replace
 from .bounds import compute_bounds
 from .instance import Instance, check_instance, decompose
 from .mip import Model, SolverConfig, build_model, restrict, solve
-from .search import (
-    ConstructionError,
-    SearchConfig,
-    construct,
-    local_search,
-)
+from .search import ConstructionError, SearchConfig, construct, local_search
 from .solution import Solution
 from .timegraph import TimeGraph, build_graph
 
@@ -56,7 +50,8 @@ class DbmhConfig:
     eta_mip: float = 60.0       # ignored; kept until the benchmark stops passing it
     eta_ls: float = 10.0        # local-search budget per incumbent callback
     global_limit: float = 3600.0  # the exact solve gets whatever is left of it
-    search: SearchConfig = field(default_factory=SearchConfig)
+    p: float = SearchConfig.p     # local search's selection skew
+    mode: str = SearchConfig.mode  # local search's strategy: composite or vnd
     use_ch: bool = True
     use_ls: bool = True
     use_dbi: bool = True
@@ -66,6 +61,7 @@ class DbmhConfig:
     seed: int = 0
 
     def __post_init__(self):
+        SearchConfig(p=self.p, mode=self.mode)   # checks both
         for name in ("eta_lb", "eta_ls", "global_limit"):
             v = getattr(self, name)
             if v <= 0:
@@ -169,7 +165,7 @@ class _Part:
 
     instance: Instance
     best: Solution | None = None
-    model: Model | None = None  # built only for DBI and the B&B
+    model: Model | None = None  # built once the run is past the whole clb
     lb: int = 0                # its constructive bound, raised by DBI
     closed: str | None = None  # the stage that proved `best` optimal
 
@@ -184,8 +180,6 @@ class _Part:
 
 def _join(graph: TimeGraph, parts: list[_Part]) -> Solution | None:
     """The whole instance's solution made of the parts' incumbents, if each has one."""
-    if len(parts) == 1:
-        return parts[0].best
     if any(p.best is None for p in parts):
         return None
     return Solution(graph, [r for p in parts for r in p.best.routes],
@@ -215,6 +209,9 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     bb_nodes: dict[str, int | list[int]] = {}
     log: list[tuple[float, int]] = []
 
+    def search_config(deadline):
+        return SearchConfig(p=config.p, mode=config.mode, seed=config.seed, deadline=deadline)
+
     def clock(name, since):
         timings[name] = timings.get(name, 0.0) + (_time.monotonic() - since)
 
@@ -225,7 +222,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     instance = check_instance(instance)
     graph = build_graph(instance)
     bounds = compute_bounds(instance)
-    components = decompose(instance)
+    # an instance with no rides has no components; it is one empty part
+    parts = [_Part(c) for c in decompose(instance)] or [_Part(instance)]
     clock("prep", t)
     clb = bounds.lb
     bound_values = {"lb1": bounds.lb1, "lb2": bounds.lb2, "lb3": bounds.lb3}
@@ -236,9 +234,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         "graph_arcs": len(graph.arcs),
     }
 
-    # an instance that does not split is one part: the whole instance
-    split = len(components) > 1
-    parts = [_Part(c) for c in components] if split else [_Part(instance)]
     best: Solution | None = None
     found_by: str | None = None
     bounded = False     # the parts are bounded, and reported, past the whole clb
@@ -260,8 +255,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         t = _time.monotonic()
         ls_end = max(deadline, t + 0.01)    # local search gets at least 0.01 s
         for part, share in _shares(parts, ls_end):
-            cfg = replace(config.search, deadline=share, seed=config.seed)
-            part.best = local_search(part.best, part.instance, graph, cfg)
+            part.best = local_search(part.best, part.instance, graph, search_config(share))
         improved = _join(graph, parts)
         if improved.objective < best.objective:
             log.append((_time.monotonic() - t0, improved.objective))
@@ -291,12 +285,9 @@ def run(instance: Instance, config: DbmhConfig | None = None,
 
     t = _time.monotonic()
     bounded = True
-    modelled = (config.use_dbi or config.use_mip) and remaining() > 0
     for part in parts:
-        part_bounds = compute_bounds(part.instance) if split else bounds
-        part.lb = part_bounds.lb
-        if modelled:
-            part.model = build_model(part.instance, graph, part_bounds)
+        part.model = build_model(part.instance, graph, compute_bounds(part.instance))
+        part.lb = part.model.bounds.lb
         if part.best is not None and part.best.objective == part.lb:
             part.closed = FOUND_CH_LS
     clock("prep", t)
@@ -345,8 +336,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
 
             def callback(sol: Solution) -> Solution | None:
                 # the callback runs inside the solve: it must not outlast the part's share
-                cfg = replace(config.search, seed=config.seed, deadline=min(
-                    config.eta_ls, max(part_end - _time.monotonic(), 0.01)))
+                cfg = search_config(min(config.eta_ls, max(part_end - _time.monotonic(), 0.01)))
                 better = local_search(sol, part.instance, graph, cfg)
                 if better.objective < sol.objective:
                     stage_origin[id(better)] = FOUND_CALLBACK

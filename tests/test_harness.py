@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -258,23 +259,40 @@ def test_fit_singleton_and_determinism(tmp_path):
 
 
 def test_config_round_trip():
-    cfg = DbmhConfig(eta_lb=30, seed=9)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # every field but eta_mip, which no run reads, set away from its default
+    changed = {"eta_lb": 30.0, "eta_ls": 4.0, "global_limit": 90.0, "p": 2.0,
+               "mode": "vnd", "use_ch": False, "use_ls": False, "use_dbi": False,
+               "use_cb": False, "use_mip": False, "extend_time_on_disable": True,
+               "seed": 9}
+    assert set(changed) == {f.name for f in dataclasses.fields(DbmhConfig)} - {"eta_mip"}
+    cfg = DbmhConfig(**changed)
+    assert all(getattr(cfg, k) != getattr(DbmhConfig(), k) for k in changed)
+    data = config_to_dict(cfg)
+    assert set(data) == set(changed) - {"p", "mode"} | {"search"}
+    assert data["search"] == {"p": 2.0, "mode": "vnd"}
+    assert config_from_dict(data) == cfg
 
 
 def test_config_round_trip_drops_the_search_seed():
     # every run overrides the search seed with its own, so a config file
     # written before that still loads, and writing it back drops the key
     cfg = config_from_dict({"seed": 9, "search": {"p": 2.0, "seed": 5}})
+    assert cfg == DbmhConfig(seed=9, p=2.0)
     out = config_to_dict(cfg)
     assert "seed" not in out["search"]
     assert out["seed"] == 9 and out["search"]["p"] == 2.0
 
 
+def test_cli_seed_and_mode_set_only_their_fields():
+    args = cli.build_parser().parse_args(
+        ["solve", "inst.json", "--seed", "9", "--mode", "vnd"])
+    assert cli._build_config(args) == dataclasses.replace(DbmhConfig(), seed=9, mode="vnd")
+
+
 def test_config_rejects_an_unknown_search_mode(tmp_path, capsys, sequential_pair):
     # modes are case-sensitive; an unknown one must not fall through to VND
     for mode in ("composite", "vnd"):
-        assert config_from_dict({"search": {"mode": mode}}).search.mode == mode
+        assert config_from_dict({"search": {"mode": mode}}).mode == mode
     with pytest.raises(ValueError, match="mode"):
         config_from_dict({"search": {"mode": "Composite"}})
     inst_path = tmp_path / "inst.json"

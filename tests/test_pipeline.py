@@ -13,7 +13,7 @@ from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.harness import method_config
-from drsync.instance import Instance, Ride, check_instance, decompose
+from drsync.instance import Instance, Ride, Stop, check_instance, decompose
 from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
 from drsync.pipeline import (
@@ -333,6 +333,33 @@ def test_one_component_takes_the_joint_path(flags, report, nodes):
         "49113a33c221a764c83cba87918cde04e2e7f259e0df988efa515ca23825690f"
     assert [p["closed"] for p in rep.timings_dict()["parts"]] == \
         ["dbi" if not flags else "mip"]
+
+
+@pytest.mark.parametrize("flags", [{}, {"use_dbi": False}], ids=["dbi", "mip"])
+@pytest.mark.parametrize("make", [lambda: _shared_terminal((2, 2, 4), 4),
+                                  lambda: gap_fixture(3, hub=True)],
+                         ids=["shared_terminal", "gap_hub"])
+def test_a_sole_component_runs_as_the_instance(flags, make):
+    # run always works on the components; a sole one differs from the
+    # instance only in the stops no ride uses, which no stage reads
+    spare = (Stop("spare", "customer"), Stop("spare_station", "station"))
+    inst = make()
+    inst = check_instance(dataclasses.replace(inst, stops=inst.stops + spare))
+    (component,) = decompose(inst)
+    assert component.stops == inst.stops[:-2]
+    whole, sole = run(inst, DbmhConfig(**flags)), run(component, DbmhConfig(**flags))
+    assert whole.parts, "closed at the whole instance's clb"
+    assert whole.to_dict() == sole.to_dict()
+    assert whole.solution.to_dict() == sole.solution.to_dict()
+    assert whole.parts == sole.parts
+
+
+@pytest.mark.parametrize("method", ["dbmh", "ch_ls", "mip"])
+def test_empty_instance_is_optimal_with_no_drivers(method):
+    inst = Instance(rides=(), stops=(), theta_tw=10, zeta=0, ell=10)
+    rep = run(inst, method_config(method, DbmhConfig()))
+    assert (rep.status, rep.objective, rep.final_lb) == ("optimal", 0, 0)
+    assert rep.solution.routes == []
 
 
 def test_split_run_keeps_the_global_limit():
