@@ -12,7 +12,9 @@ is exact whenever it finishes within the time limit. The search is
 iterative: every open node is a generator kept on an explicit stack, which
 applies one child's change, yields, and undoes the change when resumed, so
 the depth of the tree (several pieces per ride) is not bounded by the
-interpreter's recursion limit. The deadline is checked at every node.
+interpreter's recursion limit. Under policy ``none`` a child's crew change
+is applied and undone the same way, by the nested generator ``_crew_step``.
+The deadline is checked at every node.
 """
 
 from __future__ import annotations
@@ -110,15 +112,6 @@ class _Driver:
         return (self.base, self.time, self.u, self.daily, self.start,
                 self.trail_run, self.engaged)
 
-    def snapshot(self):
-        return (self.base, self.time, self.u, self.daily, self.start,
-                self.trail_run, len(self.elements), self.engaged, self.last_active)
-
-    def rollback(self, snap):
-        (self.base, self.time, self.u, self.daily, self.start,
-         self.trail_run, n_el, self.engaged, self.last_active) = snap
-        del self.elements[n_el:]
-
 
 class _Search:
     """Depth-first branch-and-bound over an explicit stack of search nodes.
@@ -128,16 +121,18 @@ class _Search:
     ``_crew_children`` list when the node is entered (a node with none gets
     no generator). Each step applies one child's change to the shared search
     state and yields, and the next step undoes it before applying the next
-    child. ``_search`` keeps the open generators on a list, so a deep tree
-    costs list entries rather than interpreter frames. ``_TimeUp`` and
-    ``_Stop`` end the search from any depth; the state they leave behind is
-    not used again.
+    child; under policy ``none``, ``_hand_out`` yields from ``_crew_step``,
+    which does the same for the crew change. So a node leaves the state as
+    it found it once its children are exhausted. ``_search`` keeps the open
+    generators on a list, so a deep tree costs list entries rather than
+    interpreter frames. ``_TimeUp`` and ``_Stop`` end the search from any
+    depth; the state they leave behind is not used again.
     """
 
     def __init__(self, model: Model, config: SolverConfig):
         self.g = model.graph
         self.inst = model.instance
-        self.legal = legal = model.instance.legal
+        legal = model.instance.legal
         self.t_b, self.t_ds, self.t_dw, self.t_cs = legal.t_b, legal.t_ds, legal.t_dw, legal.t_cs
         self.model = model
         self.config = config
@@ -164,9 +159,10 @@ class _Search:
         self.start_grids = [
             self.inst.window(r.departures[0]).grid(self.inst.ell) for r in self.rides
         ]
-        self.crew: list[dict[int, int]] = [dict() for _ in range(self.nrides)]
+        # policy none: per ride, the drivers aboard it (each with engaged == ride)
+        self.crew: list[set[int]] = [set() for _ in range(self.nrides)]
         # per ride: (segment, node) or a pending tuple -> candidate pieces, on first use
-        self._segment_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
+        self._piece_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
         # base -> (start, end, (piece,)) of each scheduled piece leaving it
@@ -240,20 +236,15 @@ class _Search:
     # -- main search ------------------------------------------------------
 
     def run(self) -> SolveOutcome:
-        status = "optimal"
         try:
             self._search()
         except _TimeUp:
-            status = "timeout"
+            status = "feasible" if self.best_solution is not None else "timeout_no_solution"
+            return SolveOutcome(status, self.best_solution, self.model.bounds.lb,
+                                self.incumbent_log, self.nodes_visited)
         except _Stop:
-            status = "optimal"
+            pass
         nodes = self.nodes_visited
-        if status == "timeout":
-            if self.best_solution is not None:
-                return SolveOutcome("feasible", self.best_solution, self.model.bounds.lb,
-                                    self.incumbent_log, nodes)
-            return SolveOutcome("timeout_no_solution", None, self.model.bounds.lb,
-                                self.incumbent_log, nodes)
         if self.best_solution is None:
             cap = self.model.cardinality_cap
             bound = (cap + 1) if cap is not None else 0
@@ -275,10 +266,8 @@ class _Search:
                 else:
                     kind, ri, t_active = ev
                     children = None     # dead: a ride was deferred past its window
-                    if kind == "seg":
-                        children = self._children(ri, self._segment_pieces(ri))
-                    elif kind == "out":
-                        children = self._children(ri, self._out_pieces(ri))
+                    if kind == "piece":
+                        children = self._children(ri, self._pieces(ri))
                     elif kind == "start":
                         children = self._start_children(ri, t_active)
                     if children is not None:
@@ -302,20 +291,20 @@ class _Search:
         for ri in range(self.nrides):
             pend = pending[ri]
             if pend is not None:
-                t = node_time[pend[0]]
-                if t_active is None or t < t_active:
-                    t_active, choice = t, ("out", ri)
-                continue
-            node = cur_node[ri]
-            if node < 0:
-                if unstarted is None:
-                    unstarted = [ri]
-                else:
-                    unstarted.append(ri)
-            elif pos[ri] < n_segments[ri]:
-                t = node_time[node]
-                if t_active is None or t < t_active:
-                    t_active, choice = t, ("seg", ri)
+                node = pend[0]
+            else:
+                node = cur_node[ri]
+                if node < 0:
+                    if unstarted is None:
+                        unstarted = [ri]
+                    else:
+                        unstarted.append(ri)
+                    continue
+                if pos[ri] >= n_segments[ri]:
+                    continue
+            t = node_time[node]
+            if t_active is None or t < t_active:
+                t_active, choice = t, ri
         if unstarted is not None:
             best_start = None
             for ri in unstarted:
@@ -330,7 +319,7 @@ class _Search:
                 return ("start", best_start[0], t_active)
         if choice is None:
             return None
-        return (choice[0], choice[1], t_active)
+        return ("piece", choice, t_active)
 
     def _start_children(self, ri: int, t_active):
         """Start ride ri at each grid time up to t_active, then defer it past t_active."""
@@ -359,38 +348,31 @@ class _Search:
                 yield True
                 self.minstart[ri] = lo
 
-    def _segment_pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
-        """(piece, advance kind, head node) for each way to drive ride ri's next segment."""
-        k = self.pos[ri]
-        node = self.cur_node[ri]
-        cache = self._segment_cache[ri]
-        out = cache.get((k, node))
+    def _pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
+        """(piece, advance kind, head node) for each way to drive ride ri's next leg."""
+        pend = self.pending[ri]
+        key = pend or (self.pos[ri], self.cur_node[ri])
+        cache = self._piece_cache[ri]
+        out = cache.get(key)
         if out is not None:
             return out
         rid = self.rides[ri].id
         arcs = self.g.arcs
-        out = [(self._piece(aid), "direct", arcs[aid].head)
-               for aid in self.g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
-        if not self.policy_none:
-            for acc in self.rides[ri].stations[k]:
-                out += [(self._piece(aid), "pending", arcs[aid].head)
-                        for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
-                        if arcs[aid].tail == node]
-        cache[(k, node)] = out
-        return out
-
-    def _out_pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
-        pend = self.pending[ri]
-        cache = self._segment_cache[ri]
-        out = cache.get(pend)
-        if out is not None:
-            return out
-        snode, k, station = pend
-        arcs = self.g.arcs
-        out = cache[pend] = [
-            (self._piece(aid), "out", arcs[aid].head)
-            for aid in self.g.seg_out.get((self.rides[ri].id, k, station), ())
-            if arcs[aid].tail == snode]
+        if pend is not None:    # the out-leg from the station the ride waits at
+            snode, k, station = pend
+            out = [(self._piece(aid), "out", arcs[aid].head)
+                   for aid in self.g.seg_out.get((rid, k, station), ())
+                   if arcs[aid].tail == snode]
+        else:
+            k, node = key
+            out = [(self._piece(aid), "direct", arcs[aid].head)
+                   for aid in self.g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
+            if not self.policy_none:
+                for acc in self.rides[ri].stations[k]:
+                    out += [(self._piece(aid), "pending", arcs[aid].head)
+                            for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
+                            if arcs[aid].tail == node]
+        cache[key] = out
         return out
 
     # -- piece assignment ---------------------------------------------------
@@ -457,7 +439,8 @@ class _Search:
             d = drivers[idx]
             elements = d.elements
             undo = (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active,
-                    len(elements), cur_node[ri], pending[ri])
+                    len(elements), cur_node[ri], pending[ri], pos[ri], len(times),
+                    len(stations))
             if plan:
                 elements.extend(plan)
             elements.append(("steer", piece.arc))
@@ -479,26 +462,18 @@ class _Search:
                 pos[ri] += 1
                 times.append(self.node_time[head])
                 cur_node[ri] = head
-            if not self.policy_none:
-                yield True
+            if self.policy_none:
+                yield from self._crew_step(ri, piece, idx)
             else:
-                crew_undo = self._crew_update(ri, piece, idx)
-                if crew_undo is not None:
-                    yield True
-                    self._crew_rollback(ri, crew_undo)
+                yield True
             # undo
             (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active, n_elements,
-             cur_node[ri], pending[ri]) = undo
+             cur_node[ri], pending[ri], pos[ri], n_times, n_stations) = undo
             del elements[n_elements:]
+            del times[n_times:]
+            del stations[n_stations:]
             carriers[piece.from_base].pop()
             ride_pieces.pop()
-            if kind == "pending":
-                stations.pop()
-            else:
-                if kind == "direct":
-                    stations.pop()
-                pos[ri] -= 1
-                times.pop()
             if new_at is not None:
                 drivers.pop()
 
@@ -513,13 +488,13 @@ class _Search:
         start_b = self.rides[ri].stops[0]
         crew = self.crew[ri]
         ride_pieces = self.ride_pieces[ri]
+        ride_dh = [("deadhead", arcs[p.arc].twin) for p in ride_pieces]
         children: list[tuple] = []
         for piece, kind, head in candidates:
             if piece.segment == 0:
                 self._exchange_takers(piece, kind, head, children)
                 continue
             dur = piece.duration
-            ride_dh = [("deadhead", arcs[p.arc].twin) for p in ride_pieces]
             # later segment: crew members or late recruits who boarded at the start
             for idx in sorted(crew):
                 d = drivers[idx]
@@ -532,8 +507,8 @@ class _Search:
                 children.append((piece, kind, head, idx, plan, u0, None))
             seen = set()
             for idx, d in enumerate(drivers):
-                if (d.engaged is not None or idx in crew
-                        or d.daily + dur > t_ds or piece.end - d.start > t_dw):
+                if (d.engaged is not None or d.daily + dur > t_ds
+                        or piece.end - d.start > t_dw):
                     continue
                 key = d.key()
                 if key in seen:
@@ -551,60 +526,48 @@ class _Search:
                 children.append((piece, kind, head, None, ride_dh, 0, (start_b, start_t)))
         return self._hand_out(ri, children) if children else None
 
-    def _crew_update(self, ri: int, piece: Piece, steerer_idx: int):
-        """Record the steerer in ride ri's crew; release the crew if the ride ended.
+    def _crew_step(self, ri: int, piece: Piece, idx: int):
+        """Add driver idx, who steers ``piece``, to ride ri's crew and, if the
+        ride ends with it, release the crew at the terminal; yield, then undo.
 
-        Returns the undo record, or None (with nothing changed) when the
-        release would break a crew member's working span.
+        Yields nothing when the release would break a member's working span.
         """
-        ride = self.rides[ri]
-        undo: dict[int, tuple] = {}
-        d = self.drivers[steerer_idx]
-        if steerer_idx not in self.crew[ri]:
-            undo[steerer_idx] = ("join", d.engaged)
-            self.crew[ri][steerer_idx] = piece.end
-            d.engaged = ri
-        else:
-            undo[steerer_idx] = ("stamp", self.crew[ri][steerer_idx])
-            self.crew[ri][steerer_idx] = piece.end
-        if self.pos[ri] < ride.n_segments:
-            return undo
-        # ride completed: release the crew at the terminal
-        terminal_b = piece.to_base
-        terminal_t = piece.end
-        for idx in sorted(self.crew[ri]):
-            m = self.drivers[idx]
-            if terminal_t - m.start > self.legal.t_dw:
-                self._crew_rollback(ri, undo)
-                return None
-            undo.setdefault(idx, ("release", m.snapshot()))
-            if m.time < terminal_t:
-                for p in self.ride_pieces[ri]:
-                    if p.start >= m.last_active:
-                        m.elements.append(("deadhead", self.g.arcs[p.arc].twin))
-                run = terminal_t - m.last_active
-                if run >= self.legal.t_b:
-                    m.u = 0
-                m.trail_run = run
-                m.base, m.time = terminal_b, terminal_t
-            m.engaged = None
-        undo["__crew__"] = dict(self.crew[ri])
-        self.crew[ri] = {}
-        return undo
-
-    def _crew_rollback(self, ri: int, undo):
-        if "__crew__" in undo:
-            self.crew[ri] = undo.pop("__crew__")
-        for idx, (tag, data) in undo.items():
-            d = self.drivers[idx]
-            if tag == "join":
-                del self.crew[ri][idx]
-                d.engaged = data
-            elif tag == "stamp":
-                self.crew[ri][idx] = data
-            else:  # release
-                d.rollback(data)
+        crew = self.crew[ri]
+        drivers = self.drivers
+        joined = idx not in crew
+        if joined:
+            crew.add(idx)
+            drivers[idx].engaged = ri
+        end = piece.end
+        if self.pos[ri] < self.n_segments[ri]:
+            yield True
+        elif all(end - drivers[m].start <= self.t_dw for m in crew):
+            # the crew rides to the terminal and leaves the ride there
+            arcs = self.g.arcs
+            ride_pieces = self.ride_pieces[ri]
+            saved = []
+            for m in crew:
+                d = drivers[m]
+                saved.append((d, d.base, d.time, d.u, d.trail_run, len(d.elements)))
+                if d.time < end:
+                    d.elements += [("deadhead", arcs[p.arc].twin)
+                                   for p in ride_pieces if p.start >= d.last_active]
+                    run = end - d.last_active
+                    if run >= self.t_b:
+                        d.u = 0
+                    d.trail_run = run
+                    d.base, d.time = piece.to_base, end
+                d.engaged = None
+            self.crew[ri] = set()
+            yield True
+            self.crew[ri] = crew
+            for d, base, time, u, trail_run, n_elements in saved:
+                d.base, d.time, d.u, d.trail_run = base, time, u, trail_run
+                del d.elements[n_elements:]
                 d.engaged = ri
+        if joined:
+            crew.remove(idx)
+            drivers[idx].engaged = None
 
     # -- incumbents ---------------------------------------------------------
 

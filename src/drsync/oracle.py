@@ -44,9 +44,6 @@ class OracleResult:
 
 
 # driver tuple layout: (base, time, u, daily, start, trail_run, engaged, last_active)
-_FRESH = None
-
-
 def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> OracleResult:
     t0 = _time.monotonic()
     inst = filter_stations(check_instance(instance))
@@ -308,6 +305,8 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
                 options = candidates_none(rstate, drivers, elements, pieces, ri, piece)
             else:
                 options = candidates(rstate, drivers, elements, pieces, piece)
+            # new drivers boarding mid-ride under policy none start at the ride
+            # start time; `joins` carries that origin into the driver tuple
             for di, u0, plan, joins in options:
                 if di == len(drivers):
                     if len(drivers) >= cap:
@@ -420,9 +419,6 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
 
         rec(initial_rstate(), (), [], ())
         return sys_best[0]
-
-    # new drivers boarding mid-ride under policy none start at the ride start
-    # time; `joins` in assign() carries that origin through the driver tuple.
 
     best = None
     if nr == 0:

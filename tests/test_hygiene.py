@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, unreferenced functions or unread parameters."""
+"""Source hygiene: no unused imports, unreferenced top-level names or unread parameters."""
 
 import ast
 from pathlib import Path
@@ -17,7 +17,7 @@ def _references(tree: ast.AST) -> set[str]:
     """Every name a module loads, reads as an attribute or imports by name."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -43,17 +43,27 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _top_level_names(tree: ast.Module):
+    """Each function, class and module-level variable a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def test_every_top_level_function_is_referenced():
     sources = [p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")]
-    referenced = set()
+    referenced = {"__all__", "__version__"}
     for path in sources:
         referenced |= _references(_tree(path))
     unreferenced = sorted(
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path in MODULES
-        for node in _tree(path).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name not in referenced)
+        for name in _top_level_names(_tree(path))
+        if name not in referenced)
     assert not unreferenced, f"never referenced: {unreferenced}"
 
 

@@ -11,6 +11,7 @@ from drsync.instance import POLICY_NONE, Instance, LegalParams, Ride, check_inst
 from drsync.mip import (
     SolveOutcome,
     SolverConfig,
+    _Search,
     build_model,
     restrict,
     solve,
@@ -161,6 +162,48 @@ def test_released_crew_carries_its_deadhead_run_into_the_next_hop():
     assert out.status == "optimal"
     assert out.best_solution.objective == 2 == brute_force(inst).optimum
     assert check_feasibility(out.best_solution, inst, m.graph) == []
+
+
+def test_crew_members_stay_engaged(monkeypatch):
+    # policy none: every driver in a ride's crew is aboard that ride, also
+    # after the search backtracks over a release of the crew at the terminal,
+    # so no other ride can take a member as a free driver
+    inst = generate_synthetic(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)[0]
+    next_event = _Search._next_event
+    checks = 0
+
+    def checked(search):
+        nonlocal checks
+        for ri, crew in enumerate(search.crew):
+            assert all(search.drivers[m].engaged == ri for m in crew), (ri, sorted(crew))
+        checks += 1
+        return next_event(search)
+
+    monkeypatch.setattr(_Search, "_next_event", checked)
+    out = solve(model_for(inst), SolverConfig(time_limit=60))
+    assert out.status == "optimal"
+    assert checks > 100
+
+
+def _search_state(search):
+    return (
+        list(search.drivers), [set(c) for c in search.crew],
+        {base: list(units) for base, units in search.carriers.items() if units},
+        [list(p) for p in search.ride_pieces], [list(t) for t in search.times],
+        [list(s) for s in search.stations], list(search.pos), list(search.pending),
+        list(search.cur_node), list(search.minstart),
+    )
+
+
+@pytest.mark.parametrize("policy", ["regular_and_intermediate", "none"])
+def test_an_exhausted_search_leaves_the_root_state(policy):
+    # every child undoes what it applied, so a search that visits the whole
+    # tree ends where it began
+    inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy=policy), 3)[0]
+    search = _Search(_cap_model(inst, 0), SolverConfig(time_limit=60))
+    root = _search_state(search)
+    assert search.run().status == "infeasible"
+    assert _search_state(search) == root
 
 
 def _cap_model(inst, extra):
