@@ -38,8 +38,6 @@ def _build_config(args) -> DbmhConfig:
                       eta_ls=min(cfg.eta_ls, args.time_limit))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, mode=args.mode)
     return cfg
 
 
@@ -180,7 +178,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the run settings")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-    p.add_argument("--mode", choices=["composite", "vnd"], default=None)
 
 
 class _Parser(argparse.ArgumentParser):

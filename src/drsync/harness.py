@@ -57,13 +57,18 @@ def method_config(method: str, base: DbmhConfig) -> DbmhConfig:
 
 
 # the DbmhConfig fields a config file keeps in its "search" object
-_SEARCH_KEYS = ("p", "mode")
+_SEARCH_KEYS = ("p",)
 
 
 def config_from_dict(data: dict) -> DbmhConfig:
     data = dict(data)
     search = dict(data.pop("search", {}))
     search.pop("seed", None)   # older files carry it; the run's seed sets it
+    # older files also name local search's one strategy
+    mode = search.pop("mode", "composite")
+    if mode != "composite":
+        raise ValueError(
+            f"search.mode must be 'composite', local search's one strategy, got {mode!r}")
     top = {f.name for f in fields(DbmhConfig)} - set(_SEARCH_KEYS)
     bad = (set(data) - top) | (set(search) - set(_SEARCH_KEYS))
     if bad:
@@ -158,11 +163,10 @@ def run_suite(
             for seed in seeds:
                 try:
                     rep = run(inst, replace(cfg, seed=seed), instance_id=iid)
-                except (InstanceError, ValueError) as exc:
+                except (InstanceError, ValueError):
                     rows.append({
                         "label": label, "instance": iid, "size_class": size,
-                        "seed": seed, "status": "error", "error": str(exc),
-                        "report": None,
+                        "seed": seed, "status": "error", "report": None,
                     })
                     continue
                 rows.append({
@@ -371,7 +375,7 @@ def cmd_sweep(suite_dir: str, out_dir: str, base: DbmhConfig, axis: str,
             try:
                 variant = _with_axis(inst, axis, value)
                 rep = run(variant, base, instance_id=iid)
-            except (InstanceError, ValueError, ConstructionError) as exc:
+            except (InstanceError, ValueError, ConstructionError):
                 rows.append([iid, axis, value, "error", "", "", ""])
                 timing_rows.append([iid, axis, value, ""])
                 continue

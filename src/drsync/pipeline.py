@@ -50,8 +50,7 @@ class DbmhConfig:
     eta_mip: float = 60.0       # ignored; kept until the benchmark stops passing it
     eta_ls: float = 10.0        # local-search budget per incumbent callback
     global_limit: float = 3600.0  # the exact solve gets whatever is left of it
-    p: float = SearchConfig.p     # local search's selection skew
-    mode: str = SearchConfig.mode  # local search's strategy: composite or vnd
+    p: float = SearchConfig.p     # local search's one setting: its selection skew
     use_ch: bool = True
     use_ls: bool = True
     use_dbi: bool = True
@@ -61,7 +60,7 @@ class DbmhConfig:
     seed: int = 0
 
     def __post_init__(self):
-        SearchConfig(p=self.p, mode=self.mode)   # checks both
+        SearchConfig(p=self.p)   # checks p
         for name in ("eta_lb", "eta_ls", "global_limit"):
             v = getattr(self, name)
             if v <= 0:
@@ -209,8 +208,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     bb_nodes: dict[str, int | list[int]] = {}
     log: list[tuple[float, int]] = []
 
-    def search_config(deadline):
-        return SearchConfig(p=config.p, mode=config.mode, seed=config.seed, deadline=deadline)
+    def search_config(t_end):
+        return SearchConfig(p=config.p, seed=config.seed, t_end=t_end)
 
     def clock(name, since):
         timings[name] = timings.get(name, 0.0) + (_time.monotonic() - since)
@@ -255,7 +254,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         t = _time.monotonic()
         ls_end = max(deadline, t + 0.01)    # local search gets at least 0.01 s
         for part, share in _shares(parts, ls_end):
-            part.best = local_search(part.best, part.instance, graph, search_config(share))
+            part.best = local_search(part.best, part.instance, graph,
+                                     search_config(_time.monotonic() + share))
         improved = _join(graph, parts)
         if improved.objective < best.objective:
             log.append((_time.monotonic() - t0, improved.objective))
@@ -336,7 +336,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
 
             def callback(sol: Solution) -> Solution | None:
                 # the callback runs inside the solve: it must not outlast the part's share
-                cfg = search_config(min(config.eta_ls, max(part_end - _time.monotonic(), 0.01)))
+                now = _time.monotonic()
+                cfg = search_config(min(now + config.eta_ls, max(part_end, now + 0.01)))
                 better = local_search(sol, part.instance, graph, cfg)
                 if better.objective < sol.objective:
                     stage_origin[id(better)] = FOUND_CALLBACK

@@ -6,7 +6,8 @@ drivers greedily: reuse whoever is available at the start of a piece,
 steer until the route ends or the steering allowance runs out, then either
 wait for a break-sized gap or stay aboard to the terminal.
 
-The local search explores seven problem-specific operators over a frozen
+The local search has one strategy, the paper's composite neighborhood:
+every iteration calls all seven problem-specific operators on a frozen
 solution; randomized choices are skewed by the perturbation exponent p.
 Each operator call gets its own random stream, seeded on its first draw.
 Operators return their raw candidates without checking them. The search
@@ -19,7 +20,9 @@ itineraries only when it builds a candidate's routes. The plan operators
 then replay the greedy driver assignment from a checkpoint: the
 ``GreedyRecord`` of the current plan holds the driver states before every
 vehicle route, and the rerun starts at the first route whose inputs the
-change touches. A deadline is checked between operators and inside the
+change touches. A plan from elsewhere (the exact search's incumbents) gets
+its record from one full greedy run, kept on the solution. The search's
+end, ``SearchConfig.t_end``, is checked between operators and inside the
 backtracking of segment reassignment.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 import time as _time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .instance import Instance, POLICY_FULL, POLICY_NONE
 from .solution import (
@@ -46,9 +49,6 @@ from .solution import (
 )
 from .timegraph import FAMILY_STEERING, TimeGraph
 
-COMPOSITE = "composite"
-VND = "vnd"
-
 
 class ConstructionError(Exception):
     """No feasible vehicle plan or crew exists for some ride."""
@@ -61,18 +61,14 @@ class _Expired(Exception):
 @dataclass(frozen=True)
 class SearchConfig:
     p: float = 3.0
-    deadline: float | None = None     # seconds of wall budget
-    mode: str = COMPOSITE
     seed: int = 0
-    # the search's deadline on the ``_time.monotonic()`` clock, which
-    # local_search sets in the config it hands its operators
+    # the search's end on the ``_time.monotonic()`` clock; None runs it to
+    # a local optimum
     t_end: float | None = None
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.mode not in (COMPOSITE, VND):
-            raise ValueError(f"mode must be {COMPOSITE!r} or {VND!r}, got {self.mode!r}")
 
 
 def perturbed_select(n: int, p: float, rng: random.Random) -> int:
@@ -573,31 +569,22 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
     return out
 
 
-def _greedy_record(solution, instance, graph) -> GreedyRecord | None:
-    """The greedy's record for the solution's plan, built once and kept on it.
-
-    None when the greedy fails on that plan (possible only for a plan that
-    did not come from the greedy); every plan change then runs in full.
-    """
-    if solution.greedy is None:
-        try:
-            solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
-        except (PlanError, ConstructionError):
-            pass
-    return solution.greedy
-
-
 def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
-    """The greedy's solution once `ride` follows `rp`; None if it has none."""
+    """The greedy's solution once `ride` follows `rp`; None if it has none.
+
+    The greedy's record of the current plan is built once and kept on the
+    solution. It cannot fail on a plan from the greedy or from the exact
+    search, whose pieces are graph arcs and whose crews fit ``t_dw``
+    (``test_mip.py`` checks the latter on every incumbent).
+    """
     plan = dict(solution.plan)
     plan[ride.id] = rp
-    record = _greedy_record(solution, instance, graph)
+    if solution.greedy is None:
+        solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
     try:
-        if record is None:
-            return assign_drivers(instance, graph, plan)
-        return record.replay(instance, graph, plan, ride)
+        return solution.greedy.replay(instance, graph, plan, ride)
     except (PlanError, ConstructionError):
-        return None
+        return None   # the changed ride has no arcs, or its crew breaks a limit
 
 
 def _shift(solution, instance, graph, delta) -> list[Solution]:
@@ -777,41 +764,28 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                  trace: list[tuple[int, int]] | None = None) -> Solution:
     """Lexicographic descent on (driver count, -remaining working time)."""
     config = config or SearchConfig()
-    t_end = None if config.deadline is None else _time.monotonic() + config.deadline
-    config = replace(config, t_end=t_end)
+    t_end = config.t_end
     current = solution
     f0, th0 = current.objective, current.theta()
     if trace is not None:
         trace.append((f0, th0))
     iteration = 0
-    op_cursor = 0
     while t_end is None or _time.monotonic() < t_end:
-        if config.mode == COMPOSITE:
-            pool: list[Solution] = []
-            for oi, op in enumerate(OPERATORS):
-                if oi and t_end is not None and _time.monotonic() >= t_end:
-                    return current   # the deadline passed inside this iteration
-                rng = _op_rng(config, iteration, oi)
-                pool.extend(op(current, instance, graph, config, rng))
-        else:
-            rng = _op_rng(config, iteration, op_cursor)
-            pool = OPERATORS[op_cursor](current, instance, graph, config, rng)
+        pool: list[Solution] = []
+        for oi, op in enumerate(OPERATORS):
+            if oi and t_end is not None and _time.monotonic() >= t_end:
+                return current   # the end passed inside this iteration
+            pool.extend(op(current, instance, graph, config, _op_rng(config, iteration, oi)))
         better = sorted(
             (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
             key=lambda c: (c.objective, -c.theta(), c.sort_key()))
         # the best improving move that passes the full check is the one taken
         accepted = next((c for c in better if not check_feasibility(c, instance, graph)), None)
+        if accepted is None:
+            break
         iteration += 1
-        if accepted is not None:
-            current = accepted
-            f0, th0 = current.objective, current.theta()
-            if trace is not None:
-                trace.append((f0, th0))
-            op_cursor = 0
-        else:
-            if config.mode == COMPOSITE:
-                break
-            op_cursor += 1
-            if op_cursor == len(OPERATORS):
-                break
+        current = accepted
+        f0, th0 = current.objective, current.theta()
+        if trace is not None:
+            trace.append((f0, th0))
     return current

@@ -1,7 +1,9 @@
+import dataclasses
 import logging
 
 import pytest
 
+from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
 
 logging.getLogger("drsync").setLevel(logging.ERROR)
@@ -9,6 +11,16 @@ logging.getLogger("drsync").setLevel(logging.ERROR)
 
 def customer_stops(*names):
     return tuple(Stop(n, "customer") for n in names)
+
+
+def shared_terminal(shape, seed):
+    """A generated two-line instance whose lines end at the same stop."""
+    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    old, new = f"L1S{shape[2]}", f"L0S{shape[2]}"
+    rides = tuple(dataclasses.replace(r, stops=tuple(new if s == old else s for s in r.stops))
+                  for r in inst.rides)
+    stops = tuple(s for s in inst.stops if s.id != old)
+    return check_instance(dataclasses.replace(inst, rides=rides, stops=stops))
 
 
 @pytest.fixture

@@ -261,15 +261,15 @@ def test_fit_singleton_and_determinism(tmp_path):
 def test_config_round_trip():
     # every field but eta_mip, which no run reads, set away from its default
     changed = {"eta_lb": 30.0, "eta_ls": 4.0, "global_limit": 90.0, "p": 2.0,
-               "mode": "vnd", "use_ch": False, "use_ls": False, "use_dbi": False,
+               "use_ch": False, "use_ls": False, "use_dbi": False,
                "use_cb": False, "use_mip": False, "extend_time_on_disable": True,
                "seed": 9}
     assert set(changed) == {f.name for f in dataclasses.fields(DbmhConfig)} - {"eta_mip"}
     cfg = DbmhConfig(**changed)
     assert all(getattr(cfg, k) != getattr(DbmhConfig(), k) for k in changed)
     data = config_to_dict(cfg)
-    assert set(data) == set(changed) - {"p", "mode"} | {"search"}
-    assert data["search"] == {"p": 2.0, "mode": "vnd"}
+    assert set(data) == set(changed) - {"p"} | {"search"}
+    assert data["search"] == {"p": 2.0}
     assert config_from_dict(data) == cfg
 
 
@@ -284,17 +284,20 @@ def test_config_round_trip_drops_the_search_seed():
 
 
 def test_cli_seed_and_mode_set_only_their_fields():
-    args = cli.build_parser().parse_args(
-        ["solve", "inst.json", "--seed", "9", "--mode", "vnd"])
-    assert cli._build_config(args) == dataclasses.replace(DbmhConfig(), seed=9, mode="vnd")
+    args = cli.build_parser().parse_args(["solve", "inst.json", "--seed", "9"])
+    assert cli._build_config(args) == dataclasses.replace(DbmhConfig(), seed=9)
+    # local search has one strategy, so there is no flag to pick one
+    assert main(["solve", "inst.json", "--mode", "composite"]) == 1
 
 
 def test_config_rejects_an_unknown_search_mode(tmp_path, capsys, sequential_pair):
-    # modes are case-sensitive; an unknown one must not fall through to VND
-    for mode in ("composite", "vnd"):
-        assert config_from_dict({"search": {"mode": mode}}).mode == mode
-    with pytest.raises(ValueError, match="mode"):
-        config_from_dict({"search": {"mode": "Composite"}})
+    # files written before local search had one strategy name it: that one
+    # still loads and is dropped; any other, or another spelling, is an error
+    assert config_from_dict({"search": {"mode": "composite"}}) == DbmhConfig()
+    assert "mode" not in config_to_dict(DbmhConfig())["search"]
+    for mode in ("vnd", "Composite"):
+        with pytest.raises(ValueError, match="search.mode"):
+            config_from_dict({"search": {"mode": mode}})
     inst_path = tmp_path / "inst.json"
     save_instance(sequential_pair, str(inst_path))
     cfg_path = tmp_path / "cfg.json"
@@ -303,7 +306,7 @@ def test_config_rejects_an_unknown_search_mode(tmp_path, capsys, sequential_pair
     argv = ["solve", str(inst_path), "--config", str(cfg_path), "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: mode must be")
+    assert err.count("\n") == 1 and err.startswith("error: search.mode must be")
     assert not (tmp_path / "o").exists()
 
 

@@ -7,7 +7,15 @@ import pytest
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import POLICY_NONE, Instance, LegalParams, Ride, check_instance
+from drsync.instance import (
+    POLICY_FULL,
+    POLICY_NONE,
+    POLICY_REGULAR,
+    Instance,
+    LegalParams,
+    Ride,
+    check_instance,
+)
 from drsync.mip import (
     SolveOutcome,
     SolverConfig,
@@ -17,10 +25,11 @@ from drsync.mip import (
     solve,
 )
 from drsync.oracle import brute_force
+from drsync.search import assign_drivers
 from drsync.solution import check_feasibility
 from drsync.timegraph import FAMILY_DEADHEAD, FAMILY_STEERING, build_graph
 
-from conftest import customer_stops
+from conftest import customer_stops, shared_terminal
 
 
 def model_for(inst):
@@ -111,6 +120,31 @@ def test_callback_injection(sequential_pair):
     out = solve(worse, SolverConfig(time_limit=30, incumbent_callback=inject))
     assert out.status == "optimal"
     assert out.best_solution.objective == 1
+
+
+def test_the_greedy_crews_every_incumbent_plan():
+    # local search re-crews a changed plan by replaying the greedy's record
+    # of the plan it starts from, built once for a B&B incumbent, so the
+    # greedy must crew every incumbent's plan: its pieces are graph arcs, at
+    # most t_cs long, and every crew's span fits t_dw
+    instances = [check_instance(replace(inst, exchange_policy=policy))
+                 for _iid, inst in micro_suite(100)
+                 for policy in (POLICY_FULL, POLICY_REGULAR, POLICY_NONE)]
+    instances += [shared_terminal((2, 2, 4), seed) for seed in range(4)]
+    plans = 0
+    for inst in instances:
+        m = model_for(inst)
+        crewed = []
+
+        def crew(sol):
+            greedy = assign_drivers(inst, m.graph, sol.plan)
+            assert check_feasibility(greedy, inst, m.graph) == []
+            crewed.append(sol)
+
+        out = solve(m, SolverConfig(time_limit=60, incumbent_callback=crew))
+        assert len(crewed) == len(out.incumbent_log)
+        plans += len(crewed)
+    assert plans > len(instances)
 
 
 def test_start_solution_used_as_incumbent(parallel_triplet):

@@ -25,7 +25,7 @@ from drsync.search import construct
 from drsync.solution import check_feasibility, plan_from_routes
 from drsync.timegraph import FAMILY_STEERING, build_graph
 
-from conftest import customer_stops
+from conftest import customer_stops, shared_terminal
 
 
 def test_optimal_via_ch_ls(sequential_pair):
@@ -186,11 +186,11 @@ def test_incumbent_log_never_increases_through_the_bb(shape, seed, flags):
 def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
     # a stand-in local search that improves nothing, so the warm B&B finds
     # better incumbents and calls back; eta_ls equals the global limit, so
-    # only the time left can bound the callback's deadline
+    # only the time left can bound the callback's end
     calls = []
 
     def recording_local_search(sol, instance, graph, cfg):
-        calls.append((time.monotonic(), cfg.deadline))
+        calls.append(cfg.t_end)
         return sol
 
     monkeypatch.setattr(pipeline, "local_search", recording_local_search)
@@ -200,8 +200,8 @@ def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
     rep = run(inst, DbmhConfig(global_limit=limit, eta_lb=limit, eta_mip=0.001,
                                eta_ls=limit, use_dbi=False))
     assert len(calls) >= 2          # the LS stage, then at least one callback
-    for called_at, deadline in calls:
-        assert deadline <= start + limit - called_at + 0.01
+    for t_end in calls:
+        assert t_end <= start + limit + 0.01
 
 
 def test_budget_run_on_48_rides():
@@ -303,16 +303,6 @@ def test_ch_ls_runs_per_component():
     assert check_feasibility(rep.solution, inst) == []
 
 
-def _shared_terminal(shape, seed):
-    """A generated two-line instance whose lines end at the same stop."""
-    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
-    old, new = f"L1S{shape[2]}", f"L0S{shape[2]}"
-    rides = tuple(dataclasses.replace(r, stops=tuple(new if s == old else s for s in r.stops))
-                  for r in inst.rides)
-    stops = tuple(s for s in inst.stops if s.id != old)
-    return check_instance(dataclasses.replace(inst, rides=rides, stops=stops))
-
-
 @pytest.mark.parametrize("flags,report,nodes", [
     ({}, {"clb": 3, "dlb": 4, "final_lb": 4, "found_by": "dbi",
           "incumbent_objectives": [5, 4], "objective": 4, "seed": 0,
@@ -323,7 +313,7 @@ def _shared_terminal(shape, seed):
 ], ids=["dbi", "mip"])
 def test_one_component_takes_the_joint_path(flags, report, nodes):
     # the values are those of the pipeline before it split instances
-    inst = _shared_terminal((2, 2, 4), 4)
+    inst = shared_terminal((2, 2, 4), 4)
     assert len(decompose(inst)) == 1
     rep = run(inst, DbmhConfig(**flags))
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(report, sort_keys=True)
@@ -336,7 +326,7 @@ def test_one_component_takes_the_joint_path(flags, report, nodes):
 
 
 @pytest.mark.parametrize("flags", [{}, {"use_dbi": False}], ids=["dbi", "mip"])
-@pytest.mark.parametrize("make", [lambda: _shared_terminal((2, 2, 4), 4),
+@pytest.mark.parametrize("make", [lambda: shared_terminal((2, 2, 4), 4),
                                   lambda: gap_fixture(3, hub=True)],
                          ids=["shared_terminal", "gap_hub"])
 def test_a_sole_component_runs_as_the_instance(flags, make):
