@@ -21,9 +21,12 @@ then replay the greedy driver assignment from a checkpoint: the
 ``GreedyRecord`` of the current plan holds the driver states before every
 vehicle route, and the rerun starts at the first route whose inputs the
 change touches. A plan from elsewhere (the exact search's incumbents) gets
-its record from one full greedy run, kept on the solution. The search's
-end, ``SearchConfig.t_end``, is checked between operators and inside the
-backtracking of segment reassignment.
+its record from one full greedy run, kept on the solution. Each distinct
+neighbouring plan is replayed once: the record memoizes its replays, and
+segment reassignment's moves keep the plan and so the record and its memo.
+The search clears the memo when it moves to another plan and when it
+returns. The search's end, ``SearchConfig.t_end``, is checked between
+operators and inside the backtracking of segment reassignment.
 """
 
 from __future__ import annotations
@@ -172,10 +175,15 @@ class GreedyRecord:
     first route whose inputs changed: the ride's old or new place in the
     route order, or an earlier relief whose look-up the moved departures
     answer differently. Everything here depends on the plan alone.
+
+    ``memo`` maps ``(ride id, RidePlan)`` to what ``_replan`` got for that
+    change: the replayed solution, or None where the replay raised. Local
+    search keeps it only while the record is its current solution's, and
+    clears it when it moves to another plan or returns.
     """
 
     __slots__ = ("keys", "vehicle_routes", "departures_from", "snapshots",
-                 "reliefs", "elements", "routes")
+                 "reliefs", "elements", "routes", "memo")
 
     def __init__(self, keys, vehicle_routes, departures_from, snapshots, reliefs,
                  elements, routes):
@@ -186,6 +194,7 @@ class GreedyRecord:
         self.reliefs: list[tuple[int, str, int, int | None]] = reliefs
         self.elements: list[list[tuple]] = elements
         self.routes: list[tuple[int, ...] | None] = routes
+        self.memo: dict[tuple[str, RidePlan], Solution | None] = {}
 
     def solution(self, graph: TimeGraph, plan: dict[str, RidePlan]) -> Solution:
         sol = Solution(graph, [r for r in self.routes if r is not None], plan)
@@ -575,35 +584,38 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
     The greedy's record of the current plan is built once and kept on the
     solution. It cannot fail on a plan from the greedy or from the exact
     search, whose pieces are graph arcs and whose crews fit ``t_dw``
-    (``test_mip.py`` checks the latter on every incumbent).
+    (``test_mip.py`` checks the latter on every incumbent). The record's
+    memo answers a change it has replayed before.
     """
+    record = solution.greedy
+    if record is None:
+        record = solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
+    key = (ride.id, rp)
+    if key in record.memo:
+        return record.memo[key]
     plan = dict(solution.plan)
     plan[ride.id] = rp
-    if solution.greedy is None:
-        solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
     try:
-        return solution.greedy.replay(instance, graph, plan, ride)
+        cand = record.replay(instance, graph, plan, ride)
     except (PlanError, ConstructionError):
-        return None   # the changed ride has no arcs, or its crew breaks a limit
+        cand = None   # the changed ride has no arcs, or its crew breaks a limit
+    record.memo[key] = cand
+    return cand
 
 
 def _shift(solution, instance, graph, delta) -> list[Solution]:
-    rides = {r.id: r for r in instance.rides}
     out = []
-    for rid in sorted(solution.plan):
-        rp = solution.plan[rid]
-        ride = rides[rid]
-        times = [t + delta for t in rp.times]
-        ok = all(
-            instance.window(ride.departures[i]).earliest <= times[i]
-            <= instance.window(ride.departures[i]).latest
-            for i in range(len(times))
-        )
-        if not ok:
-            continue
-        cand = _replan(solution, instance, graph, ride, RidePlan(tuple(times), rp.stations))
-        if cand is not None:
-            out.append(cand)
+    for ride in sorted(instance.rides, key=lambda r: r.id):
+        rp = solution.plan[ride.id]
+        times = tuple(t + delta for t in rp.times)
+        for dep, t in zip(ride.departures, times):
+            win = instance.window(dep)
+            if not win.earliest <= t <= win.latest:
+                break
+        else:
+            cand = _replan(solution, instance, graph, ride, RidePlan(times, rp.stations))
+            if cand is not None:
+                out.append(cand)
     return out
 
 
@@ -762,7 +774,11 @@ def _op_rng(config: SearchConfig, iteration: int, op_index: int) -> _LazyRng:
 def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                  config: SearchConfig | None = None,
                  trace: list[tuple[int, int]] | None = None) -> Solution:
-    """Lexicographic descent on (driver count, -remaining working time)."""
+    """Lexicographic descent on (driver count, -remaining working time).
+
+    The replay memo of the current plan's greedy record lives only while
+    the search stays on that plan; none outlives the search.
+    """
     config = config or SearchConfig()
     t_end = config.t_end
     current = solution
@@ -770,22 +786,35 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
     if trace is not None:
         trace.append((f0, th0))
     iteration = 0
-    while t_end is None or _time.monotonic() < t_end:
-        pool: list[Solution] = []
-        for oi, op in enumerate(OPERATORS):
-            if oi and t_end is not None and _time.monotonic() >= t_end:
-                return current   # the end passed inside this iteration
-            pool.extend(op(current, instance, graph, config, _op_rng(config, iteration, oi)))
-        better = sorted(
-            (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
-            key=lambda c: (c.objective, -c.theta(), c.sort_key()))
-        # the best improving move that passes the full check is the one taken
-        accepted = next((c for c in better if not check_feasibility(c, instance, graph)), None)
-        if accepted is None:
-            break
-        iteration += 1
-        current = accepted
-        f0, th0 = current.objective, current.theta()
-        if trace is not None:
-            trace.append((f0, th0))
-    return current
+    try:
+        while t_end is None or _time.monotonic() < t_end:
+            pool: list[Solution] = []
+            for oi, op in enumerate(OPERATORS):
+                if oi and t_end is not None and _time.monotonic() >= t_end:
+                    return current   # the end passed inside this iteration
+                pool.extend(op(current, instance, graph, config,
+                               _op_rng(config, iteration, oi)))
+            better = sorted(
+                (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
+                key=lambda c: (c.objective, -c.theta(), c.sort_key()))
+            # the best improving move that passes the full check is the one taken
+            accepted = next((c for c in better if not check_feasibility(c, instance, graph)),
+                            None)
+            if accepted is None:
+                break
+            iteration += 1
+            if accepted.greedy is not current.greedy:
+                _forget(current)   # another record: its neighbours are asked no more
+            current = accepted
+            f0, th0 = current.objective, current.theta()
+            if trace is not None:
+                trace.append((f0, th0))
+        return current
+    finally:
+        _forget(current)
+
+
+def _forget(solution: Solution) -> None:
+    """Drop the replay memo of `solution`'s greedy record, if it has one."""
+    if solution.greedy is not None:
+        solution.greedy.memo.clear()

@@ -239,14 +239,14 @@ class Solution:
         return self._theta
 
     def route_span(self, route: tuple[int, ...]) -> tuple[int, int]:
-        times = [
-            t
-            for aid in route
-            for t in (self.graph.nodes[self.graph.arcs[aid].tail].time,
-                      self.graph.nodes[self.graph.arcs[aid].head].time)
-            if t is not None
-        ]
-        return min(times), max(times)
+        """The route's start and return: the head time of its first arc and
+        the tail time of its last.
+
+        `route` must be a source->sink path (``_validate_structure``). No
+        arc runs back in time, so these are its earliest and latest times.
+        """
+        g = self.graph
+        return g.nodes[g.arcs[route[0]].head].time, g.nodes[g.arcs[route[-1]].tail].time
 
     def sort_key(self):
         return tuple(self.routes)

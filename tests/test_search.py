@@ -3,14 +3,24 @@ from dataclasses import replace
 
 import pytest
 
+from drsync import search
 from drsync.fixtures import (
     exchange_fixture,
     gap_fixture,
+    micro_suite,
     postpone_fixture,
     redundant_station_fixture,
     station_exchange_fixture,
 )
-from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
+from drsync.instance import (
+    POLICIES,
+    Instance,
+    Ride,
+    StationAccess,
+    Stop,
+    check_instance,
+    decompose,
+)
 from drsync.oracle import brute_force
 from drsync.search import (
     OPERATORS,
@@ -450,6 +460,105 @@ def test_replay_redoes_earlier_relief():
     assert _record_fields(got.greedy) == _record_fields(want.greedy)
     assert want.routes in [c.routes for c in operator_postpone(ch, inst, g, CFG,
                                                                random.Random(0))]
+
+
+def _memo_instances():
+    """micro_suite(100) under every policy, and the parts of 6x4x4 seed 7."""
+    out = [check_instance(replace(inst, exchange_policy=policy))
+           for _name, inst in micro_suite(100) for policy in POLICIES]
+    return out + decompose(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
+
+
+def test_memo_hits_equal_a_fresh_replay(monkeypatch):
+    # whatever _replan serves from a record's memo is what a fresh replay
+    # from that record builds, also after a segment reassignment move, which
+    # keeps the plan and so the record and its memo
+    replan, replay = search._replan, GreedyRecord.replay
+    replays = []
+    reassigned = {}   # id -> candidate of segment reassignment, kept alive
+    first_asked = {}  # (id(record), ride id, plan) -> (record, solution that asked)
+    hits = []         # per memo hit: whether an earlier solution asked first
+
+    def counted(self, *args):
+        replays.append(None)
+        return replay(self, *args)
+
+    def reassign(solution, *args):
+        out = operator_reassign_segments(solution, *args)
+        reassigned.update((id(c), c) for c in out)
+        return out
+
+    def checked(solution, instance, graph, ride, rp):
+        n = len(replays)
+        got = replan(solution, instance, graph, ride, rp)
+        record = solution.greedy
+        key = (id(record), ride.id, rp)
+        if len(replays) > n:
+            first_asked.setdefault(key, (record, solution))
+            return got
+        # served without a replay: from the memo
+        plan = dict(solution.plan)
+        plan[ride.id] = rp
+        try:
+            want = replay(record, instance, graph, plan, ride)
+        except (PlanError, ConstructionError):
+            assert got is None
+        else:
+            assert got.routes == want.routes
+            assert got.plan == want.plan
+            assert _record_fields(got.greedy) == _record_fields(want.greedy)
+        asker = first_asked[key][1]
+        hits.append(asker is not solution and id(solution) in reassigned)
+        return got
+
+    monkeypatch.setattr(GreedyRecord, "replay", counted)
+    monkeypatch.setattr("drsync.search._replan", checked)
+    monkeypatch.setattr("drsync.search.OPERATORS", (reassign,) + OPERATORS[1:])
+    for inst in _memo_instances():
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        local_search(ch, inst, g, CFG)
+    assert len(hits) > 100
+    assert any(hits)   # a hit served after an accepted reassignment
+
+
+def test_no_memo_outlives_the_search(monkeypatch):
+    seen = 0
+    for inst in _memo_instances()[::5]:
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        out = local_search(ch, inst, g, CFG)
+        assert out.greedy.memo == {} and ch.greedy.memo == {}
+        seen += 1
+    assert seen > 40
+    # the stand-in clock of test_deadline_checked_between_operators ends the
+    # search inside its first iteration, after postpone and prepone filled
+    # the start solution's memo
+    clock = _Clock()
+    filled = []
+
+    def timed(op):
+        def run(solution, *args):
+            clock.now += 1.0
+            out = op(solution, *args)
+            filled.append(len(solution.greedy.memo))
+            return out
+        return run
+
+    monkeypatch.setattr("drsync.search._time", clock)
+    monkeypatch.setattr("drsync.search.OPERATORS", tuple(timed(op) for op in OPERATORS))
+    inst = postpone_fixture()
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=2.5)) is ch
+    assert len(filled) == 3 and filled[-1] > 0
+    assert ch.greedy.memo == {}
 
 
 def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from drsync.instance import Instance, Ride, check_instance
-from drsync.search import construct
+from drsync.bounds import compute_bounds
+from drsync.fixtures import micro_suite
+from drsync.instance import POLICIES, Instance, Ride, check_instance
+from drsync.mip import SolverConfig, build_model, solve
+from drsync.search import ConstructionError, SearchConfig, construct, local_search
 from drsync.solution import (
     ConnectionPlanner,
     RidePlan,
@@ -154,6 +159,58 @@ def test_theta_zero_at_full_span():
     assert check_feasibility(sol, inst, g) == []
     assert sol.route_span(sol.routes[0]) == (480, 1260)
     assert sol.theta() == 0
+
+
+def test_daily_working_reported():
+    # one driver steers a (480-540), waits at B and steers b (1200-1290):
+    # a span of 810 minutes, 30 over t_dw = 780, and nothing else broken
+    inst = check_instance(Instance(
+        rides=(
+            Ride("a", "L1", ("A", "B"), (485, 545), (60,), ((),)),
+            Ride("b", "L2", ("B", "C"), (1205, 1295), (90,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C"),
+        theta_tw=10, zeta=0, ell=10,
+    ))
+    plan = {"a": RidePlan((480, 540), (None,)), "b": RidePlan((1200, 1290), (None,))}
+    sol, g = manual_solution(inst, plan, [[0, 1]])
+    assert sol.route_span(sol.routes[0]) == (480, 1290)
+    violations = check_feasibility(sol, inst, g)
+    assert [(v.kind, v.subject, v.detail) for v in violations] == [
+        ("daily_working", "driver 0", 30)]
+
+
+def _scanned_span(sol, route):
+    """The earliest and latest time over every arc of `route`."""
+    g = sol.graph
+    times = [t for aid in route
+             for t in (g.nodes[g.arcs[aid].tail].time, g.nodes[g.arcs[aid].head].time)
+             if t is not None]
+    return min(times), max(times)
+
+
+def test_route_span_matches_a_full_scan():
+    # the span read from a route's ends against the scan over all its arcs,
+    # on construction, local-search and B&B-incumbent solutions
+    checked = 0
+    for _name, inst in micro_suite(100):
+        for policy in POLICIES:
+            inst = check_instance(replace(inst, exchange_policy=policy))
+            g = build_graph(inst)
+            sols = []
+            try:
+                sols.append(construct(inst, g))
+            except ConstructionError:
+                pass
+            else:
+                sols.append(local_search(sols[0], inst, g, SearchConfig()))
+            solve(build_model(inst, g, compute_bounds(inst)),
+                  SolverConfig(time_limit=60, incumbent_callback=sols.append))
+            for sol in sols:
+                for route in sol.routes:
+                    assert sol.route_span(route) == _scanned_span(sol, route)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_plan_round_trip(fig2):
