@@ -95,7 +95,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instance import Instance, LegalParams, POLICY_NONE
-from .legality import chunk_count
 
 # (first minute, last minute, drivers) of one window of the lb3 chain
 Window = tuple[int, int, int]
@@ -121,6 +120,11 @@ class BoundReport:
             "per_ride_segments": dict(sorted(self.per_ride_segments.items())),
             "busiest_interval": [list(w) for w in self.busiest_interval],
         }
+
+
+def chunk_count(duration: int, t_cs: int) -> int:
+    """Minimum number of <= t_cs chunks a duration must be split into."""
+    return -(-duration // t_cs)
 
 
 def _effective_legs(ride) -> list[int]:

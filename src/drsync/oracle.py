@@ -5,8 +5,8 @@ station options and piece timings are enumerated straight from the
 instance (not from graph arcs), driver states are immutable tuples, and
 the search deepens an explicit driver cap (1, 2, ...) until a feasible
 assignment exists, so any answer is a proven optimum. Shares only the
-data types, the minute arithmetic of legality, and the route-assembly
-format for the returned witness.
+data types, ``filter_stations``, ``build_graph`` (for its size limit and
+its witness) and ``assemble_route`` for the returned witness.
 """
 
 from __future__ import annotations

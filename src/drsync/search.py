@@ -152,6 +152,13 @@ class _Sim:
     def rested_u(self, at_time: int, t_b: int) -> int:
         return 0 if at_time - self.time >= t_b else self.u
 
+    def wait(self, until: int, t_b: int) -> None:
+        """Stand at the base until `until`; a break-sized wait renews steering."""
+        if self.time < until:
+            self.elements.append(("wait", self.base, self.time, until))
+            self.u = self.rested_u(until, t_b)
+            self.time = until
+
 
 def _fits(sim: _Sim, u_eff: int, piece, legal) -> bool:
     d = piece.duration
@@ -302,10 +309,7 @@ def _greedy(instance, graph, keys, vehicle_routes, departures_from,
 
 def _take(sim: _Sim, vp, pos, legal) -> int:
     """Steer from piece `pos` of route `vp` while the limits allow; the next position."""
-    if sim.time < vp[pos].start:
-        sim.elements.append(("wait", sim.base, sim.time, vp[pos].start))
-        sim.u = sim.rested_u(vp[pos].start, legal.t_b)
-        sim.time = vp[pos].start
+    sim.wait(vp[pos].start, legal.t_b)
     while pos < len(vp) and _fits(sim, sim.u, vp[pos], legal):
         p = vp[pos]
         sim.elements.append(("steer", p.arc))
@@ -314,6 +318,18 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
         sim.base, sim.time = p.to_base, p.end
         pos += 1
     return pos
+
+
+def _ride_along(sim: _Sim, vp, until: int, graph, legal) -> None:
+    """Ride aboard route `vp` from now until `until`, deadheading the pieces
+    that start in between; a ride of at least a break renews steering."""
+    for p in vp:
+        if sim.time <= p.start < until:
+            sim.elements.append(("deadhead", graph.arcs[p.arc].twin))
+            sim.base = p.to_base
+    if until - sim.time >= legal.t_b:
+        sim.u = 0
+    sim.time = until
 
 
 def _refile(at_base, di: int, old: str, new: str) -> None:
@@ -348,12 +364,12 @@ def _assign_exchange(drivers, at_base, vp, j, legal, graph, departures_from,
         sim = drivers[pick]
         pos = _take(sim, vp, pos, legal)
         if pos < len(vp):
-            _relieve(sim, vp, pos, departures_from, legal, graph, reliefs, j)
+            _relieve(sim, vp, departures_from, legal, graph, reliefs, j)
         _refile(at_base, pick, p.from_base, sim.base)
     return touched
 
 
-def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph, reliefs, j):
+def _relieve(sim: _Sim, vp, departures_from, legal, graph, reliefs, j):
     """Relieved mid-route: wait here for a break-sized gap, else ride along."""
     here, now = sim.base, sim.time
     times = departures_from.get(here, ())
@@ -364,22 +380,18 @@ def _relieve(sim: _Sim, vp, pos, departures_from, legal, graph, reliefs, j):
     span_ok = vp[-1].end - sim.start <= legal.t_dw
     if wait_ok or not span_ok:
         return  # stay idle; a later takeover emits the waiting chain
-    for p in vp[pos:]:
-        sim.elements.append(("deadhead", graph.arcs[p.arc].twin))
-    run = vp[-1].end - now
-    sim.base, sim.time = vp[-1].to_base, vp[-1].end
-    if run >= legal.t_b:
-        sim.u = 0
+    _ride_along(sim, vp, vp[-1].end, graph, legal)
 
 
 def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
                  reliefs) -> list[int]:
     """Crew route `vp` with drivers who all stay aboard to its terminal.
 
-    Every crew member joins at the route's first base and leaves at its
-    terminal, so ``at_base`` is brought up to date once, at the end; until
-    then a crew member may still be listed at the first base, but is past
-    the route's start and is skipped.
+    Every crew member boards at the route's first base and start; whoever
+    steers next rides along to the piece, then steers on. The crew leaves
+    at the terminal, so ``at_base`` is brought up to date once, at the end;
+    until then a crew member may still be listed at the first base, but is
+    past the route's start and is skipped.
     """
     start_b, start_t = vp[0].from_base, vp[0].start
     term_t = vp[-1].end
@@ -391,79 +403,35 @@ def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
         raise ConstructionError(
             f"ride {vp[0].ride}: a leg exceeds continuous steering and "
             "stations are disabled under this exchange policy")
-    crew: list[tuple[int, int]] = []   # (driver index, last_active time)
+    crew: list[int] = []
     pos = 0
     while pos < len(vp):
         p = vp[pos]
-        pick = None
-        for ci, (di, last) in enumerate(crew):
-            sim = drivers[di]
-            u_eff = 0 if p.start - last >= legal.t_b else sim.u
-            if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
-                pick = ci
-                for q in vp:
-                    if last <= q.start < p.start:
-                        sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-                sim.u = u_eff
-                sim.base, sim.time = p.from_base, p.start
-                break
-        if pick is None:
-            di = None
+        di = next((di for di in crew
+                   if _fits(drivers[di], drivers[di].rested_u(p.start, legal.t_b), p, legal)),
+                  None)
+        if di is None:
+            renewed = p.start - start_t >= legal.t_b   # by the ride from the start to `p`
             for si in at_base.get(start_b, ()):
                 sim = drivers[si]
-                if sim.base != start_b or sim.time > start_t:
-                    continue
-                if term_t - sim.start > legal.t_dw:
-                    continue
-                u_eff = sim.rested_u(start_t, legal.t_b)
-                if p.start - start_t >= legal.t_b:
-                    u_eff = 0
-                if u_eff + p.duration <= legal.t_cs and sim.daily + p.duration <= legal.t_ds:
+                if (sim.time <= start_t and term_t - sim.start <= legal.t_dw
+                        and _fits(sim, 0 if renewed else sim.rested_u(start_t, legal.t_b),
+                                  p, legal)):
                     di = si
                     break
-            if di is None:
+            else:
                 drivers.append(_Sim(start_b, start_t))
                 di = len(drivers) - 1
                 at_base.setdefault(start_b, []).append(di)
-            sim = drivers[di]
-            if sim.time < start_t:
-                sim.elements.append(("wait", sim.base, sim.time, start_t))
-                sim.u = sim.rested_u(start_t, legal.t_b)
-                sim.time = start_t
-            for q in vp[:pos]:
-                sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-            if p.start - start_t >= legal.t_b:
-                sim.u = 0
-            crew.append((di, start_t))
-            pick = len(crew) - 1
-        di, _last = crew[pick]
+            drivers[di].wait(start_t, legal.t_b)
+            crew.append(di)
         sim = drivers[di]
-        stint_end = pos
-        while stint_end < len(vp):
-            q = vp[stint_end]
-            if (sim.u + q.duration > legal.t_cs
-                    or sim.daily + q.duration > legal.t_ds):
-                break
-            sim.elements.append(("steer", q.arc))
-            sim.u += q.duration
-            sim.daily += q.duration
-            stint_end += 1
-        sim.base = vp[stint_end - 1].to_base
-        sim.time = vp[stint_end - 1].end
-        crew[pick] = (di, sim.time)
-        # everyone else is aboard; their state catches up at release
-        pos = stint_end
-    for di, last in crew:
-        sim = drivers[di]
-        if sim.time < term_t:
-            for q in vp:
-                if q.start >= last:
-                    sim.elements.append(("deadhead", graph.arcs[q.arc].twin))
-            if term_t - last >= legal.t_b:
-                sim.u = 0
-            sim.base, sim.time = vp[-1].to_base, term_t
-        _refile(at_base, di, start_b, sim.base)
-    return [di for di, _last in crew]
+        _ride_along(sim, vp, p.start, graph, legal)
+        pos = _take(sim, vp, pos, legal)
+    for di in crew:
+        _ride_along(drivers[di], vp, term_t, graph, legal)
+        _refile(at_base, di, start_b, drivers[di].base)
+    return crew
 
 
 def construct(instance: Instance, graph: TimeGraph) -> Solution:
@@ -630,13 +598,14 @@ def operator_prepone(solution, instance, graph, config, rng) -> list[Solution]:
 
 
 def _insertable_segments(solution, instance):
-    """Station-free segments with an admissible station, longest first.
+    """Station-free segments with a station the graph has arcs via, longest first.
 
     The scan depends on the plan alone, so it is kept on the solution.
     """
     if solution.insertable is not None:
         return solution.insertable
     rides = {r.id: r for r in instance.rides}
+    seg_in = solution.graph.seg_in
     segs = []
     for rid in sorted(solution.plan):
         rp = solution.plan[rid]
@@ -644,9 +613,7 @@ def _insertable_segments(solution, instance):
         for k in range(ride.n_segments):
             if rp.stations[k] is not None:
                 continue
-            accs = [a for a in ride.stations[k]
-                    if a.detour(ride.segment_minutes[k]) <= instance.zeta
-                    and a.minutes_in <= instance.legal.t_cs]
+            accs = [a for a in ride.stations[k] if (rid, k, a.station_id) in seg_in]
             if accs:
                 segs.append((rp.times[k + 1] - rp.times[k], rid, k, ride, accs))
     segs.sort(key=lambda s: (-s[0], s[1], s[2]))

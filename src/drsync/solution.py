@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from collections import deque
 
 from .instance import Instance, POLICY_NONE
-from .legality import rest_renews
 from .timegraph import (
     FAMILY_DEADHEAD,
     FAMILY_DEPOT,
@@ -521,7 +520,7 @@ def check_feasibility(solution: Solution, instance: Instance,
             nonlocal u, block, worst_short
             if block is not None:
                 total = block[-1]
-                if rest_renews(total, legal):
+                if total >= legal.t_b:   # a break renews continuous steering
                     u = 0
                     worst_short = 0
                 else:

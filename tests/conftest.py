@@ -23,6 +23,24 @@ def shared_terminal(shape, seed):
     return check_instance(dataclasses.replace(inst, rides=rides, stops=stops))
 
 
+def long_ride_none():
+    """Legs of 260, 260 and 250 minutes under policy ``none``.
+
+    The first driver steers the first leg, rests aboard through the second
+    (a recruit steers it) and steers the third. Delaying the last stop by 20
+    minutes takes the span past t_dw, too long for a crew that stays aboard.
+    """
+    return check_instance(Instance(
+        rides=(
+            Ride("x", "L1", ("A", "B", "C", "D"), (480, 740, 1000, 1250), (260, 260, 250),
+                 ((), (), ())),
+            Ride("y", "L2", ("D", "A"), (500, 600), (100,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C", "D"),
+        theta_tw=20, zeta=0, ell=10, exchange_policy="none",
+    ))
+
+
 @pytest.fixture
 def fig2():
     """One segment i->j (60 min) with one station (30 in / 35 out, detour 5)."""

@@ -13,6 +13,8 @@ from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.search import SearchConfig, construct, local_search
 from drsync.timegraph import build_graph, graph_to_dict
 
+from conftest import long_ride_none
+
 # (generator config, generator seed) -> sha256 of the canonical to_dict() JSON
 GOLDEN = [
     (GeneratorConfig(4, 4, 3), 7,
@@ -36,6 +38,14 @@ GOLDEN_GRAPH = [
 ]
 
 
+# sha256 of construct's and of local search's to_dict() JSON on
+# conftest.long_ride_none, where a crew member who rested aboard steers again
+LONG_RIDE_NONE = (
+    "c5ed51cdadb57d3e8f77e0bf0520ad1f0091351656a4a9c503f2fd690287f99c",
+    "c5ed51cdadb57d3e8f77e0bf0520ad1f0091351656a4a9c503f2fd690287f99c",
+)
+
+
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -55,3 +65,11 @@ def test_ch_ls_output_digest(config, seed, digest):
     out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_crew_resume_digest():
+    inst = long_ride_none()
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    out = local_search(ch, inst, g, SearchConfig(seed=0))
+    assert (_digest(ch.to_dict()), _digest(out.to_dict())) == LONG_RIDE_NONE

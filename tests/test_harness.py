@@ -64,6 +64,14 @@ def test_cmd_solve_exit_codes(tmp_path, capsys, sequential_pair):
 
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
+    # with construction, DBI and the exact solve off no stage can find a solution
+    none_path = tmp_path / "none.json"
+    none_path.write_text(json.dumps({"use_ch": False, "use_dbi": False, "use_mip": False}))
+    out3 = tmp_path / "o3"
+    assert main(["solve", str(inst_path), "--config", str(none_path), "--out", str(out3)]) == 3
+    assert json.loads((out3 / "report.json").read_text())["status"] == "no_solution"
+    assert not (out3 / "solution.json").exists()
+
     # usage errors exit 1 with argparse's message on one line: 2 means infeasible
     capsys.readouterr()
     for argv in (["solve", str(inst_path), "--bogus", "x"], ["solve"],

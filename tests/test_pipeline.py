@@ -204,6 +204,36 @@ def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
         assert t_end <= start + limit + 0.01
 
 
+def test_the_bb_adopts_a_better_incumbent_from_the_callback():
+    # without CH the B&B's first leaf has 6 drivers; the callback's local
+    # search returns 5, which the B&B adopts and the run credits to it
+    inst = generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0]
+    rep = run(inst, DbmhConfig(use_ch=False, use_dbi=False,
+                               global_limit=5.0, eta_lb=1.0, eta_ls=1.0))
+    assert (rep.status, rep.objective, rep.found_by) == ("optimal", 5, "ls_callback")
+    assert [f for _t, f in rep.incumbent_log] == [6, 5]
+    assert check_feasibility(rep.solution, inst) == []
+
+
+@pytest.mark.parametrize("extend", [False, True])
+def test_extend_time_on_disable_gives_dbi_the_whole_budget(monkeypatch, extend):
+    # Variant 5 (extend) and Variant 6 differ only here: with the exact
+    # solve off, Variant 5's DBI runs to the global limit, not to eta_lb
+    shares = []
+
+    def recording_dbi(model, lb, best, share, cap_nodes):
+        shares.append(share)
+        return destructive_bound_improvement(model, lb, best, share, cap_nodes)
+
+    monkeypatch.setattr(pipeline, "destructive_bound_improvement", recording_dbi)
+    rep = run(gap_fixture(2, hub=True),
+              DbmhConfig(global_limit=30.0, eta_lb=0.5, use_mip=False,
+                         extend_time_on_disable=extend))
+    assert rep.found_by == "dbi"
+    assert len(shares) == 1
+    assert (shares[0] > 20.0) if extend else (shares[0] <= 0.5)
+
+
 def test_budget_run_on_48_rides():
     # the budget benchmark's largest rung, once past the recursion limit
     inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]

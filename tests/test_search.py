@@ -53,7 +53,7 @@ from drsync.solution import (
 )
 from drsync.timegraph import build_graph
 
-from conftest import customer_stops
+from conftest import customer_stops, long_ride_none
 
 CFG = SearchConfig(seed=0)
 
@@ -135,6 +135,28 @@ def test_ch_deadhead_rule_rides_to_terminal():
     assert deadheads
 
 
+@pytest.mark.parametrize("policy", ["regular_and_intermediate", "none"])
+def test_ch_ride_along_of_exactly_a_break_renews_steering(policy):
+    # the first driver steers A->B (260 minutes) and rides along B->C, 45
+    # minutes, exactly t_b. Ride b leaves C on arrival for 230 minutes: only
+    # the renewed first driver can steer it, so two drivers crew both rides
+    inst = check_instance(Instance(
+        rides=(
+            Ride("a", "L1", ("A", "B", "C"), (480, 740, 785), (260, 45), ((), ())),
+            Ride("b", "L2", ("C", "D"), (785, 1015), (230,), ((),)),
+        ),
+        stops=customer_stops("A", "B", "C", "D"),
+        theta_tw=10, zeta=0, ell=10, exchange_policy=policy,
+    ))
+    g = build_graph(inst)
+    sol = construct(inst, g)
+    assert check_feasibility(sol, inst, g) == []
+    assert sol.objective == 2
+    first = [(g.arcs[a].family, g.arcs[a].ride) for a in sol.routes[0]
+             if g.arcs[a].family in ("steering", "deadhead")]
+    assert first == [("steering", "a"), ("deadhead", "a"), ("steering", "b")]
+
+
 def test_reassign_merges_drivers(sequential_pair):
     # hand-build the wasteful 2-driver arrangement: one driver per ride
     from drsync.solution import Solution, assemble_route, plan_pieces
@@ -206,6 +228,22 @@ def test_insert_no_admissible_station(sequential_pair):
     sol = construct(sequential_pair, g)
     assert operator_insert_stop_random(sol, sequential_pair, g, CFG,
                                        random.Random(0)) == []
+
+
+def test_insertable_stations_have_arcs():
+    # S1's out-leg of 272 minutes exceeds t_cs, so the graph builds no arcs
+    # via S1 although its detour of 6 is within zeta
+    inst = check_instance(Instance(
+        rides=(Ride("r", "L1", ("A", "B"), (480, 750), (268,),
+                    ((StationAccess("S1", 2, 272), StationAccess("S2", 135, 138)),)),),
+        stops=customer_stops("A", "B") + (Stop("S1", "station"), Stop("S2", "station")),
+        theta_tw=10, zeta=10, ell=10,
+    ))
+    g = build_graph(inst)
+    segs = search._insertable_segments(construct(inst, g), inst)
+    listed = [(rid, k, a.station_id) for _dur, rid, k, _ride, accs in segs for a in accs]
+    assert listed == [("r", 0, "S2")]
+    assert all(key in g.seg_in for key in listed)
 
 
 def test_insert_produces_feasible_station_visit():
@@ -388,27 +426,13 @@ def _one_ride_changes(inst, plan):
         yield ride, RidePlan(rp.times[:-1] + (rp.times[-1] + 2 * inst.ell,), rp.stations)
 
 
-def _long_ride_none():
-    # legs of 260, 260 and 250 minutes: delaying the last stop by 20
-    # minutes takes the span past t_dw, too long for a crew that stays aboard
-    return check_instance(Instance(
-        rides=(
-            Ride("x", "L1", ("A", "B", "C", "D"), (480, 740, 1000, 1250), (260, 260, 250),
-                 ((), (), ())),
-            Ride("y", "L2", ("D", "A"), (500, 600), (100,), ((),)),
-        ),
-        stops=customer_stops("A", "B", "C", "D"),
-        theta_tw=20, zeta=0, ell=10, exchange_policy="none",
-    ))
-
-
 def test_replay_matches_full_greedy(monkeypatch):
     # every one-ride plan change that local search makes, replayed from the
     # record of the solution it changes, against a from-scratch run
     outcomes = []
     checked = _checked_replay(outcomes)
     monkeypatch.setattr(GreedyRecord, "replay", checked)
-    instances = [_long_ride_none()]
+    instances = [long_ride_none()]
     for policy in ("regular_and_intermediate", "regular_stops", "none"):
         for shape in ((2, 2, 4), (3, 2, 3), (4, 4, 3)):
             instances += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy),
