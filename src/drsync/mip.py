@@ -15,6 +15,12 @@ the depth of the tree (several pieces per ride) is not bounded by the
 interpreter's recursion limit. Under policy ``none`` a child's crew change
 is applied and undone the same way, by the nested generator ``_crew_step``.
 The deadline is checked at every node.
+
+Both crew policies share one taker rule (``_takers``), one ride-along list
+(``_aboard``) and one carrier index (``carriers``). Under policy ``none`` a
+piece goes to a crew member or to a driver who boards at the ride's start
+and rides along to it, and a finished ride carries passengers as one unit;
+under the exchange policies each scheduled piece is a carrier.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ class SolverConfig:
 class SolveOutcome:
     status: str                      # optimal | infeasible | feasible | timeout_no_solution
     best_solution: Solution | None
-    best_bound: int
     incumbent_log: list[tuple[float, int]] = field(default_factory=list)
     nodes: int = 0                   # branch-and-bound nodes visited
 
@@ -97,12 +102,12 @@ class _Driver:
     __slots__ = ("base", "time", "u", "daily", "start", "trail_run",
                  "elements", "engaged", "last_active")
 
-    def __init__(self, base, time, u, daily, start):
+    def __init__(self, base, time):
         self.base = base
         self.time = time
-        self.u = u
-        self.daily = daily
-        self.start = start
+        self.u = 0
+        self.daily = 0
+        self.start = time
         self.trail_run = 0
         self.elements: list[tuple] = []
         self.engaged: int | None = None   # ride index while aboard (policy none)
@@ -118,12 +123,13 @@ class _Search:
 
     A node's children are produced by one generator: ``_start_children``, or
     ``_hand_out`` over the piece assignments that ``_exchange_children`` or
-    ``_crew_children`` list when the node is entered (a node with none gets
-    no generator). Each step applies one child's change to the shared search
-    state and yields, and the next step undoes it before applying the next
-    child; under policy ``none``, ``_hand_out`` yields from ``_crew_step``,
-    which does the same for the crew change. So a node leaves the state as
-    it found it once its children are exhausted. ``_search`` keeps the open
+    ``_crew_children`` list with ``_takers`` when the node is entered (a node
+    with none gets no generator). Each step applies one child's change to
+    the shared search state, ``carriers`` included, and yields, and the next
+    step undoes it before applying the next child; under policy ``none``,
+    ``_hand_out`` yields from ``_crew_step``, which does the same for the
+    crew change and the release at the terminal. So a node leaves the state
+    as it found it once its children are exhausted. ``_search`` keeps the open
     generators on a list, so a deep tree costs list entries rather than
     interpreter frames. ``_TimeUp`` and ``_Stop`` end the search from any
     depth; the state they leave behind is not used again.
@@ -165,7 +171,8 @@ class _Search:
         self._piece_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
-        # base -> (start, end, (piece,)) of each scheduled piece leaving it
+        # base -> (start, end, pieces) of each carrier leaving it: a scheduled
+        # piece, or under policy none a finished ride
         self.carriers: defaultdict[str, list[tuple]] = defaultdict(list)
         self.ride_pieces: list[list[Piece]] = [[] for _ in range(self.nrides)]
 
@@ -210,7 +217,7 @@ class _Search:
             u = 0 if gap >= self.t_b else d.u
             return True, u, plan, (d.trail_run if gap == 0 else 0)
         parents, goal_any, goal_renew = plan_relocation(
-            self._carrier_units, self.t_b, d.base, d.time, d.trail_run, to_base, to_time)
+            self.carriers, self.t_b, d.base, d.time, d.trail_run, to_base, to_time)
         goal = goal_renew if goal_renew is not None else goal_any
         if goal is None:
             return False, 0, None, 0
@@ -219,20 +226,6 @@ class _Search:
         u = 0 if goal_renew is not None else d.u
         return True, u, steps, end_run
 
-    def _carrier_units(self, base: str):
-        """(start, end, legs) of each scheduled run a driver can ride from base."""
-        if not self.policy_none:
-            return self.carriers.get(base, ())
-        units = []
-        for ri in range(self.nrides):
-            chunk = self.ride_pieces[ri]
-            if not chunk or self.pos[ri] < self.n_segments[ri]:
-                continue  # only completed rides can carry passengers
-            if chunk[0].from_base != base:
-                continue
-            units.append((chunk[0].start, chunk[-1].end, tuple(chunk)))
-        return units
-
     # -- main search ------------------------------------------------------
 
     def run(self) -> SolveOutcome:
@@ -240,17 +233,11 @@ class _Search:
             self._search()
         except _TimeUp:
             status = "feasible" if self.best_solution is not None else "timeout_no_solution"
-            return SolveOutcome(status, self.best_solution, self.model.bounds.lb,
-                                self.incumbent_log, self.nodes_visited)
         except _Stop:
-            pass
-        nodes = self.nodes_visited
-        if self.best_solution is None:
-            cap = self.model.cardinality_cap
-            bound = (cap + 1) if cap is not None else 0
-            return SolveOutcome("infeasible", None, bound, self.incumbent_log, nodes)
-        return SolveOutcome("optimal", self.best_solution, self.best_f,
-                            self.incumbent_log, nodes)
+            status = "optimal"
+        else:
+            status = "optimal" if self.best_solution is not None else "infeasible"
+        return SolveOutcome(status, self.best_solution, self.incumbent_log, self.nodes_visited)
 
     def _search(self):
         """Depth-first walk: visit a node, then resume the deepest open node's next child."""
@@ -381,21 +368,25 @@ class _Search:
         """Each piece goes to every distinct free driver able to take it, then to a new one."""
         children: list[tuple] = []
         for piece, kind, head in candidates:
-            self._exchange_takers(piece, kind, head, children)
+            self._takers(piece, kind, head, children, piece.from_base, piece.start, [])
         return self._hand_out(ri, children) if children else None
 
-    def _exchange_takers(self, piece: Piece, kind: str, head: int, children: list):
+    def _takers(self, piece: Piece, kind: str, head: int, children: list,
+                base: str, start: int, aboard: list[tuple]):
         """Append the children that give `piece` to a free driver or a new one.
 
-        The children of a node are listed when it is entered: each child
-        leaves the drivers as it found them, so later ones see the same state.
+        Each distinct free driver who can reach ``(base, start)`` and then ride
+        ``aboard`` to the piece is listed, then a new driver boarding there.
+        That ride along, with the run that reaches ``base``, renews continuous
+        steering once it lasts ``t_b``. Children are listed when the node is
+        entered: each leaves the drivers as it found them, so later ones see
+        the same state.
         """
         dur = piece.duration
-        base = piece.from_base
-        start = piece.start
         max_daily = self.t_ds - dur
         min_start = piece.end - self.t_dw
         max_u = self.t_cs - dur
+        ride = piece.start - start
         seen = set()
         for idx, d in enumerate(self.drivers):
             # drivers with equal keys pass or fail these filters alike
@@ -406,11 +397,15 @@ class _Search:
             if key in seen:
                 continue
             seen.add(key)
-            ok, u0, plan, _run = self._connect(d, base, start)
-            if ok and u0 <= max_u:
-                children.append((piece, kind, head, idx, plan, u0, None))
-        if len(self.drivers) + 1 < self.threshold:
-            children.append((piece, kind, head, None, (), 0, (base, start)))
+            ok, u0, plan, run = self._connect(d, base, start)
+            if not ok:
+                continue
+            if run + ride >= self.t_b:
+                u0 = 0
+            if u0 <= max_u:
+                children.append((piece, kind, head, idx, plan + aboard, u0, None))
+        if piece.end - start <= self.t_dw and len(self.drivers) + 1 < self.threshold:
+            children.append((piece, kind, head, None, aboard, 0, (base, start)))
 
     def _hand_out(self, ri: int, children: list[tuple]):
         """Visit each child (piece, advance kind, head node, driver index, plan,
@@ -433,7 +428,7 @@ class _Search:
             if new_at is not None:
                 if len(drivers) + 1 >= self.threshold:
                     continue
-                drivers.append(_Driver(new_at[0], new_at[1], 0, 0, new_at[1]))
+                drivers.append(_Driver(*new_at))
                 idx = len(drivers) - 1
             # apply: driver idx steers the piece after the plan, and the ride moves on
             d = drivers[idx]
@@ -449,7 +444,6 @@ class _Search:
             d.u = u0 + piece.duration
             d.daily += piece.duration
             d.trail_run = 0
-            carriers[piece.from_base].append(unit_of[piece.arc])
             ride_pieces.append(piece)
             if kind == "pending":
                 pending[ri] = (head, piece.segment, piece.station)
@@ -465,14 +459,15 @@ class _Search:
             if self.policy_none:
                 yield from self._crew_step(ri, piece, idx)
             else:
+                carriers[piece.from_base].append(unit_of[piece.arc])
                 yield True
+                carriers[piece.from_base].pop()
             # undo
             (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active, n_elements,
              cur_node[ri], pending[ri], pos[ri], n_times, n_stations) = undo
             del elements[n_elements:]
             del times[n_times:]
             del stations[n_stations:]
-            carriers[piece.from_base].pop()
             ride_pieces.pop()
             if new_at is not None:
                 drivers.pop()
@@ -480,55 +475,37 @@ class _Search:
     # -- policy-none crew handling ----------------------------------------
 
     def _crew_children(self, ri: int, candidates):
-        """Like ``_exchange_children``, for crews that stay aboard to the terminal."""
+        """Like ``_exchange_children``, for crews that stay aboard to the terminal:
+        each piece goes to a crew member, or to a taker boarding at the ride's start."""
         t_b, t_ds, t_dw, t_cs = self.t_b, self.t_ds, self.t_dw, self.t_cs
         drivers = self.drivers
-        arcs = self.g.arcs
         start_t = self.times[ri][0]
         start_b = self.rides[ri].stops[0]
         crew = self.crew[ri]
-        ride_pieces = self.ride_pieces[ri]
-        ride_dh = [("deadhead", arcs[p.arc].twin) for p in ride_pieces]
+        recruit_aboard = self._aboard(ri, start_t)
         children: list[tuple] = []
         for piece, kind, head in candidates:
-            if piece.segment == 0:
-                self._exchange_takers(piece, kind, head, children)
-                continue
             dur = piece.duration
-            # later segment: crew members or late recruits who boarded at the start
             for idx in sorted(crew):
                 d = drivers[idx]
                 u0 = 0 if piece.start - d.last_active >= t_b else d.u
                 if (u0 + dur > t_cs or d.daily + dur > t_ds
                         or piece.end - d.start > t_dw):
                     continue
-                plan = [("deadhead", arcs[p.arc].twin)
-                        for p in ride_pieces if p.start >= d.last_active]
-                children.append((piece, kind, head, idx, plan, u0, None))
-            seen = set()
-            for idx, d in enumerate(drivers):
-                if (d.engaged is not None or d.daily + dur > t_ds
-                        or piece.end - d.start > t_dw):
-                    continue
-                key = d.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                ok, u0, plan, end_run = self._connect(d, start_b, start_t)
-                if not ok:
-                    continue
-                if end_run + (piece.start - start_t) >= t_b:
-                    u0 = 0
-                if u0 + dur > t_cs:
-                    continue
-                children.append((piece, kind, head, idx, plan + ride_dh, u0, None))
-            if piece.end - start_t <= t_dw and len(drivers) + 1 < self.threshold:
-                children.append((piece, kind, head, None, ride_dh, 0, (start_b, start_t)))
+                children.append((piece, kind, head, idx, self._aboard(ri, d.last_active),
+                                 u0, None))
+            self._takers(piece, kind, head, children, start_b, start_t, recruit_aboard)
         return self._hand_out(ri, children) if children else None
+
+    def _aboard(self, ri: int, since: int) -> list[tuple]:
+        """Deadheads on ride ri's scheduled pieces from ``since`` on."""
+        arcs = self.g.arcs
+        return [("deadhead", arcs[p.arc].twin) for p in self.ride_pieces[ri] if p.start >= since]
 
     def _crew_step(self, ri: int, piece: Piece, idx: int):
         """Add driver idx, who steers ``piece``, to ride ri's crew and, if the
-        ride ends with it, release the crew at the terminal; yield, then undo.
+        ride ends with it, release the crew at the terminal and file the ride
+        as a carrier; yield, then undo.
 
         Yields nothing when the release would break a member's working span.
         """
@@ -543,24 +520,24 @@ class _Search:
             yield True
         elif all(end - drivers[m].start <= self.t_dw for m in crew):
             # the crew rides to the terminal and leaves the ride there
-            arcs = self.g.arcs
-            ride_pieces = self.ride_pieces[ri]
             saved = []
             for m in crew:
                 d = drivers[m]
                 saved.append((d, d.base, d.time, d.u, d.trail_run, len(d.elements)))
                 if d.time < end:
-                    d.elements += [("deadhead", arcs[p.arc].twin)
-                                   for p in ride_pieces if p.start >= d.last_active]
+                    d.elements += self._aboard(ri, d.last_active)
                     run = end - d.last_active
                     if run >= self.t_b:
                         d.u = 0
                     d.trail_run = run
                     d.base, d.time = piece.to_base, end
                 d.engaged = None
+            units = self.carriers[self.rides[ri].stops[0]]
+            units.append((self.times[ri][0], end, tuple(self.ride_pieces[ri])))
             self.crew[ri] = set()
             yield True
             self.crew[ri] = crew
+            units.pop()
             for d, base, time, u, trail_run, n_elements in saved:
                 d.base, d.time, d.u, d.trail_run = base, time, u, trail_run
                 del d.elements[n_elements:]

@@ -323,10 +323,11 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
                     to_base: str, to_time: int):
     """Breadth-first search for a wait/deadhead itinerary between two bases.
 
-    ``units(base)`` lists the carriers leaving ``base`` as ``(start, end,
+    ``units[base]`` lists the carriers leaving ``base`` as ``(start, end,
     legs)``, ``legs`` being the steering pieces a passenger rides in order;
-    ties between equally short itineraries break by that order. ``run`` is
-    the deadhead run the mover has just ridden, which a hop at once extends.
+    a base nothing leaves may be missing. Ties between equally short
+    itineraries break by list order. ``run`` is the deadhead run the mover
+    has just ridden, which a hop at once extends.
     A state is ``(base, time, run capped at t_b, renewed)``. Returns
     ``(parents, goal_any, goal_renew)``: the search tree, the first state at
     ``to_base`` no later than ``to_time``, and the first one whose itinerary
@@ -335,7 +336,7 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
     never a goal.
     """
     # most relocations fail at once: nothing leaves the start base in time
-    for st, en, _legs in units(from_base):
+    for st, en, _legs in units.get(from_base, ()):
         if st >= from_time and en <= to_time:
             break
     else:
@@ -347,7 +348,7 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
     while queue and goal_renew is None:
         state = queue.popleft()
         base, time, run, renewed = state
-        for st, en, legs in units(base):
+        for st, en, legs in units.get(base, ()):
             if st < time or en > to_time:
                 continue
             wait = st - time
@@ -417,9 +418,6 @@ class ConnectionPlanner:
         for fb, st, en, legs in sorted(units, key=lambda u: (u[1], u[2])):
             self.units.setdefault(fb, []).append((st, en, legs))
 
-    def _units_at(self, base: str):
-        return self.units.get(base, ())
-
     def _search(self, from_base: str, from_time: int, to_base: str, to_time: int):
         """``plan_relocation``'s (parents, any goal, renewing goal) with no run carried in."""
         if from_time > to_time:
@@ -429,7 +427,7 @@ class ConnectionPlanner:
             # a break renews, so only a long enough gap does
             start = (from_base, from_time, 0, False)
             return {start: None}, start, (start if to_time - from_time >= self.t_b else None)
-        return plan_relocation(self._units_at, self.t_b, from_base, from_time, 0,
+        return plan_relocation(self.units, self.t_b, from_base, from_time, 0,
                                to_base, to_time)
 
     def link(self, a: int, b: int) -> int:

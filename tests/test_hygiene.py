@@ -106,9 +106,11 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
-# (module, class) of every settings record; each field must have a reader
+# (module, class) of every settings record and of the B&B's result record;
+# each field must have a reader
 CONFIG_CLASSES = (("pipeline", "DbmhConfig"), ("search", "SearchConfig"),
-                  ("mip", "SolverConfig"), ("generator", "GeneratorConfig"))
+                  ("mip", "SolverConfig"), ("generator", "GeneratorConfig"),
+                  ("mip", "SolveOutcome"))
 # the benchmark still passes it, so the field stays until it stops
 UNREAD_FIELDS = {"DbmhConfig.eta_mip"}
 

@@ -54,7 +54,6 @@ def test_solve_fig2_optimal(fig2):
     out = solve(m, SolverConfig(time_limit=30))
     assert out.status == "optimal"
     assert out.best_solution.objective == 1
-    assert out.best_bound == 1
     assert check_feasibility(out.best_solution, fig2, m.graph) == []
 
 
@@ -219,6 +218,58 @@ def test_crew_members_stay_engaged(monkeypatch):
     assert checks > 100
 
 
+def test_a_late_recruit_rests_while_riding_along():
+    # Policy none, fixed times, t_cs 270 and t_b 80. d steers r0 (200 min)
+    # and reaches B as r1 starts there; a second driver must steer r1's
+    # first leg (80 min). d boards r1 at B and rides that leg as a
+    # passenger: exactly t_b, which renews its steering, so d can steer the
+    # second leg (200 min) and two drivers suffice instead of three.
+    inst = check_instance(Instance(
+        rides=(
+            Ride("r0", "L0", ("A", "B"), (480, 680), (200,), ((),)),
+            Ride("r1", "L1", ("B", "C", "D"), (680, 760, 960), (80, 200), ((), ())),
+        ),
+        stops=customer_stops("A", "B", "C", "D"),
+        legal=LegalParams(t_cs=270, t_b=80, t_ds=660, t_dw=780),
+        theta_tw=0, zeta=0, ell=10, exchange_policy=POLICY_NONE,
+    ))
+    m = model_for(inst)
+    out = solve(m, SolverConfig(time_limit=30))
+    assert out.status == "optimal"
+    assert out.best_solution.objective == 2 == brute_force(inst).optimum
+    assert check_feasibility(out.best_solution, inst, m.graph) == []
+
+
+def test_completed_rides_are_the_carriers_under_policy_none(monkeypatch):
+    # policy none: a passenger rides a whole ride, so at every node the
+    # carriers are one (start, end, pieces) unit per completed ride, filed
+    # under its first stop, and nothing else
+    inst = generate_synthetic(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)[0]
+    next_event = _Search._next_event
+    with_rides = 0
+
+    def order(unit):
+        return unit[0], unit[1], unit[2][0].ride
+
+    def checked(search):
+        nonlocal with_rides
+        expected = {}
+        for ri, pieces in enumerate(search.ride_pieces):
+            if search.pos[ri] == search.n_segments[ri]:
+                expected.setdefault(search.rides[ri].stops[0], []).append(
+                    (pieces[0].start, pieces[-1].end, tuple(pieces)))
+        got = {base: sorted(units, key=order)
+               for base, units in search.carriers.items() if units}
+        assert got == {base: sorted(units, key=order) for base, units in expected.items()}
+        with_rides += bool(expected)
+        return next_event(search)
+
+    monkeypatch.setattr(_Search, "_next_event", checked)
+    out = solve(model_for(inst), SolverConfig(time_limit=60))
+    assert out.status == "optimal"
+    assert with_rides >= 50
+
+
 def _search_state(search):
     return (
         list(search.drivers), [set(c) for c in search.crew],
@@ -272,6 +323,10 @@ SAME_TREE = {
     ((3, 2, 3), 4): [("optimal", 4, 25), ("optimal", 4, 25)],
     ((2, 2, 4, "none"), 3): [("infeasible", None, 328), ("infeasible", None, 1648)],
     ((2, 2, 4, "none"), 4): [("infeasible", None, 786), ("optimal", 4, 21)],
+    # bigger none trees, where an existing driver boards a ride after its
+    # first leg was given out
+    ((2, 3, 3, "none"), 0): [("optimal", 2, 36097), ("optimal", 3, 30)],
+    ((1, 3, 3, "none"), 0): [("optimal", 1, 259), ("optimal", 2, 18)],
     ((2, 2, 4, "regular_stops"), 0): [("infeasible", None, 3063), ("optimal", 5, 107)],
     ((2, 2, 4, "regular_stops"), 3): [("infeasible", None, 392), ("infeasible", None, 2551)],
 }

@@ -309,7 +309,7 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
 
     def timing_out(model, config=None):
         solved.append(len(model.instance.rides))
-        return SolveOutcome("feasible", config.start_solution, model.bounds.lb, [], 1)
+        return SolveOutcome("feasible", config.start_solution, [], 1)
 
     monkeypatch.setattr(pipeline, "solve", timing_out)
     inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
