@@ -358,17 +358,26 @@ def save_instance(inst: Instance, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def filter_stations(inst: Instance) -> Instance:
-    """Drop (segment, station) pairs whose detour exceeds the limit. Pure copy."""
+    """Drop (segment, station) pairs whose detour exceeds the limit, then the
+    stations no ride reaches any more.
+
+    Pure: a ride that keeps every station comes back as the same object, and
+    so does the instance when nothing is dropped.
+    """
+    zeta = inst.zeta
     rides = []
     for r in inst.rides:
-        segs = tuple(
-            tuple(a for a in r.stations[k] if a.detour(r.segment_minutes[k]) <= inst.zeta)
-            for k in range(r.n_segments)
-        )
+        if all(a.detour(d) <= zeta for d, seg in zip(r.segment_minutes, r.stations) for a in seg):
+            rides.append(r)
+            continue
+        segs = tuple(tuple(a for a in seg if a.detour(d) <= zeta)
+                     for d, seg in zip(r.segment_minutes, r.stations))
         rides.append(replace(r, stations=segs))
     referenced = {sid for r in rides for sid in r.stops}
     referenced |= {a.station_id for r in rides for seg in r.stations for a in seg}
     stops = tuple(s for s in inst.stops if s.kind == "customer" or s.id in referenced)
+    if len(stops) == len(inst.stops) and all(a is b for a, b in zip(rides, inst.rides)):
+        return inst
     return replace(inst, rides=tuple(rides), stops=stops)
 
 

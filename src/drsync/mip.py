@@ -148,7 +148,8 @@ class _Search:
         self.nrides = len(self.rides)
         self.n_segments = [r.n_segments for r in self.rides]
         self.node_time = [n.time for n in self.g.nodes]
-        # steering arc id -> piece, and -> the piece as a carrier unit, on first use
+        # steering arc id -> piece, and (exchange policies only) -> the piece
+        # as a carrier unit, on first use
         self._piece_of: dict[int, Piece] = {}
         self._unit_of: dict[int, tuple[int, int, tuple[Piece]]] = {}
         self.deadline = _time.monotonic() + config.time_limit
@@ -202,7 +203,8 @@ class _Search:
                 arc.ride, arc.segment, arc.leg, arc.station,
                 nodes[arc.tail].base, nodes[arc.tail].time,
                 nodes[arc.head].base, nodes[arc.head].time, aid)
-            self._unit_of[aid] = (piece.start, piece.end, (piece,))
+            if not self.policy_none:
+                self._unit_of[aid] = (piece.start, piece.end, (piece,))
         return piece
 
     # -- relocation -------------------------------------------------------

@@ -1,14 +1,20 @@
 """End-to-end solve pipeline with destructive bound improvement.
 
-Stages: constructive bounds, greedy construction, local search, then, if a
+Stages: greedy construction, local search, constructive bounds, then, if a
 gap remains, destructive bound improvement (refute driver counts from the
 lower bound upward on objective-capped restricted problems) and finally
 one exact solve for the rest of the budget, seeded with the best incumbent,
 that runs local search on every new incumbent it finds. Each stage can be
 toggled off for component studies.
 
-Right after the whole instance's graph and constructive bounds, the
-instance is split into its independent components (``instance.decompose``):
+The two cheap bounds, lb1 and lb2, come with the graph; the time-window
+sweep lb3 (``compute_bounds``) runs after CH+LS, and only if there is no
+incumbent or it misses max(lb1, lb2). lb3 is at least that maximum and at
+most the optimum, so an incumbent that meets it fixes lb3 there and the
+sweep could change no output.
+
+Right after the whole instance's graph, the instance is split into its
+independent components (``instance.decompose``):
 groups of rides that share no stop or station, which no driver can move
 between. Every stage works on each component in turn over the one time
 graph: construction, then local search, DBI and the exact solve, each with
@@ -27,7 +33,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .bounds import compute_bounds
+from .bounds import compute_bounds, lower_bound_parallel, lower_bound_steering
 from .instance import Instance, check_instance, decompose
 from .mip import Model, SolverConfig, build_model, restrict, solve
 from .search import ConstructionError, SearchConfig, construct, local_search
@@ -220,18 +226,11 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     t = _time.monotonic()
     instance = check_instance(instance)
     graph = build_graph(instance)
-    bounds = compute_bounds(instance)
+    lb1 = lower_bound_steering(instance)
+    lb2 = lower_bound_parallel(instance)[0]
     # an instance with no rides has no components; it is one empty part
     parts = [_Part(c) for c in decompose(instance)] or [_Part(instance)]
     clock("prep", t)
-    clb = bounds.lb
-    bound_values = {"lb1": bounds.lb1, "lb2": bounds.lb2, "lb3": bounds.lb3}
-    bound_info = {
-        **bound_values,
-        "clb_set_by": next(k for k, v in bound_values.items() if v == clb),
-        "graph_nodes": len(graph.nodes),
-        "graph_arcs": len(graph.arcs),
-    }
 
     best: Solution | None = None
     found_by: str | None = None
@@ -261,6 +260,22 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             log.append((_time.monotonic() - t0, improved.objective))
         best = improved
         clock("ls", t)
+
+    # lb3 is swept only if it can matter (module docstring)
+    t = _time.monotonic()
+    if best is not None and best.objective == max(lb1, lb2):
+        clb = lb3 = best.objective
+    else:
+        bounds = compute_bounds(instance)
+        clb, lb3 = bounds.lb, bounds.lb3
+    clock("prep", t)
+    bound_values = {"lb1": lb1, "lb2": lb2, "lb3": lb3}
+    bound_info = {
+        **bound_values,
+        "clb_set_by": next(k for k, v in bound_values.items() if v == clb),
+        "graph_nodes": len(graph.nodes),
+        "graph_arcs": len(graph.arcs),
+    }
 
     def lower_bounds():
         """dLB, and the best bound proven: a closed part adds its optimum."""

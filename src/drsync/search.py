@@ -487,7 +487,7 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
     """Remove one driver by absorbing their pieces into the other routes."""
     if len(solution.routes) < 2:
         return []
-    legal = instance.legal
+    legal, t_dw = instance.legal, instance.legal.t_dw
     # pieces are in chronological order, so a sorted host is a sorted position list
     pieces = plan_pieces(instance, graph, solution.plan)
     pos = {p.arc: i for i, p in enumerate(pieces)}
@@ -521,13 +521,22 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
                 raise _Expired
             piece = per_driver[victim][i]
             for h in hosts:
-                if not _chain_legal(legal, links, sorted(h + [piece])):
+                # cheap rejections first, each one the chain walk would make
+                # too: the span from the first piece to the last, then the
+                # two new links (positions are chronological)
+                if h:
+                    first = h[0] if h[0] < piece else piece
+                    last = h[-1] if h[-1] > piece else piece
+                    if pieces[last].end - pieces[first].start > t_dw:
+                        continue
+                at = bisect_left(h, piece)
+                if ((at and links.link(h[at - 1], piece) == LINK_NONE)
+                        or (at < len(h) and links.link(piece, h[at]) == LINK_NONE)):
                     continue
-                h.append(piece)
-                h.sort()
-                if place(i + 1):
+                h.insert(at, piece)
+                if _chain_legal(legal, links, h) and place(i + 1):
                     return True
-                h.remove(piece)
+                del h[at]
             return False
 
         try:

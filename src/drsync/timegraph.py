@@ -13,6 +13,9 @@ Copies of a customer stop sit on the departure-window grid. Copies of a
 service station are spawned at predecessor-copy time plus the in-drive and
 only if some onward customer copy remains reachable, so a station always
 has fewer copies than the customer stops around it (Fig-2-style layout).
+
+A run builds the graph first, with only the cheap bounds lb1 and lb2
+beside it; the lb3 sweep waits until CH+LS has run (see ``pipeline``).
 """
 
 from __future__ import annotations
@@ -88,68 +91,66 @@ class TimeGraph:
         self.depot_in: dict[int, int] = {}    # node -> sink arc id
         self.wait_next: dict[int, int] = {}   # node -> waiting arc to next copy
 
-    # -- node helpers ------------------------------------------------------
 
-    def _add_node(self, base: str, time: int | None) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(TimedNode(nid, base, time))
-        if time is not None:
-            self.node_at[(base, time)] = nid
-            self.copies.setdefault(base, []).append(nid)
-        return nid
+def build_graph(instance: Instance) -> TimeGraph:
+    """Filter stations by detour limit, lay out every copy, and wire all arc families.
 
-
-def expand_nodes(instance: Instance) -> TimeGraph:
-    """Create the source, all customer and station copies, and the sink."""
-    g = TimeGraph(instance)
-    g.source = g._add_node(DEPOT, None)
-
-    use_stations = instance.exchange_policy == POLICY_FULL
-    # customer copies first so their ids precede every station copy
-    for ride in instance.rides:
-        for pos, tau in enumerate(ride.departures):
-            base = ride.stops[pos]
-            for t in instance.window(tau).grid(instance.ell):
-                if (base, t) not in g.node_at:
-                    g._add_node(base, t)
-    if use_stations:
-        t_cs = instance.legal.t_cs
-        for ride in instance.rides:
-            for k in range(ride.n_segments):
-                succ_tau = ride.departures[k + 1]
-                succ_latest = instance.window(succ_tau).latest
-                for acc in ride.stations[k]:
-                    if acc.minutes_in > t_cs or acc.minutes_out > t_cs:
-                        continue
-                    pred_tau = ride.departures[k]
-                    for t in instance.window(pred_tau).grid(instance.ell):
-                        ts = t + acc.minutes_in
-                        if ts + acc.minutes_out > succ_latest:
-                            continue  # no onward copy reachable
-                        if (acc.station_id, ts) not in g.node_at:
-                            g._add_node(acc.station_id, ts)
-    g.sink = g._add_node(DEPOT, None)
-    for ids in g.copies.values():
-        ids.sort(key=lambda nid: g.nodes[nid].time)
-    return g
-
-
-def build_arcs(graph: TimeGraph) -> None:
-    """Emit steering/deadhead pairs, waiting chains, and depot arcs."""
-    inst = graph.instance
+    Nodes come in this order: the source, the customer copies (by ride, stop
+    and grid), the station copies (by ride, segment, station and predecessor
+    grid), the sink. Arcs: for each ride and segment the direct pairs, then
+    per station its in-pairs, each followed by its out-pairs; the waiting
+    chains in the insertion order of ``copies``; the depot arcs in node order.
+    Each stop's departure grid is computed once per ride and serves the
+    copies and the arcs alike.
+    """
+    inst = filter_stations(instance)
+    g = TimeGraph(inst)
+    nodes, arcs, node_at, copies, steer_idx = g.nodes, g.arcs, g.node_at, g.copies, g.steer_idx
     t_cs, t_b = inst.legal.t_cs, inst.legal.t_b
     use_stations = inst.exchange_policy == POLICY_FULL
 
-    arcs, nodes, steer_idx = graph.arcs, graph.nodes, graph.steer_idx
+    # per ride and stop: its departure window, and its grid as (minute, node id)
+    windows = [[inst.window(tau) for tau in ride.departures] for ride in inst.rides]
+    grids = []
+    g.source = 0
+    nodes.append(TimedNode(0, DEPOT, None))
+    # customer copies first so their ids precede every station copy
+    for ride, wins in zip(inst.rides, windows):
+        ride_grids = []
+        for base, win in zip(ride.stops, wins):
+            grid = []
+            for t in win.grid(inst.ell):
+                nid = node_at.get((base, t))
+                if nid is None:
+                    nid = node_at[(base, t)] = len(nodes)
+                    nodes.append(TimedNode(nid, base, t))
+                    copies.setdefault(base, []).append(nid)
+                grid.append((t, nid))
+            ride_grids.append(grid)
+        grids.append(ride_grids)
+    if use_stations:
+        for ride, wins, ride_grids in zip(inst.rides, windows, grids):
+            for k, accs in enumerate(ride.stations):
+                succ_latest = wins[k + 1].latest
+                for acc in accs:
+                    if acc.minutes_in > t_cs or acc.minutes_out > t_cs:
+                        continue
+                    station = acc.station_id
+                    for t, _tail in ride_grids[k]:
+                        ts = t + acc.minutes_in
+                        if ts + acc.minutes_out > succ_latest:
+                            break  # no onward copy reachable, nor from any later t
+                        if (station, ts) not in node_at:
+                            nid = node_at[(station, ts)] = len(nodes)
+                            nodes.append(TimedNode(nid, station, ts))
+                            copies.setdefault(station, []).append(nid)
+    g.sink = len(nodes)
+    nodes.append(TimedNode(g.sink, DEPOT, None))
+    for ids in copies.values():
+        ids.sort(key=lambda nid: nodes[nid].time)
 
-    def add(tail, head, mode, family, duration, consumption) -> int:
-        aid = len(arcs)
-        arcs.append(TimedArc(aid, tail, head, mode, family, duration, consumption))
-        return aid
-
-    def steer_pair(tail, head, ride, seg, leg, station=None):
+    def steer_pair(tail, tail_t, head, head_t, ride, seg, leg, station=None):
         """The steering arc and its deadhead twin, built once each."""
-        tail_t, head_t = nodes[tail].time, nodes[head].time
         dur = head_t - tail_t
         sid = len(arcs)
         arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, dur,
@@ -159,61 +160,50 @@ def build_arcs(graph: TimeGraph) -> None:
         steer_idx[(ride, seg, leg, station, tail_t, head_t)] = sid
         return sid
 
-    for ride in inst.rides:
-        for k in range(ride.n_segments):
-            pred, succ = ride.stops[k], ride.stops[k + 1]
-            direct = ride.segment_minutes[k]
-            pred_grid = inst.window(ride.departures[k]).grid(inst.ell)
-            succ_grid = inst.window(ride.departures[k + 1]).grid(inst.ell)
-            key = (ride.id, k)
-            graph.seg_direct[key] = []
-            for t in pred_grid:
-                tail = graph.node_at[(pred, t)]
-                for t2 in succ_grid:
+    for ride, ride_grids in zip(inst.rides, grids):
+        rid = ride.id
+        for k, direct in enumerate(ride.segment_minutes):
+            pred_grid, succ_grid = ride_grids[k], ride_grids[k + 1]
+            ids = g.seg_direct[(rid, k)] = []
+            for t, tail in pred_grid:
+                for t2, head in succ_grid:
                     if t2 < t + direct or t2 - t > t_cs:
                         continue
-                    head = graph.node_at[(succ, t2)]
-                    graph.seg_direct[key].append(steer_pair(tail, head, ride.id, k, LEG_DIRECT))
+                    ids.append(steer_pair(tail, t, head, t2, rid, k, LEG_DIRECT))
             if not use_stations:
                 continue
             for acc in ride.stations[k]:
-                in_key = (ride.id, k, acc.station_id)
+                station = acc.station_id
                 ins: list[int] = []
                 outs: list[int] = []
-                for t in pred_grid:
+                for t, tail in pred_grid:
                     ts = t + acc.minutes_in
-                    snode = graph.node_at.get((acc.station_id, ts))
+                    snode = node_at.get((station, ts))
                     if snode is None:
                         continue
-                    tail = graph.node_at[(pred, t)]
-                    ins.append(steer_pair(tail, snode, ride.id, k, LEG_IN, acc.station_id))
-                    for t2 in succ_grid:
+                    ins.append(steer_pair(tail, t, snode, ts, rid, k, LEG_IN, station))
+                    for t2, head in succ_grid:
                         if t2 < ts + acc.minutes_out or t2 - ts > t_cs:
                             continue
-                        head = graph.node_at[(succ, t2)]
-                        outs.append(steer_pair(snode, head, ride.id, k, LEG_OUT, acc.station_id))
+                        outs.append(steer_pair(snode, ts, head, t2, rid, k, LEG_OUT, station))
                 if ins:
-                    graph.seg_in[in_key] = ins
-                    graph.seg_out[in_key] = outs
+                    g.seg_in[(rid, k, station)] = ins
+                    g.seg_out[(rid, k, station)] = outs
 
-    for base in graph.copies:  # insertion order: deterministic
-        ids = graph.copies[base]
+    for ids in copies.values():  # insertion order: deterministic
         for a, b in zip(ids, ids[1:]):
-            gap = graph.nodes[b].time - graph.nodes[a].time
-            graph.wait_next[a] = add(a, b, 0, FAMILY_WAITING, gap, -t_cs if gap >= t_b else 0)
+            gap = nodes[b].time - nodes[a].time
+            aid = g.wait_next[a] = len(arcs)
+            arcs.append(TimedArc(aid, a, b, 0, FAMILY_WAITING, gap, -t_cs if gap >= t_b else 0))
 
-    for node in graph.nodes:
+    for node in nodes:
         if node.base == DEPOT:
             continue
-        graph.depot_out[node.id] = add(graph.source, node.id, 0, FAMILY_DEPOT, 0, 0)
-        graph.depot_in[node.id] = add(node.id, graph.sink, 0, FAMILY_DEPOT, 0, 0)
-
-
-def build_graph(instance: Instance) -> TimeGraph:
-    """Filter stations by detour limit, expand nodes, and wire all arc families."""
-    graph = expand_nodes(filter_stations(instance))
-    build_arcs(graph)
-    return graph
+        aid = g.depot_out[node.id] = len(arcs)
+        arcs.append(TimedArc(aid, g.source, node.id, 0, FAMILY_DEPOT, 0, 0))
+        g.depot_in[node.id] = aid + 1
+        arcs.append(TimedArc(aid + 1, node.id, g.sink, 0, FAMILY_DEPOT, 0, 0))
+    return g
 
 
 # ---------------------------------------------------------------------------

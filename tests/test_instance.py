@@ -145,6 +145,21 @@ def test_filter_stations_idempotent(fig2):
     assert filter_stations(once) == once
 
 
+def test_filter_stations_keeps_the_objects_it_does_not_change():
+    kept = _with_station(60, 30, 35, 10)   # detour 5: nothing to drop
+    assert filter_stations(kept) is kept
+    other = Ride("q", "L", ("A", "B"), (600, 660), (60,), ((StationAccess("S", 40, 35),),))
+    mixed = replace(kept, rides=kept.rides + (other,))   # q's detour is 15
+    out = filter_stations(mixed)
+    assert out is not mixed
+    assert out.rides[0] is mixed.rides[0]
+    assert out.rides[1].stations == ((),)
+    # S is still reached from r, so it stays; without r it goes
+    assert [s.id for s in out.stops] == ["A", "B", "S"]
+    alone = filter_stations(replace(kept, rides=(other,)))
+    assert [s.id for s in alone.stops] == ["A", "B"]
+
+
 def test_decompose_shared_terminal(sequential_pair):
     assert len(decompose(sequential_pair)) == 1
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from drsync import pipeline
 from drsync.bounds import compute_bounds
-from drsync.fixtures import gap_fixture, postpone_fixture, station_exchange_fixture
+from drsync.fixtures import gap_fixture, micro_suite, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.harness import method_config
-from drsync.instance import Instance, Ride, Stop, check_instance, decompose
+from drsync.instance import POLICIES, Instance, Ride, Stop, check_instance, decompose
 from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
 from drsync.pipeline import (
@@ -129,6 +129,32 @@ def test_timings_carry_the_constructive_bounds(sequential_pair):
             zip(("lb1", "lb2", "lb3", "clb_set_by"), values),
             graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
         assert "bounds" not in rep.to_dict()
+
+
+def test_reported_bounds_are_those_of_the_full_sweep():
+    # run sweeps lb3 only when CH+LS misses max(lb1, lb2); when it meets it,
+    # clb, dlb and the bounds sidecar must still be what the sweep gives
+    cfg = method_config("ch_ls", DbmhConfig())
+    insts = [dataclasses.replace(inst, exchange_policy=policy)
+             for _, inst in micro_suite(300) for policy in POLICIES]
+    insts += [generate_synthetic(GeneratorConfig(*shape), 7)[0]
+              for shape in ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4),
+                            (8, 12, 4))]
+    branches = {True: 0, False: 0}
+    for inst in insts:
+        rep = run(inst, cfg)
+        b = compute_bounds(inst)
+        g = build_graph(inst)
+        values = {"lb1": b.lb1, "lb2": b.lb2, "lb3": b.lb3}
+        assert rep.timings_dict()["bounds"] == dict(
+            values, clb_set_by=next(k for k, v in values.items() if v == b.lb),
+            graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
+        assert rep.clb == b.lb
+        # a CH+LS-only run bounds its parts once it is past the whole clb
+        parts = 0 if rep.objective == b.lb else sum(compute_bounds(c).lb for c in decompose(inst))
+        assert rep.dlb == max(b.lb, parts)
+        branches[rep.objective == max(b.lb1, b.lb2)] += 1
+    assert branches[True] and branches[False], branches
 
 
 def test_no_exchange_library_closes_at_the_constructive_bound():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -640,6 +642,26 @@ def test_deadline_checked_between_operators(monkeypatch):
     clock.now = 0.0
     assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=100.0)).objective == 1
     assert len(calls) > len(OPERATORS)
+
+
+# sha256 of local search's to_dict() after construct on 1x24x4 seed 7, by
+# exchange policy: segment reassignment on a long line, where most hosts are
+# rejected by their span or a new link before the chain walk
+LONG_LINE_CH_LS = {
+    "none": "c0e259f42b1177b04563a33ac48a549ce08ee7b1c15c40828a663b531ba9a71b",
+    "regular_stops": "2aadb3a8bc414936902ae9d4ef88516d1edcffbe7aafeef07b16ca38b44aec0f",
+    "regular_and_intermediate":
+        "2aadb3a8bc414936902ae9d4ef88516d1edcffbe7aafeef07b16ca38b44aec0f",
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_ch_ls_on_a_long_line_is_pinned(policy):
+    inst = generate_synthetic(GeneratorConfig(1, 24, 4, exchange_policy=policy), 7)[0]
+    g = build_graph(inst)
+    out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
+    blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == LONG_LINE_CH_LS[policy]
 
 
 def test_reassignment_backtracking_stops_at_the_deadline(monkeypatch):

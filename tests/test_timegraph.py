@@ -1,8 +1,11 @@
+import hashlib
+import json
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsync.fixtures import gap_fixture
+from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
 from drsync.pipeline import DbmhConfig, run
@@ -180,3 +183,50 @@ def test_solving_leaves_the_graph_as_built():
         report = run(hub, config)
         assert report.bb_nodes[phase]
         _assert_as_built(report.solution.graph, hub)
+
+
+# the ROADMAP ladder rungs and one long line, all at generator seed 7
+LADDER = ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4), (8, 12, 4),
+          (1, 24, 4))
+
+# sha256 over each graph's _graph_digest, in instance order, per instance set
+# and exchange policy; the station-free policies build the same graphs
+GRAPH_AND_INDEX_PINS = {
+    ("micro", "none"): "1f7d8969af34dba7bc9111b492e09f7a4f5abf628704541546273911eaa7548f",
+    ("micro", "regular_stops"):
+        "1f7d8969af34dba7bc9111b492e09f7a4f5abf628704541546273911eaa7548f",
+    ("micro", "regular_and_intermediate"):
+        "72250667af22f7326d724b0322ed69011f86764cbc02d1c2b1d124fa10f8453d",
+    ("ladder", "none"): "42e1227133f297ce1eed3a13868fcaf5b8edc297bde87f5787a663712bbf5d49",
+    ("ladder", "regular_stops"):
+        "42e1227133f297ce1eed3a13868fcaf5b8edc297bde87f5787a663712bbf5d49",
+    ("ladder", "regular_and_intermediate"):
+        "2980c2d9de4b222a96839f3f81d3ac64973415077d269a6e4b0c00825d1ed193",
+}
+
+
+def _graph_digest(g) -> str:
+    """sha256 of graph_to_dict plus every index, each in its insertion order."""
+    def entries(index):
+        return [[list(k) if isinstance(k, tuple) else k, v] for k, v in index.items()]
+
+    blob = {
+        "graph": graph_to_dict(g), "source": g.source, "sink": g.sink,
+        "indexes": {name: entries(getattr(g, name)) for name in (
+            "node_at", "copies", "seg_direct", "seg_in", "seg_out", "steer_idx",
+            "depot_out", "depot_in", "wait_next")},
+    }
+    return hashlib.sha256(
+        json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, policy", list(GRAPH_AND_INDEX_PINS))
+def test_graph_and_indexes_are_pinned(name, policy):
+    if name == "micro":
+        insts = [inst for _, inst in micro_suite(100)]
+    else:
+        insts = [generate_synthetic(GeneratorConfig(*shape), 7)[0] for shape in LADDER]
+    h = hashlib.sha256()
+    for inst in insts:
+        h.update(_graph_digest(build_graph(replace(inst, exchange_policy=policy))).encode())
+    assert h.hexdigest() == GRAPH_AND_INDEX_PINS[name, policy]
