@@ -26,7 +26,7 @@ from .instance import (
 )
 from .pipeline import DbmhConfig, RunReport, run
 from .search import ConstructionError
-from .timegraph import build_graph, graph_stats
+from .timegraph import build_graph, graph_stats, size_class
 
 METHOD_DBMH = "dbmh"
 METHOD_CH_LS = "ch_ls"
@@ -156,21 +156,21 @@ def run_suite(
     """One row per (config label, instance, seed); returns rows and proven optima."""
     rows = []
     proven: dict[str, int] = {}
-    sized = [(iid, inst, _size_class(inst)) for iid, inst in instances]
     for label in sorted(configs):
         cfg = configs[label]
-        for iid, inst, size in sized:
+        for iid, inst in instances:
             for seed in seeds:
                 try:
                     rep = run(inst, replace(cfg, seed=seed), instance_id=iid)
                 except (InstanceError, ValueError):
                     rows.append({
-                        "label": label, "instance": iid, "size_class": size,
+                        "label": label, "instance": iid, "size_class": _size_class(inst),
                         "seed": seed, "status": "error", "report": None,
                     })
                     continue
                 rows.append({
-                    "label": label, "instance": iid, "size_class": size,
+                    "label": label, "instance": iid,
+                    "size_class": size_class(rep.bounds["graph_arcs"]),
                     "seed": seed, "status": rep.status, "report": rep,
                 })
                 if rep.status == "optimal":
@@ -290,15 +290,15 @@ def cmd_compare_bounds(suite_dir: str, out_dir: str, base: DbmhConfig) -> str:
     rows = []
     n = dom1 = dom2 = dom3 = equal = 0
     for iid, inst in instances:
-        bounds = compute_bounds(inst)
         rep = run(inst, bound_only, instance_id=iid)
-        rows.append([iid, _size_class(inst), bounds.lb1, bounds.lb2, bounds.lb3,
-                     bounds.lb, rep.dlb])
+        b = rep.bounds
+        lb1, lb2, lb3 = b["lb1"], b["lb2"], b["lb3"]
+        rows.append([iid, size_class(b["graph_arcs"]), lb1, lb2, lb3, rep.clb, rep.dlb])
         n += 1
-        dom1 += bounds.lb1 > bounds.lb2
-        dom2 += bounds.lb2 > bounds.lb1
-        dom3 += bounds.lb3 > max(bounds.lb1, bounds.lb2)
-        equal += bounds.lb1 == bounds.lb2
+        dom1 += lb1 > lb2
+        dom2 += lb2 > lb1
+        dom3 += lb3 > max(lb1, lb2)
+        equal += lb1 == lb2
     summary = [
         ["share_lb1_dominates_pct", _fmt(100.0 * dom1 / n if n else 0.0)],
         ["share_lb2_dominates_pct", _fmt(100.0 * dom2 / n if n else 0.0)],
@@ -418,16 +418,15 @@ def cmd_fit(suite_dir: str, grid_path: str, out_path: str, base: DbmhConfig) -> 
                         best_seen[iid] = obj
         return outs
 
-    trials: dict[tuple[str, int], list] = {}
     for name in FIT_ORDER:
         if name not in grid:
             continue
-        for vi, value in enumerate(grid[name]):
-            trials[(name, vi)] = evaluate(replace(current, **{name: value}))
+        # every value runs before any is scored, so all are scored against
+        # the same best objectives
+        trials = [evaluate(replace(current, **{name: value})) for value in grid[name]]
         best_value = None
         best_score = None
-        for vi, value in enumerate(grid[name]):
-            outs = trials.pop((name, vi))
+        for value, outs in zip(grid[name], trials):
             dzs = [
                 _delta_z(obj, best_seen.get(iid))
                 for iid, obj in outs

@@ -5,8 +5,8 @@ optional driver cap of the restricted problem P(cap) and a proven floor on
 the objective. The backend is a depth-first branch-and-bound that schedules
 ride segments in chronological order, assigns each steering piece to an
 existing or a fresh driver, validates relocations (waits and deadhead hops)
-eagerly against the pieces already scheduled, with the relocation search
-that local search also uses (``solution.plan_relocation``), and prunes with
+eagerly against the pieces already scheduled, with the relocation call
+that local search also uses (``solution.itinerary``), and prunes with
 the incumbent, the constructive lower bound and the optional driver cap. It
 is exact whenever it finishes within the time limit. The search is
 iterative: every open node is a generator kept on an explicit stack, which
@@ -37,8 +37,7 @@ from .solution import (
     RidePlan,
     Solution,
     assemble_route,
-    plan_relocation,
-    unwind,
+    itinerary,
 )
 from .timegraph import TimeGraph
 
@@ -100,7 +99,7 @@ class _Stop(Exception):
 
 class _Driver:
     __slots__ = ("base", "time", "u", "daily", "start", "trail_run",
-                 "elements", "engaged", "last_active")
+                 "elements", "engaged")
 
     def __init__(self, base, time):
         self.base = base
@@ -111,7 +110,6 @@ class _Driver:
         self.trail_run = 0
         self.elements: list[tuple] = []
         self.engaged: int | None = None   # ride index while aboard (policy none)
-        self.last_active = time
 
     def key(self):
         return (self.base, self.time, self.u, self.daily, self.start,
@@ -206,27 +204,6 @@ class _Search:
             if not self.policy_none:
                 self._unit_of[aid] = (piece.start, piece.end, (piece,))
         return piece
-
-    # -- relocation -------------------------------------------------------
-
-    def _connect(self, d: _Driver, to_base: str, to_time: int):
-        """(ok, u_after, plan elements, trailing deadhead run) for moving d."""
-        if d.time > to_time:
-            return False, 0, None, 0
-        if d.base == to_base:
-            gap = to_time - d.time
-            plan = [("wait", d.base, d.time, to_time)] if gap else []
-            u = 0 if gap >= self.t_b else d.u
-            return True, u, plan, (d.trail_run if gap == 0 else 0)
-        parents, goal_any, goal_renew = plan_relocation(
-            self.carriers, self.t_b, d.base, d.time, d.trail_run, to_base, to_time)
-        goal = goal_renew if goal_renew is not None else goal_any
-        if goal is None:
-            return False, 0, None, 0
-        steps = unwind(self.g, parents, goal, to_base, to_time)
-        end_run = goal[2] if goal[1] == to_time else 0
-        u = 0 if goal_renew is not None else d.u
-        return True, u, steps, end_run
 
     # -- main search ------------------------------------------------------
 
@@ -399,11 +376,12 @@ class _Search:
             if key in seen:
                 continue
             seen.add(key)
-            ok, u0, plan, run = self._connect(d, base, start)
-            if not ok:
+            way = itinerary(self.g, self.carriers, self.t_b,
+                            d.base, d.time, d.trail_run, base, start)
+            if way is None:
                 continue
-            if run + ride >= self.t_b:
-                u0 = 0
+            renews, plan, run = way
+            u0 = 0 if renews or run + ride >= self.t_b else d.u
             if u0 <= max_u:
                 children.append((piece, kind, head, idx, plan + aboard, u0, None))
         if piece.end - start <= self.t_dw and len(self.drivers) + 1 < self.threshold:
@@ -435,14 +413,13 @@ class _Search:
             # apply: driver idx steers the piece after the plan, and the ride moves on
             d = drivers[idx]
             elements = d.elements
-            undo = (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active,
-                    len(elements), cur_node[ri], pending[ri], pos[ri], len(times),
-                    len(stations))
+            undo = (d.base, d.time, d.u, d.daily, d.trail_run, len(elements),
+                    cur_node[ri], pending[ri], pos[ri], len(times), len(stations))
             if plan:
                 elements.extend(plan)
             elements.append(("steer", piece.arc))
             d.base = piece.to_base
-            d.time = d.last_active = piece.end
+            d.time = piece.end
             d.u = u0 + piece.duration
             d.daily += piece.duration
             d.trail_run = 0
@@ -465,7 +442,7 @@ class _Search:
                 yield True
                 carriers[piece.from_base].pop()
             # undo
-            (d.base, d.time, d.u, d.daily, d.trail_run, d.last_active, n_elements,
+            (d.base, d.time, d.u, d.daily, d.trail_run, n_elements,
              cur_node[ri], pending[ri], pos[ri], n_times, n_stations) = undo
             del elements[n_elements:]
             del times[n_times:]
@@ -490,11 +467,11 @@ class _Search:
             dur = piece.duration
             for idx in sorted(crew):
                 d = drivers[idx]
-                u0 = 0 if piece.start - d.last_active >= t_b else d.u
+                u0 = 0 if piece.start - d.time >= t_b else d.u
                 if (u0 + dur > t_cs or d.daily + dur > t_ds
                         or piece.end - d.start > t_dw):
                     continue
-                children.append((piece, kind, head, idx, self._aboard(ri, d.last_active),
+                children.append((piece, kind, head, idx, self._aboard(ri, d.time),
                                  u0, None))
             self._takers(piece, kind, head, children, start_b, start_t, recruit_aboard)
         return self._hand_out(ri, children) if children else None
@@ -527,8 +504,8 @@ class _Search:
                 d = drivers[m]
                 saved.append((d, d.base, d.time, d.u, d.trail_run, len(d.elements)))
                 if d.time < end:
-                    d.elements += self._aboard(ri, d.last_active)
-                    run = end - d.last_active
+                    d.elements += self._aboard(ri, d.time)
+                    run = end - d.time
                     if run >= self.t_b:
                         d.u = 0
                     d.trail_run = run

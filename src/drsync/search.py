@@ -15,7 +15,9 @@ ranks the improving ones by driver count, then remaining working time,
 and accepts the first that passes the full feasibility check, so only the
 accepted move is certified. Segment reassignment tests trial insertions
 on cached piece-to-piece links (``ConnectionPlanner.link``) and asks for
-itineraries only when it builds a candidate's routes. The plan operators
+itineraries only when it builds a candidate's routes. Both come from
+``solution.itinerary``, the relocation call the branch-and-bound shares.
+The plan operators
 (postpone, prepone, the station insertions and removal) change one ride,
 then replay the greedy driver assignment from a checkpoint: the
 ``GreedyRecord`` of the current plan holds the driver states before every
@@ -469,9 +471,9 @@ def _chain_elements(planner, pieces, chain) -> list[tuple]:
     elements: list[tuple] = [("steer", pieces[chain[0]].arc)]
     for a, b in zip(chain, chain[1:]):
         pa, pb = pieces[a], pieces[b]
-        _reachable, renewable, plan_any, plan_renew = planner.connect(
+        _reachable, _renewable, steps = planner.connect(
             pa.to_base, pa.end, pb.from_base, pb.start)
-        elements += (plan_renew if renewable else plan_any) + [("steer", pb.arc)]
+        elements += steps + [("steer", pb.arc)]
     return elements
 
 

@@ -5,6 +5,10 @@ the time graph. The vehicle side is captured by a plan: per ride, the
 chosen departure minute of every stop and the station (if any) inserted
 into each segment. Pieces are the steering arcs a plan implies; every
 piece must be steered by exactly one driver.
+
+A driver gets from one located time to another by waiting and
+deadheading through one call, ``itinerary``. Local search asks it through
+``ConnectionPlanner``, and the branch-and-bound (``mip``) asks it directly.
 """
 
 from __future__ import annotations
@@ -337,7 +341,7 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
     ``to_base`` no later than ``to_time``, and the first one whose itinerary
     has a rest of at least ``t_b`` (the search stops there). Goals are None
     when not found. ``from_base`` must differ from ``to_base``: the start is
-    never a goal.
+    never a goal. ``itinerary``, the one caller, takes the same-base case.
     """
     # most relocations fail at once: nothing leaves the start base in time
     for st, en, _legs in units.get(from_base, ()):
@@ -373,9 +377,31 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
     return parents, goal_any, goal_renew
 
 
-def unwind(graph: TimeGraph, parents: dict, goal: tuple, to_base: str,
-           to_time: int) -> list[tuple]:
-    """Timeline elements from the search's start to ``goal``, then a wait to ``to_time``."""
+def itinerary(graph: TimeGraph, units, t_b: int, from_base: str, from_time: int,
+              run: int, to_base: str, to_time: int):
+    """How a mover at ``(from_base, from_time)`` reaches ``(to_base, to_time)``
+    by waiting and deadheading on ``units`` (as in ``plan_relocation``).
+
+    ``run`` is the deadhead run the mover has just ridden. Returns None when
+    ``to_base`` cannot be reached by ``to_time``; otherwise ``(renews,
+    elements, run at arrival)``: whether a rest of at least ``t_b`` on the way
+    renews continuous steering, the timeline elements, and the deadhead run
+    the mover is still on at ``to_time`` (0 once it has waited). A renewing
+    itinerary is taken before any other. At the same base the mover only
+    waits, with no search: no itinerary inside a gap shorter than a break
+    renews, and a break-sized wait does.
+    """
+    if from_time > to_time:
+        return None
+    if from_base == to_base:
+        gap = to_time - from_time
+        return (gap >= t_b, [("wait", from_base, from_time, to_time)] if gap else [],
+                run if gap == 0 else 0)
+    parents, goal_any, goal_renew = plan_relocation(
+        units, t_b, from_base, from_time, run, to_base, to_time)
+    goal = goal_renew if goal_renew is not None else goal_any
+    if goal is None:
+        return None
     steps: list[tuple] = []
     cur = goal
     while parents[cur] is not None:
@@ -387,7 +413,7 @@ def unwind(graph: TimeGraph, parents: dict, goal: tuple, to_base: str,
         cur = prev
     if goal[1] < to_time:
         steps.append(("wait", to_base, goal[1], to_time))
-    return steps
+    return goal_renew is not None, steps, (goal[2] if goal[1] == to_time else 0)
 
 
 class ConnectionPlanner:
@@ -395,10 +421,10 @@ class ConnectionPlanner:
 
     Carriers are the pieces of the current plan; under the no-exchange
     policy a deadheading driver must ride whole rides, so carriers become
-    ride-level units there. The search itself is ``plan_relocation``, which
-    the embedded branch-and-bound (``mip``) shares. ``link`` answers the
-    reachability part of ``connect`` between two of those pieces and
-    remembers the answer.
+    ride-level units there. Both queries ask ``itinerary`` with no run
+    carried in; the embedded branch-and-bound (``mip``) asks it too. ``link``
+    answers the reachability part of ``connect`` between two of those pieces
+    and remembers the answer.
     """
 
     def __init__(self, instance: Instance, graph: TimeGraph, pieces: list[Piece]):
@@ -422,18 +448,6 @@ class ConnectionPlanner:
         for fb, st, en, legs in sorted(units, key=lambda u: (u[1], u[2])):
             self.units.setdefault(fb, []).append((st, en, legs))
 
-    def _search(self, from_base: str, from_time: int, to_base: str, to_time: int):
-        """``plan_relocation``'s (parents, any goal, renewing goal) with no run carried in."""
-        if from_time > to_time:
-            return None, None, None
-        if from_base == to_base:
-            # the start is the goal; no itinerary inside a gap shorter than
-            # a break renews, so only a long enough gap does
-            start = (from_base, from_time, 0, False)
-            return {start: None}, start, (start if to_time - from_time >= self.t_b else None)
-        return plan_relocation(self.units, self.t_b, from_base, from_time, 0,
-                               to_base, to_time)
-
     def link(self, a: int, b: int) -> int:
         """LINK_NONE, LINK_REACH or LINK_RENEW from the end of piece a to the start of b.
 
@@ -444,10 +458,9 @@ class ConnectionPlanner:
         code = self._links[key]
         if code == LINK_UNKNOWN:
             pa, pb = self.pieces[a], self.pieces[b]
-            _parents, goal_any, goal_renew = self._search(
-                pa.to_base, pa.end, pb.from_base, pb.start)
-            code = (LINK_NONE if goal_any is None
-                    else LINK_RENEW if goal_renew is not None else LINK_REACH)
+            way = itinerary(self.graph, self.units, self.t_b,
+                            pa.to_base, pa.end, 0, pb.from_base, pb.start)
+            code = LINK_NONE if way is None else LINK_RENEW if way[0] else LINK_REACH
             self._links[key] = code
         return code
 
@@ -457,15 +470,13 @@ class ConnectionPlanner:
         from_time: int,
         to_base: str,
         to_time: int,
-    ) -> tuple[bool, bool, list[tuple] | None, list[tuple] | None]:
-        """(reachable, renewable, some plan, some renewing plan)."""
-        parents, goal_any, goal_renew = self._search(from_base, from_time, to_base, to_time)
-        if goal_any is None:
-            return False, False, None, None
-        plan_any = unwind(self.graph, parents, goal_any, to_base, to_time)
-        plan_renew = (unwind(self.graph, parents, goal_renew, to_base, to_time)
-                      if goal_renew is not None else None)
-        return True, goal_renew is not None, plan_any, plan_renew
+    ) -> tuple[bool, bool, list[tuple] | None]:
+        """(reachable, renewable, the elements of ``itinerary``'s choice or None)."""
+        way = itinerary(self.graph, self.units, self.t_b,
+                        from_base, from_time, 0, to_base, to_time)
+        if way is None:
+            return False, False, None
+        return True, way[0], way[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import time
 from dataclasses import replace
@@ -345,6 +347,29 @@ def test_same_tree_on_generated_caps(shape, seed):
     got = [_outcome_key(solve(_cap_model(inst, extra), SolverConfig(time_limit=60)))
            for extra in (0, 1)]
     assert got == SAME_TREE[shape, seed]
+
+
+# sha256 over (status, nodes, best solution) of every search on
+# micro_suite(100) under one policy, unrestricted and at P(clb). The
+# SAME_TREE pins count nodes only; these also change when the tree stays
+# but a driver waits or deadheads another way.
+BB_OUTPUTS = {
+    POLICY_FULL: "4db500d1758b1d44616a70017e9e91dede686268a10f6c5fea401b029b9b3e8d",
+    POLICY_REGULAR: "8f469cc34830d63bdf95d2377fa5c9a7f5f6abc76a2d49cea11c3ccdb97a8791",
+    POLICY_NONE: "3b15c846274be8f4286f6ae41205c41c570a655e689b10b2edb72b1dae49846f",
+}
+
+
+@pytest.mark.parametrize("policy", list(BB_OUTPUTS))
+def test_bb_outputs_are_pinned(policy):
+    h = hashlib.sha256()
+    for _iid, inst in micro_suite(100):
+        m = model_for(check_instance(replace(inst, exchange_policy=policy)))
+        for model in (m, restrict(m, m.bounds.lb)):
+            out = solve(model, SolverConfig(time_limit=60))
+            sol = out.best_solution.to_dict() if out.best_solution is not None else None
+            h.update(json.dumps([out.status, out.nodes, sol], sort_keys=True).encode())
+    assert h.hexdigest() == BB_OUTPUTS[policy]
 
 
 def test_same_tree_on_fixtures(fig2, sequential_pair, parallel_triplet):

@@ -14,6 +14,7 @@ from drsync.solution import (
     SolutionStructureError,
     assemble_route,
     check_feasibility,
+    itinerary,
     plan_pieces,
     plan_from_routes,
 )
@@ -231,13 +232,12 @@ def test_serialization_shape(fig2):
 
 @pytest.mark.parametrize("query, want", [
     # same base: the start is the goal; the wait renews from t_b (45) on
-    (("Q", 600, "Q", 600), (True, False, [], None)),
-    (("Q", 600, "Q", 630), (True, False, [("wait", "Q", 600, 630)], None)),
-    (("Q", 600, "Q", 645), (True, True, [("wait", "Q", 600, 645)],
-                            [("wait", "Q", 600, 645)])),
+    (("Q", 600, "Q", 600), (True, False, [])),
+    (("Q", 600, "Q", 630), (True, False, [("wait", "Q", 600, 630)])),
+    (("Q", 600, "Q", 645), (True, True, [("wait", "Q", 600, 645)])),
     # no way back in time, at the same base or another
-    (("Q", 660, "Q", 600), (False, False, None, None)),
-    (("P", 700, "Q", 600), (False, False, None, None)),
+    (("Q", 660, "Q", 600), (False, False, None)),
+    (("P", 700, "Q", 600), (False, False, None)),
 ], ids=["same-base-gap-0", "same-base-short-gap", "same-base-break",
         "same-base-reversed", "other-base-reversed"])
 def test_connect_edge_cases(sequential_pair, query, want):
@@ -254,4 +254,48 @@ def test_connect_rides_a_carrier_then_waits(sequential_pair):
     a = next(p for p in pieces if p.ride == "a")
     plan = [("deadhead", g.arcs[a.arc].twin), ("wait", "Q", a.end, 660)]
     got = ConnectionPlanner(sequential_pair, g, pieces).connect("P", a.start, "Q", 660)
-    assert got == (True, True, plan, plan)
+    assert got == (True, True, plan)
+
+
+def test_itinerary_cases(sequential_pair):
+    # t_b is 45; ride a runs P 480 -> Q 600 and is the one carrier
+    g = build_graph(sequential_pair)
+    a = next(p for p in plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+             if p.ride == "a")
+    units = {"P": [(a.start, a.end, (a,))]}
+    hop = ("deadhead", g.arcs[a.arc].twin)
+
+    def way(*query):
+        return itinerary(g, units, 45, *query)
+
+    # same base, no gap: the run carried in goes on, uncapped
+    assert way("Q", 600, 100, "Q", 600) == (False, [], 100)
+    # a wait ends the run
+    assert way("Q", 600, 100, "Q", 610) == (False, [("wait", "Q", 600, 610)], 0)
+    # a wait of t_b renews, one minute less does not
+    assert way("Q", 600, 0, "Q", 645) == (True, [("wait", "Q", 600, 645)], 0)
+    assert way("Q", 600, 0, "Q", 644)[0] is False
+    # a hop that ends at the goal time arrives on its run, capped at t_b;
+    # a wait after it ends the run
+    assert way("P", a.start, 0, "Q", a.end) == (True, [hop], 45)
+    assert way("P", a.start, 0, "Q", 660) == (True, [hop, ("wait", "Q", a.end, 660)], 0)
+    # no carrier arrives in time, and no way leads back in time
+    assert way("P", a.start, 0, "Q", a.end - 1) is None
+    assert way("Q", 660, 0, "Q", 600) is None
+    assert way("P", 700, 0, "Q", 600) is None
+
+
+def test_itinerary_takes_a_renewing_way_first():
+    # two hops P -> Q: the first arrives sooner but leaves 40 < t_b minutes
+    # at Q; waiting 45 at P for the second renews continuous steering
+    inst = check_instance(Instance(
+        rides=(Ride("x", "L1", ("P", "Q"), (480, 500), (20,), ((),)),
+               Ride("y", "L2", ("P", "Q"), (525, 535), (10,), ((),))),
+        stops=customer_stops("P", "Q"), theta_tw=0, zeta=0, ell=5))
+    g = build_graph(inst)
+    pieces = plan_pieces(inst, g, construct(inst, g).plan)
+    units = ConnectionPlanner(inst, g, pieces).units
+    y = next(p for p in pieces if p.ride == "y")
+    assert itinerary(g, units, 45, "P", 480, 0, "Q", 540) == (
+        True, [("wait", "P", 480, 525), ("deadhead", g.arcs[y.arc].twin),
+               ("wait", "Q", 535, 540)], 0)
