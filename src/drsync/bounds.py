@@ -86,6 +86,15 @@ by one at ``e - max(0, d - (a - s)+)`` and falls by one at ``e`` for each
 leg; a window ``[a, b]`` extends the best chain whose last window ends
 before ``a - t_dw``. It keeps one best chain per window end, so its state
 grows with the number of legs, not of windows.
+
+A leg start a whose best earlier chain has the same value as that of the
+leg start a' swept before it sweeps only the ends b with ``cap(b - a) <
+t_ds``. At any later end the cap is saturated for both starts, and
+``[a', b]`` contains ``[a, b]``, so it holds at least its mandatory
+minutes: ``[a, b]`` extends the same chain value by no more than ``[a',
+b]`` did, and the end's best chain, which only ever rises, is already at
+least that. If a' skipped the end too, the same holds for the first
+start with that chain value, which swept every end.
 """
 
 from __future__ import annotations
@@ -277,6 +286,7 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
     fall_at = [e for _s, _d, e in legs]
     begun: list[tuple[int, int, int]] = []   # legs with s < a and minutes left after a
     opened = 0                               # legs[:opened] have s < a
+    swept_f = None                           # f when the last leg start was swept
     for a in sorted(leg_starts.union(peaks)):
         while closed < len(ends) and ends[closed] < a - t_dw:
             if best[closed] > f:
@@ -299,7 +309,11 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
         n_rises, n_falls = len(rises), len(falls)
         ir = i_f = 0
         sum_r = sum_f = 0
-        for b, j in sweep[bisect_right(sweep_t, a):]:
+        # with the chain value unchanged, ends past the saturated cap are
+        # dominated by the start before (module docstring)
+        hi = len(sweep) if f != swept_f else bisect_right(sweep_t, a + n_caps - 2)
+        swept_f = f
+        for b, j in sweep[bisect_right(sweep_t, a):hi]:
             while ir < n_rises and rises[ir] <= b:
                 sum_r += rises[ir]
                 ir += 1

@@ -29,6 +29,24 @@ segment reassignment's moves keep the plan and so the record and its memo.
 The search clears the memo when it moves to another plan and when it
 returns. The search's end, ``SearchConfig.t_end``, is checked between
 operators and inside the backtracking of segment reassignment.
+
+Two kinds of plan move are known without a replay, and both are exact:
+
+- Shifting the only ride of a solution the greedy built moves every time
+  of the plan by the same step. The greedy reads only differences of
+  times (the limits in ``_fits``, the rest in ``rested_u``, the relief's
+  look-ahead, spans), so the driver count and the remaining working time
+  stay as they are: never an improvement, so ``_shift`` offers none.
+- Undoing the plan move just accepted away from a solution the greedy
+  built gives back that solution, which is strictly worse than the one
+  accepted. The search seeds the new record's memo with it
+  (``_seed_undo``), and the ranking rejects it as it would a replay.
+
+A replay costs little more than the greedy's rerun from the first changed
+route: the ride's pieces are expanded once per search (``pieces``, shared
+along the chain of replayed records and cleared when the search returns),
+its place in the route order is found by bisection, and the plan is
+copied once per candidate.
 """
 
 from __future__ import annotations
@@ -169,14 +187,15 @@ def _fits(sim: _Sim, u_eff: int, piece, legal) -> bool:
 
 
 class GreedyRecord:
-    """One run of the greedy driver assignment over a plan, kept for replay.
+    """One run of the greedy driver assignment over `plan`, kept for replay.
 
     The greedy walks the vehicle routes (one per ride, in ``keys`` order,
     ``(first departure, ride id)``) and hands each route's pieces to drivers.
     Before route j it records every driver's state in ``snapshots[j]``
     (``_Sim.state``); the only thing a route reads beyond the drivers and
-    its own pieces is the next departure after a relief, logged in
-    ``reliefs`` as ``(j, base, now, next departure or None)``.
+    its own pieces is the next departure after a relief, from
+    ``departures_from``, logged in ``reliefs`` as ``(j, base, now, next
+    departure or None)``.
     ``elements[d]`` and ``routes[d]`` are driver d's final timeline and
     assembled route (None for an empty timeline).
 
@@ -186,16 +205,21 @@ class GreedyRecord:
     answer differently. Everything here depends on the plan alone.
 
     ``memo`` maps ``(ride id, RidePlan)`` to what ``_replan`` got for that
-    change: the replayed solution, or None where the replay raised. Local
-    search keeps it only while the record is its current solution's, and
-    clears it when it moves to another plan or returns.
+    change: the replayed solution, or None where the replay raised; local
+    search also enters the undo of the plan move it accepted
+    (``_seed_undo``). It keeps the memo only while the record is its current
+    solution's, and clears it when it moves to another plan or returns.
+    ``pieces`` maps the same keys to the ride's pieces (``ride_pieces``); a
+    replayed record shares its base's, so one local search expands each
+    ride plan once, and clears them when it returns.
     """
 
-    __slots__ = ("keys", "vehicle_routes", "departures_from", "snapshots",
-                 "reliefs", "elements", "routes", "memo")
+    __slots__ = ("plan", "keys", "vehicle_routes", "departures_from", "snapshots",
+                 "reliefs", "elements", "routes", "memo", "pieces")
 
-    def __init__(self, keys, vehicle_routes, departures_from, snapshots, reliefs,
-                 elements, routes):
+    def __init__(self, plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
+                 elements, routes, pieces):
+        self.plan: dict[str, RidePlan] = plan
         self.keys: list[tuple[int, str]] = keys
         self.vehicle_routes: list[list] = vehicle_routes
         self.departures_from: dict[str, list[int]] = departures_from
@@ -204,44 +228,47 @@ class GreedyRecord:
         self.elements: list[list[tuple]] = elements
         self.routes: list[tuple[int, ...] | None] = routes
         self.memo: dict[tuple[str, RidePlan], Solution | None] = {}
+        self.pieces: dict[tuple[str, RidePlan], list] = pieces
 
-    def solution(self, graph: TimeGraph, plan: dict[str, RidePlan]) -> Solution:
-        sol = Solution(graph, [r for r in self.routes if r is not None], plan)
+    def solution(self, graph: TimeGraph) -> Solution:
+        sol = Solution(graph, [r for r in self.routes if r is not None], self.plan)
         sol.greedy = self
         return sol
 
     def replay(self, instance: Instance, graph: TimeGraph,
                plan: dict[str, RidePlan], ride) -> Solution:
         """``assign_drivers(instance, graph, plan)`` for a `plan` that differs
-        from this record's only in `ride`; raises what that call raises."""
-        vp = ride_pieces(graph, ride, plan[ride.id])
+        from this record's only in `ride`; raises what that call raises.
+
+        The new record and its solution keep `plan`.
+        """
+        rid, rp = ride.id, plan[ride.id]
+        vp = self.pieces.get((rid, rp))
+        if vp is None:
+            vp = self.pieces[rid, rp] = ride_pieces(graph, ride, rp)
         keys = list(self.keys)
         routes = list(self.vehicle_routes)
-        old_pos = next(j for j, key in enumerate(keys) if key[1] == ride.id)
+        old_pos = bisect_left(keys, (self.plan[rid].times[0], rid))
         del keys[old_pos]
         old = routes.pop(old_pos)
-        key = (vp[0].start, ride.id)
+        key = (vp[0].start, rid)
         new_pos = bisect_left(keys, key)
         keys.insert(new_pos, key)
         routes.insert(new_pos, vp)
 
-        delta: dict[tuple[str, int], int] = {}   # (base, departure) -> count change
-        for sign, pieces in ((-1, old), (1, vp)):
-            for p in pieces:
-                delta[p.from_base, p.start] = delta.get((p.from_base, p.start), 0) + sign
+        # a ride's pieces start at distinct minutes, so each side is a set
+        gone = {(p.from_base, p.start) for p in old}
+        came = {(p.from_base, p.start) for p in vp}
         departures_from = dict(self.departures_from)
         moved: dict[str, list[int]] = {}   # base -> departures added or removed there
-        for (base, t), d in delta.items():
-            if not d:
-                continue
+        for base, t in gone ^ came:
             if base not in moved:
                 departures_from[base] = list(departures_from.get(base, ()))
             moved.setdefault(base, []).append(t)
-            times = departures_from[base]
-            for _ in range(d):
-                insort(times, t)
-            for _ in range(-d):
-                times.remove(t)
+            if (base, t) in came:
+                insort(departures_from[base], t)
+            else:
+                departures_from[base].remove(t)
 
         j0 = min(old_pos, new_pos)
         for j, base, now, nxt in self.reliefs:
@@ -250,8 +277,8 @@ class GreedyRecord:
             if any(now < t and (nxt is None or t <= nxt) for t in moved.get(base, ())):
                 j0 = j   # this relief's look-ahead now sees another departure
                 break
-        return _greedy(instance, graph, keys, routes, departures_from,
-                       self, j0).solution(graph, plan)
+        return _greedy(instance, graph, plan, keys, routes, departures_from,
+                       self, j0).solution(graph)
 
 
 def assign_drivers(instance: Instance, graph: TimeGraph,
@@ -268,10 +295,11 @@ def assign_drivers(instance: Instance, graph: TimeGraph,
         departures_from.setdefault(p.from_base, []).append(p.start)
     keys = sorted((vp[0].start, rid) for rid, vp in by_ride.items())
     routes = [by_ride[rid] for _start, rid in keys]
-    return _greedy(instance, graph, keys, routes, departures_from).solution(graph, plan)
+    return _greedy(instance, graph, dict(plan), keys, routes,
+                   departures_from).solution(graph)
 
 
-def _greedy(instance, graph, keys, vehicle_routes, departures_from,
+def _greedy(instance, graph, plan, keys, vehicle_routes, departures_from,
             base: GreedyRecord | None = None, j0: int = 0) -> GreedyRecord:
     """Run the greedy over `vehicle_routes`, from route `j0` of `base` on."""
     legal = instance.legal
@@ -305,8 +333,8 @@ def _greedy(instance, graph, keys, vehicle_routes, departures_from,
         else:
             elements.append(sim.elements)
             routes.append(assemble_route(graph, sim.elements) if sim.elements else None)
-    return GreedyRecord(keys, vehicle_routes, departures_from, snapshots, reliefs,
-                        elements, routes)
+    return GreedyRecord(plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
+                        elements, routes, {} if base is None else base.pieces)
 
 
 def _take(sim: _Sim, vp, pos, legal) -> int:
@@ -498,15 +526,20 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
     # reachability depends only on the plan, so the links found for one
     # solution serve every candidate that only moves drivers between routes
     links = solution.links or ConnectionPlanner(instance, graph, pieces)
-    # connect breaks ties between carriers with equal times by list order: route order
-    planner = ConnectionPlanner(instance, graph, [pieces[i] for dp in per_driver for i in dp])
     n_segments = ({r.id: r.n_segments for r in instance.rides}
                   if instance.exchange_policy == POLICY_NONE else None)
     rebuilt: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    planner = None   # built once a victim is placed
 
     def route_of(chain):
+        nonlocal planner
         key = tuple(chain)
         if key not in rebuilt:
+            if planner is None:
+                # connect breaks ties between carriers with equal times by
+                # list order: route order
+                planner = ConnectionPlanner(instance, graph,
+                                            [pieces[i] for dp in per_driver for i in dp])
             rebuilt[key] = (assemble_route(graph, _chain_elements(planner, pieces, chain))
                             if _chain_legal(legal, links, chain) else None)
         return rebuilt[key]
@@ -564,7 +597,9 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
     solution. It cannot fail on a plan from the greedy or from the exact
     search, whose pieces are graph arcs and whose crews fit ``t_dw``
     (``test_mip.py`` checks the latter on every incumbent). The record's
-    memo answers a change it has replayed before.
+    memo answers a change it has replayed before, and the undo of the plan
+    move local search accepted last. The one copy of the plan made here is
+    the candidate's.
     """
     record = solution.greedy
     if record is None:
@@ -583,13 +618,24 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
 
 
 def _shift(solution, instance, graph, delta) -> list[Solution]:
+    """Each ride's departures moved by `delta`, where their windows allow.
+
+    The only ride of a solution the greedy built is not shifted: that moves
+    every time of the plan by `delta`, and the greedy reads only differences
+    of times, so the driver count and the remaining working time would stay
+    as they are. Such a candidate is never strictly better, and so never
+    accepted. A solution from elsewhere may be worse than the greedy's on
+    its plan, and then the shift is a way to the greedy's.
+    """
+    if len(instance.rides) < 2 and _built_by_greedy(solution):
+        return []
+    half = instance.theta_tw // 2   # a departure's window is dep +- half
     out = []
     for ride in sorted(instance.rides, key=lambda r: r.id):
         rp = solution.plan[ride.id]
         times = tuple(t + delta for t in rp.times)
         for dep, t in zip(ride.departures, times):
-            win = instance.window(dep)
-            if not win.earliest <= t <= win.latest:
+            if not -half <= t - dep <= half:
                 break
         else:
             cand = _replan(solution, instance, graph, ride, RidePlan(times, rp.stations))
@@ -670,16 +716,16 @@ def operator_insert_stop_shortest_detour(solution, instance, graph, config, rng)
 
 def operator_insert_stop_highest_sync(solution, instance, graph, config, rng) -> list[Solution]:
     """Split a long leg, favoring stations other routes already pass."""
-    g = solution.graph
-    visits: dict[str, int] = {}
-    for route in solution.routes:
-        for aid in route:
-            arc = g.arcs[aid]
-            for node in (arc.tail, arc.head):
-                b = g.nodes[node].base
-                visits[b] = visits.get(b, 0) + 1
-
     def order(accs, ride, k):
+        # counted only once some segment is insertable
+        g = solution.graph
+        visits: dict[str, int] = {}
+        for route in solution.routes:
+            for aid in route:
+                arc = g.arcs[aid]
+                for node in (arc.tail, arc.head):
+                    b = g.nodes[node].base
+                    visits[b] = visits.get(b, 0) + 1
         return sorted(accs, key=lambda a: (-visits.get(a.station_id, 0), a.station_id))
     return _insert_station(solution, instance, graph, config, rng, order)
 
@@ -782,7 +828,9 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                 break
             iteration += 1
             if accepted.greedy is not current.greedy:
-                _forget(current)   # another record: its neighbours are asked no more
+                # another record: its neighbours are asked no more
+                _forget(current, accepted.greedy)
+                _seed_undo(current, accepted)
             current = accepted
             f0, th0 = current.objective, current.theta()
             if trace is not None:
@@ -792,7 +840,33 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
         _forget(current)
 
 
-def _forget(solution: Solution) -> None:
-    """Drop the replay memo of `solution`'s greedy record, if it has one."""
-    if solution.greedy is not None:
-        solution.greedy.memo.clear()
+def _forget(solution: Solution, successor: GreedyRecord | None = None) -> None:
+    """Drop the replay memo of `solution`'s greedy record, if it has one, and
+    its ride pieces unless the record `successor` goes on with them."""
+    record = solution.greedy
+    if record is not None:
+        record.memo.clear()
+        if successor is None or successor.pieces is not record.pieces:
+            record.pieces.clear()
+
+
+def _built_by_greedy(solution: Solution) -> bool:
+    """Whether `solution` is its greedy record's own driver assignment."""
+    record = solution.greedy
+    return record is not None and solution.routes == [r for r in record.routes
+                                                      if r is not None]
+
+
+def _seed_undo(current: Solution, accepted: Solution) -> None:
+    """Tell `accepted`'s record what undoing its plan move gives: `current`.
+
+    Only for a plan move away from a solution the greedy built: replaying
+    the undo would rebuild `current` exactly, which is strictly worse than
+    `accepted`, so the ranking rejects it without a replay. A solution the
+    greedy did not build (a reassignment, an exact-search incumbent) is not
+    what the undo gives.
+    """
+    if accepted.greedy is None or not _built_by_greedy(current):
+        return
+    rid = next(rid for rid, rp in accepted.plan.items() if rp != current.plan[rid])
+    accepted.greedy.memo[rid, current.plan[rid]] = current

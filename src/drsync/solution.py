@@ -212,13 +212,17 @@ def assemble_route(graph: TimeGraph, elements: list[tuple]) -> tuple[int, ...]:
 
 
 class Solution:
-    """Driver routes over the graph plus the vehicle plan they serve."""
+    """Driver routes over the graph plus the vehicle plan they serve.
+
+    The solution keeps `plan` as given, and solutions over one plan may
+    share it: no code changes a plan dict once a solution holds it.
+    """
 
     def __init__(self, graph: TimeGraph, routes: list[tuple[int, ...]],
                  plan: dict[str, RidePlan]):
         self.graph = graph
         self.routes = [tuple(r) for r in routes]
-        self.plan = dict(plan)
+        self.plan = plan
         self._theta: int | None = None   # theta(), computed on first use
         # a ConnectionPlanner over the pieces of `plan` whose link() answers
         # may be reused, set by whoever built one for this plan

@@ -320,3 +320,29 @@ def test_lb_never_exceeds_the_oracle_on_the_micro_suite(policy):
             assert compute_bounds(inst).lb <= res.optimum, name
             checked += 1
     assert checked >= 290
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lb3_sweep_prunes_only_dominated_ends(policy):
+    # a start whose chain value is unchanged skips only the ends the start
+    # before it already tried with the saturated cap (module docstring).
+    # A one-line day long enough that a window past the saturated cap sets
+    # lb3: pruning every start that way gives 3
+    inst = generate_synthetic(GeneratorConfig(1, 8, 3, exchange_policy=policy), 13)[0]
+    assert lower_bound_windows(inst)[0] == _naive_lb3(inst) == 4
+    # five one-leg rides in [300, 1049] (h = 190, so none is ever mandatorily
+    # underway), one of them from 299: 1320 mandatory minutes in [299, 1049],
+    # 1319 in [300, 1049]. The second start has the first's chain value 0, and
+    # its window lasts 749 minutes, one short of the saturated cap: 659 minutes
+    # there, so it needs ceil(1319 / 659) = 3 drivers where [299, 1049] and
+    # lb1 need ceil(1320 / 660) = 2. Pruning that end too gives 2
+    half = 190
+    rides, stops = [], ()
+    for i, s in enumerate((299, 300, 300, 300, 300)):
+        ids = (f"r{i}a", f"r{i}b")
+        rides.append(Ride(f"r{i}", "L", ids, (s + half, 1049 - half), (264,), ((),)))
+        stops += customer_stops(*ids)
+    inst = check_instance(Instance(rides=tuple(rides), stops=stops, theta_tw=2 * half,
+                                   zeta=0, ell=10, exchange_policy=policy))
+    assert lower_bound_windows(inst) == (3, ((300, 1049, 3),))
+    assert _naive_lb3(inst) == 3

@@ -416,3 +416,40 @@ def test_split_run_keeps_the_global_limit():
     assert time.monotonic() - start < 1.3
     assert check_feasibility(rep.solution, inst) == []
     assert rep.clb <= rep.final_lb <= rep.objective
+
+
+# sha256 over [to_dict(), solution.to_dict(), parts, bounds, bb_nodes] of
+# every run, in corpus order: micro_suite(300) under each exchange policy
+# with the default config, and the ROADMAP ladder of 4x4x3, 6x4x4 and 6x6x4
+# at seeds 7-8 in ch_ls mode. A change meant to keep every primary output
+# byte-identical must leave these as they are.
+PIPELINE_PINS = {
+    "none": "1c97e5ab5af515566af8b2e3ef3b928a919f41477b3985e21efce7e7c164b3e3",
+    "regular_stops": "b806d8138b1b73d5bd762437c4d02ea8518f07ded8b1d5f843afb6da873c1336",
+    "regular_and_intermediate":
+        "f2ba5d6dd55a113192b3627ab47b6431d744f6282b22a3ff40b2aa36d462267c",
+    "ladder_ch_ls": "26230314944fda2c287511581e02b94f571d241781caac1a35f6e647a7b7c01e",
+}
+
+
+def _pipeline_digest(instances, config) -> str:
+    h = hashlib.sha256()
+    for inst in instances:
+        rep = run(inst, config)
+        out = [rep.to_dict(), rep.solution.to_dict() if rep.solution else None,
+               rep.parts, rep.bounds, rep.bb_nodes]
+        h.update(json.dumps(out, sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("corpus", list(PIPELINE_PINS))
+def test_pipeline_outputs_are_pinned(corpus):
+    if corpus == "ladder_ch_ls":
+        instances = [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+                     for shape in ((4, 4, 3), (6, 4, 4), (6, 6, 4)) for seed in (7, 8)]
+        config = method_config("ch_ls", DbmhConfig())
+    else:
+        instances = [check_instance(dataclasses.replace(inst, exchange_policy=corpus))
+                     for _name, inst in micro_suite(300)]
+        config = DbmhConfig()
+    assert _pipeline_digest(instances, config) == PIPELINE_PINS[corpus]

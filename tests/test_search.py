@@ -50,6 +50,7 @@ from drsync.solution import (
     PlanError,
     RidePlan,
     Solution,
+    assemble_route,
     check_feasibility,
     plan_pieces,
 )
@@ -200,15 +201,85 @@ def test_prepone_window_boundary():
 
 
 def test_shift_ops_empty_for_degenerate_window():
+    # two rides, so that the windows, not the one-ride rule, stop the shifts
     inst = check_instance(Instance(
-        rides=(Ride("r", "L", ("A", "B"), (480, 600), (120,), ((),)),),
-        stops=customer_stops("A", "B"),
+        rides=(Ride("r", "L", ("A", "B"), (480, 600), (120,), ((),)),
+               Ride("s", "M", ("C", "D"), (500, 620), (120,), ((),))),
+        stops=customer_stops("A", "B", "C", "D"),
         theta_tw=0, zeta=0, ell=10,
     ))
     g = build_graph(inst)
     sol = construct(inst, g)
     assert operator_postpone(sol, inst, g, CFG, random.Random(0)) == []
     assert operator_prepone(sol, inst, g, CFG, random.Random(0)) == []
+
+
+def _one_ride_parts():
+    """The one-ride parts of micro_suite(300) under every policy, and 1x1xk lines."""
+    out = []
+    for _name, inst in micro_suite(300):
+        for policy in POLICIES:
+            parts = decompose(check_instance(replace(inst, exchange_policy=policy)))
+            out += [part for part in parts if len(part.rides) == 1]
+    for k in range(1, 7):
+        for policy in POLICIES:
+            out += [generate_synthetic(GeneratorConfig(1, 1, k, exchange_policy=policy),
+                                       seed)[0] for seed in range(8)]
+    return out
+
+
+def test_shifting_the_only_ride_keeps_objective_and_theta():
+    # why postpone and prepone leave the only ride of a solution the greedy
+    # built alone: moving every time of the plan by one grid step, replayed
+    # through the greedy's record, gives the greedy's driver count and
+    # remaining working time on the plan as it was, so it is never an
+    # improving move. Checked on the construction's plan and on the local
+    # search's (which may visit stations).
+    same = 0
+    for inst in _one_ride_parts():
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        for sol in (ch, local_search(ch, inst, g, CFG)):
+            want = sol.greedy.solution(g)
+            (ride,) = inst.rides
+            rp = sol.plan[ride.id]
+            for delta in (-inst.ell, inst.ell):
+                plan = {ride.id: RidePlan(tuple(t + delta for t in rp.times), rp.stations)}
+                try:
+                    got = sol.greedy.replay(inst, g, plan, ride)
+                except (PlanError, ConstructionError):
+                    continue
+                assert (got.objective, got.theta()) == (want.objective, want.theta())
+                same += 1
+    assert same > 500
+
+
+def _one_driver_per_piece(inst, g, plan) -> Solution:
+    """A solution the greedy did not build: each piece of `plan` its own driver."""
+    return Solution(g, [assemble_route(g, [("steer", p.arc)])
+                        for p in plan_pieces(inst, g, plan)], plan)
+
+
+def test_shifting_the_only_ride_of_a_foreign_solution():
+    # a solution the greedy did not build (here one driver per leg, as an
+    # exact-search incumbent may have) can be worse than the greedy's on
+    # its plan; then shifting the only ride is a way to the greedy's crew
+    inst = check_instance(Instance(
+        rides=(Ride("r", "L", ("A", "B", "C"), (480, 600, 720), (120, 120), ((), ())),),
+        stops=customer_stops("A", "B", "C"),
+        theta_tw=10, zeta=0, ell=10,
+    ))
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    assert ch.objective == 1
+    assert operator_postpone(ch, inst, g, CFG, random.Random(0)) == []
+    split = _one_driver_per_piece(inst, g, ch.plan)
+    assert split.objective == 2 and check_feasibility(split, inst, g) == []
+    (moved,) = operator_postpone(split, inst, g, CFG, random.Random(0))
+    assert moved.objective == 1
 
 
 def test_insert_policy_gate():
@@ -498,12 +569,16 @@ def _memo_instances():
 def test_memo_hits_equal_a_fresh_replay(monkeypatch):
     # whatever _replan serves from a record's memo is what a fresh replay
     # from that record builds, also after a segment reassignment move, which
-    # keeps the plan and so the record and its memo
-    replan, replay = search._replan, GreedyRecord.replay
+    # keeps the plan and so the record and its memo, and also where local
+    # search seeded the memo with the undo of an accepted plan move
+    replan, replay, seed_undo = search._replan, GreedyRecord.replay, search._seed_undo
     replays = []
     reassigned = {}   # id -> candidate of segment reassignment, kept alive
-    first_asked = {}  # (id(record), ride id, plan) -> (record, solution that asked)
-    hits = []         # per memo hit: whether an earlier solution asked first
+    # (id(record), ride id, plan) -> (record, solution that asked, or None
+    # for an entry the search seeded)
+    first_asked = {}
+    hits = []         # per hit of an asked key: whether an earlier solution asked
+    seeded_hits = []
 
     def counted(self, *args):
         replays.append(None)
@@ -513,6 +588,13 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
         out = operator_reassign_segments(solution, *args)
         reassigned.update((id(c), c) for c in out)
         return out
+
+    def seeded(current, accepted):
+        record = accepted.greedy
+        before = set(record.memo) if record is not None else set()
+        seed_undo(current, accepted)
+        for rid, rp in (set(record.memo) - before if record is not None else ()):
+            first_asked.setdefault((id(record), rid, rp), (record, None))
 
     def checked(solution, instance, graph, ride, rp):
         n = len(replays)
@@ -534,11 +616,15 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
             assert got.plan == want.plan
             assert _record_fields(got.greedy) == _record_fields(want.greedy)
         asker = first_asked[key][1]
-        hits.append(asker is not solution and id(solution) in reassigned)
+        if asker is None:
+            seeded_hits.append(solution)
+        else:
+            hits.append(asker is not solution and id(solution) in reassigned)
         return got
 
     monkeypatch.setattr(GreedyRecord, "replay", counted)
     monkeypatch.setattr("drsync.search._replan", checked)
+    monkeypatch.setattr("drsync.search._seed_undo", seeded)
     monkeypatch.setattr("drsync.search.OPERATORS", (reassign,) + OPERATORS[1:])
     for inst in _memo_instances():
         g = build_graph(inst)
@@ -547,8 +633,13 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
         except ConstructionError:
             continue
         local_search(ch, inst, g, CFG)
+        # and from a solution the greedy did not build, one driver per piece
+        # on the same plan, as an exact-search incumbent may be: the undo of
+        # a plan move away from it is not it, so nothing may be seeded
+        local_search(_one_driver_per_piece(inst, g, ch.plan), inst, g, CFG)
     assert len(hits) > 100
     assert any(hits)   # a hit served after an accepted reassignment
+    assert seeded_hits   # an undo served from the entry the search seeded
 
 
 def test_no_memo_outlives_the_search(monkeypatch):
@@ -561,6 +652,7 @@ def test_no_memo_outlives_the_search(monkeypatch):
             continue
         out = local_search(ch, inst, g, CFG)
         assert out.greedy.memo == {} and ch.greedy.memo == {}
+        assert out.greedy.pieces == {} and ch.greedy.pieces == {}
         seen += 1
     assert seen > 40
     # the stand-in clock of test_deadline_checked_between_operators ends the
@@ -584,7 +676,7 @@ def test_no_memo_outlives_the_search(monkeypatch):
     ch = construct(inst, g)
     assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=2.5)) is ch
     assert len(filled) == 3 and filled[-1] > 0
-    assert ch.greedy.memo == {}
+    assert ch.greedy.memo == {} and ch.greedy.pieces == {}
 
 
 def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):
