@@ -10,9 +10,10 @@ The local search has one strategy, the paper's composite neighborhood:
 every iteration calls all seven problem-specific operators on a frozen
 solution; randomized choices are skewed by the perturbation exponent p.
 Each operator call gets its own random stream, seeded on its first draw.
-Operators return their raw candidates without checking them. The search
-ranks the improving ones by driver count, then remaining working time,
-and accepts the first that passes the full feasibility check, so only the
+Operators check no candidate's feasibility, and the plan operators leave
+out only moves known never to improve (below). The search ranks the
+improving candidates by driver count, then remaining working time, and
+accepts the first that passes the full feasibility check, so only the
 accepted move is certified. Segment reassignment tests trial insertions
 on cached piece-to-piece links (``ConnectionPlanner.link``) and asks for
 itineraries only when it builds a candidate's routes. Both come from
@@ -30,7 +31,7 @@ The search clears the memo when it moves to another plan and when it
 returns. The search's end, ``SearchConfig.t_end``, is checked between
 operators and inside the backtracking of segment reassignment.
 
-Two kinds of plan move are known without a replay, and both are exact:
+Three kinds of plan move are known without a replay, and all are exact:
 
 - Shifting the only ride of a solution the greedy built moves every time
   of the plan by the same step. The greedy reads only differences of
@@ -41,6 +42,13 @@ Two kinds of plan move are known without a replay, and both are exact:
   built gives back that solution, which is strictly worse than the one
   accepted. The search seeds the new record's memo with it
   (``_seed_undo``), and the ranking rejects it as it would a replay.
+- A one-driver solution is beaten only by a one-driver candidate with more
+  remaining working time, and one driver keeps at most ``t_dw`` minus the
+  span of the plan (last arrival minus first departure). So a move whose
+  plan spans ``t_dw - theta`` of the solution or more (``_ceiling``) never
+  improves it: ``_shift`` offers no such shift, and since an insertion or
+  a removal moves no time earlier, the station operators offer nothing
+  once the solution's own plan spans that much.
 
 A replay costs little more than the greedy's rerun from the first changed
 route: the ride's pieces are expanded once per search (``pieces``, shared
@@ -617,6 +625,32 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
     return cand
 
 
+def _ceiling(solution, instance) -> int | None:
+    """The plan span from which no plan move improves `solution` (module
+    docstring), or None where `solution` has more than one driver.
+
+    It reads `solution`'s theta, not its plan's span: a route from
+    elsewhere (an exact-search incumbent) may start before the plan's
+    first departure, and then a plan as long as this one can improve it.
+    """
+    if solution.objective != 1:
+        return None
+    return instance.legal.t_dw - solution.theta()
+
+
+def _span(plan) -> int:
+    """Last arrival minus first departure of `plan`."""
+    return (max(rp.times[-1] for rp in plan.values())
+            - min(rp.times[0] for rp in plan.values()))
+
+
+def _at_ceiling(solution, instance) -> bool:
+    """Whether `solution`'s own plan spans its ceiling, so that no plan move
+    that moves no time earlier improves it."""
+    ceiling = _ceiling(solution, instance)
+    return ceiling is not None and _span(solution.plan) >= ceiling
+
+
 def _shift(solution, instance, graph, delta) -> list[Solution]:
     """Each ride's departures moved by `delta`, where their windows allow.
 
@@ -625,10 +659,13 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
     of times, so the driver count and the remaining working time would stay
     as they are. Such a candidate is never strictly better, and so never
     accepted. A solution from elsewhere may be worse than the greedy's on
-    its plan, and then the shift is a way to the greedy's.
+    its plan, and then the shift is a way to the greedy's. Nor is a ride
+    shifted where the shifted plan spans the ceiling of a one-driver
+    solution (``_ceiling``).
     """
     if len(instance.rides) < 2 and _built_by_greedy(solution):
         return []
+    ceiling = _ceiling(solution, instance)
     half = instance.theta_tw // 2   # a departure's window is dep +- half
     out = []
     for ride in sorted(instance.rides, key=lambda r: r.id):
@@ -638,7 +675,10 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
             if not -half <= t - dep <= half:
                 break
         else:
-            cand = _replan(solution, instance, graph, ride, RidePlan(times, rp.stations))
+            shifted = RidePlan(times, rp.stations)
+            if ceiling is not None and _span({**solution.plan, ride.id: shifted}) >= ceiling:
+                continue
+            cand = _replan(solution, instance, graph, ride, shifted)
             if cand is not None:
                 out.append(cand)
     return out
@@ -679,7 +719,8 @@ def _insertable_segments(solution, instance):
 
 
 def _insert_station(solution, instance, graph, config, rng, order_fn) -> list[Solution]:
-    if instance.exchange_policy != POLICY_FULL:
+    # an insertion moves no time earlier, so its plan spans at least this one
+    if instance.exchange_policy != POLICY_FULL or _at_ceiling(solution, instance):
         return []
     segs = _insertable_segments(solution, instance)
     if not segs:
@@ -732,6 +773,8 @@ def operator_insert_stop_highest_sync(solution, instance, graph, config, rng) ->
 
 def operator_remove_stop(solution, instance, graph, config, rng) -> list[Solution]:
     """Drop a station visit wherever the direct leg is available."""
+    if _at_ceiling(solution, instance):
+        return []   # a removal keeps every time, and so the plan's span
     rides = {r.id: r for r in instance.rides}
     out = []
     for rid in sorted(solution.plan):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from typing import NamedTuple
 
 from .instance import Instance, POLICY_NONE
 from .timegraph import (
@@ -45,8 +46,10 @@ class Violation:
     detail: int    # minutes over limit, or a count for structural kinds
 
 
-@dataclass(frozen=True)
-class RidePlan:
+class RidePlan(NamedTuple):
+    """A ride's departure minute at every stop and the station, if any, in
+    each segment. A tuple, so that hashing it as a dict key stays in C."""
+
     times: tuple[int, ...]
     stations: tuple[str | None, ...]
 

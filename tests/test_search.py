@@ -16,6 +16,7 @@ from drsync.fixtures import (
 )
 from drsync.instance import (
     POLICIES,
+    POLICY_FULL,
     Instance,
     Ride,
     StationAccess,
@@ -32,6 +33,7 @@ from drsync.search import (
     assign_drivers,
     construct,
     local_search,
+    operator_insert_stop_highest_sync,
     operator_insert_stop_random,
     operator_insert_stop_shortest_detour,
     operator_postpone,
@@ -52,6 +54,7 @@ from drsync.solution import (
     Solution,
     assemble_route,
     check_feasibility,
+    normalize_ride_times,
     plan_pieces,
 )
 from drsync.timegraph import build_graph
@@ -263,6 +266,16 @@ def _one_driver_per_piece(inst, g, plan) -> Solution:
                         for p in plan_pieces(inst, g, plan)], plan)
 
 
+def _waiting_first(sol, g, since) -> Solution:
+    """The one driver of `sol`, a solution the greedy built, standing at the
+    first stop from `since` on: a solution the greedy did not build, whose
+    route spans more than its plan."""
+    (elements,) = [els for els in sol.greedy.elements if els]
+    first = g.nodes[g.arcs[elements[0][1]].tail]
+    wait = ("wait", first.base, since, first.time)
+    return Solution(g, [assemble_route(g, [wait] + elements)], sol.plan)
+
+
 def test_shifting_the_only_ride_of_a_foreign_solution():
     # a solution the greedy did not build (here one driver per leg, as an
     # exact-search incumbent may have) can be worse than the greedy's on
@@ -280,6 +293,118 @@ def test_shifting_the_only_ride_of_a_foreign_solution():
     assert split.objective == 2 and check_feasibility(split, inst, g) == []
     (moved,) = operator_postpone(split, inst, g, CFG, random.Random(0))
     assert moved.objective == 1
+
+
+def _plan_span(plan) -> int:
+    return (max(rp.times[-1] for rp in plan.values())
+            - min(rp.times[0] for rp in plan.values()))
+
+
+def _plan_moves(sol, inst):
+    """Every one-ride plan change the plan operators may make of `sol`, as
+    (operator kind, ride, new RidePlan)."""
+    half = inst.theta_tw // 2
+    for kind, delta in (("postpone", inst.ell), ("prepone", -inst.ell)):
+        for ride in inst.rides:
+            rp = sol.plan[ride.id]
+            times = tuple(t + delta for t in rp.times)
+            if all(-half <= t - dep <= half for dep, t in zip(ride.departures, times)):
+                yield kind, ride, RidePlan(times, rp.stations)
+    if inst.exchange_policy == POLICY_FULL:
+        for _dur, rid, k, ride, accs in search._insertable_segments(sol, inst):
+            rp = sol.plan[rid]
+            for acc in accs:
+                stations = rp.stations[:k] + (acc.station_id,) + rp.stations[k + 1:]
+                times = list(rp.times)
+                times[k + 1] = max(times[k + 1], times[k] + acc.minutes_in + acc.minutes_out)
+                fixed = normalize_ride_times(inst, ride, times, stations)
+                if fixed is not None:
+                    yield "insert", ride, RidePlan(fixed, stations)
+    for ride in inst.rides:
+        rp = sol.plan[ride.id]
+        for k in range(ride.n_segments):
+            gap = rp.times[k + 1] - rp.times[k]
+            if (rp.stations[k] is not None and ride.segment_minutes[k] <= gap
+                    <= inst.legal.t_cs):
+                stations = rp.stations[:k] + (None,) + rp.stations[k + 1:]
+                yield "remove", ride, RidePlan(rp.times, stations)
+
+
+def _one_driver_solutions():
+    """One-driver CH and LS solutions of the parts of micro_suite(300) under
+    every policy and of 1xnxk lines, each with a solution the greedy did not
+    build: the same driver one step later on every ride, waiting first."""
+    instances = [part for _name, inst in micro_suite(300) for policy in POLICIES
+                 for part in decompose(check_instance(replace(inst, exchange_policy=policy)))]
+    instances += [generate_synthetic(GeneratorConfig(1, n, k, exchange_policy=policy), seed)[0]
+                  for n in (2, 3, 4) for k in (1, 2, 3) for policy in POLICIES
+                  for seed in range(3)]
+    for inst in instances:
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        half = inst.theta_tw // 2
+        for sol in (ch, local_search(ch, inst, g, CFG)):
+            if sol.objective != 1:
+                continue
+            yield inst, g, sol, False
+            late = {r.id: RidePlan(tuple(t + inst.ell for t in sol.plan[r.id].times),
+                                   sol.plan[r.id].stations) for r in inst.rides}
+            if any(t - dep > half for r in inst.rides
+                   for dep, t in zip(r.departures, late[r.id].times)):
+                continue
+            try:
+                moved = assign_drivers(inst, g, late)
+            except (PlanError, ConstructionError):
+                continue
+            if moved.objective == 1:
+                since = min(rp.times[0] for rp in sol.plan.values())
+                yield inst, g, _waiting_first(moved, g, since), True
+
+
+def test_plan_moves_past_the_ceiling_never_improve():
+    # a one-driver solution keeps t_dw - theta of working time; a plan move
+    # whose plan spans that much or more cannot improve it, so the plan
+    # operators neither replay nor return it. Every such move, replayed
+    # through the greedy's record, is not improving; the shifts and the
+    # removals offered are exactly the rest, and no insertion offered
+    # reaches the ceiling.
+    skipped = at_ceiling = foreign = rescued = 0
+    for inst, g, sol, is_foreign in _one_driver_solutions():
+        theta0 = sol.theta()
+        ceiling = inst.legal.t_dw - theta0
+        record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
+        offered = {"postpone": set(), "prepone": set(), "insert": set(), "remove": set()}
+        for kind, ride, rp in _plan_moves(sol, inst):
+            plan = dict(sol.plan)
+            plan[ride.id] = rp
+            try:
+                cand = record.replay(inst, g, plan, ride)
+            except (PlanError, ConstructionError):
+                cand = None
+            improves = cand is not None and cand.objective == 1 and cand.theta() > theta0
+            if _plan_span(plan) >= ceiling:
+                assert not improves, (kind, ride.id, rp)
+                skipped += 1
+                at_ceiling += _plan_span(plan) == ceiling and cand is not None
+            elif cand is not None:
+                offered[kind].add(frozenset(plan.items()))
+                # improving, though its plan spans as much as the one it
+                # changes: a ceiling read off the plan would have lost it
+                rescued += is_foreign and improves and _plan_span(plan) >= _plan_span(sol.plan)
+        foreign += is_foreign
+        for kind, op in (("postpone", operator_postpone), ("prepone", operator_prepone),
+                         ("remove", operator_remove_stop)):
+            got = {frozenset(c.plan.items()) for c in op(sol, inst, g, CFG, random.Random(0))}
+            assert got == offered[kind], kind
+        for oi, op in enumerate((operator_insert_stop_random, operator_insert_stop_shortest_detour,
+                                 operator_insert_stop_highest_sync)):
+            for c in op(sol, inst, g, CFG, random.Random(oi)):
+                assert frozenset(c.plan.items()) in offered["insert"]
+    assert skipped > 2000 and at_ceiling > 1000
+    assert foreign > 500 and rescued > 500
 
 
 def test_insert_policy_gate():
@@ -319,11 +444,23 @@ def test_insertable_stations_have_arcs():
     assert all(key in g.seg_in for key in listed)
 
 
+def _late_start(inst, g):
+    """redundant_station_fixture's ride one step late, its driver waiting
+    first from the construction's departure."""
+    ch = construct(inst, g)
+    late = {"r1": RidePlan(tuple(t + inst.ell for t in ch.plan["r1"].times), (None,))}
+    return _waiting_first(assign_drivers(inst, g, late), g, ch.plan["r1"].times[0])
+
+
 def test_insert_produces_feasible_station_visit():
     inst = redundant_station_fixture()
     g = build_graph(inst)
     sol = construct(inst, g)
     assert sol.plan["r1"].stations == (None,)
+    # one driver whose route spans the plan: no insertion can improve it
+    assert operator_insert_stop_shortest_detour(sol, inst, g, CFG, random.Random(0)) == []
+    sol = _late_start(inst, g)
+    assert sol.objective == 1 and sol.plan["r1"].stations == (None,)
     cands = operator_insert_stop_shortest_detour(sol, inst, g, CFG, random.Random(0))
     assert cands and cands[0].plan["r1"].stations == ("S",)
     assert check_feasibility(cands[0], inst, g) == []
@@ -333,8 +470,13 @@ def test_remove_redundant_station():
     inst = redundant_station_fixture()
     g = build_graph(inst)
     base = construct(inst, g)
-    with_station = operator_insert_stop_shortest_detour(
-        base, inst, g, CFG, random.Random(0))[0]
+    assert operator_insert_stop_shortest_detour(base, inst, g, CFG, random.Random(0)) == []
+    late = _late_start(inst, g)
+    visit = operator_insert_stop_shortest_detour(late, inst, g, CFG, random.Random(0))[0]
+    # one driver whose route spans the plan: no removal can improve it
+    assert visit.objective == 1
+    assert operator_remove_stop(visit, inst, g, CFG, random.Random(0)) == []
+    with_station = _waiting_first(visit, g, base.plan["r1"].times[0])
     cands = operator_remove_stop(with_station, inst, g, CFG, random.Random(0))
     assert cands
     best = cands[0]
@@ -691,7 +833,14 @@ def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):
     early["a"] = RidePlan(tuple(t - inst.ell for t in ch.plan["a"].times), ch.plan["a"].stations)
     with pytest.raises(PlanError):
         assign_drivers(inst, g, early)
+    # with one driver, every postponed plan spans at least the route: no
+    # move can improve it, so none is replayed
     sol = Solution(g, ch.routes, early)
+    assert sol.objective == 1
+    assert operator_postpone(sol, inst, g, CFG, random.Random(0)) == []
+    assert sol.greedy is None
+    sol = Solution(g, _one_driver_per_piece(inst, g, ch.plan).routes, early)
+    assert sol.objective == 2
     with pytest.raises(PlanError):
         operator_postpone(sol, inst, g, CFG, random.Random(0))
     assert sol.greedy is None
