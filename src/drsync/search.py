@@ -8,7 +8,8 @@ wait for a break-sized gap or stay aboard to the terminal.
 
 The local search has one strategy, the paper's composite neighborhood:
 every iteration calls all seven problem-specific operators on a frozen
-solution; randomized choices are skewed by the perturbation exponent p.
+solution (all but segment reassignment at the driver bound, below);
+randomized choices are skewed by the perturbation exponent p.
 Each operator call gets its own random stream, seeded on its first draw.
 Operators check no candidate's feasibility, and the plan operators leave
 out only moves known never to improve (below). The search ranks the
@@ -50,6 +51,22 @@ Three kinds of plan move are known without a replay, and all are exact:
   a removal moves no time earlier, the station operators offer nothing
   once the solution's own plan spans that much.
 
+The search also stops at the driver bound. ``lb``, the larger of lb1 and
+lb2 of the instance searched (``bounds``), is at most the driver count of
+every feasible solution. At ``f0 <= lb`` drivers, then:
+
+- segment reassignment is not called: each of its candidates has
+  ``f0 - 1`` drivers, and none can pass the feasibility check;
+- a candidate can improve only on theta, which for f0 drivers is
+  ``f0 * t_dw`` minus the sum of their spans. Each driver's span holds
+  that driver's steering, one arc at a time, and a ride's arcs tile its
+  first departure to its last arrival, so the spans add up to at least
+  the plan's steering time (``_steering``). No plan move lowers it: a
+  shift and a removal keep it, and an insertion only pushes times later.
+  So once ``f0 * t_dw`` minus the current plan's steering time is at most
+  theta, no move improves, and the search returns at once. With one
+  driver the span-based ``_ceiling`` above is tighter, and both stay.
+
 A replay costs little more than the greedy's rerun from the first changed
 route: the ride's pieces are expanded once per search (``pieces``, shared
 along the chain of replayed records and cleared when the search returns),
@@ -64,6 +81,7 @@ import time as _time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
+from .bounds import lower_bound_parallel, lower_bound_steering
 from .instance import Instance, POLICY_FULL, POLICY_NONE
 from .solution import (
     LINK_NONE,
@@ -644,6 +662,11 @@ def _span(plan) -> int:
             - min(rp.times[0] for rp in plan.values()))
 
 
+def _steering(plan) -> int:
+    """The plan's steering time: each ride's last arrival minus its first departure."""
+    return sum(rp.times[-1] - rp.times[0] for rp in plan.values())
+
+
 def _at_ceiling(solution, instance) -> bool:
     """Whether `solution`'s own plan spans its ceiling, so that no plan move
     that moves no time earlier improves it."""
@@ -803,6 +826,9 @@ OPERATORS = (
     operator_insert_stop_highest_sync,
     operator_remove_stop,
 )
+# segment reassignment's place in OPERATORS; found by position, since a
+# wrapper may stand in for the function
+_REASSIGN = 0
 
 
 # ---------------------------------------------------------------------------
@@ -843,11 +869,16 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                  trace: list[tuple[int, int]] | None = None) -> Solution:
     """Lexicographic descent on (driver count, -remaining working time).
 
+    It stops at the first iteration that improves nothing, or before an
+    iteration that the driver bound shows cannot improve (module
+    docstring); at the bound it does not call segment reassignment.
     The replay memo of the current plan's greedy record lives only while
     the search stays on that plan; none outlives the search.
     """
     config = config or SearchConfig()
     t_end = config.t_end
+    t_dw = instance.legal.t_dw
+    lb = max(lower_bound_steering(instance), lower_bound_parallel(instance)[0])
     current = solution
     f0, th0 = current.objective, current.theta()
     if trace is not None:
@@ -855,10 +886,15 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
     iteration = 0
     try:
         while t_end is None or _time.monotonic() < t_end:
+            at_bound = f0 <= lb
+            if at_bound and f0 * t_dw - _steering(current.plan) <= th0:
+                return current   # no move can raise theta, nor drop a driver
             pool: list[Solution] = []
             for oi, op in enumerate(OPERATORS):
                 if oi and t_end is not None and _time.monotonic() >= t_end:
                     return current   # the end passed inside this iteration
+                if at_bound and oi == _REASSIGN:
+                    continue   # its candidates have fewer drivers than the bound
                 pool.extend(op(current, instance, graph, config,
                                _op_rng(config, iteration, oi)))
             better = sorted(

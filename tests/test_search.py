@@ -24,6 +24,7 @@ from drsync.instance import (
     check_instance,
     decompose,
 )
+from drsync.bounds import lower_bound_parallel, lower_bound_steering
 from drsync.oracle import brute_force
 from drsync.search import (
     OPERATORS,
@@ -405,6 +406,120 @@ def test_plan_moves_past_the_ceiling_never_improve():
                 assert frozenset(c.plan.items()) in offered["insert"]
     assert skipped > 2000 and at_ceiling > 1000
     assert foreign > 500 and rescued > 500
+
+
+def _bound_starts():
+    """Start solutions for the driver-bound test: CH and LS solutions of
+    the parts of micro_suite(300) under every policy, of 1xnxk lines and of
+    4x4x3 and 6x4x4 seed 7, and a solution the greedy did not build: the CH
+    crew with its first driver waiting one copy earlier at the first base."""
+    instances = [part for _name, inst in micro_suite(300) for policy in POLICIES
+                 for part in decompose(check_instance(replace(inst, exchange_policy=policy)))]
+    instances += [generate_synthetic(GeneratorConfig(1, n, k, exchange_policy=policy), seed)[0]
+                  for n in (2, 3, 4) for k in (1, 2, 3) for policy in POLICIES
+                  for seed in range(3)]
+    instances += [part for shape in ((4, 4, 3), (6, 4, 4)) for policy in POLICIES
+                  for part in decompose(generate_synthetic(
+                      GeneratorConfig(*shape, exchange_policy=policy), 7)[0])]
+    for inst in instances:
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        yield inst, g, ch
+        yield inst, g, local_search(ch, inst, g, CFG)
+        elements = [els for els in ch.greedy.elements if els]
+        first = g.nodes[g.arcs[elements[0][0][1]].tail]
+        earlier = [g.nodes[n].time for n in g.copies[first.base]
+                   if g.nodes[n].time < first.time]
+        if earlier:
+            elements[0] = [("wait", first.base, max(earlier), first.time)] + elements[0]
+            foreign = Solution(g, [assemble_route(g, els) for els in elements], ch.plan)
+            if check_feasibility(foreign, inst, g) == []:
+                yield inst, g, foreign
+
+
+def test_no_move_improves_past_the_driver_bound(monkeypatch):
+    # at max(lb1, lb2) drivers, local search calls no segment reassignment:
+    # each of its moves drops a driver, and none passes the feasibility
+    # check. And where f0 * t_dw minus the plan's steering time is at most
+    # theta, it returns before an iteration: every shift, insertion and
+    # removal, replayed through the greedy's record, is not improving.
+    calls = []
+
+    def recorded(oi, op):
+        def run(solution, *args):
+            calls.append((oi, solution))
+            return op(solution, *args)
+        return run
+
+    monkeypatch.setattr("drsync.search.OPERATORS",
+                        tuple(recorded(oi, op) for oi, op in enumerate(OPERATORS)))
+    skipped = stopped = stopped_multi = replayed = 0
+    for inst, g, sol in _bound_starts():
+        f0, theta0 = sol.objective, sol.theta()
+        calls.clear()
+        local_search(sol, inst, g, CFG)
+        first = [oi for oi, s in calls if s is sol]   # the first iteration's calls
+        if 0 in first:
+            continue
+        skipped += 1
+        for cand in operator_reassign_segments(sol, inst, g, CFG, random.Random(0)):
+            assert check_feasibility(cand, inst, g) != []
+        if first:
+            continue
+        stopped += 1
+        stopped_multi += f0 > 1
+        record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
+        for kind, ride, rp in _plan_moves(sol, inst):
+            plan = dict(sol.plan)
+            plan[ride.id] = rp
+            try:
+                cand = record.replay(inst, g, plan, ride)
+            except (PlanError, ConstructionError):
+                continue
+            replayed += 1
+            assert cand.objective > f0 or (cand.objective == f0
+                                           and cand.theta() <= theta0), (kind, ride.id, rp)
+    assert skipped > 2500 and stopped > 1500
+    assert stopped_multi > 500 and replayed > 2500
+
+
+def test_wrapped_operators_skip_reassignment_at_the_bound(monkeypatch):
+    # a tracer stands a wrapper of another name in for each entry of
+    # OPERATORS (perfbench/tracing.py); local search still finds segment
+    # reassignment by its place, calls it only above max(lb1, lb2), and
+    # returns what it returns unwrapped
+    runs = []
+    for _name, inst in micro_suite(100):
+        for policy in POLICIES:
+            for part in decompose(check_instance(replace(inst, exchange_policy=policy))):
+                g = build_graph(part)
+                try:
+                    ch = construct(part, g)
+                except ConstructionError:
+                    continue
+                lb = max(lower_bound_steering(part), lower_bound_parallel(part)[0])
+                runs.append((part, g, lb, ch, local_search(ch, part, g, CFG).to_dict()))
+    calls = []
+
+    def wrap(oi, op):
+        def wrapper(solution, *args):
+            calls.append((oi, solution.objective))
+            return op(solution, *args)
+        return wrapper
+
+    monkeypatch.setattr("drsync.search.OPERATORS",
+                        tuple(wrap(oi, op) for oi, op in enumerate(OPERATORS)))
+    at_bound = above = 0
+    for part, g, lb, ch, want in runs:
+        calls.clear()
+        assert local_search(ch, part, g, CFG).to_dict() == want
+        assert all(f > lb for oi, f in calls if oi == 0)
+        at_bound += sum(f <= lb for oi, f in calls if oi == 1)
+        above += sum(f > lb for oi, f in calls if oi == 0)
+    assert at_bound > 300 and above > 80
 
 
 def test_insert_policy_gate():
@@ -878,11 +993,26 @@ def test_deadline_checked_between_operators(monkeypatch):
     out = local_search(ch, inst, g, SearchConfig(seed=3, t_end=2.5))
     assert calls == [op.__name__ for op in OPERATORS[:3]]
     assert out is ch
-    # postpone's move, found before the end, is taken when time remains
+    # postpone's move, found before the end, is taken when time remains.
+    # Its one driver is max(lb1, lb2), and no plan move can raise its
+    # theta, so the search stops before a second iteration: one iteration
+    # of calls, and the outcome of a search with no end
     calls.clear()
     clock.now = 0.0
-    assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=100.0)).objective == 1
-    assert len(calls) > len(OPERATORS)
+    out = local_search(ch, inst, g, SearchConfig(seed=3, t_end=100.0))
+    assert out.objective == 1
+    assert calls == [op.__name__ for op in OPERATORS]
+    assert out.to_dict() == local_search(ch, inst, g, SearchConfig(seed=3)).to_dict()
+    # above the bound (8 drivers after the first move, against 5) the
+    # second iteration calls every operator again, and improves nothing
+    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    g = build_graph(inst)
+    ch = construct(inst, g)
+    calls.clear()
+    clock.now = 0.0
+    out = local_search(ch, inst, g, SearchConfig(seed=3, t_end=100.0))
+    assert (ch.objective, out.objective) == (9, 8)
+    assert calls == [op.__name__ for op in OPERATORS] * 2
 
 
 # sha256 of local search's to_dict() after construct on 1x24x4 seed 7, by
