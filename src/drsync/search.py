@@ -15,10 +15,12 @@ Operators check no candidate's feasibility, and the plan operators leave
 out only moves known never to improve (below). The search ranks the
 improving candidates by driver count, then remaining working time, and
 accepts the first that passes the full feasibility check, so only the
-accepted move is certified. Segment reassignment tests trial insertions
-on cached piece-to-piece links (``ConnectionPlanner.link``) and asks for
-itineraries only when it builds a candidate's routes. Both come from
-``solution.itinerary``, the relocation call the branch-and-bound shares.
+accepted move is certified. Segment reassignment takes the plan's pieces
+and itineraries from the plan's one ``ConnectionPlanner``, whose carriers
+are in chronological order: it tests trial insertions on cached
+piece-to-piece links (``link``) and asks for itineraries (``connect``) only
+when it builds a candidate's routes. Both come from ``solution.itinerary``,
+the relocation call the branch-and-bound shares.
 The plan operators
 (postpone, prepone, the station insertions and removal) change one ride,
 then replay the greedy driver assignment from a checkpoint: the
@@ -32,17 +34,13 @@ The search clears the memo when it moves to another plan and when it
 returns. The search's end, ``SearchConfig.t_end``, is checked between
 operators and inside the backtracking of segment reassignment.
 
-Three kinds of plan move are known without a replay, and all are exact:
+Two kinds of plan move are known without a replay, and both are exact:
 
 - Shifting the only ride of a solution the greedy built moves every time
   of the plan by the same step. The greedy reads only differences of
   times (the limits in ``_fits``, the rest in ``rested_u``, the relief's
   look-ahead, spans), so the driver count and the remaining working time
   stay as they are: never an improvement, so ``_shift`` offers none.
-- Undoing the plan move just accepted away from a solution the greedy
-  built gives back that solution, which is strictly worse than the one
-  accepted. The search seeds the new record's memo with it
-  (``_seed_undo``), and the ranking rejects it as it would a replay.
 - A one-driver solution is beaten only by a one-driver candidate with more
   remaining working time, and one driver keeps at most ``t_dw`` minus the
   span of the plan (last arrival minus first departure). So a move whose
@@ -68,10 +66,8 @@ every feasible solution. At ``f0 <= lb`` drivers, then:
   driver the span-based ``_ceiling`` above is tighter, and both stay.
 
 A replay costs little more than the greedy's rerun from the first changed
-route: the ride's pieces are expanded once per search (``pieces``, shared
-along the chain of replayed records and cleared when the search returns),
-its place in the route order is found by bisection, and the plan is
-copied once per candidate.
+route: the changed ride's place in the route order is found by bisection,
+and the plan is copied once per candidate.
 """
 
 from __future__ import annotations
@@ -231,20 +227,16 @@ class GreedyRecord:
     answer differently. Everything here depends on the plan alone.
 
     ``memo`` maps ``(ride id, RidePlan)`` to what ``_replan`` got for that
-    change: the replayed solution, or None where the replay raised; local
-    search also enters the undo of the plan move it accepted
-    (``_seed_undo``). It keeps the memo only while the record is its current
-    solution's, and clears it when it moves to another plan or returns.
-    ``pieces`` maps the same keys to the ride's pieces (``ride_pieces``); a
-    replayed record shares its base's, so one local search expands each
-    ride plan once, and clears them when it returns.
+    change: the replayed solution, or None where the replay raised. Local
+    search keeps it only while the record is its current solution's, and
+    clears it when it moves to another plan or returns.
     """
 
     __slots__ = ("plan", "keys", "vehicle_routes", "departures_from", "snapshots",
-                 "reliefs", "elements", "routes", "memo", "pieces")
+                 "reliefs", "elements", "routes", "memo")
 
     def __init__(self, plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
-                 elements, routes, pieces):
+                 elements, routes):
         self.plan: dict[str, RidePlan] = plan
         self.keys: list[tuple[int, str]] = keys
         self.vehicle_routes: list[list] = vehicle_routes
@@ -254,7 +246,6 @@ class GreedyRecord:
         self.elements: list[list[tuple]] = elements
         self.routes: list[tuple[int, ...] | None] = routes
         self.memo: dict[tuple[str, RidePlan], Solution | None] = {}
-        self.pieces: dict[tuple[str, RidePlan], list] = pieces
 
     def solution(self, graph: TimeGraph) -> Solution:
         sol = Solution(graph, [r for r in self.routes if r is not None], self.plan)
@@ -268,10 +259,8 @@ class GreedyRecord:
 
         The new record and its solution keep `plan`.
         """
-        rid, rp = ride.id, plan[ride.id]
-        vp = self.pieces.get((rid, rp))
-        if vp is None:
-            vp = self.pieces[rid, rp] = ride_pieces(graph, ride, rp)
+        rid = ride.id
+        vp = ride_pieces(graph, ride, plan[rid])
         keys = list(self.keys)
         routes = list(self.vehicle_routes)
         old_pos = bisect_left(keys, (self.plan[rid].times[0], rid))
@@ -360,7 +349,7 @@ def _greedy(instance, graph, plan, keys, vehicle_routes, departures_from,
             elements.append(sim.elements)
             routes.append(assemble_route(graph, sim.elements) if sim.elements else None)
     return GreedyRecord(plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
-                        elements, routes, {} if base is None else base.pieces)
+                        elements, routes)
 
 
 def _take(sim: _Sim, vp, pos, legal) -> int:
@@ -520,8 +509,9 @@ def _chain_legal(legal, planner, chain) -> bool:
     return True
 
 
-def _chain_elements(planner, pieces, chain) -> list[tuple]:
+def _chain_elements(planner, chain) -> list[tuple]:
     """Timeline of a driver steering the pieces at a legal `chain`."""
+    pieces = planner.pieces
     elements: list[tuple] = [("steer", pieces[chain[0]].arc)]
     for a, b in zip(chain, chain[1:]):
         pa, pb = pieces[a], pieces[b]
@@ -544,29 +534,23 @@ def operator_reassign_segments(solution, instance, graph, config, rng) -> list[S
     if len(solution.routes) < 2:
         return []
     legal, t_dw = instance.legal, instance.legal.t_dw
+    # links and itineraries depend only on the plan, so the planner built for
+    # one solution serves every candidate that only moves drivers between routes
+    links = solution.links or ConnectionPlanner(
+        instance, graph, plan_pieces(instance, graph, solution.plan))
     # pieces are in chronological order, so a sorted host is a sorted position list
-    pieces = plan_pieces(instance, graph, solution.plan)
+    pieces = links.pieces
     pos = {p.arc: i for i, p in enumerate(pieces)}
     per_driver = [[pos[a] for a in route if graph.arcs[a].family == FAMILY_STEERING]
                   for route in solution.routes]
-    # reachability depends only on the plan, so the links found for one
-    # solution serve every candidate that only moves drivers between routes
-    links = solution.links or ConnectionPlanner(instance, graph, pieces)
     n_segments = ({r.id: r.n_segments for r in instance.rides}
                   if instance.exchange_policy == POLICY_NONE else None)
     rebuilt: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    planner = None   # built once a victim is placed
 
     def route_of(chain):
-        nonlocal planner
         key = tuple(chain)
         if key not in rebuilt:
-            if planner is None:
-                # connect breaks ties between carriers with equal times by
-                # list order: route order
-                planner = ConnectionPlanner(instance, graph,
-                                            [pieces[i] for dp in per_driver for i in dp])
-            rebuilt[key] = (assemble_route(graph, _chain_elements(planner, pieces, chain))
+            rebuilt[key] = (assemble_route(graph, _chain_elements(links, chain))
                             if _chain_legal(legal, links, chain) else None)
         return rebuilt[key]
 
@@ -623,9 +607,8 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
     solution. It cannot fail on a plan from the greedy or from the exact
     search, whose pieces are graph arcs and whose crews fit ``t_dw``
     (``test_mip.py`` checks the latter on every incumbent). The record's
-    memo answers a change it has replayed before, and the undo of the plan
-    move local search accepted last. The one copy of the plan made here is
-    the candidate's.
+    memo answers a change it has replayed before. The one copy of the plan
+    made here is the candidate's.
     """
     record = solution.greedy
     if record is None:
@@ -907,9 +890,7 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                 break
             iteration += 1
             if accepted.greedy is not current.greedy:
-                # another record: its neighbours are asked no more
-                _forget(current, accepted.greedy)
-                _seed_undo(current, accepted)
+                _forget(current)   # another record: its neighbours are asked no more
             current = accepted
             f0, th0 = current.objective, current.theta()
             if trace is not None:
@@ -919,14 +900,10 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
         _forget(current)
 
 
-def _forget(solution: Solution, successor: GreedyRecord | None = None) -> None:
-    """Drop the replay memo of `solution`'s greedy record, if it has one, and
-    its ride pieces unless the record `successor` goes on with them."""
-    record = solution.greedy
-    if record is not None:
-        record.memo.clear()
-        if successor is None or successor.pieces is not record.pieces:
-            record.pieces.clear()
+def _forget(solution: Solution) -> None:
+    """Drop the replay memo of `solution`'s greedy record, if it has one."""
+    if solution.greedy is not None:
+        solution.greedy.memo.clear()
 
 
 def _built_by_greedy(solution: Solution) -> bool:
@@ -934,18 +911,3 @@ def _built_by_greedy(solution: Solution) -> bool:
     record = solution.greedy
     return record is not None and solution.routes == [r for r in record.routes
                                                       if r is not None]
-
-
-def _seed_undo(current: Solution, accepted: Solution) -> None:
-    """Tell `accepted`'s record what undoing its plan move gives: `current`.
-
-    Only for a plan move away from a solution the greedy built: replaying
-    the undo would rebuild `current` exactly, which is strictly worse than
-    `accepted`, so the ranking rejects it without a replay. A solution the
-    greedy did not build (a reassignment, an exact-search incumbent) is not
-    what the undo gives.
-    """
-    if accepted.greedy is None or not _built_by_greedy(current):
-        return
-    rid = next(rid for rid, rp in accepted.plan.items() if rp != current.plan[rid])
-    accepted.greedy.memo[rid, current.plan[rid]] = current

@@ -180,6 +180,32 @@ def test_reassign_merges_drivers(sequential_pair):
     assert brute_force(sequential_pair).optimum == 1
 
 
+def test_reassign_builds_one_planner_per_plan(sequential_pair, monkeypatch):
+    # segment reassignment takes its pieces, links and itineraries from one
+    # ConnectionPlanner, which its candidates carry; a call on a solution
+    # that carries it builds none
+    built = []
+    init = ConnectionPlanner.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(ConnectionPlanner, "__init__", counted)
+    inst = sequential_pair
+    g = build_graph(inst)
+    arranged = _one_driver_per_piece(inst, g, construct(inst, g).plan)
+    cands = operator_reassign_segments(arranged, inst, g, CFG, random.Random(0))
+    assert [c.objective for c in cands] == [1, 1]   # each driver was placed
+    assert len(built) == 1
+    again = Solution(g, arranged.routes, arranged.plan)
+    again.links = cands[0].links
+    assert ([c.routes for c in operator_reassign_segments(again, inst, g, CFG,
+                                                          random.Random(0))]
+            == [c.routes for c in cands])
+    assert len(built) == 1
+
+
 def test_reassign_empty_and_parallel(parallel_triplet):
     g = build_graph(parallel_triplet)
     sol = construct(parallel_triplet, g)
@@ -826,16 +852,13 @@ def _memo_instances():
 def test_memo_hits_equal_a_fresh_replay(monkeypatch):
     # whatever _replan serves from a record's memo is what a fresh replay
     # from that record builds, also after a segment reassignment move, which
-    # keeps the plan and so the record and its memo, and also where local
-    # search seeded the memo with the undo of an accepted plan move
-    replan, replay, seed_undo = search._replan, GreedyRecord.replay, search._seed_undo
+    # keeps the plan and so the record and its memo
+    replan, replay = search._replan, GreedyRecord.replay
     replays = []
     reassigned = {}   # id -> candidate of segment reassignment, kept alive
-    # (id(record), ride id, plan) -> (record, solution that asked, or None
-    # for an entry the search seeded)
+    # (id(record), ride id, plan) -> (record, solution that asked first)
     first_asked = {}
     hits = []         # per hit of an asked key: whether an earlier solution asked
-    seeded_hits = []
 
     def counted(self, *args):
         replays.append(None)
@@ -845,13 +868,6 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
         out = operator_reassign_segments(solution, *args)
         reassigned.update((id(c), c) for c in out)
         return out
-
-    def seeded(current, accepted):
-        record = accepted.greedy
-        before = set(record.memo) if record is not None else set()
-        seed_undo(current, accepted)
-        for rid, rp in (set(record.memo) - before if record is not None else ()):
-            first_asked.setdefault((id(record), rid, rp), (record, None))
 
     def checked(solution, instance, graph, ride, rp):
         n = len(replays)
@@ -873,15 +889,11 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
             assert got.plan == want.plan
             assert _record_fields(got.greedy) == _record_fields(want.greedy)
         asker = first_asked[key][1]
-        if asker is None:
-            seeded_hits.append(solution)
-        else:
-            hits.append(asker is not solution and id(solution) in reassigned)
+        hits.append(asker is not solution and id(solution) in reassigned)
         return got
 
     monkeypatch.setattr(GreedyRecord, "replay", counted)
     monkeypatch.setattr("drsync.search._replan", checked)
-    monkeypatch.setattr("drsync.search._seed_undo", seeded)
     monkeypatch.setattr("drsync.search.OPERATORS", (reassign,) + OPERATORS[1:])
     for inst in _memo_instances():
         g = build_graph(inst)
@@ -891,12 +903,10 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
             continue
         local_search(ch, inst, g, CFG)
         # and from a solution the greedy did not build, one driver per piece
-        # on the same plan, as an exact-search incumbent may be: the undo of
-        # a plan move away from it is not it, so nothing may be seeded
+        # on the same plan, as an exact-search incumbent may be
         local_search(_one_driver_per_piece(inst, g, ch.plan), inst, g, CFG)
     assert len(hits) > 100
     assert any(hits)   # a hit served after an accepted reassignment
-    assert seeded_hits   # an undo served from the entry the search seeded
 
 
 def test_no_memo_outlives_the_search(monkeypatch):
@@ -909,7 +919,6 @@ def test_no_memo_outlives_the_search(monkeypatch):
             continue
         out = local_search(ch, inst, g, CFG)
         assert out.greedy.memo == {} and ch.greedy.memo == {}
-        assert out.greedy.pieces == {} and ch.greedy.pieces == {}
         seen += 1
     assert seen > 40
     # the stand-in clock of test_deadline_checked_between_operators ends the
@@ -933,7 +942,7 @@ def test_no_memo_outlives_the_search(monkeypatch):
     ch = construct(inst, g)
     assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=2.5)) is ch
     assert len(filled) == 3 and filled[-1] > 0
-    assert ch.greedy.memo == {} and ch.greedy.pieces == {}
+    assert ch.greedy.memo == {}
 
 
 def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):
@@ -1033,6 +1042,27 @@ def test_ch_ls_on_a_long_line_is_pinned(policy):
     out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == LONG_LINE_CH_LS[policy]
+
+
+# sha256 of local search's to_dict() after construct on 8x6x4 seed 7, by
+# exchange policy: segment reassignment's itineraries break ties between
+# carriers with equal times by the plan's chronological piece order, which
+# here decides between itineraries of the same length
+TIE_BREAK_CH_LS = {
+    "regular_stops": "b29e8892da8d7612e5b178eba45ec307cdb1bc54402685d9f54cfbdba3bb87bc",
+    "regular_and_intermediate":
+        "b29e8892da8d7612e5b178eba45ec307cdb1bc54402685d9f54cfbdba3bb87bc",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(TIE_BREAK_CH_LS))
+def test_ch_ls_tie_break_between_carriers_is_pinned(policy):
+    inst = generate_synthetic(GeneratorConfig(8, 6, 4, exchange_policy=policy), 7)[0]
+    g = build_graph(inst)
+    out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
+    assert (out.objective, out.theta()) == (48, 17150)
+    blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == TIE_BREAK_CH_LS[policy]
 
 
 def test_reassignment_backtracking_stops_at_the_deadline(monkeypatch):
