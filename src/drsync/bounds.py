@@ -209,15 +209,13 @@ def _underway_levels(instance: Instance,
     return levels
 
 
-def lower_bound_parallel(instance: Instance) -> tuple[int, int | None]:
+def lower_bound_parallel(instance: Instance) -> int:
     """Peak count of rides that must be underway simultaneously."""
     best = 0
-    best_at: int | None = None
-    for t, level in _underway_levels(instance):
+    for _t, level in _underway_levels(instance):
         if level > best:
             best = level
-            best_at = t
-    return best, best_at
+    return best
 
 
 def _cap(legal: LegalParams, w: int) -> int:
@@ -343,7 +341,7 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
 def compute_bounds(instance: Instance) -> BoundReport:
     ub, per_ride = upper_bound(instance)
     lb1 = lower_bound_steering(instance)
-    lb2, _busiest = lower_bound_parallel(instance)
+    lb2 = lower_bound_parallel(instance)
     lb3, windows = lower_bound_windows(instance)
     return BoundReport(
         ub=ub,

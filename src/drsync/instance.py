@@ -230,7 +230,9 @@ _RIDE_KEYS = {"id", "line_id", "stops", "departures", "segment_minutes", "statio
 _ACCESS_KEYS = {"id", "in_minutes", "out_minutes"}
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(obj, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise InstanceFormatError(f"{where}: unknown keys {sorted(unknown)}")
@@ -294,17 +296,17 @@ def instance_from_dict(data: dict) -> Instance:
             t_ds=int(legal_d["t_ds"]), t_dw=int(legal_d["t_dw"]),
         )
         stops = []
-        for sd in stops_d:
-            _reject_unknown(sd, _STOP_KEYS, "stop")
+        for i, sd in enumerate(stops_d):
+            _reject_unknown(sd, _STOP_KEYS, f"stops[{i}]")
             stops.append(Stop(id=str(sd["id"]), kind=str(sd["kind"])))
         rides = []
-        for rd in rides_d:
-            _reject_unknown(rd, _RIDE_KEYS, f"ride {rd.get('id')}")
+        for i, rd in enumerate(rides_d):
+            _reject_unknown(rd, _RIDE_KEYS, f"rides[{i}]")
             segs = []
-            for seg in rd["stations"]:
+            for k, seg in enumerate(rd["stations"]):
                 accs = []
-                for ad in seg:
-                    _reject_unknown(ad, _ACCESS_KEYS, "station access")
+                for j, ad in enumerate(seg):
+                    _reject_unknown(ad, _ACCESS_KEYS, f"rides[{i}].stations[{k}][{j}]")
                     accs.append(StationAccess(
                         station_id=str(ad["id"]),
                         minutes_in=int(ad["in_minutes"]),
@@ -330,7 +332,7 @@ def instance_from_dict(data: dict) -> Instance:
         )
     except InstanceFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"malformed instance data: {exc}") from exc
     return check_instance(inst)
 

@@ -227,7 +227,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     instance = check_instance(instance)
     graph = build_graph(instance)
     lb1 = lower_bound_steering(instance)
-    lb2 = lower_bound_parallel(instance)[0]
+    lb2 = lower_bound_parallel(instance)
     # an instance with no rides has no components; it is one empty part
     parts = [_Part(c) for c in decompose(instance)] or [_Part(instance)]
     clock("prep", t)
@@ -335,9 +335,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         if all(p.closed for p in parts):
             # optimality was established here, whichever object carries it
             found_by = FOUND_DBI
-
-    if all(p.closed for p in parts):
-        return finish("optimal")
+            return finish("optimal")
 
     if config.use_mip and remaining() > 0:
         t = _time.monotonic()

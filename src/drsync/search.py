@@ -10,7 +10,8 @@ The local search has one strategy, the paper's composite neighborhood:
 every iteration calls all seven problem-specific operators on a frozen
 solution (all but segment reassignment at the driver bound, below);
 randomized choices are skewed by the perturbation exponent p.
-Each operator call gets its own random stream, seeded on its first draw.
+Each operator call gets its own seed. Only the station insertions draw,
+and each seeds its stream once it has a segment to draw from.
 Operators check no candidate's feasibility, and the plan operators leave
 out only moves known never to improve (below). The search ranks the
 improving candidates by driver count, then remaining working time, and
@@ -529,7 +530,7 @@ def _splits_a_ride(pieces, chain, n_segments) -> bool:
     return any(len(segs) != n_segments[rid] for rid, segs in steered.items())
 
 
-def operator_reassign_segments(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_reassign_segments(solution, instance, graph, config, seed) -> list[Solution]:
     """Remove one driver by absorbing their pieces into the other routes."""
     if len(solution.routes) < 2:
         return []
@@ -690,12 +691,12 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
     return out
 
 
-def operator_postpone(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_postpone(solution, instance, graph, config, seed) -> list[Solution]:
     """Delay one ride's departures by one discretization step."""
     return _shift(solution, instance, graph, instance.ell)
 
 
-def operator_prepone(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_prepone(solution, instance, graph, config, seed) -> list[Solution]:
     """Advance one ride's departures by one discretization step."""
     return _shift(solution, instance, graph, -instance.ell)
 
@@ -724,15 +725,17 @@ def _insertable_segments(solution, instance):
     return segs
 
 
-def _insert_station(solution, instance, graph, config, rng, order_fn) -> list[Solution]:
+def _insert_station(solution, instance, graph, config, seed, order_fn) -> list[Solution]:
     # an insertion moves no time earlier, so its plan spans at least this one
     if instance.exchange_policy != POLICY_FULL or _at_ceiling(solution, instance):
         return []
     segs = _insertable_segments(solution, instance)
     if not segs:
         return []
+    # seeded only here: most calls return above, and seeding costs more than they do
+    rng = random.Random(seed)
     _dur, rid, k, ride, accs = segs[perturbed_select(len(segs), config.p, rng)]
-    accs = order_fn(list(accs), ride, k)
+    accs = order_fn(list(accs), ride, k, rng)
     acc = accs[perturbed_select(len(accs), config.p, rng)]
     rp = solution.plan[rid]
     stations = list(rp.stations)
@@ -746,24 +749,24 @@ def _insert_station(solution, instance, graph, config, rng, order_fn) -> list[So
     return [] if cand is None else [cand]
 
 
-def operator_insert_stop_random(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_insert_stop_random(solution, instance, graph, config, seed) -> list[Solution]:
     """Split a long leg at a station chosen uniformly."""
-    def order(accs, ride, k):
+    def order(accs, ride, k, rng):
         rng.shuffle(accs)
         return accs
-    return _insert_station(solution, instance, graph, config, rng, order)
+    return _insert_station(solution, instance, graph, config, seed, order)
 
 
-def operator_insert_stop_shortest_detour(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_insert_stop_shortest_detour(solution, instance, graph, config, seed) -> list[Solution]:
     """Split a long leg, favoring the station with the smallest detour."""
-    def order(accs, ride, k):
+    def order(accs, ride, k, _rng):
         return sorted(accs, key=lambda a: (a.detour(ride.segment_minutes[k]), a.station_id))
-    return _insert_station(solution, instance, graph, config, rng, order)
+    return _insert_station(solution, instance, graph, config, seed, order)
 
 
-def operator_insert_stop_highest_sync(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_insert_stop_highest_sync(solution, instance, graph, config, seed) -> list[Solution]:
     """Split a long leg, favoring stations other routes already pass."""
-    def order(accs, ride, k):
+    def order(accs, ride, k, _rng):
         # counted only once some segment is insertable
         g = solution.graph
         visits: dict[str, int] = {}
@@ -774,10 +777,10 @@ def operator_insert_stop_highest_sync(solution, instance, graph, config, rng) ->
                     b = g.nodes[node].base
                     visits[b] = visits.get(b, 0) + 1
         return sorted(accs, key=lambda a: (-visits.get(a.station_id, 0), a.station_id))
-    return _insert_station(solution, instance, graph, config, rng, order)
+    return _insert_station(solution, instance, graph, config, seed, order)
 
 
-def operator_remove_stop(solution, instance, graph, config, rng) -> list[Solution]:
+def operator_remove_stop(solution, instance, graph, config, seed) -> list[Solution]:
     """Drop a station visit wherever the direct leg is available."""
     if _at_ceiling(solution, instance):
         return []   # a removal keeps every time, and so the plan's span
@@ -818,33 +821,8 @@ _REASSIGN = 0
 # Local search
 # ---------------------------------------------------------------------------
 
-class _LazyRng:
-    """An operator's random stream, seeded on its first draw.
-
-    Most operator calls draw nothing, and seeding a ``random.Random`` costs
-    more than many of them; the stream, once seeded, is the same.
-    """
-
-    __slots__ = ("_seed", "_rng")
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._rng: random.Random | None = None
-
-    def _stream(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-        return self._rng
-
-    def random(self) -> float:
-        return self._stream().random()
-
-    def shuffle(self, x: list) -> None:
-        self._stream().shuffle(x)
-
-
-def _op_rng(config: SearchConfig, iteration: int, op_index: int) -> _LazyRng:
-    return _LazyRng(config.seed * 1000003 + iteration * 101 + op_index)
+def _op_seed(config: SearchConfig, iteration: int, op_index: int) -> int:
+    return config.seed * 1000003 + iteration * 101 + op_index
 
 
 def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
@@ -861,7 +839,7 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
     config = config or SearchConfig()
     t_end = config.t_end
     t_dw = instance.legal.t_dw
-    lb = max(lower_bound_steering(instance), lower_bound_parallel(instance)[0])
+    lb = max(lower_bound_steering(instance), lower_bound_parallel(instance))
     current = solution
     f0, th0 = current.objective, current.theta()
     if trace is not None:
@@ -879,10 +857,10 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                 if at_bound and oi == _REASSIGN:
                     continue   # its candidates have fewer drivers than the bound
                 pool.extend(op(current, instance, graph, config,
-                               _op_rng(config, iteration, oi)))
+                               _op_seed(config, iteration, oi)))
             better = sorted(
                 (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
-                key=lambda c: (c.objective, -c.theta(), c.sort_key()))
+                key=lambda c: (c.objective, -c.theta(), c.routes))
             # the best improving move that passes the full check is the one taken
             accepted = next((c for c in better if not check_feasibility(c, instance, graph)),
                             None)

@@ -262,9 +262,6 @@ class Solution:
         g = self.graph
         return g.nodes[g.arcs[route[0]].head].time, g.nodes[g.arcs[route[-1]].tail].time
 
-    def sort_key(self):
-        return tuple(self.routes)
-
     def to_dict(self) -> dict:
         g = self.graph
         rides = []

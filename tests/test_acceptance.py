@@ -136,7 +136,7 @@ def test_criterion_5_feasibility_closure(suite):
     while applications < 10_000:
         inst, g, sol = states[rng.randrange(len(states))]
         op = OPERATORS[rng.randrange(len(OPERATORS))]
-        cands = op(sol, inst, g, cfg, random.Random(rng.randrange(1 << 30)))
+        cands = op(sol, inst, g, cfg, rng.randrange(1 << 30))
         applications += 1
         for c in cands:
             if check_feasibility(c, inst, g):

@@ -81,15 +81,15 @@ def test_lb1_values():
 
 
 def test_lb2_parallel(parallel_triplet, sequential_pair):
-    assert lower_bound_parallel(parallel_triplet)[0] == 3
-    assert lower_bound_parallel(sequential_pair)[0] == 1
+    assert lower_bound_parallel(parallel_triplet) == 3
+    assert lower_bound_parallel(sequential_pair) == 1
 
 
 def test_lb2_empty_mandatory_interval_still_valid():
     # a 5-minute ride can be shifted out of any single minute: counts nowhere
     inst = build(chain_ride("a", [5]))
-    lb2, busiest = lower_bound_parallel(inst)
-    assert (lb2, busiest) == (0, None)
+    lb2 = lower_bound_parallel(inst)
+    assert lb2 == 0
     res = brute_force(inst)
     assert res.optimum == 1       # the bound stays valid: 0 <= 1
 

@@ -87,7 +87,7 @@ def test_every_top_level_function_is_referenced():
 
 
 # functions whose signature is a protocol every function of its kind shares:
-# the local-search operators take (solution, instance, graph, config, rng) and
+# the local-search operators take (solution, instance, graph, config, seed) and
 # the greedy's crew assigners take the same arguments whichever policy they serve
 PROTOCOL_SIGNATURES = {
     "operator_reassign_segments", "operator_postpone", "operator_prepone",

@@ -58,6 +58,46 @@ def test_unknown_keys_rejected():
         instance_from_dict(data)
 
 
+def _with(path, value):
+    """MINIMAL with the entry at `path` (keys and list positions) set to `value`."""
+    data = json.loads(json.dumps(MINIMAL))
+    *head, last = path
+    obj = data
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+    return data
+
+
+NOT_OBJECTS = [
+    (("legal",), 5, "legal must be an object"),
+    (("params",), [], "params must be an object"),
+    (("stops", 1), "B", r"stops\[1\] must be an object"),
+    (("rides", 0), ["a"], r"rides\[0\] must be an object"),
+    (("rides", 0, "stations", 0), [7], r"rides\[0\]\.stations\[0\]\[0\] must be an object"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", NOT_OBJECTS)
+def test_entries_that_are_not_objects_rejected(path, value, message):
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        instance_from_dict(_with(path, value))
+
+
+def test_infinite_minute_rejected():
+    # JSON's 1e400 loads as float("inf"), which int() refuses with OverflowError
+    with pytest.raises(InstanceFormatError, match="malformed instance data"):
+        instance_from_dict(_with(("rides", 0, "departures", 0), float("inf")))
+
+
+def test_cli_names_an_entry_that_is_not_an_object(tmp_path, capsys):
+    from drsync.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with(("rides", 0), ["a"])))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: rides[0] must be an object\n"
+
+
 def test_bad_schema_tag():
     data = dict(MINIMAL)
     data["schema"] = "drsync/999"
