@@ -274,66 +274,74 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(value, kind: type, where: str):
+    """`value`, whose JSON type must be `kind`: nothing is converted, and a
+    bool, which Python counts as an int, is no integer."""
+    if type(value) is not kind:
+        raise InstanceFormatError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _each(kind: type, value, where: str) -> tuple:
+    """The entries of the list `value`, each of type `kind`."""
+    return tuple(_typed(x, kind, f"{where}[{n}]")
+                 for n, x in enumerate(_typed(value, list, where)))
+
+
 def instance_from_dict(data: dict) -> Instance:
-    if not isinstance(data, dict):
-        raise InstanceFormatError("top level must be an object")
+    """The checked instance a drsync/1 dict describes. An entry of another
+    JSON type than the schema's raises ``InstanceFormatError`` naming it."""
     _reject_unknown(data, _TOP_KEYS, "top level")
     if data.get("schema") != SCHEMA_TAG:
         raise InstanceFormatError(f"schema must be {SCHEMA_TAG!r}, got {data.get('schema')!r}")
     try:
-        legal_d = data["legal"]
-        params_d = data["params"]
-        stops_d = data["stops"]
-        rides_d = data["rides"]
-    except KeyError as exc:
-        raise InstanceFormatError(f"missing top-level key {exc}") from exc
-    _reject_unknown(legal_d, _LEGAL_KEYS, "legal")
-    _reject_unknown(params_d, _PARAM_KEYS, "params")
-
-    try:
-        legal = LegalParams(
-            t_cs=int(legal_d["t_cs"]), t_b=int(legal_d["t_b"]),
-            t_ds=int(legal_d["t_ds"]), t_dw=int(legal_d["t_dw"]),
-        )
+        legal_d, params_d = data["legal"], data["params"]
+        _reject_unknown(legal_d, _LEGAL_KEYS, "legal")
+        _reject_unknown(params_d, _PARAM_KEYS, "params")
+        legal = LegalParams(**{key: _typed(legal_d[key], int, f"legal.{key}")
+                               for key in ("t_cs", "t_b", "t_ds", "t_dw")})
         stops = []
-        for i, sd in enumerate(stops_d):
-            _reject_unknown(sd, _STOP_KEYS, f"stops[{i}]")
-            stops.append(Stop(id=str(sd["id"]), kind=str(sd["kind"])))
+        for i, sd in enumerate(_typed(data["stops"], list, "stops")):
+            where = f"stops[{i}]"
+            _reject_unknown(sd, _STOP_KEYS, where)
+            stops.append(Stop(_typed(sd["id"], str, f"{where}.id"),
+                              _typed(sd["kind"], str, f"{where}.kind")))
         rides = []
-        for i, rd in enumerate(rides_d):
-            _reject_unknown(rd, _RIDE_KEYS, f"rides[{i}]")
+        for i, rd in enumerate(_typed(data["rides"], list, "rides")):
+            where = f"rides[{i}]"
+            _reject_unknown(rd, _RIDE_KEYS, where)
             segs = []
-            for k, seg in enumerate(rd["stations"]):
+            for k, seg in enumerate(_typed(rd["stations"], list, f"{where}.stations")):
                 accs = []
-                for j, ad in enumerate(seg):
-                    _reject_unknown(ad, _ACCESS_KEYS, f"rides[{i}].stations[{k}][{j}]")
-                    accs.append(StationAccess(
-                        station_id=str(ad["id"]),
-                        minutes_in=int(ad["in_minutes"]),
-                        minutes_out=int(ad["out_minutes"]),
-                    ))
+                for j, ad in enumerate(_typed(seg, list, f"{where}.stations[{k}]")):
+                    at = f"{where}.stations[{k}][{j}]"
+                    _reject_unknown(ad, _ACCESS_KEYS, at)
+                    accs.append(StationAccess(_typed(ad["id"], str, f"{at}.id"),
+                                              _typed(ad["in_minutes"], int, f"{at}.in_minutes"),
+                                              _typed(ad["out_minutes"], int, f"{at}.out_minutes")))
                 segs.append(tuple(accs))
             rides.append(Ride(
-                id=str(rd["id"]),
-                line_id=str(rd["line_id"]),
-                stops=tuple(str(s) for s in rd["stops"]),
-                departures=tuple(int(t) for t in rd["departures"]),
-                segment_minutes=tuple(int(t) for t in rd["segment_minutes"]),
+                id=_typed(rd["id"], str, f"{where}.id"),
+                line_id=_typed(rd["line_id"], str, f"{where}.line_id"),
+                stops=_each(str, rd["stops"], f"{where}.stops"),
+                departures=_each(int, rd["departures"], f"{where}.departures"),
+                segment_minutes=_each(int, rd["segment_minutes"], f"{where}.segment_minutes"),
                 stations=tuple(segs),
             ))
         inst = Instance(
             rides=tuple(rides),
             stops=tuple(stops),
             legal=legal,
-            theta_tw=int(params_d["theta_tw"]),
-            zeta=int(params_d["zeta"]),
-            ell=int(params_d["ell"]),
-            exchange_policy=str(params_d["exchange_policy"]),
+            theta_tw=_typed(params_d["theta_tw"], int, "params.theta_tw"),
+            zeta=_typed(params_d["zeta"], int, "params.zeta"),
+            ell=_typed(params_d["ell"], int, "params.ell"),
+            exchange_policy=_typed(params_d["exchange_policy"], str, "params.exchange_policy"),
         )
-    except InstanceFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"malformed instance data: {exc}") from exc
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing key {exc}") from exc
     return check_instance(inst)
 
 

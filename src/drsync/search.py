@@ -1,10 +1,14 @@
 """Greedy construction and composite-neighborhood local search.
 
 Construction fixes vehicle plans first (earliest departures, station-free
-except where a leg exceeds the continuous-steering cap), then assigns
-drivers greedily: reuse whoever is available at the start of a piece,
-steer until the route ends or the steering allowance runs out, then either
-wait for a break-sized gap or stay aboard to the terminal.
+except where a segment has no direct leg), then assigns drivers greedily:
+reuse whoever is available at the start of a piece, steer until the route
+ends or the steering allowance runs out, then either wait for a
+break-sized gap or stay aboard to the terminal.
+
+The time graph alone decides which leg timings are legal: construction and
+the station insertions read a ride's times off its steering arcs
+(``_leg_end``), and a station removal asks for the direct arc.
 
 The local search has one strategy, the paper's composite neighborhood:
 every iteration calls all seven problem-specific operators on a frozen
@@ -84,16 +88,14 @@ from .solution import (
     LINK_NONE,
     LINK_RENEW,
     ConnectionPlanner,
-    PlanError,
     RidePlan,
     Solution,
     assemble_route,
     check_feasibility,
-    normalize_ride_times,
     plan_pieces,
     ride_pieces,
 )
-from .timegraph import FAMILY_STEERING, TimeGraph
+from .timegraph import FAMILY_STEERING, LEG_DIRECT, TimeGraph
 
 
 class ConstructionError(Exception):
@@ -129,39 +131,48 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
 # Vehicle plan construction
 # ---------------------------------------------------------------------------
 
-def earliest_plan(instance: Instance) -> dict[str, RidePlan]:
-    """Earliest departures, direct legs unless a leg must be split at a station."""
-    t_cs = instance.legal.t_cs
+def _leg_end(graph: TimeGraph, rid: str, k: int, station: str | None, node: int,
+             not_before: int) -> int | None:
+    """The head of the earliest steering chain for segment `k` of ride `rid`
+    from `node` (the direct arc, or the in-arc and an out-arc via `station`)
+    that ends no earlier than `not_before`; None if there is none. The arcs
+    from one tail come by rising head time, so the first that fits is it."""
+    arcs = graph.arcs
+    if station is None:
+        outs = graph.seg_direct[(rid, k)]
+    else:
+        node = next((arcs[a].head for a in graph.seg_in.get((rid, k, station), ())
+                     if arcs[a].tail == node), None)
+        if node is None:
+            return None
+        outs = graph.seg_out[(rid, k, station)]
+    nodes = graph.nodes
+    return next((arcs[a].head for a in outs
+                 if arcs[a].tail == node and nodes[arcs[a].head].time >= not_before), None)
+
+
+def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
+    """Earliest departures read off the steering arcs: from the first stop's
+    earliest copy, each segment's earliest direct leg, else its earliest leg
+    via the first station by (detour, id) that has one."""
+    node_at, nodes = graph.node_at, graph.nodes
     plan: dict[str, RidePlan] = {}
     for ride in instance.rides:
-        times = [instance.window(ride.departures[0]).earliest]
+        node = node_at[(ride.stops[0], instance.window(ride.departures[0]).earliest)]
+        times = [nodes[node].time]
         stations: list[str | None] = []
-        for k in range(ride.n_segments):
-            win = instance.window(ride.departures[k + 1])
-            grid = win.grid(instance.ell)
-            direct = ride.segment_minutes[k]
-            t = next((g for g in grid if g >= times[k] + direct), None)
-            if t is not None and t - times[k] <= t_cs:
-                times.append(t)
-                stations.append(None)
-                continue
-            choice = None
-            if instance.exchange_policy == POLICY_FULL:
-                accs = sorted(
-                    (a for a in ride.stations[k]
-                     if a.detour(direct) <= instance.zeta and a.minutes_in <= t_cs),
-                    key=lambda a: (a.detour(direct), a.station_id))
-                for acc in accs:
-                    ts = times[k] + acc.minutes_in
-                    t = next((g for g in grid if g >= ts + acc.minutes_out), None)
-                    if t is not None and t - ts <= t_cs:
-                        choice = (acc.station_id, t)
-                        break
-            if choice is None:
+        for k, direct in enumerate(ride.segment_minutes):
+            vias = sorted(ride.stations[k], key=lambda a: (a.detour(direct), a.station_id))
+            for station in [None] + [a.station_id for a in vias]:
+                head = _leg_end(graph, ride.id, k, station, node, times[k])
+                if head is not None:
+                    break
+            else:
                 raise ConstructionError(
                     f"ride {ride.id} segment {k}: no coverable departure exists")
-            stations.append(choice[0])
-            times.append(choice[1])
+            node = head
+            times.append(nodes[node].time)
+            stations.append(station)
         plan[ride.id] = RidePlan(tuple(times), tuple(stations))
     return plan
 
@@ -481,8 +492,8 @@ def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
 
 
 def construct(instance: Instance, graph: TimeGraph) -> Solution:
-    """Greedy start solution: earliest station-free plan, then driver assignment."""
-    return assign_drivers(instance, graph, earliest_plan(instance))
+    """Greedy start solution: earliest plan, then driver assignment."""
+    return assign_drivers(instance, graph, earliest_plan(instance, graph))
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +632,8 @@ def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
     plan[ride.id] = rp
     try:
         cand = record.replay(instance, graph, plan, ride)
-    except (PlanError, ConstructionError):
-        cand = None   # the changed ride has no arcs, or its crew breaks a limit
+    except ConstructionError:
+        cand = None   # the changed ride's crew breaks a limit
     record.memo[key] = cand
     return cand
 
@@ -725,6 +736,20 @@ def _insertable_segments(solution, instance):
     return segs
 
 
+def _retime(graph, ride, times, stations) -> tuple[int, ...] | None:
+    """`ride`'s `times` with each stop after the first pushed to the earliest
+    steering chain, via `stations`, that leaves the stop before on time and
+    ends no earlier than before; None where a segment has no such chain."""
+    node = graph.node_at[(ride.stops[0], times[0])]
+    out = [times[0]]
+    for k, station in enumerate(stations):
+        node = _leg_end(graph, ride.id, k, station, node, times[k + 1])
+        if node is None:
+            return None
+        out.append(graph.nodes[node].time)
+    return tuple(out)
+
+
 def _insert_station(solution, instance, graph, config, seed, order_fn) -> list[Solution]:
     # an insertion moves no time earlier, so its plan spans at least this one
     if instance.exchange_policy != POLICY_FULL or _at_ceiling(solution, instance):
@@ -738,14 +763,11 @@ def _insert_station(solution, instance, graph, config, seed, order_fn) -> list[S
     accs = order_fn(list(accs), ride, k, rng)
     acc = accs[perturbed_select(len(accs), config.p, rng)]
     rp = solution.plan[rid]
-    stations = list(rp.stations)
-    stations[k] = acc.station_id
-    times = list(rp.times)
-    times[k + 1] = max(times[k + 1], times[k] + acc.minutes_in + acc.minutes_out)
-    fixed = normalize_ride_times(instance, ride, times, tuple(stations))
-    if fixed is None:
+    stations = rp.stations[:k] + (acc.station_id,) + rp.stations[k + 1:]
+    times = _retime(graph, ride, rp.times, stations)
+    if times is None:
         return []
-    cand = _replan(solution, instance, graph, ride, RidePlan(fixed, tuple(stations)))
+    cand = _replan(solution, instance, graph, ride, RidePlan(times, stations))
     return [] if cand is None else [cand]
 
 
@@ -792,8 +814,7 @@ def operator_remove_stop(solution, instance, graph, config, seed) -> list[Soluti
         for k in range(ride.n_segments):
             if rp.stations[k] is None:
                 continue
-            gap = rp.times[k + 1] - rp.times[k]
-            if gap < ride.segment_minutes[k] or gap > instance.legal.t_cs:
+            if (rid, k, LEG_DIRECT, None, rp.times[k], rp.times[k + 1]) not in graph.steer_idx:
                 continue
             stations = list(rp.stations)
             stations[k] = None

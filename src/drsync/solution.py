@@ -35,7 +35,8 @@ class SolutionStructureError(Exception):
 
 
 class PlanError(Exception):
-    """A plan references timings or stations the graph does not admit."""
+    """A plan references timings or stations the graph does not admit: only
+    a plan made by hand, since the solvers read theirs off the arcs."""
 
 
 @dataclass(frozen=True)
@@ -129,46 +130,6 @@ def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[Piece]:
     pieces: list[Piece] = []
     _expand_ride(graph.steer_idx, ride, rp, pieces)
     return pieces
-
-
-def segment_min_duration(ride, k: int, station: str | None) -> int:
-    if station is None:
-        return ride.segment_minutes[k]
-    acc = next(x for x in ride.stations[k] if x.station_id == station)
-    return acc.minutes_in + acc.minutes_out
-
-
-def segment_max_duration(ride, k: int, station: str | None, t_cs: int) -> int:
-    """Largest departure gap the graph still has an arc chain for."""
-    if station is None:
-        return t_cs
-    acc = next(x for x in ride.stations[k] if x.station_id == station)
-    return acc.minutes_in + t_cs  # out leg carries the slack
-
-
-def normalize_ride_times(
-    instance: Instance, ride, times: list[int], stations: tuple[str | None, ...]
-) -> tuple[int, ...] | None:
-    """Push times forward onto feasible grid points; None if a window breaks."""
-    t_cs = instance.legal.t_cs
-    ell = instance.ell
-    out = list(times)
-    win0 = instance.window(ride.departures[0])
-    if out[0] < win0.earliest or out[0] > win0.latest or (out[0] - win0.earliest) % ell:
-        return None
-    for k in range(ride.n_segments):
-        win = instance.window(ride.departures[k + 1])
-        lo = out[k] + segment_min_duration(ride, k, stations[k])
-        t = max(out[k + 1], lo, win.earliest)
-        rem = (t - win.earliest) % ell
-        if rem:
-            t += ell - rem
-        if t > win.latest:
-            return None
-        if t - out[k] > segment_max_duration(ride, k, stations[k], t_cs):
-            return None
-        out[k + 1] = t
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ service station are spawned at predecessor-copy time plus the in-drive and
 only if some onward customer copy remains reachable, so a station always
 has fewer copies than the customer stops around it (Fig-2-style layout).
 
+The graph is the one authority on leg timings: windows, the grid, the
+continuous-steering cap on direct and station legs and the detour filter
+are decided in ``build_graph`` alone. Construction and local search read
+a ride's legal times off its steering arcs.
+
 A run builds the graph first, with only the cheap bounds lb1 and lb2
 beside it; the lb3 sweep waits until CH+LS has run (see ``pipeline``).
 """
@@ -100,6 +105,8 @@ def build_graph(instance: Instance) -> TimeGraph:
     grid), the sink. Arcs: for each ride and segment the direct pairs, then
     per station its in-pairs, each followed by its out-pairs; the waiting
     chains in the insertion order of ``copies``; the depot arcs in node order.
+    So the arcs from one tail in ``seg_direct`` and ``seg_out`` come by
+    rising head time, and ``seg_in`` has one arc per tail.
     Each stop's departure grid is computed once per ride and serves the
     copies and the arcs alike.
     """

@@ -85,9 +85,50 @@ def test_entries_that_are_not_objects_rejected(path, value, message):
 
 
 def test_infinite_minute_rejected():
-    # JSON's 1e400 loads as float("inf"), which int() refuses with OverflowError
-    with pytest.raises(InstanceFormatError, match="malformed instance data"):
+    # JSON's 1e400 loads as float("inf"), a float like any other
+    with pytest.raises(InstanceFormatError,
+                       match=r"^rides\[0\]\.departures\[0\] must be an integer, got inf$"):
         instance_from_dict(_with(("rides", 0, "departures", 0), float("inf")))
+
+
+WRONG_TYPES = [
+    (("rides", 0, "departures", 0), 480.7,
+     r"rides\[0\]\.departures\[0\] must be an integer, got 480\.7"),
+    (("rides", 0, "departures", 0), "480",
+     r"rides\[0\]\.departures\[0\] must be an integer, got '480'"),
+    (("rides", 0, "departures", 1), 540.0,
+     r"rides\[0\]\.departures\[1\] must be an integer, got 540\.0"),
+    (("rides", 0, "segment_minutes", 0), True,
+     r"rides\[0\]\.segment_minutes\[0\] must be an integer, got True"),
+    (("legal", "t_cs"), True, r"legal\.t_cs must be an integer, got True"),
+    (("params", "ell"), "10", r"params\.ell must be an integer, got '10'"),
+    (("rides", 0, "stations", 0), [{"id": "S", "in_minutes": 30.5, "out_minutes": 40}],
+     r"rides\[0\]\.stations\[0\]\[0\]\.in_minutes must be an integer, got 30\.5"),
+    (("rides", 0, "id"), 1, r"rides\[0\]\.id must be a string, got 1"),
+    (("rides", 0, "line_id"), None, r"rides\[0\]\.line_id must be a string, got None"),
+    (("rides", 0, "stops", 1), 2, r"rides\[0\]\.stops\[1\] must be a string, got 2"),
+    (("stops", 0, "id"), 7, r"stops\[0\]\.id must be a string, got 7"),
+    (("rides", 0, "stations", 0), [{"id": 3, "in_minutes": 30, "out_minutes": 40}],
+     r"rides\[0\]\.stations\[0\]\[0\]\.id must be a string, got 3"),
+    (("rides", 0, "departures"), "480", r"rides\[0\]\.departures must be a list, got '480'"),
+    (("rides",), {}, r"rides must be a list, got \{\}"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", WRONG_TYPES)
+def test_values_of_the_wrong_type_rejected(path, value, message):
+    # nothing is converted: a float, a string or a bool where the schema
+    # writes an integer, and a non-string id, are format errors at their place
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        instance_from_dict(_with(path, value))
+
+
+def test_cli_names_a_value_of_the_wrong_type(tmp_path, capsys):
+    from drsync.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with(("legal", "t_cs"), True)))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: legal.t_cs must be an integer, got True\n"
 
 
 def test_cli_names_an_entry_that_is_not_an_object(tmp_path, capsys):

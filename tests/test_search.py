@@ -17,13 +17,15 @@ from drsync.instance import (
     POLICIES,
     POLICY_FULL,
     Instance,
+    LegalParams,
     Ride,
     StationAccess,
     Stop,
     check_instance,
     decompose,
 )
-from drsync.bounds import lower_bound_parallel, lower_bound_steering
+from drsync.bounds import compute_bounds, lower_bound_parallel, lower_bound_steering
+from drsync.mip import SolverConfig, build_model, solve
 from drsync.oracle import brute_force
 from drsync.search import (
     OPERATORS,
@@ -54,7 +56,6 @@ from drsync.solution import (
     Solution,
     assemble_route,
     check_feasibility,
-    normalize_ride_times,
     plan_pieces,
 )
 from drsync.timegraph import build_graph
@@ -338,9 +339,7 @@ def _plan_moves(sol, inst):
             rp = sol.plan[rid]
             for acc in accs:
                 stations = rp.stations[:k] + (acc.station_id,) + rp.stations[k + 1:]
-                times = list(rp.times)
-                times[k + 1] = max(times[k + 1], times[k] + acc.minutes_in + acc.minutes_out)
-                fixed = normalize_ride_times(inst, ride, times, stations)
+                fixed = search._retime(sol.graph, ride, rp.times, stations)
                 if fixed is not None:
                     yield "insert", ride, RidePlan(fixed, stations)
     for ride in inst.rides:
@@ -610,6 +609,114 @@ def test_insertion_draws_are_pinned():
                         h.update(json.dumps([sorted(c.plan.items()) for c in out]).encode())
     assert (parts, cands) == (535, 984)
     assert h.hexdigest() == INSERTION_DRAWS
+
+
+# the ROADMAP ladder of generated shapes, one part per line
+LADDER = ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4))
+
+
+def _timing_parts():
+    """The parts of micro_suite(300), of the ladder at seeds 7-8 and of 24
+    wide-window instances with three stations a segment, under every policy.
+    The wide-window legs take 120 to 260 minutes against a continuous-steering
+    cap lowered to 200, so that many of them need a station."""
+    insts = [inst for _name, inst in micro_suite(300)]
+    insts += [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+              for shape in LADDER for seed in (7, 8)]
+    wide = GeneratorConfig(2, 3, 3, stations_per_segment=3, drive_min=120, drive_max=260,
+                           theta_tw=30, zeta=30)
+    insts += [replace(generate_synthetic(replace(wide, ell=ell), seed)[0],
+                      legal=LegalParams(t_cs=200))
+              for ell in (5, 10) for seed in range(12)]
+    return [part for inst in insts for policy in POLICIES
+            for part in decompose(check_instance(replace(inst, exchange_policy=policy)))]
+
+
+# sha256 of the construction's plan (or its error) of every part of
+# _timing_parts, and of each station insertion's retimed ride on that plan:
+# from the ride's times moved later by whole grid steps as far as its
+# windows allow, all of them and all but the first departure. Plan timings
+# read off the graph's arcs change it if they drift
+PLAN_TIMINGS = "bab0a73f55b18ad16d984fb14b2432d3e9f10dcb92572407d689633133391edb"
+
+
+def test_plan_timings_are_pinned():
+    h = hashlib.sha256()
+    parts = plans = retimes = dropped = 0
+    for part in _timing_parts():
+        parts += 1
+        g = build_graph(part)
+        try:
+            plan = search.earliest_plan(part, g)
+        except ConstructionError as exc:
+            h.update(str(exc).encode())
+            continue
+        plans += 1
+        h.update(json.dumps(sorted(plan.items())).encode())
+        half = part.theta_tw // 2
+        for ride in part.rides:
+            rp = plan[ride.id]
+            room = half - max(t - dep for dep, t in zip(ride.departures, rp.times))
+            for step in range(0, room + 1, part.ell):
+                later = tuple(t + step for t in rp.times)
+                for times in [later] + ([rp.times[:1] + later[1:]] if step else []):
+                    for k in range(ride.n_segments):
+                        if rp.stations[k] is not None:
+                            continue
+                        for acc in ride.stations[k]:
+                            if (ride.id, k, acc.station_id) not in g.seg_in:
+                                continue
+                            stations = (rp.stations[:k] + (acc.station_id,)
+                                        + rp.stations[k + 1:])
+                            got = search._retime(g, ride, times, stations)
+                            retimes += 1
+                            dropped += got is None
+                            h.update(json.dumps([ride.id, k, acc.station_id, times,
+                                                 got]).encode())
+    assert (parts, plans, retimes, dropped) == (1887, 1812, 10521, 5500)
+    assert h.hexdigest() == PLAN_TIMINGS
+
+
+def test_no_operator_move_lacks_arcs(monkeypatch):
+    # every plan move the operators make has the changed ride's arcs in the
+    # graph: shifts stay on the window grid, insertions retime along arcs
+    # and removals take a direct arc that exists. So _replan catches only
+    # ConstructionError. Checked by local search from the construction on
+    # _timing_parts, and from every B&B incumbent of the parts of
+    # micro_suite(300) through the callback
+    replay = GreedyRecord.replay
+    replays = []
+
+    def checked(self, instance, graph, plan, ride):
+        replays.append(None)
+        try:
+            return replay(self, instance, graph, plan, ride)
+        except PlanError as exc:
+            pytest.fail(f"a move of ride {ride.id} to {plan[ride.id]} has no arcs: {exc}")
+
+    monkeypatch.setattr(GreedyRecord, "replay", checked)
+    for part in _timing_parts():
+        g = build_graph(part)
+        try:
+            ch = construct(part, g)
+        except ConstructionError:
+            continue
+        local_search(ch, part, g, CFG)
+    from_ch = len(replays)
+    incumbents = 0
+    for _name, inst in micro_suite(300):
+        for policy in POLICIES:
+            for part in decompose(check_instance(replace(inst, exchange_policy=policy))):
+                g = build_graph(part)
+
+                def callback(sol):
+                    better = local_search(sol, part, g, CFG)
+                    return better if better.objective < sol.objective else None
+
+                out = solve(build_model(part, g, compute_bounds(part)),
+                            SolverConfig(time_limit=60, incumbent_callback=callback))
+                incumbents += len(out.incumbent_log)
+    assert from_ch > 2500 and incumbents > 1500 and len(replays) - from_ch > 900
 
 
 def _late_start(inst, g):

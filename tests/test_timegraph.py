@@ -163,6 +163,32 @@ def test_station_copy_law(seed):
         assert n < per_customer
 
 
+def test_arcs_from_one_tail_come_by_rising_head_time():
+    # search._leg_end takes the first arc from a tail that ends late enough
+    # as the earliest, and the first in-arc from a tail as the only one:
+    # seg_direct and seg_out list each tail's arcs by rising head time, and
+    # seg_in holds at most one arc per tail
+    insts = [inst for _name, inst in micro_suite(100)]
+    insts += [generate_synthetic(GeneratorConfig(
+        2, 3, 3, stations_per_segment=3, drive_min=60, drive_max=260,
+        theta_tw=30, zeta=30, ell=5), seed)[0] for seed in range(6)]
+    multi = {"direct": 0, "out": 0}
+    for inst in insts:
+        g = build_graph(inst)
+        for leg, index in (("direct", g.seg_direct), ("out", g.seg_out), ("in", g.seg_in)):
+            for ids in index.values():
+                heads: dict[int, list[int]] = {}
+                for a in ids:
+                    heads.setdefault(g.arcs[a].tail, []).append(g.nodes[g.arcs[a].head].time)
+                for times in heads.values():
+                    assert times == sorted(set(times))
+                    if leg == "in":
+                        assert len(times) == 1
+                    else:
+                        multi[leg] += len(times) > 1
+    assert multi["direct"] > 1000 and multi["out"] > 800
+
+
 def _assert_as_built(graph, instance):
     fresh = build_graph(instance)
     assert graph_to_dict(graph) == graph_to_dict(fresh)
