@@ -35,9 +35,8 @@ for family in ("steering", "deadhead", "waiting", "depot"):
     arcs = [a for a in graph.arcs if a.family == family]
     print(f"  {family}: {len(arcs)}")
     if family == "steering":
-        for a in arcs:
-            t, h = graph.nodes[a.tail], graph.nodes[a.head]
-            print(f"    {t.base}@{t.time} -> {h.base}@{h.time} "
+        for a in arcs:   # each arc carries its located ends
+            print(f"    {a.from_base}@{a.start} -> {a.to_base}@{a.end} "
                   f"({a.duration} min steering)")
 
 print("\nNote the station: its single copy sits at 505 (= 475 + 30), and it")

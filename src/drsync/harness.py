@@ -20,6 +20,7 @@ from .instance import (
     Instance,
     InstanceError,
     decompose,
+    filter_stations,
     load_instance,
     save_instance,
     split_by_line,
@@ -363,9 +364,11 @@ def cmd_sweep(suite_dir: str, out_dir: str, base: DbmhConfig, axis: str,
                         total = None
                         break
                 if value == "line" and total is not None and any(
-                        len({r.line_id for r in comp.rides}) > 1 for comp in decompose(inst)):
-                    # lines that share a stop or station are not independent:
-                    # their bounds do not add up, only the whole instance's holds
+                        len({r.line_id for r in comp.rides}) > 1
+                        for comp in decompose(filter_stations(inst))):
+                    # lines that share a stop or usable station are not
+                    # independent: their bounds do not add up, only the
+                    # whole instance's holds
                     lbsum = compute_bounds(inst).lb
                     status = "optimal" if total == lbsum else "feasible"
                 rows.append([iid, axis, value, status, _fmt(total),

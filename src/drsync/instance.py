@@ -200,16 +200,11 @@ def check_instance(inst: Instance) -> Instance:
     if bad:
         raise InstanceValidationError(bad)
     t_cs = inst.legal.t_cs
-    for r in inst.rides:
+    if all(direct <= t_cs for r in inst.rides for direct in r.segment_minutes):
+        return inst   # no leg needs a station, and filtering costs more than this
+    for r in filter_stations(inst).rides:
         for k, direct in enumerate(r.segment_minutes):
-            if direct <= t_cs:
-                continue
-            splittable = inst.exchange_policy == POLICY_FULL and any(
-                acc.minutes_in <= t_cs and acc.minutes_out <= t_cs
-                and acc.detour(direct) <= inst.zeta
-                for acc in r.stations[k]
-            )
-            if not splittable:
+            if direct > t_cs and not r.stations[k]:   # no usable station splits it
                 log.warning(
                     "ride %s segment %d: direct drive %d exceeds t_cs=%d and no admissible "
                     "station can split it; the instance is likely infeasible",
@@ -368,19 +363,27 @@ def save_instance(inst: Instance, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def filter_stations(inst: Instance) -> Instance:
-    """Drop (segment, station) pairs whose detour exceeds the limit, then the
-    stations no ride reaches any more.
+    """Drop every (segment, station) access the time graph cannot use, then
+    the stations no ride reaches any more. An access is usable only under
+    full exchange, with a detour within the limit and in- and out-drives
+    each within continuous steering.
 
     Pure: a ride that keeps every station comes back as the same object, and
     so does the instance when nothing is dropped.
     """
-    zeta = inst.zeta
+    zeta, t_cs = inst.zeta, inst.legal.t_cs
+    full = inst.exchange_policy == POLICY_FULL
+
+    def usable(acc: StationAccess, direct: int) -> bool:
+        return (full and acc.detour(direct) <= zeta
+                and acc.minutes_in <= t_cs and acc.minutes_out <= t_cs)
+
     rides = []
     for r in inst.rides:
-        if all(a.detour(d) <= zeta for d, seg in zip(r.segment_minutes, r.stations) for a in seg):
+        if all(usable(a, d) for d, seg in zip(r.segment_minutes, r.stations) for a in seg):
             rides.append(r)
             continue
-        segs = tuple(tuple(a for a in seg if a.detour(d) <= zeta)
+        segs = tuple(tuple(a for a in seg if usable(a, d))
                      for d, seg in zip(r.segment_minutes, r.stations))
         rides.append(replace(r, stations=segs))
     referenced = {sid for r in rides for sid in r.stops}

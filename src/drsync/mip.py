@@ -20,7 +20,9 @@ Both crew policies share one taker rule (``_takers``), one ride-along list
 (``_aboard``) and one carrier index (``carriers``). Under policy ``none`` a
 piece goes to a crew member or to a driver who boards at the ride's start
 and rides along to it, and a finished ride carries passengers as one unit;
-under the exchange policies each scheduled piece is a carrier.
+under the exchange policies each scheduled piece is a carrier, one unit
+per arc made on first use. A piece is a steering arc of the graph, held as
+the graph's own object: its located ends are the ride's times and bases.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ from typing import Callable
 
 from .bounds import BoundReport
 from .instance import Instance, POLICY_NONE
-from .solution import (
-    Piece,
-    RidePlan,
-    Solution,
-    assemble_route,
-    itinerary,
-)
-from .timegraph import TimeGraph
+from .solution import RidePlan, Solution, assemble_route, itinerary
+from .timegraph import TimedArc, TimeGraph
 
 
 @dataclass(frozen=True)
@@ -146,10 +142,9 @@ class _Search:
         self.nrides = len(self.rides)
         self.n_segments = [r.n_segments for r in self.rides]
         self.node_time = [n.time for n in self.g.nodes]
-        # steering arc id -> piece, and (exchange policies only) -> the piece
-        # as a carrier unit, on first use
-        self._piece_of: dict[int, Piece] = {}
-        self._unit_of: dict[int, tuple[int, int, tuple[Piece]]] = {}
+        # (exchange policies only) steering arc id -> the arc as a carrier
+        # unit, made on first use
+        self._unit_of: dict[int, tuple[int, int, tuple[TimedArc]]] = {}
         self.deadline = _time.monotonic() + config.time_limit
         self.t0 = _time.monotonic()
         self.nodes_visited = 0
@@ -166,14 +161,14 @@ class _Search:
         ]
         # policy none: per ride, the drivers aboard it (each with engaged == ride)
         self.crew: list[set[int]] = [set() for _ in range(self.nrides)]
-        # per ride: (segment, node) or a pending tuple -> candidate pieces, on first use
+        # per ride: (segment, node) or a pending tuple -> candidate arcs, on first use
         self._piece_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
         # base -> (start, end, pieces) of each carrier leaving it: a scheduled
         # piece, or under policy none a finished ride
         self.carriers: defaultdict[str, list[tuple]] = defaultdict(list)
-        self.ride_pieces: list[list[Piece]] = [[] for _ in range(self.nrides)]
+        self.ride_pieces: list[list[TimedArc]] = [[] for _ in range(self.nrides)]
 
         self.best_f: int | None = None
         self.best_solution: Solution | None = None
@@ -191,19 +186,6 @@ class _Search:
         if self.model.cardinality_cap is not None:
             thr = min(thr, self.model.cardinality_cap + 1)
         self.threshold = thr
-
-    def _piece(self, aid: int) -> Piece:
-        piece = self._piece_of.get(aid)
-        if piece is None:
-            arc = self.g.arcs[aid]
-            nodes = self.g.nodes
-            piece = self._piece_of[aid] = Piece(
-                arc.ride, arc.segment, arc.leg, arc.station,
-                nodes[arc.tail].base, nodes[arc.tail].time,
-                nodes[arc.head].base, nodes[arc.head].time, aid)
-            if not self.policy_none:
-                self._unit_of[aid] = (piece.start, piece.end, (piece,))
-        return piece
 
     # -- main search ------------------------------------------------------
 
@@ -314,8 +296,8 @@ class _Search:
                 yield True
                 self.minstart[ri] = lo
 
-    def _pieces(self, ri: int) -> list[tuple[Piece, str, int]]:
-        """(piece, advance kind, head node) for each way to drive ride ri's next leg."""
+    def _pieces(self, ri: int) -> list[tuple[TimedArc, str]]:
+        """(steering arc, advance kind) for each way to drive ride ri's next leg."""
         pend = self.pending[ri]
         key = pend or (self.pos[ri], self.cur_node[ri])
         cache = self._piece_cache[ri]
@@ -326,18 +308,21 @@ class _Search:
         arcs = self.g.arcs
         if pend is not None:    # the out-leg from the station the ride waits at
             snode, k, station = pend
-            out = [(self._piece(aid), "out", arcs[aid].head)
-                   for aid in self.g.seg_out.get((rid, k, station), ())
+            out = [(arcs[aid], "out") for aid in self.g.seg_out.get((rid, k, station), ())
                    if arcs[aid].tail == snode]
         else:
             k, node = key
-            out = [(self._piece(aid), "direct", arcs[aid].head)
-                   for aid in self.g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
+            out = [(arcs[aid], "direct") for aid in self.g.seg_direct.get((rid, k), ())
+                   if arcs[aid].tail == node]
             if not self.policy_none:
                 for acc in self.rides[ri].stations[k]:
-                    out += [(self._piece(aid), "pending", arcs[aid].head)
+                    out += [(arcs[aid], "pending")
                             for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
                             if arcs[aid].tail == node]
+        if not self.policy_none:
+            for piece, _kind in out:
+                if piece.id not in self._unit_of:
+                    self._unit_of[piece.id] = (piece.start, piece.end, (piece,))
         cache[key] = out
         return out
 
@@ -346,11 +331,11 @@ class _Search:
     def _exchange_children(self, ri: int, candidates):
         """Each piece goes to every distinct free driver able to take it, then to a new one."""
         children: list[tuple] = []
-        for piece, kind, head in candidates:
-            self._takers(piece, kind, head, children, piece.from_base, piece.start, [])
+        for piece, kind in candidates:
+            self._takers(piece, kind, children, piece.from_base, piece.start, [])
         return self._hand_out(ri, children) if children else None
 
-    def _takers(self, piece: Piece, kind: str, head: int, children: list,
+    def _takers(self, piece: TimedArc, kind: str, children: list,
                 base: str, start: int, aboard: list[tuple]):
         """Append the children that give `piece` to a free driver or a new one.
 
@@ -376,20 +361,20 @@ class _Search:
             if key in seen:
                 continue
             seen.add(key)
-            way = itinerary(self.g, self.carriers, self.t_b,
+            way = itinerary(self.carriers, self.t_b,
                             d.base, d.time, d.trail_run, base, start)
             if way is None:
                 continue
             renews, plan, run = way
             u0 = 0 if renews or run + ride >= self.t_b else d.u
             if u0 <= max_u:
-                children.append((piece, kind, head, idx, plan + aboard, u0, None))
+                children.append((piece, kind, idx, plan + aboard, u0, None))
         if piece.end - start <= self.t_dw and len(self.drivers) + 1 < self.threshold:
-            children.append((piece, kind, head, None, aboard, 0, (base, start)))
+            children.append((piece, kind, None, aboard, 0, (base, start)))
 
     def _hand_out(self, ri: int, children: list[tuple]):
-        """Visit each child (piece, advance kind, head node, driver index, plan,
-        u before the piece, new driver's (base, time) or None) in order.
+        """Visit each child (piece, advance kind, driver index, plan, u before
+        the piece, new driver's (base, time) or None) in order.
 
         Children with a new driver are listed only while the threshold allows
         one more driver; one is still skipped if incumbents found in earlier
@@ -404,7 +389,7 @@ class _Search:
         pos = self.pos
         cur_node = self.cur_node
         pending = self.pending
-        for piece, kind, head, idx, plan, u0, new_at in children:
+        for piece, kind, idx, plan, u0, new_at in children:
             if new_at is not None:
                 if len(drivers) + 1 >= self.threshold:
                     continue
@@ -417,7 +402,7 @@ class _Search:
                     cur_node[ri], pending[ri], pos[ri], len(times), len(stations))
             if plan:
                 elements.extend(plan)
-            elements.append(("steer", piece.arc))
+            elements.append(("steer", piece.id))
             d.base = piece.to_base
             d.time = piece.end
             d.u = u0 + piece.duration
@@ -425,7 +410,7 @@ class _Search:
             d.trail_run = 0
             ride_pieces.append(piece)
             if kind == "pending":
-                pending[ri] = (head, piece.segment, piece.station)
+                pending[ri] = (piece.head, piece.segment, piece.station)
                 stations.append(piece.station)
             else:
                 if kind == "out":
@@ -433,12 +418,12 @@ class _Search:
                 else:
                     stations.append(None)
                 pos[ri] += 1
-                times.append(self.node_time[head])
-                cur_node[ri] = head
+                times.append(piece.end)
+                cur_node[ri] = piece.head
             if self.policy_none:
                 yield from self._crew_step(ri, piece, idx)
             else:
-                carriers[piece.from_base].append(unit_of[piece.arc])
+                carriers[piece.from_base].append(unit_of[piece.id])
                 yield True
                 carriers[piece.from_base].pop()
             # undo
@@ -463,7 +448,7 @@ class _Search:
         crew = self.crew[ri]
         recruit_aboard = self._aboard(ri, start_t)
         children: list[tuple] = []
-        for piece, kind, head in candidates:
+        for piece, kind in candidates:
             dur = piece.duration
             for idx in sorted(crew):
                 d = drivers[idx]
@@ -471,17 +456,15 @@ class _Search:
                 if (u0 + dur > t_cs or d.daily + dur > t_ds
                         or piece.end - d.start > t_dw):
                     continue
-                children.append((piece, kind, head, idx, self._aboard(ri, d.time),
-                                 u0, None))
-            self._takers(piece, kind, head, children, start_b, start_t, recruit_aboard)
+                children.append((piece, kind, idx, self._aboard(ri, d.time), u0, None))
+            self._takers(piece, kind, children, start_b, start_t, recruit_aboard)
         return self._hand_out(ri, children) if children else None
 
     def _aboard(self, ri: int, since: int) -> list[tuple]:
         """Deadheads on ride ri's scheduled pieces from ``since`` on."""
-        arcs = self.g.arcs
-        return [("deadhead", arcs[p.arc].twin) for p in self.ride_pieces[ri] if p.start >= since]
+        return [("deadhead", p.twin) for p in self.ride_pieces[ri] if p.start >= since]
 
-    def _crew_step(self, ri: int, piece: Piece, idx: int):
+    def _crew_step(self, ri: int, piece: TimedArc, idx: int):
         """Add driver idx, who steers ``piece``, to ride ri's crew and, if the
         ride ends with it, release the crew at the terminal and file the ride
         as a carrier; yield, then undo.

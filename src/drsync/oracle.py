@@ -5,8 +5,9 @@ station options and piece timings are enumerated straight from the
 instance (not from graph arcs), driver states are immutable tuples, and
 the search deepens an explicit driver cap (1, 2, ...) until a feasible
 assignment exists, so any answer is a proven optimum. Shares only the
-data types, ``filter_stations``, ``build_graph`` (for its size limit and
-its witness) and ``assemble_route`` for the returned witness.
+data types, ``filter_stations`` (which station accesses are usable),
+``build_graph`` (for its size limit and its witness) and
+``assemble_route`` for the returned witness.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 
-from .instance import Instance, POLICY_FULL, POLICY_NONE, check_instance, filter_stations
+from .instance import Instance, POLICY_NONE, check_instance, filter_stations
 from .solution import RidePlan, Solution, assemble_route
 from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph
 
@@ -56,20 +57,10 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
     legal = inst.legal
     t_cs, t_b, t_ds, t_dw = legal.t_cs, legal.t_b, legal.t_ds, legal.t_dw
     policy_none = inst.exchange_policy == POLICY_NONE
-    use_stations = inst.exchange_policy == POLICY_FULL
     rides = inst.rides
     nr = len(rides)
     grids = [
         [inst.window(tau).grid(inst.ell) for tau in r.departures] for r in rides
-    ]
-    stations = [
-        [
-            [a for a in r.stations[k]
-             if use_stations and a.detour(r.segment_minutes[k]) <= inst.zeta
-             and a.minutes_in <= t_cs and a.minutes_out <= t_cs]
-            for k in range(r.n_segments)
-        ]
-        for r in rides
     ]
     max_pieces = sum(2 * r.n_segments for r in rides)
 
@@ -250,7 +241,7 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
                     hit = True
                     if sys_best[0] is not None:
                         return True
-            for acc in stations[ri][pos]:
+            for acc in rides[ri].stations[pos]:
                 ts = cur + acc.minutes_in
                 if not any(t1 >= ts + acc.minutes_out for t1 in grids[ri][pos + 1]):
                     continue

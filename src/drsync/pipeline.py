@@ -13,11 +13,12 @@ incumbent or it misses max(lb1, lb2). lb3 is at least that maximum and at
 most the optimum, so an incumbent that meets it fixes lb3 there and the
 sweep could change no output.
 
-Right after the whole instance's graph, the instance is split into its
-independent components (``instance.decompose``):
-groups of rides that share no stop or station, which no driver can move
-between. Every stage works on each component in turn over the one time
-graph: construction, then local search, DBI and the exact solve, each with
+Right after the whole instance's graph, the instance the graph was built
+from (the one ``instance.filter_stations`` leaves) is split into its
+independent components (``instance.decompose``): groups of rides that
+share no stop or usable station, which no driver can move between. Every
+stage works on each component in turn over the one time graph:
+construction, then local search, DBI and the exact solve, each with
 an equal share of the stage's time left, so time one leaves unused rolls on
 to the next. The run's solution joins the components' routes and plans. If
 it meets the whole instance's constructive bound the run stops there;
@@ -25,7 +26,8 @@ otherwise each component gets its own constructive bounds and model, and
 one whose incumbent meets its bound is closed. dLB is the larger of the
 whole instance's constructive bound and the sum of the components' dLBs.
 An instance that does not split is one component, which differs from the
-instance only in the stops no ride uses.
+instance only in the stops no ride uses and the station accesses no arc
+uses.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     graph = build_graph(instance)
     lb1 = lower_bound_steering(instance)
     lb2 = lower_bound_parallel(instance)
-    # an instance with no rides has no components; it is one empty part
-    parts = [_Part(c) for c in decompose(instance)] or [_Part(instance)]
+    # split what the graph can use: a station no arc reaches ties no rides.
+    # An instance with no rides has no components; it is one empty part
+    parts = [_Part(c) for c in decompose(graph.instance)] or [_Part(graph.instance)]
     clock("prep", t)
 
     best: Solution | None = None

@@ -4,7 +4,9 @@ Construction fixes vehicle plans first (earliest departures, station-free
 except where a segment has no direct leg), then assigns drivers greedily:
 reuse whoever is available at the start of a piece, steer until the route
 ends or the steering allowance runs out, then either wait for a
-break-sized gap or stay aboard to the terminal.
+break-sized gap or stay aboard to the terminal. A piece is one of the
+graph's steering arcs, the object itself: the greedy steers it by its id
+and rides along on its ``twin``.
 
 The time graph alone decides which leg timings are legal: construction and
 the station insertions read a ride's times off its steering arcs
@@ -95,7 +97,7 @@ from .solution import (
     plan_pieces,
     ride_pieces,
 )
-from .timegraph import FAMILY_STEERING, LEG_DIRECT, TimeGraph
+from .timegraph import FAMILY_STEERING, LEG_DIRECT, TimedArc, TimeGraph
 
 
 class ConstructionError(Exception):
@@ -132,11 +134,12 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
 # ---------------------------------------------------------------------------
 
 def _leg_end(graph: TimeGraph, rid: str, k: int, station: str | None, node: int,
-             not_before: int) -> int | None:
-    """The head of the earliest steering chain for segment `k` of ride `rid`
-    from `node` (the direct arc, or the in-arc and an out-arc via `station`)
-    that ends no earlier than `not_before`; None if there is none. The arcs
-    from one tail come by rising head time, so the first that fits is it."""
+             not_before: int) -> TimedArc | None:
+    """The last arc of the earliest steering chain for segment `k` of ride
+    `rid` from `node` (the direct arc, or the in-arc and an out-arc via
+    `station`) that ends no earlier than `not_before`; None if there is none.
+    The arcs from one tail come by rising head time, so the first that fits
+    is it."""
     arcs = graph.arcs
     if station is None:
         outs = graph.seg_direct[(rid, k)]
@@ -146,32 +149,31 @@ def _leg_end(graph: TimeGraph, rid: str, k: int, station: str | None, node: int,
         if node is None:
             return None
         outs = graph.seg_out[(rid, k, station)]
-    nodes = graph.nodes
-    return next((arcs[a].head for a in outs
-                 if arcs[a].tail == node and nodes[arcs[a].head].time >= not_before), None)
+    return next((arc for a in outs
+                 if (arc := arcs[a]).tail == node and arc.end >= not_before), None)
 
 
 def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
     """Earliest departures read off the steering arcs: from the first stop's
     earliest copy, each segment's earliest direct leg, else its earliest leg
     via the first station by (detour, id) that has one."""
-    node_at, nodes = graph.node_at, graph.nodes
     plan: dict[str, RidePlan] = {}
     for ride in instance.rides:
-        node = node_at[(ride.stops[0], instance.window(ride.departures[0]).earliest)]
-        times = [nodes[node].time]
+        t = instance.window(ride.departures[0]).earliest
+        node = graph.node_at[(ride.stops[0], t)]
+        times = [t]
         stations: list[str | None] = []
         for k, direct in enumerate(ride.segment_minutes):
             vias = sorted(ride.stations[k], key=lambda a: (a.detour(direct), a.station_id))
             for station in [None] + [a.station_id for a in vias]:
-                head = _leg_end(graph, ride.id, k, station, node, times[k])
-                if head is not None:
+                last = _leg_end(graph, ride.id, k, station, node, times[k])
+                if last is not None:
                     break
             else:
                 raise ConstructionError(
                     f"ride {ride.id} segment {k}: no coverable departure exists")
-            node = head
-            times.append(nodes[node].time)
+            node = last.head
+            times.append(last.end)
             stations.append(station)
         plan[ride.id] = RidePlan(tuple(times), tuple(stations))
     return plan
@@ -346,8 +348,8 @@ def _greedy(instance, graph, plan, keys, vehicle_routes, departures_from,
         at_base.setdefault(sim.base, []).append(di)
     for j in range(j0, len(vehicle_routes)):
         snapshots.append(tuple(states))
-        touched = assign(drivers, at_base, vehicle_routes[j], j, legal, graph,
-                         departures_from, reliefs)
+        touched = assign(drivers, at_base, vehicle_routes[j], j, legal, departures_from,
+                         reliefs)
         states.extend([None] * (len(drivers) - len(states)))
         for di in touched:
             states[di] = drivers[di].state()
@@ -369,7 +371,7 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
     sim.wait(vp[pos].start, legal.t_b)
     while pos < len(vp) and _fits(sim, sim.u, vp[pos], legal):
         p = vp[pos]
-        sim.elements.append(("steer", p.arc))
+        sim.elements.append(("steer", p.id))
         sim.u += p.duration
         sim.daily += p.duration
         sim.base, sim.time = p.to_base, p.end
@@ -377,12 +379,12 @@ def _take(sim: _Sim, vp, pos, legal) -> int:
     return pos
 
 
-def _ride_along(sim: _Sim, vp, until: int, graph, legal) -> None:
+def _ride_along(sim: _Sim, vp, until: int, legal) -> None:
     """Ride aboard route `vp` from now until `until`, deadheading the pieces
     that start in between; a ride of at least a break renews steering."""
     for p in vp:
         if sim.time <= p.start < until:
-            sim.elements.append(("deadhead", graph.arcs[p.arc].twin))
+            sim.elements.append(("deadhead", p.twin))
             sim.base = p.to_base
     if until - sim.time >= legal.t_b:
         sim.u = 0
@@ -396,8 +398,7 @@ def _refile(at_base, di: int, old: str, new: str) -> None:
         insort(at_base.setdefault(new, []), di)
 
 
-def _assign_exchange(drivers, at_base, vp, j, legal, graph, departures_from,
-                     reliefs) -> list[int]:
+def _assign_exchange(drivers, at_base, vp, j, legal, departures_from, reliefs) -> list[int]:
     """Crew route `vp` (the j-th): the first available driver steers on.
 
     ``at_base`` lists the drivers standing at each base, so the first fit
@@ -421,12 +422,12 @@ def _assign_exchange(drivers, at_base, vp, j, legal, graph, departures_from,
         sim = drivers[pick]
         pos = _take(sim, vp, pos, legal)
         if pos < len(vp):
-            _relieve(sim, vp, departures_from, legal, graph, reliefs, j)
+            _relieve(sim, vp, departures_from, legal, reliefs, j)
         _refile(at_base, pick, p.from_base, sim.base)
     return touched
 
 
-def _relieve(sim: _Sim, vp, departures_from, legal, graph, reliefs, j):
+def _relieve(sim: _Sim, vp, departures_from, legal, reliefs, j):
     """Relieved mid-route: wait here for a break-sized gap, else ride along."""
     here, now = sim.base, sim.time
     times = departures_from.get(here, ())
@@ -437,11 +438,10 @@ def _relieve(sim: _Sim, vp, departures_from, legal, graph, reliefs, j):
     span_ok = vp[-1].end - sim.start <= legal.t_dw
     if wait_ok or not span_ok:
         return  # stay idle; a later takeover emits the waiting chain
-    _ride_along(sim, vp, vp[-1].end, graph, legal)
+    _ride_along(sim, vp, vp[-1].end, legal)
 
 
-def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
-                 reliefs) -> list[int]:
+def _assign_none(drivers, at_base, vp, j, legal, departures_from, reliefs) -> list[int]:
     """Crew route `vp` with drivers who all stay aboard to its terminal.
 
     Every crew member boards at the route's first base and start; whoever
@@ -483,10 +483,10 @@ def _assign_none(drivers, at_base, vp, j, legal, graph, departures_from,
             drivers[di].wait(start_t, legal.t_b)
             crew.append(di)
         sim = drivers[di]
-        _ride_along(sim, vp, p.start, graph, legal)
+        _ride_along(sim, vp, p.start, legal)
         pos = _take(sim, vp, pos, legal)
     for di in crew:
-        _ride_along(drivers[di], vp, term_t, graph, legal)
+        _ride_along(drivers[di], vp, term_t, legal)
         _refile(at_base, di, start_b, drivers[di].base)
     return crew
 
@@ -524,12 +524,12 @@ def _chain_legal(legal, planner, chain) -> bool:
 def _chain_elements(planner, chain) -> list[tuple]:
     """Timeline of a driver steering the pieces at a legal `chain`."""
     pieces = planner.pieces
-    elements: list[tuple] = [("steer", pieces[chain[0]].arc)]
+    elements: list[tuple] = [("steer", pieces[chain[0]].id)]
     for a, b in zip(chain, chain[1:]):
         pa, pb = pieces[a], pieces[b]
         _reachable, _renewable, steps = planner.connect(
             pa.to_base, pa.end, pb.from_base, pb.start)
-        elements += steps + [("steer", pb.arc)]
+        elements += steps + [("steer", pb.id)]
     return elements
 
 
@@ -549,10 +549,10 @@ def operator_reassign_segments(solution, instance, graph, config, seed) -> list[
     # links and itineraries depend only on the plan, so the planner built for
     # one solution serves every candidate that only moves drivers between routes
     links = solution.links or ConnectionPlanner(
-        instance, graph, plan_pieces(instance, graph, solution.plan))
+        instance, plan_pieces(instance, graph, solution.plan))
     # pieces are in chronological order, so a sorted host is a sorted position list
     pieces = links.pieces
-    pos = {p.arc: i for i, p in enumerate(pieces)}
+    pos = {p.id: i for i, p in enumerate(pieces)}
     per_driver = [[pos[a] for a in route if graph.arcs[a].family == FAMILY_STEERING]
                   for route in solution.routes]
     n_segments = ({r.id: r.n_segments for r in instance.rides}
@@ -743,10 +743,11 @@ def _retime(graph, ride, times, stations) -> tuple[int, ...] | None:
     node = graph.node_at[(ride.stops[0], times[0])]
     out = [times[0]]
     for k, station in enumerate(stations):
-        node = _leg_end(graph, ride.id, k, station, node, times[k + 1])
-        if node is None:
+        last = _leg_end(graph, ride.id, k, station, node, times[k + 1])
+        if last is None:
             return None
-        out.append(graph.nodes[node].time)
+        node = last.head
+        out.append(last.end)
     return tuple(out)
 
 
@@ -790,13 +791,12 @@ def operator_insert_stop_highest_sync(solution, instance, graph, config, seed) -
     """Split a long leg, favoring stations other routes already pass."""
     def order(accs, ride, k, _rng):
         # counted only once some segment is insertable
-        g = solution.graph
+        arcs = solution.graph.arcs
         visits: dict[str, int] = {}
         for route in solution.routes:
             for aid in route:
-                arc = g.arcs[aid]
-                for node in (arc.tail, arc.head):
-                    b = g.nodes[node].base
+                arc = arcs[aid]
+                for b in (arc.from_base, arc.to_base):
                     visits[b] = visits.get(b, 0) + 1
         return sorted(accs, key=lambda a: (-visits.get(a.station_id, 0), a.station_id))
     return _insert_station(solution, instance, graph, config, seed, order)

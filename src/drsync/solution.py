@@ -3,8 +3,9 @@
 A solution is a set of driver routes (arc sequences source -> sink) over
 the time graph. The vehicle side is captured by a plan: per ride, the
 chosen departure minute of every stop and the station (if any) inserted
-into each segment. Pieces are the steering arcs a plan implies; every
-piece must be steered by exactly one driver.
+into each segment. A plan's pieces are the graph's own steering arcs
+(``TimedArc``, with their located ends); every piece must be steered by
+exactly one driver.
 
 A driver gets from one located time to another by waiting and
 deadheading through one call, ``itinerary``. Local search asks it through
@@ -13,7 +14,7 @@ deadheading through one call, ``itinerary``. Local search asks it through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from .timegraph import (
     LEG_DIRECT,
     LEG_IN,
     LEG_OUT,
+    TimedArc,
     TimeGraph,
 )
 
@@ -55,43 +57,21 @@ class RidePlan(NamedTuple):
     stations: tuple[str | None, ...]
 
 
-@dataclass(slots=True)
-class Piece:
-    """One steering arc a plan requires, in instance terms.
-
-    Slotted, not frozen, because every plan expansion builds a fresh set.
-    """
-
-    ride: str
-    segment: int
-    leg: str
-    station: str | None
-    from_base: str
-    start: int
-    to_base: str
-    end: int
-    arc: int
-    duration: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.duration = self.end - self.start
-
-
 _LEG_RANK = {LEG_IN: 0, LEG_DIRECT: 1, LEG_OUT: 2}
 
 
-def _expand_ride(idx: dict, ride, rp: RidePlan, pieces: list[Piece]) -> None:
-    """Append the steering pieces of one ride's plan to `pieces`."""
+def _expand_ride(graph: TimeGraph, ride, rp: RidePlan, pieces: list[TimedArc]) -> None:
+    """Append the steering arcs of one ride's plan to `pieces`."""
+    idx, arcs = graph.steer_idx, graph.arcs
     rid = ride.id
     for k in range(ride.n_segments):
         t0, t1 = rp.times[k], rp.times[k + 1]
-        a, b = ride.stops[k], ride.stops[k + 1]
         st = rp.stations[k]
         if st is None:
             arc = idx.get((rid, k, LEG_DIRECT, None, t0, t1))
             if arc is None:
                 raise PlanError(f"ride {rid} segment {k}: no direct arc {t0}->{t1}")
-            pieces.append(Piece(rid, k, LEG_DIRECT, None, a, t0, b, t1, arc))
+            pieces.append(arcs[arc])
         else:
             acc = next((x for x in ride.stations[k] if x.station_id == st), None)
             if acc is None:
@@ -101,34 +81,34 @@ def _expand_ride(idx: dict, ride, rp: RidePlan, pieces: list[Piece]) -> None:
             arc_out = idx.get((rid, k, LEG_OUT, st, ts, t1))
             if arc_in is None or arc_out is None:
                 raise PlanError(f"ride {rid} segment {k}: no via-{st} arcs {t0}->{ts}->{t1}")
-            pieces.append(Piece(rid, k, LEG_IN, st, a, t0, st, ts, arc_in))
-            pieces.append(Piece(rid, k, LEG_OUT, st, st, ts, b, t1, arc_out))
+            pieces.append(arcs[arc_in])
+            pieces.append(arcs[arc_out])
 
 
 def _piece_key(ride_order: dict[str, int]):
     return lambda p: (p.start, p.end, ride_order[p.ride], p.segment, _LEG_RANK[p.leg])
 
 
-def plan_pieces(instance: Instance, graph: TimeGraph, plan: dict[str, RidePlan]) -> list[Piece]:
-    """Expand a plan into its chronologically ordered steering pieces."""
-    idx = graph.steer_idx
+def plan_pieces(instance: Instance, graph: TimeGraph,
+                plan: dict[str, RidePlan]) -> list[TimedArc]:
+    """Expand a plan into its chronologically ordered steering arcs."""
     rides = {r.id: r for r in instance.rides}
-    pieces: list[Piece] = []
+    pieces: list[TimedArc] = []
     for rid, rp in plan.items():
-        _expand_ride(idx, rides[rid], rp, pieces)
+        _expand_ride(graph, rides[rid], rp, pieces)
     pieces.sort(key=_piece_key({r.id: i for i, r in enumerate(instance.rides)}))
     return pieces
 
 
-def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[Piece]:
+def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[TimedArc]:
     """The pieces of one ride's plan, in the order ``plan_pieces`` gives them.
 
     ``_expand_ride`` emits them with strictly rising starts (a leg starts
     where the one before it ends, and every arc lasts at least a minute), so
     that order needs no sort.
     """
-    pieces: list[Piece] = []
-    _expand_ride(graph.steer_idx, ride, rp, pieces)
+    pieces: list[TimedArc] = []
+    _expand_ride(graph, ride, rp, pieces)
     return pieces
 
 
@@ -220,8 +200,8 @@ class Solution:
         `route` must be a source->sink path (``_validate_structure``). No
         arc runs back in time, so these are its earliest and latest times.
         """
-        g = self.graph
-        return g.nodes[g.arcs[route[0]].head].time, g.nodes[g.arcs[route[-1]].tail].time
+        arcs = self.graph.arcs
+        return arcs[route[0]].end, arcs[route[-1]].start
 
     def to_dict(self) -> dict:
         g = self.graph
@@ -240,8 +220,8 @@ class Solution:
                 arc = g.arcs[aid]
                 steps.append({
                     "family": arc.family,
-                    "from": {"base": g.nodes[arc.tail].base, "time": g.nodes[arc.tail].time},
-                    "to": {"base": g.nodes[arc.head].base, "time": g.nodes[arc.head].time},
+                    "from": {"base": arc.from_base, "time": arc.start},
+                    "to": {"base": arc.to_base, "time": arc.end},
                     "ride": arc.ride,
                     "segment": arc.segment,
                     "station": arc.station,
@@ -269,10 +249,10 @@ def plan_from_routes(instance: Instance, graph: TimeGraph,
                 continue
             rid, k = arc.ride, arc.segment
             if arc.leg in (LEG_DIRECT, LEG_IN):
-                times[rid][k] = graph.nodes[arc.tail].time
+                times[rid][k] = arc.start
                 stations[rid][k] = arc.station
             if arc.leg in (LEG_DIRECT, LEG_OUT):
-                times[rid][k + 1] = graph.nodes[arc.head].time
+                times[rid][k + 1] = arc.end
     plan = {}
     for rid, ride in rides.items():
         tvec = tuple(times[rid].get(i, -1) for i in range(len(ride.stops)))
@@ -342,8 +322,8 @@ def plan_relocation(units, t_b: int, from_base: str, from_time: int, run: int,
     return parents, goal_any, goal_renew
 
 
-def itinerary(graph: TimeGraph, units, t_b: int, from_base: str, from_time: int,
-              run: int, to_base: str, to_time: int):
+def itinerary(units, t_b: int, from_base: str, from_time: int, run: int,
+              to_base: str, to_time: int):
     """How a mover at ``(from_base, from_time)`` reaches ``(to_base, to_time)``
     by waiting and deadheading on ``units`` (as in ``plan_relocation``).
 
@@ -371,7 +351,7 @@ def itinerary(graph: TimeGraph, units, t_b: int, from_base: str, from_time: int,
     cur = goal
     while parents[cur] is not None:
         prev, legs, wait = parents[cur]
-        chunk = [("deadhead", graph.arcs[p.arc].twin) for p in legs]
+        chunk = [("deadhead", p.twin) for p in legs]
         if wait:
             chunk.insert(0, ("wait", legs[0].from_base, prev[1], legs[0].start))
         steps = chunk + steps
@@ -392,16 +372,15 @@ class ConnectionPlanner:
     and remembers the answer.
     """
 
-    def __init__(self, instance: Instance, graph: TimeGraph, pieces: list[Piece]):
-        self.graph = graph
+    def __init__(self, instance: Instance, pieces: list[TimedArc]):
         self.t_b = instance.legal.t_b
         self.pieces = pieces
         # link codes by piece position, a * len(pieces) + b; LINK_UNKNOWN until asked
         self._links = bytearray([LINK_UNKNOWN]) * (len(pieces) * len(pieces))
         # from_base -> (start, end, legs) of each carrier, by (start, end)
-        self.units: dict[str, list[tuple[int, int, tuple[Piece, ...]]]] = {}
+        self.units: dict[str, list[tuple[int, int, tuple[TimedArc, ...]]]] = {}
         if instance.exchange_policy == POLICY_NONE:
-            by_ride: dict[str, list[Piece]] = {}
+            by_ride: dict[str, list[TimedArc]] = {}
             for p in pieces:
                 by_ride.setdefault(p.ride, []).append(p)
             units = []
@@ -423,8 +402,8 @@ class ConnectionPlanner:
         code = self._links[key]
         if code == LINK_UNKNOWN:
             pa, pb = self.pieces[a], self.pieces[b]
-            way = itinerary(self.graph, self.units, self.t_b,
-                            pa.to_base, pa.end, 0, pb.from_base, pb.start)
+            way = itinerary(self.units, self.t_b, pa.to_base, pa.end, 0,
+                            pb.from_base, pb.start)
             code = LINK_NONE if way is None else LINK_RENEW if way[0] else LINK_REACH
             self._links[key] = code
         return code
@@ -437,8 +416,7 @@ class ConnectionPlanner:
         to_time: int,
     ) -> tuple[bool, bool, list[tuple] | None]:
         """(reachable, renewable, the elements of ``itinerary``'s choice or None)."""
-        way = itinerary(self.graph, self.units, self.t_b,
-                        from_base, from_time, 0, to_base, to_time)
+        way = itinerary(self.units, self.t_b, from_base, from_time, 0, to_base, to_time)
         if way is None:
             return False, False, None
         return True, way[0], way[1]
@@ -520,7 +498,7 @@ def check_feasibility(solution: Solution, instance: Instance,
                     else:
                         out.append(Violation("continuous_steering", who, u - legal.t_cs))
             elif arc.family == FAMILY_WAITING:
-                base = g.nodes[arc.tail].base
+                base = arc.from_base
                 if block is not None and block[0] == "wait" and block[1] == base:
                     block = ("wait", base, block[2] + arc.duration)
                 else:

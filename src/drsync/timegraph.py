@@ -14,10 +14,17 @@ service station are spawned at predecessor-copy time plus the in-drive and
 only if some onward customer copy remains reachable, so a station always
 has fewer copies than the customer stops around it (Fig-2-style layout).
 
-The graph is the one authority on leg timings: windows, the grid, the
-continuous-steering cap on direct and station legs and the detour filter
-are decided in ``build_graph`` alone. Construction and local search read
-a ride's legal times off its steering arcs.
+The graph is the one authority on leg timings: windows, the grid and the
+continuous-steering cap on direct and station legs are decided in
+``build_graph`` alone, over the station accesses ``filter_stations`` keeps
+(full exchange only, detour within the limit, each drive within the cap).
+Construction and local search read a ride's legal times off its steering
+arcs.
+
+Every arc carries its located ends, set once by the build. A steering arc
+is also the one record of a plan's piece: the solvers hold the graph's own
+arc objects (``solution.plan_pieces``), and read bases and times off them
+rather than through the nodes.
 
 A run builds the graph first, with only the cheap bounds lb1 and lb2
 beside it; the lb3 sweep waits until CH+LS has run (see ``pipeline``).
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, POLICY_FULL, filter_stations
+from .instance import Instance, filter_stations
 
 DEPOT = "__depot__"
 
@@ -52,13 +59,21 @@ class TimedNode:
 
 @dataclass(slots=True)
 class TimedArc:
+    """An arc and its located ends: from `from_base` at `start` to `to_base`
+    at `end`, the bases and times of its tail and head (DEPOT and None on a
+    depot arc's depot side). A steering arc is the piece of a plan that one
+    driver steers; the solvers hold these objects as their pieces."""
+
     id: int
     tail: int
     head: int
     mode: int            # 1 = steering, 0 = everything else
     family: str
     duration: int
-    consumption: int     # steering minutes; negative = break renewal
+    from_base: str
+    start: int | None
+    to_base: str
+    end: int | None
     ride: str | None = None
     segment: int | None = None
     leg: str | None = None       # direct / in / out for segment arcs
@@ -98,7 +113,8 @@ class TimeGraph:
 
 
 def build_graph(instance: Instance) -> TimeGraph:
-    """Filter stations by detour limit, lay out every copy, and wire all arc families.
+    """Lay out every copy of the instance's usable stations
+    (``filter_stations``) and stops, and wire all arc families.
 
     Nodes come in this order: the source, the customer copies (by ride, stop
     and grid), the station copies (by ride, segment, station and predecessor
@@ -108,13 +124,13 @@ def build_graph(instance: Instance) -> TimeGraph:
     So the arcs from one tail in ``seg_direct`` and ``seg_out`` come by
     rising head time, and ``seg_in`` has one arc per tail.
     Each stop's departure grid is computed once per ride and serves the
-    copies and the arcs alike.
+    copies and the arcs alike, and each arc's located ends are the base and
+    minute that the loop making it walks.
     """
     inst = filter_stations(instance)
     g = TimeGraph(inst)
     nodes, arcs, node_at, copies, steer_idx = g.nodes, g.arcs, g.node_at, g.copies, g.steer_idx
-    t_cs, t_b = inst.legal.t_cs, inst.legal.t_b
-    use_stations = inst.exchange_policy == POLICY_FULL
+    t_cs = inst.legal.t_cs
 
     # per ride and stop: its departure window, and its grid as (minute, node id)
     windows = [[inst.window(tau) for tau in ride.departures] for ride in inst.rides]
@@ -135,50 +151,46 @@ def build_graph(instance: Instance) -> TimeGraph:
                 grid.append((t, nid))
             ride_grids.append(grid)
         grids.append(ride_grids)
-    if use_stations:
-        for ride, wins, ride_grids in zip(inst.rides, windows, grids):
-            for k, accs in enumerate(ride.stations):
-                succ_latest = wins[k + 1].latest
-                for acc in accs:
-                    if acc.minutes_in > t_cs or acc.minutes_out > t_cs:
-                        continue
-                    station = acc.station_id
-                    for t, _tail in ride_grids[k]:
-                        ts = t + acc.minutes_in
-                        if ts + acc.minutes_out > succ_latest:
-                            break  # no onward copy reachable, nor from any later t
-                        if (station, ts) not in node_at:
-                            nid = node_at[(station, ts)] = len(nodes)
-                            nodes.append(TimedNode(nid, station, ts))
-                            copies.setdefault(station, []).append(nid)
+    for ride, wins, ride_grids in zip(inst.rides, windows, grids):
+        for k, accs in enumerate(ride.stations):
+            succ_latest = wins[k + 1].latest
+            for acc in accs:
+                station = acc.station_id
+                for t, _tail in ride_grids[k]:
+                    ts = t + acc.minutes_in
+                    if ts + acc.minutes_out > succ_latest:
+                        break  # no onward copy reachable, nor from any later t
+                    if (station, ts) not in node_at:
+                        nid = node_at[(station, ts)] = len(nodes)
+                        nodes.append(TimedNode(nid, station, ts))
+                        copies.setdefault(station, []).append(nid)
     g.sink = len(nodes)
     nodes.append(TimedNode(g.sink, DEPOT, None))
     for ids in copies.values():
         ids.sort(key=lambda nid: nodes[nid].time)
 
-    def steer_pair(tail, tail_t, head, head_t, ride, seg, leg, station=None):
-        """The steering arc and its deadhead twin, built once each."""
+    def steer_pair(tail, a, tail_t, head, b, head_t, ride, seg, leg, station=None):
+        """The steering arc from `a` to `b` and its deadhead twin, built once each."""
         dur = head_t - tail_t
         sid = len(arcs)
-        arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, dur,
+        arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, a, tail_t, b, head_t,
                              ride, seg, leg, station, sid + 1))
-        arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur,
-                             -t_cs if dur >= t_b else 0, ride, seg, leg, station, sid))
+        arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur, a, tail_t, b, head_t,
+                             ride, seg, leg, station, sid))
         steer_idx[(ride, seg, leg, station, tail_t, head_t)] = sid
         return sid
 
     for ride, ride_grids in zip(inst.rides, grids):
         rid = ride.id
         for k, direct in enumerate(ride.segment_minutes):
+            a, b = ride.stops[k], ride.stops[k + 1]
             pred_grid, succ_grid = ride_grids[k], ride_grids[k + 1]
             ids = g.seg_direct[(rid, k)] = []
             for t, tail in pred_grid:
                 for t2, head in succ_grid:
                     if t2 < t + direct or t2 - t > t_cs:
                         continue
-                    ids.append(steer_pair(tail, t, head, t2, rid, k, LEG_DIRECT))
-            if not use_stations:
-                continue
+                    ids.append(steer_pair(tail, a, t, head, b, t2, rid, k, LEG_DIRECT))
             for acc in ride.stations[k]:
                 station = acc.station_id
                 ins: list[int] = []
@@ -188,28 +200,31 @@ def build_graph(instance: Instance) -> TimeGraph:
                     snode = node_at.get((station, ts))
                     if snode is None:
                         continue
-                    ins.append(steer_pair(tail, t, snode, ts, rid, k, LEG_IN, station))
+                    ins.append(steer_pair(tail, a, t, snode, station, ts, rid, k, LEG_IN, station))
                     for t2, head in succ_grid:
                         if t2 < ts + acc.minutes_out or t2 - ts > t_cs:
                             continue
-                        outs.append(steer_pair(snode, ts, head, t2, rid, k, LEG_OUT, station))
+                        outs.append(steer_pair(snode, station, ts, head, b, t2,
+                                               rid, k, LEG_OUT, station))
                 if ins:
                     g.seg_in[(rid, k, station)] = ins
                     g.seg_out[(rid, k, station)] = outs
 
-    for ids in copies.values():  # insertion order: deterministic
-        for a, b in zip(ids, ids[1:]):
-            gap = nodes[b].time - nodes[a].time
-            aid = g.wait_next[a] = len(arcs)
-            arcs.append(TimedArc(aid, a, b, 0, FAMILY_WAITING, gap, -t_cs if gap >= t_b else 0))
+    for base, ids in copies.items():  # insertion order: deterministic
+        for n, m in zip(ids, ids[1:]):
+            t, t2 = nodes[n].time, nodes[m].time
+            aid = g.wait_next[n] = len(arcs)
+            arcs.append(TimedArc(aid, n, m, 0, FAMILY_WAITING, t2 - t, base, t, base, t2))
 
     for node in nodes:
         if node.base == DEPOT:
             continue
         aid = g.depot_out[node.id] = len(arcs)
-        arcs.append(TimedArc(aid, g.source, node.id, 0, FAMILY_DEPOT, 0, 0))
+        arcs.append(TimedArc(aid, g.source, node.id, 0, FAMILY_DEPOT, 0,
+                             DEPOT, None, node.base, node.time))
         g.depot_in[node.id] = aid + 1
-        arcs.append(TimedArc(aid + 1, node.id, g.sink, 0, FAMILY_DEPOT, 0, 0))
+        arcs.append(TimedArc(aid + 1, node.id, g.sink, 0, FAMILY_DEPOT, 0,
+                             node.base, node.time, DEPOT, None))
     return g
 
 
@@ -245,13 +260,23 @@ def graph_stats(graph: TimeGraph) -> GraphStats:
 # Dumps
 # ---------------------------------------------------------------------------
 
+def _consumption(graph: TimeGraph, arc: TimedArc) -> int:
+    """Steering minutes of `arc` as the dump writes them: a steering arc's
+    duration, -t_cs for a wait or deadhead of at least a break (it renews
+    continuous steering), else 0 (a depot arc lasts 0 minutes)."""
+    legal = graph.instance.legal
+    if arc.family == FAMILY_STEERING:
+        return arc.duration
+    return -legal.t_cs if arc.duration >= legal.t_b else 0
+
+
 def graph_to_dict(graph: TimeGraph) -> dict:
     return {
         "nodes": [{"id": n.id, "base": n.base, "time": n.time} for n in graph.nodes],
         "arcs": [
             {
                 "id": a.id, "tail": a.tail, "head": a.head, "mode": a.mode,
-                "family": a.family, "duration": a.duration, "consumption": a.consumption,
+                "family": a.family, "duration": a.duration, "consumption": _consumption(graph, a),
                 "ride": a.ride, "segment": a.segment, "leg": a.leg,
                 "station": a.station, "twin": a.twin,
             }

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import pytest
@@ -219,6 +220,31 @@ def test_filter_stations_zeta_zero():
     ))
     kept = filter_stations(inst)
     assert [a.station_id for a in kept.rides[0].stations[0]] == ["S0"]
+
+
+@pytest.mark.parametrize("policy, m_in, m_out, kept", [
+    ("regular_and_intermediate", 150, 155, True),   # detour 5, drives within t_cs
+    ("regular_and_intermediate", 275, 30, False),   # in-drive above t_cs
+    ("regular_and_intermediate", 30, 275, False),   # out-drive above t_cs
+    ("regular_stops", 150, 155, False),             # stations unused but under
+    ("none", 150, 155, False),                      # full exchange
+])
+def test_filter_stations_keeps_only_what_the_graph_can_use(policy, m_in, m_out, kept):
+    inst = replace(_with_station(m_in + m_out - 5, m_in, m_out, 10), exchange_policy=policy)
+    assert bool(filter_stations(inst).rides[0].stations[0]) == kept
+
+
+@pytest.mark.parametrize("policy, m_in, warned", [
+    ("regular_and_intermediate", 150, False),
+    ("regular_and_intermediate", 275, True),
+    ("regular_stops", 150, True),
+])
+def test_uncoverable_segment_warning_reads_filter_stations(caplog, policy, m_in, warned):
+    # a 300-minute leg needs a usable station to be split within t_cs = 270
+    inst = replace(_with_station(300, m_in, 305 - m_in, 10), exchange_policy=policy)
+    with caplog.at_level(logging.WARNING, logger="drsync"):
+        check_instance(inst)
+    assert ("likely infeasible" in caplog.text) == warned
 
 
 def test_filter_stations_idempotent(fig2):

@@ -13,7 +13,9 @@ from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, micro_suite, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.harness import method_config
-from drsync.instance import POLICIES, Instance, Ride, Stop, check_instance, decompose
+from drsync.instance import (
+    POLICIES, Instance, Ride, StationAccess, Stop, check_instance, decompose,
+)
 from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
 from drsync.pipeline import (
@@ -357,6 +359,32 @@ def test_ch_ls_runs_per_component():
     assert [p["closed"] for p in rep.parts] == ["ch_ls", "ch_ls", "open"]
     assert (rep.status, rep.dlb, rep.final_lb) == ("feasible", 6, 6)
     assert check_feasibility(rep.solution, inst) == []
+
+
+@pytest.mark.parametrize("policy, detour, parts", [
+    ("none", 5, 2), ("regular_stops", 5, 2), ("regular_and_intermediate", 15, 2),
+    ("regular_and_intermediate", 5, 1),
+])
+def test_only_a_station_the_graph_uses_ties_rides_into_one_part(monkeypatch, policy,
+                                                                 detour, parts):
+    # two rides on disjoint stops that share only station S, whose detour
+    # the limit of 10 admits or not: S ties them only where arcs visit it
+    constructed = []
+
+    def recording_construct(instance, graph):
+        constructed.append([r.id for r in instance.rides])
+        return construct(instance, graph)
+
+    monkeypatch.setattr(pipeline, "construct", recording_construct)
+    access = ((StationAccess("S", 30, 30 + detour),),)
+    inst = check_instance(Instance(
+        rides=(Ride("a", "L1", ("A", "B"), (480, 540), (60,), access),
+               Ride("b", "L2", ("C", "D"), (600, 660), (60,), access)),
+        stops=customer_stops("A", "B", "C", "D") + (Stop("S", "station"),),
+        theta_tw=10, zeta=10, ell=10, exchange_policy=policy))
+    rep = run(inst, DbmhConfig())
+    assert constructed == ([["a", "b"]] if parts == 1 else [["a"], ["b"]])
+    assert rep.status == "optimal" and check_feasibility(rep.solution, inst) == []
 
 
 @pytest.mark.parametrize("flags,report,nodes", [

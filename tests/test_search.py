@@ -170,7 +170,7 @@ def test_reassign_merges_drivers(sequential_pair):
     g = build_graph(sequential_pair)
     plan = construct(sequential_pair, g).plan
     pieces = plan_pieces(sequential_pair, g, plan)
-    routes = [assemble_route(g, [("steer", p.arc)]) for p in pieces]
+    routes = [assemble_route(g, [("steer", p.id)]) for p in pieces]
     arranged = Solution(g, routes, plan)
     assert arranged.objective == 2
     assert check_feasibility(arranged, sequential_pair, g) == []
@@ -286,7 +286,7 @@ def test_shifting_the_only_ride_keeps_objective_and_theta():
 
 def _one_driver_per_piece(inst, g, plan) -> Solution:
     """A solution the greedy did not build: each piece of `plan` its own driver."""
-    return Solution(g, [assemble_route(g, [("steer", p.arc)])
+    return Solution(g, [assemble_route(g, [("steer", p.id)])
                         for p in plan_pieces(inst, g, plan)], plan)
 
 
@@ -822,7 +822,7 @@ def test_link_matches_connect():
                  _none_policy((2, 2, 4), 1)):
         g = build_graph(inst)
         pieces = plan_pieces(inst, g, construct(inst, g).plan)
-        planner = ConnectionPlanner(inst, g, pieces)
+        planner = ConnectionPlanner(inst, pieces)
         seen = set()
         for a, pa in enumerate(pieces):
             for b, pb in enumerate(pieces):

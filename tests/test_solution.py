@@ -35,7 +35,7 @@ def manual_solution(inst, plan, piece_groups):
             p = pieces[i]
             if last is not None and last.end < p.start:
                 elements.append(("wait", last.to_base, last.end, p.start))
-            elements.append(("steer", p.arc))
+            elements.append(("steer", p.id))
             last = p
         routes.append(assemble_route(g, elements))
     return Solution(g, routes, plan), g
@@ -81,23 +81,23 @@ def test_deadhead_without_steered_twin_is_desync():
     # driver 0 steers ride a; driver 1 rides a bus that nobody steers
     # (the other time copy of the A->B leg), then steers ride b
     ghost = next(a for a in g.arcs if a.family == "steering"
-                 and a.ride == "a" and a.id != pieces[0].arc
+                 and a.ride == "a" and a.id != pieces[0].id
                  and g.nodes[a.tail].time == 485 and g.nodes[a.head].time == 545)
-    r0 = assemble_route(g, [("steer", pieces[0].arc)])
+    r0 = assemble_route(g, [("steer", pieces[0].id)])
     r1 = assemble_route(g, [
         ("wait", "A", 475, 485),
         ("deadhead", ghost.twin),
         ("wait", "B", 545, 555),
-        ("steer", pieces[1].arc),
+        ("steer", pieces[1].id),
     ])
     sol = Solution(g, [r0, r1], plan)
     kinds = [v.kind for v in check_feasibility(sol, inst, g)]
     assert "desync" in kinds
     # riding the bus that driver 0 actually steers is legal
     r1_ok = assemble_route(g, [
-        ("deadhead", g.arcs[pieces[0].arc].twin),
+        ("deadhead", pieces[0].twin),
         ("wait", "B", 535, 555),
-        ("steer", pieces[1].arc),
+        ("steer", pieces[1].id),
     ])
     sol_ok = Solution(g, [r0, r1_ok], plan)
     kinds_ok = [v.kind for v in check_feasibility(sol_ok, inst, g)]
@@ -243,7 +243,7 @@ def test_serialization_shape(fig2):
 def test_connect_edge_cases(sequential_pair, query, want):
     g = build_graph(sequential_pair)
     pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
-    assert ConnectionPlanner(sequential_pair, g, pieces).connect(*query) == want
+    assert ConnectionPlanner(sequential_pair, pieces).connect(*query) == want
 
 
 def test_connect_rides_a_carrier_then_waits(sequential_pair):
@@ -252,8 +252,8 @@ def test_connect_rides_a_carrier_then_waits(sequential_pair):
     g = build_graph(sequential_pair)
     pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
     a = next(p for p in pieces if p.ride == "a")
-    plan = [("deadhead", g.arcs[a.arc].twin), ("wait", "Q", a.end, 660)]
-    got = ConnectionPlanner(sequential_pair, g, pieces).connect("P", a.start, "Q", 660)
+    plan = [("deadhead", a.twin), ("wait", "Q", a.end, 660)]
+    got = ConnectionPlanner(sequential_pair, pieces).connect("P", a.start, "Q", 660)
     assert got == (True, True, plan)
 
 
@@ -263,10 +263,10 @@ def test_itinerary_cases(sequential_pair):
     a = next(p for p in plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
              if p.ride == "a")
     units = {"P": [(a.start, a.end, (a,))]}
-    hop = ("deadhead", g.arcs[a.arc].twin)
+    hop = ("deadhead", a.twin)
 
     def way(*query):
-        return itinerary(g, units, 45, *query)
+        return itinerary(units, 45, *query)
 
     # same base, no gap: the run carried in goes on, uncapped
     assert way("Q", 600, 100, "Q", 600) == (False, [], 100)
@@ -294,8 +294,8 @@ def test_itinerary_takes_a_renewing_way_first():
         stops=customer_stops("P", "Q"), theta_tw=0, zeta=0, ell=5))
     g = build_graph(inst)
     pieces = plan_pieces(inst, g, construct(inst, g).plan)
-    units = ConnectionPlanner(inst, g, pieces).units
+    units = ConnectionPlanner(inst, pieces).units
     y = next(p for p in pieces if p.ride == "y")
-    assert itinerary(g, units, 45, "P", 480, 0, "Q", 540) == (
-        True, [("wait", "P", 480, 525), ("deadhead", g.arcs[y.arc].twin),
+    assert itinerary(units, 45, "P", 480, 0, "Q", 540) == (
+        True, [("wait", "P", 480, 525), ("deadhead", y.twin),
                ("wait", "Q", 535, 540)], 0)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
+from drsync.instance import Instance, LegalParams, Ride, StationAccess, Stop, check_instance
 from drsync.pipeline import DbmhConfig, run
-from drsync.search import SearchConfig, construct, local_search
+from drsync.search import ConstructionError, SearchConfig, construct, local_search
+from drsync.solution import plan_pieces, ride_pieces
 from drsync.timegraph import (
     DEPOT,
     TimeGraph,
@@ -85,8 +86,8 @@ def test_long_wait_carries_renewal():
     ))
     g = build_graph(inst)
     # Q has copies at 535..605; the 535->545 gap is 10, 545->595 gap is 50
-    waits = [(a.duration, a.consumption) for a in g.arcs
-             if a.family == "waiting" and g.nodes[a.tail].base == "Q"]
+    waits = [(a["duration"], a["consumption"]) for a in graph_to_dict(g)["arcs"]
+             if a["family"] == "waiting" and g.nodes[a["tail"]].base == "Q"]
     assert (50, -inst.legal.t_cs) in waits
     assert (10, 0) in waits
 
@@ -103,6 +104,28 @@ def test_station_without_copies():
     g = build_graph(inst)
     assert "S" not in g.copies
     assert not [a for a in g.arcs if a.station == "S"]
+
+
+def test_no_arc_drives_to_a_station_copy_another_ride_made_past_the_cap():
+    # ride a's in-drive to S exceeds continuous steering; ride b makes the
+    # copy S@755 that a's in-leg from A@475 would end at. No arc may use
+    # a's access: a steering arc above t_cs fits no driver, and
+    # construction, which reads plans off the arcs, would hire drivers for
+    # it without end
+    inst = check_instance(Instance(
+        rides=(Ride("a", "L1", ("A", "B"), (480, 800), (320,),
+                    ((StationAccess("S", 280, 45),),)),
+               Ride("b", "L2", ("C", "D"), (730, 790), (60,),
+                    ((StationAccess("S", 30, 35),),))),
+        stops=customer_stops("A", "B", "C", "D") + (Stop("S", "station"),),
+        theta_tw=10, zeta=10, ell=10,
+    ))
+    g = build_graph(inst)
+    assert ("S", 755) in g.node_at
+    assert max(a.duration for a in g.arcs if a.family == "steering") <= inst.legal.t_cs
+    assert ("a", 0, "S") not in g.seg_in
+    with pytest.raises(ConstructionError):
+        construct(inst, g)
 
 
 def test_size_classes():
@@ -190,6 +213,8 @@ def test_arcs_from_one_tail_come_by_rising_head_time():
 
 
 def _assert_as_built(graph, instance):
+    # the solvers hold the graph's steering arcs as their pieces; the `arcs`
+    # slot compares every field of every arc, the located ends included
     fresh = build_graph(instance)
     assert graph_to_dict(graph) == graph_to_dict(fresh)
     for name in TimeGraph.__slots__:   # the indexes too
@@ -229,6 +254,53 @@ GRAPH_AND_INDEX_PINS = {
     ("ladder", "regular_and_intermediate"):
         "2980c2d9de4b222a96839f3f81d3ac64973415077d269a6e4b0c00825d1ed193",
 }
+
+
+def _located_end_instances():
+    """micro_suite(100), the ladder and four wide-window instances with
+    three stations a segment, whose legs of up to 260 minutes against a
+    continuous-steering cap of 200 need stations."""
+    insts = [inst for _name, inst in micro_suite(100)]
+    insts += [generate_synthetic(GeneratorConfig(*shape), 7)[0] for shape in LADDER]
+    wide = GeneratorConfig(2, 3, 3, stations_per_segment=3, drive_min=120, drive_max=260,
+                           theta_tw=30, zeta=30, ell=5)
+    insts += [replace(generate_synthetic(wide, seed)[0], legal=LegalParams(t_cs=200))
+              for seed in range(4)]
+    return insts
+
+
+def test_every_arc_carries_its_located_ends():
+    families = set()
+    for inst in _located_end_instances():
+        g = build_graph(inst)
+        for a in g.arcs:
+            tail, head = g.nodes[a.tail], g.nodes[a.head]
+            assert (a.from_base, a.start, a.to_base, a.end) == \
+                (tail.base, tail.time, head.base, head.time)
+            if a.family == "depot":
+                assert (DEPOT, None) in ((a.from_base, a.start), (a.to_base, a.end))
+            else:
+                assert a.end - a.start == a.duration
+            families.add(a.family)
+    assert families == {"steering", "deadhead", "waiting", "depot"}
+
+
+def test_pieces_are_the_graphs_own_steering_arcs():
+    via = 0
+    for inst in _located_end_instances():
+        g = build_graph(inst)
+        try:
+            plan = construct(inst, g).plan
+        except ConstructionError:
+            continue
+        pieces = plan_pieces(inst, g, plan)
+        assert all(p is g.arcs[p.id] and p.family == "steering" for p in pieces)
+        via += sum(p.station is not None for p in pieces)
+        for ride in inst.rides:
+            own = ride_pieces(g, ride, plan[ride.id])
+            assert all(p is g.arcs[p.id] for p in own)
+            assert own == [p for p in pieces if p.ride == ride.id]
+    assert via > 0
 
 
 def _graph_digest(g) -> str:
