@@ -27,7 +27,7 @@ from .instance import (
 )
 from .pipeline import DbmhConfig, RunReport, run
 from .search import ConstructionError
-from .timegraph import build_graph, graph_stats, size_class
+from .timegraph import size_class
 
 METHOD_DBMH = "dbmh"
 METHOD_CH_LS = "ch_ls"
@@ -125,10 +125,6 @@ def update_best_known(suite_dir: str, proven: dict[str, int]) -> dict[str, int]:
     return best
 
 
-def _size_class(inst: Instance) -> str:
-    return graph_stats(build_graph(inst)).size_class
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -164,8 +160,9 @@ def run_suite(
                 try:
                     rep = run(inst, replace(cfg, seed=seed), instance_id=iid)
                 except (InstanceError, ValueError):
+                    # no graph of an instance that failed: no size class either
                     rows.append({
-                        "label": label, "instance": iid, "size_class": _size_class(inst),
+                        "label": label, "instance": iid, "size_class": "",
                         "seed": seed, "status": "error", "report": None,
                     })
                     continue

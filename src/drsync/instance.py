@@ -369,7 +369,8 @@ def filter_stations(inst: Instance) -> Instance:
     each within continuous steering.
 
     Pure: a ride that keeps every station comes back as the same object, and
-    so does the instance when nothing is dropped.
+    so does the instance when nothing is dropped, which one walk over the
+    accesses and the station stops finds out.
     """
     zeta, t_cs = inst.zeta, inst.legal.t_cs
     full = inst.exchange_policy == POLICY_FULL
@@ -378,6 +379,17 @@ def filter_stations(inst: Instance) -> Instance:
         return (full and acc.detour(direct) <= zeta
                 and acc.minutes_in <= t_cs and acc.minutes_out <= t_cs)
 
+    reached = set()
+    every = True    # every access is usable
+    for r in inst.rides:
+        for d, seg in zip(r.segment_minutes, r.stations):
+            for a in seg:
+                if usable(a, d):
+                    reached.add(a.station_id)
+                else:
+                    every = False
+    if every and all(s.id in reached for s in inst.stops if s.kind != "customer"):
+        return inst
     rides = []
     for r in inst.rides:
         if all(usable(a, d) for d, seg in zip(r.segment_minutes, r.stations) for a in seg):
@@ -390,23 +402,23 @@ def filter_stations(inst: Instance) -> Instance:
     referenced |= {a.station_id for r in rides for seg in r.stations for a in seg}
     stops = tuple(s for s in inst.stops if s.kind == "customer" or s.id in referenced)
     if len(stops) == len(inst.stops) and all(a is b for a, b in zip(rides, inst.rides)):
-        return inst
+        return inst   # only a station used as a ride's stop, which validation rejects
     return replace(inst, rides=tuple(rides), stops=stops)
 
 
 def _ride_footprint(ride: Ride) -> set[str]:
     ids = set(ride.stops)
     for seg in ride.stations:
-        ids.update(a.station_id for a in seg)
+        for a in seg:
+            ids.add(a.station_id)
     return ids
 
 
-def _sub_instance(inst: Instance, rides: list[Ride]) -> Instance:
-    used = set()
-    for r in rides:
-        used |= _ride_footprint(r)
-    stops = tuple(s for s in inst.stops if s.id in used)
-    return replace(inst, rides=tuple(rides), stops=stops)
+def _sub_instance(inst: Instance, rides: list[Ride], used: set[str]) -> Instance:
+    """`inst` cut down to `rides` and the stops and stations in `used`."""
+    return Instance(rides=tuple(rides), stops=tuple([s for s in inst.stops if s.id in used]),
+                    legal=inst.legal, theta_tw=inst.theta_tw, zeta=inst.zeta, ell=inst.ell,
+                    exchange_policy=inst.exchange_policy)
 
 
 def decompose(inst: Instance) -> list[Instance]:
@@ -428,20 +440,26 @@ def decompose(inst: Instance) -> list[Instance]:
             i = parent[i]
         return i
 
+    footprints = [_ride_footprint(r) for r in inst.rides]
     owner: dict[str, int] = {}
-    for idx, r in enumerate(inst.rides):
-        for sid in _ride_footprint(r):
-            if sid in owner:
-                ra, rb = find(owner[sid]), find(idx)
+    for idx, ids in enumerate(footprints):
+        for sid in ids:
+            first = owner.setdefault(sid, idx)
+            if first != idx:
+                ra, rb = find(first), find(idx)
                 if ra != rb:
                     parent[rb] = ra
-            else:
-                owner[sid] = idx
 
-    groups: dict[int, list[Ride]] = {}
-    for idx, r in enumerate(inst.rides):
-        groups.setdefault(find(idx), []).append(r)
-    return [_sub_instance(inst, rides) for _, rides in sorted(groups.items())]
+    groups: dict[int, tuple[list[Ride], set[str]]] = {}
+    for idx, (r, ids) in enumerate(zip(inst.rides, footprints)):
+        root = find(idx)
+        if root in groups:
+            rides, used = groups[root]
+            rides.append(r)
+            used |= ids
+        else:
+            groups[root] = ([r], ids)
+    return [_sub_instance(inst, rides, used) for _, (rides, used) in sorted(groups.items())]
 
 
 def split_by_line(inst: Instance) -> list[Instance]:
@@ -449,4 +467,5 @@ def split_by_line(inst: Instance) -> list[Instance]:
     by_line: dict[str, list[Ride]] = {}
     for r in inst.rides:
         by_line.setdefault(r.line_id, []).append(r)
-    return [_sub_instance(inst, rides) for rides in by_line.values()]
+    return [_sub_instance(inst, rides, set().union(*map(_ride_footprint, rides)))
+            for rides in by_line.values()]

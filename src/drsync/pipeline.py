@@ -11,7 +11,7 @@ The two cheap bounds, lb1 and lb2, come with the graph; the time-window
 sweep lb3 (``compute_bounds``) runs after CH+LS, and only if there is no
 incumbent or it misses max(lb1, lb2). lb3 is at least that maximum and at
 most the optimum, so an incumbent that meets it fixes lb3 there and the
-sweep could change no output.
+sweep could change no output. The rule holds for each component too.
 
 Right after the whole instance's graph, the instance the graph was built
 from (the one ``instance.filter_stations`` leaves) is split into its
@@ -21,10 +21,12 @@ stage works on each component in turn over the one time graph:
 construction, then local search, DBI and the exact solve, each with
 an equal share of the stage's time left, so time one leaves unused rolls on
 to the next. The run's solution joins the components' routes and plans. If
-it meets the whole instance's constructive bound the run stops there;
-otherwise each component gets its own constructive bounds and model, and
-one whose incumbent meets its bound is closed. dLB is the larger of the
-whole instance's constructive bound and the sum of the components' dLBs.
+it meets the whole instance's constructive bound the run stops there.
+Otherwise a component whose incumbent meets its own max(lb1, lb2) is
+closed at that value, with no sweep and no model; every other component
+gets its own constructive bounds and model, and one whose incumbent meets
+its bound is closed. dLB is the larger of the whole instance's
+constructive bound and the sum of the components' dLBs.
 An instance that does not split is one component, which differs from the
 instance only in the stops no ride uses and the station accesses no arc
 uses.
@@ -172,7 +174,7 @@ class _Part:
 
     instance: Instance
     best: Solution | None = None
-    model: Model | None = None  # built once the run is past the whole clb
+    model: Model | None = None  # built past the whole clb, unless max(lb1, lb2) closes it
     lb: int = 0                # its constructive bound, raised by DBI
     closed: str | None = None  # the stage that proved `best` optimal
 
@@ -304,6 +306,11 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     t = _time.monotonic()
     bounded = True
     for part in parts:
+        # lb3 is swept only if it can matter, here as for the whole instance
+        if part.best is not None and part.best.objective == max(
+                lower_bound_steering(part.instance), lower_bound_parallel(part.instance)):
+            part.lb, part.closed = part.best.objective, FOUND_CH_LS
+            continue
         part.model = build_model(part.instance, graph, compute_bounds(part.instance))
         part.lb = part.model.bounds.lb
         if part.best is not None and part.best.objective == part.lb:

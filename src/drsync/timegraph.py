@@ -129,31 +129,36 @@ def build_graph(instance: Instance) -> TimeGraph:
     """
     inst = filter_stations(instance)
     g = TimeGraph(inst)
-    nodes, arcs, node_at, copies, steer_idx = g.nodes, g.arcs, g.node_at, g.copies, g.steer_idx
-    t_cs = inst.legal.t_cs
+    nodes, arcs, node_at, steer_idx = g.nodes, g.arcs, g.node_at, g.steer_idx
+    t_cs, half, ell = inst.legal.t_cs, inst.theta_tw // 2, inst.ell
+    copies = g.copies
+    late: set[str] = set()   # bases with a copy made after a later one: to sort
 
-    # per ride and stop: its departure window, and its grid as (minute, node id)
-    windows = [[inst.window(tau) for tau in ride.departures] for ride in inst.rides]
+    # per ride and stop: its grid as (minute, node id)
     grids = []
     g.source = 0
     nodes.append(TimedNode(0, DEPOT, None))
     # customer copies first so their ids precede every station copy
-    for ride, wins in zip(inst.rides, windows):
+    for ride in inst.rides:
         ride_grids = []
-        for base, win in zip(ride.stops, wins):
+        for base, tau in zip(ride.stops, ride.departures):
             grid = []
-            for t in win.grid(inst.ell):
-                nid = node_at.get((base, t))
+            at_base = copies.setdefault(base, [])   # a first visit makes copies
+            for t in range(tau - half, tau + half + 1, ell):
+                key = (base, t)
+                nid = node_at.get(key)
                 if nid is None:
-                    nid = node_at[(base, t)] = len(nodes)
+                    nid = node_at[key] = len(nodes)
                     nodes.append(TimedNode(nid, base, t))
-                    copies.setdefault(base, []).append(nid)
+                    if at_base and nodes[at_base[-1]].time > t:
+                        late.add(base)
+                    at_base.append(nid)
                 grid.append((t, nid))
             ride_grids.append(grid)
         grids.append(ride_grids)
-    for ride, wins, ride_grids in zip(inst.rides, windows, grids):
+    for ride, ride_grids in zip(inst.rides, grids):
         for k, accs in enumerate(ride.stations):
-            succ_latest = wins[k + 1].latest
+            succ_latest = ride.departures[k + 1] + half
             for acc in accs:
                 station = acc.station_id
                 for t, _tail in ride_grids[k]:
@@ -163,22 +168,32 @@ def build_graph(instance: Instance) -> TimeGraph:
                     if (station, ts) not in node_at:
                         nid = node_at[(station, ts)] = len(nodes)
                         nodes.append(TimedNode(nid, station, ts))
-                        copies.setdefault(station, []).append(nid)
+                        at_base = copies.setdefault(station, [])
+                        if at_base and nodes[at_base[-1]].time > ts:
+                            late.add(station)
+                        at_base.append(nid)
     g.sink = len(nodes)
     nodes.append(TimedNode(g.sink, DEPOT, None))
-    for ids in copies.values():
-        ids.sort(key=lambda nid: nodes[nid].time)
 
-    def steer_pair(tail, a, tail_t, head, b, head_t, ride, seg, leg, station=None):
-        """The steering arc from `a` to `b` and its deadhead twin, built once each."""
-        dur = head_t - tail_t
-        sid = len(arcs)
-        arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, a, tail_t, b, head_t,
-                             ride, seg, leg, station, sid + 1))
-        arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur, a, tail_t, b, head_t,
-                             ride, seg, leg, station, sid))
-        steer_idx[(ride, seg, leg, station, tail_t, head_t)] = sid
-        return sid
+    def fan(tail, a, t, heads, b, drive, rid, k, leg, station, ids):
+        """The steering arcs, each followed by its deadhead twin, from `tail`
+        (base `a` at minute `t`) to every copy of `heads` (base `b`, by
+        rising minute) that a drive of `drive` minutes reaches within
+        continuous steering; their ids go to `ids`."""
+        lo, hi = t + drive, t + t_cs
+        for t2, head in heads:
+            if t2 > hi:
+                break
+            if t2 < lo:
+                continue
+            dur = t2 - t
+            sid = len(arcs)
+            arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, a, t, b, t2,
+                                 rid, k, leg, station, sid + 1))
+            arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur, a, t, b, t2,
+                                 rid, k, leg, station, sid))
+            steer_idx[(rid, k, leg, station, t, t2)] = sid
+            ids.append(sid)
 
     for ride, ride_grids in zip(inst.rides, grids):
         rid = ride.id
@@ -187,10 +202,7 @@ def build_graph(instance: Instance) -> TimeGraph:
             pred_grid, succ_grid = ride_grids[k], ride_grids[k + 1]
             ids = g.seg_direct[(rid, k)] = []
             for t, tail in pred_grid:
-                for t2, head in succ_grid:
-                    if t2 < t + direct or t2 - t > t_cs:
-                        continue
-                    ids.append(steer_pair(tail, a, t, head, b, t2, rid, k, LEG_DIRECT))
+                fan(tail, a, t, succ_grid, b, direct, rid, k, LEG_DIRECT, None, ids)
             for acc in ride.stations[k]:
                 station = acc.station_id
                 ins: list[int] = []
@@ -200,31 +212,32 @@ def build_graph(instance: Instance) -> TimeGraph:
                     snode = node_at.get((station, ts))
                     if snode is None:
                         continue
-                    ins.append(steer_pair(tail, a, t, snode, station, ts, rid, k, LEG_IN, station))
-                    for t2, head in succ_grid:
-                        if t2 < ts + acc.minutes_out or t2 - ts > t_cs:
-                            continue
-                        outs.append(steer_pair(snode, station, ts, head, b, t2,
-                                               rid, k, LEG_OUT, station))
+                    # the in-drive is within t_cs (filter_stations)
+                    fan(tail, a, t, ((ts, snode),), station, acc.minutes_in,
+                        rid, k, LEG_IN, station, ins)
+                    fan(snode, station, ts, succ_grid, b, acc.minutes_out,
+                        rid, k, LEG_OUT, station, outs)
                 if ins:
                     g.seg_in[(rid, k, station)] = ins
                     g.seg_out[(rid, k, station)] = outs
 
-    for base, ids in copies.items():  # insertion order: deterministic
+    # the waiting chains, in the insertion order of `copies`, each by rising
+    # minute; a base whose copies were made in time order needs no sort
+    for base, ids in copies.items():
+        if base in late:
+            ids.sort(key=lambda nid: nodes[nid].time)
         for n, m in zip(ids, ids[1:]):
             t, t2 = nodes[n].time, nodes[m].time
             aid = g.wait_next[n] = len(arcs)
             arcs.append(TimedArc(aid, n, m, 0, FAMILY_WAITING, t2 - t, base, t, base, t2))
 
-    for node in nodes:
-        if node.base == DEPOT:
-            continue
-        aid = g.depot_out[node.id] = len(arcs)
-        arcs.append(TimedArc(aid, g.source, node.id, 0, FAMILY_DEPOT, 0,
-                             DEPOT, None, node.base, node.time))
-        g.depot_in[node.id] = aid + 1
-        arcs.append(TimedArc(aid + 1, node.id, g.sink, 0, FAMILY_DEPOT, 0,
-                             node.base, node.time, DEPOT, None))
+    source, sink, depot_out, depot_in = g.source, g.sink, g.depot_out, g.depot_in
+    for node in nodes[1:-1]:   # every node but the source and the sink
+        nid, base, t = node.id, node.base, node.time
+        aid = depot_out[nid] = len(arcs)
+        arcs.append(TimedArc(aid, source, nid, 0, FAMILY_DEPOT, 0, DEPOT, None, base, t))
+        depot_in[nid] = aid + 1
+        arcs.append(TimedArc(aid + 1, nid, sink, 0, FAMILY_DEPOT, 0, base, t, DEPOT, None))
     return g
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from bisect import bisect_left
 from dataclasses import replace
@@ -346,3 +348,30 @@ def test_lb3_sweep_prunes_only_dominated_ends(policy):
                                    zeta=0, ell=10, exchange_policy=policy))
     assert lower_bound_windows(inst) == (3, ((300, 1049, 3),))
     assert _naive_lb3(inst) == 3
+
+
+LB3_PINS = {
+    "none": "a358896792ba323959fda7ee08ed07865834ea637812bfc7d4fc119522c0d82e",
+    "regular_stops": "0df14f6f50c642dc196b285a99a2b55158b39290c0a8f37efad3df08252bea18",
+    "regular_and_intermediate":
+        "0df14f6f50c642dc196b285a99a2b55158b39290c0a8f37efad3df08252bea18",
+}
+LADDER = ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lb3_values_and_window_chains_are_pinned(policy):
+    # the sweep's whole output, lb3 and the chain of windows that
+    # `drsync bounds` prints, on micro_suite(300), the ladder at seeds 7-8
+    # and the micro shapes under TIGHT. Only "none" weighs crews, so the two
+    # exchange policies share a digest
+    instances = [check_instance(replace(inst, exchange_policy=policy))
+                 for _name, inst in micro_suite(300)]
+    instances += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+                  for shape in LADDER for seed in (7, 8)]
+    instances += [generate_synthetic(_shape(cfg, policy, TIGHT), seed)[0]
+                  for cfg in MICRO_SHAPES for seed in range(6)]
+    h = hashlib.sha256()
+    for inst in instances:
+        h.update(json.dumps(lower_bound_windows(inst)).encode())
+    assert h.hexdigest() == LB3_PINS[policy]

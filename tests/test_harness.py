@@ -22,6 +22,8 @@ from drsync.harness import (
     cmd_sweep,
     config_from_dict,
     config_to_dict,
+    run_suite,
+    tabulate_rows,
 )
 from drsync.instance import Instance, Ride, check_instance, save_instance
 from drsync.oracle import brute_force
@@ -151,6 +153,26 @@ def test_bench_empty_suite(tmp_path):
     cmd_bench(suite, str(tmp_path / "out"), DbmhConfig(), runs=1, methods=["dbmh"])
     lines = (tmp_path / "out" / "bench.csv").read_text().splitlines()
     assert len(lines) == 1    # header only
+
+
+def test_a_run_that_fails_validation_is_an_error_row():
+    # one stations entry too many, and one departure too few: validation
+    # rejects both, and no time graph of either can be built to size it
+    ok = Ride("r", "L", ("A", "B"), (480, 540), (60,), ((),))
+    malformed = [
+        ("extra-stations", dataclasses.replace(ok, stations=((), ()))),
+        ("short-departures", dataclasses.replace(ok, departures=(480,))),
+    ]
+    instances = [(iid, Instance(rides=(ride,), stops=customer_stops("A", "B")))
+                 for iid, ride in malformed]
+    rows, proven = run_suite(instances, {"dbmh": DbmhConfig()}, [0])
+    assert [(r["instance"], r["size_class"], r["status"]) for r in rows] == [
+        ("extra-stations", "", "error"), ("short-departures", "", "error")]
+    assert proven == {}
+    (_header, detail), _agg, _timing, _agg_timing = tabulate_rows(rows, {})
+    assert [row[:5] for row in detail] == [
+        ["dbmh", "", "extra-stations", 0, "error"],
+        ["dbmh", "", "short-departures", 0, "error"]]
 
 
 def test_best_known_only_updated_by_proven(tmp_path):

@@ -231,7 +231,13 @@ def test_filter_stations_zeta_zero():
 ])
 def test_filter_stations_keeps_only_what_the_graph_can_use(policy, m_in, m_out, kept):
     inst = replace(_with_station(m_in + m_out - 5, m_in, m_out, 10), exchange_policy=policy)
-    assert bool(filter_stations(inst).rides[0].stations[0]) == kept
+    out = filter_stations(inst)
+    assert bool(out.rides[0].stations[0]) == kept
+    # with nothing to drop the instance comes back as the same object
+    assert (out is inst) == kept
+    # a station stop that no access reaches is dropped all the same
+    idle = replace(inst, stops=inst.stops + (Stop("T", "station"),))
+    assert [s.id for s in filter_stations(idle).stops] == ["A", "B"] + ["S"] * kept
 
 
 @pytest.mark.parametrize("policy, m_in, warned", [

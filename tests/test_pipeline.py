@@ -9,12 +9,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drsync import pipeline
-from drsync.bounds import compute_bounds
+from drsync.bounds import compute_bounds, lower_bound_parallel, lower_bound_steering
 from drsync.fixtures import gap_fixture, micro_suite, postpone_fixture, station_exchange_fixture
 from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.harness import method_config
 from drsync.instance import (
-    POLICIES, Instance, Ride, StationAccess, Stop, check_instance, decompose,
+    POLICIES, Instance, Ride, StationAccess, Stop, check_instance, decompose, filter_stations,
 )
 from drsync.mip import SolveOutcome, build_model
 from drsync.oracle import brute_force
@@ -157,6 +157,47 @@ def test_reported_bounds_are_those_of_the_full_sweep():
         assert rep.dlb == max(b.lb, parts)
         branches[rep.objective == max(b.lb1, b.lb2)] += 1
     assert branches[True] and branches[False], branches
+
+
+def test_a_part_closed_at_its_cheap_bounds_is_not_swept(monkeypatch):
+    # past the whole clb, a part whose CH+LS incumbent meets its own
+    # max(lb1, lb2) is closed there with no lb3 sweep and no model; every
+    # other part is swept and modelled, in part order, after the whole
+    # instance's one sweep. The reports themselves are PIPELINE_PINS'
+    swept, modelled = [], []
+
+    def sweep(instance):
+        swept.append(instance)
+        return compute_bounds(instance)
+
+    def model(instance, graph, bounds):
+        modelled.append(instance)
+        return build_model(instance, graph, bounds)
+
+    monkeypatch.setattr(pipeline, "compute_bounds", sweep)
+    monkeypatch.setattr(pipeline, "build_model", model)
+    closed_by = {"cheap": 0, "lb3": 0}
+    for _name, base in micro_suite(300):
+        for policy in POLICIES:
+            inst = check_instance(dataclasses.replace(base, exchange_policy=policy))
+            swept.clear()
+            modelled.clear()
+            rep = run(inst, DbmhConfig())
+            if not rep.parts:
+                continue
+            parts = decompose(filter_stations(inst))
+            assert len(parts) == len(rep.parts)
+            kept = []
+            for part, report in zip(parts, rep.parts):
+                cheap = max(lower_bound_steering(part), lower_bound_parallel(part))
+                if report["objective"] == cheap:
+                    assert (report["closed"], report["dlb"]) == ("ch_ls", cheap)
+                    closed_by["cheap"] += 1
+                else:
+                    kept.append(part)
+                    closed_by["lb3"] += report["closed"] == "ch_ls"
+            assert swept == [inst] + kept and modelled == kept
+    assert closed_by["cheap"] and closed_by["lb3"], closed_by
 
 
 def test_no_exchange_library_closes_at_the_constructive_bound():
