@@ -85,16 +85,9 @@ sweeps the window ends with the running slope of ``m(a, .)``, which rises
 by one at ``e - max(0, d - (a - s)+)`` and falls by one at ``e`` for each
 leg; a window ``[a, b]`` extends the best chain whose last window ends
 before ``a - t_dw``. It keeps one best chain per window end, so its state
-grows with the number of legs, not of windows.
-
-The falls never move, so each window end carries the count and the sum
-of the falls up to it, computed once. A leg's rise stays at ``e - d``
-while ``a <= s``, moves on with a while ``s < a < s + d``, and rests at
-``e`` once ``a >= s + d``, where it cancels the leg's fall. So the rises
-live in two sorted lists: the resting ones, and ``e - d - s`` of the
-moving ones, whose rise is that plus a. A leg moves from the first list
-to the second as a passes s and back as a reaches ``s + d``: two updates
-per leg over the whole sweep, and no list is rebuilt or sorted per start.
+grows with the number of legs, not of windows. At each leg start it
+rebuilds and sorts the rises and the falls of the legs that still have
+mandatory minutes after it.
 
 A leg start a whose best earlier chain has the same value as that of the
 leg start a' swept before it sweeps only the ends b with ``cap(b - a) <
@@ -108,7 +101,7 @@ start with that chain value, which swept every end.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,36 +276,19 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
     leg_ends = {e for _s, _d, e in legs}
     ends = sorted(leg_ends.union(peaks))
     end_pos = {t: j for j, t in enumerate(ends)}
-    # m(a, b) sums (b - rise)+ - (b - e)+ over the legs; each steering
-    # window end carries the count and the sum of the falls e up to it
-    falls = sorted(e for _s, _d, e in legs)
-    sweep = []
-    n_falls = sum_falls = 0
-    for j, t in enumerate(ends):
-        if t in leg_ends:
-            while n_falls < len(falls) and falls[n_falls] <= t:
-                sum_falls += falls[n_falls]
-                n_falls += 1
-            sweep.append((t, j, n_falls, sum_falls))
-    sweep_t = [t for t, _j, _n, _sum in sweep]
-    # the rises, e - max(0, d - (a - s)+): `fixed` holds those that rest,
-    # `moving` e - d - s of those that move with a (module docstring).
-    # Every list below ends in `stop`, past every a, b and b - a, so no
-    # walk over one needs a bounds check
-    stop = max(last, last - first) + 1
-    fixed = sorted(e - d for _s, d, e in legs) + [stop]
-    moving = [stop]
-    # (s, e - d, e - d - s) by s, and (s + d, e - d - s, e) by s + d
-    opening = [(s, e - d, e - d - s) for s, d, e in legs] + [(stop,)]
-    spent = sorted((s + d, e - d - s, e) for s, d, e in legs) + [(stop,)]
-    opened = done = 0       # opening[:opened] have s < a, spent[:done] s + d <= a
+    sweep = [(t, j) for j, t in enumerate(ends) if t in leg_ends]   # steering windows end here
+    sweep_t = [t for t, _j in sweep]
     best = [0] * len(ends)               # best chain whose last window ends at ends[j]
     chain: list[tuple | None] = [None] * len(ends)   # its windows, latest first
     f, f_chain = 0, None                 # best chain over ends[:closed]
-    closed, n_ends = 0, len(ends)
-    swept_f = None                       # f when the last leg start was swept
+    closed = 0
+    rise_at = [e - d for _s, d, e in legs]   # where m(a, .) starts to rise, for s >= a
+    fall_at = [e for _s, _d, e in legs]
+    begun: list[tuple[int, int, int]] = []   # legs with s < a and minutes left after a
+    opened = 0                               # legs[:opened] have s < a
+    swept_f = None                           # f when the last leg start was swept
     for a in sorted(leg_starts.union(peaks)):
-        while closed < n_ends and ends[closed] < a - t_dw:
+        while closed < len(ends) and ends[closed] < a - t_dw:
             if best[closed] > f:
                 f, f_chain = best[closed], chain[closed]
             closed += 1
@@ -324,37 +300,34 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
                 chain[j] = ((a, a, level), f_chain)
         if a not in leg_starts:
             continue
-        while opening[opened][0] < a:
-            _s, rise, key = opening[opened]
-            del fixed[bisect_left(fixed, rise)]
-            insort(moving, key)
+        while opened < len(legs) and legs[opened][0] < a:
+            begun.append(legs[opened])
             opened += 1
-        while spent[done][0] <= a:
-            _end, key, e = spent[done]   # d > 0, so this leg is open
-            del moving[bisect_left(moving, key)]
-            insort(fixed, e)
-            done += 1
-        i_x = i_m = 0
-        sum_x = sum_m = 0
+        begun = [leg for leg in begun if leg[0] + leg[1] > a]
+        rises = sorted([e - d + a - s for s, d, e in begun] + rise_at[opened:])
+        falls = sorted([e for _s, _d, e in begun] + fall_at[opened:])
+        n_rises, n_falls = len(rises), len(falls)
+        ir = i_f = 0
+        sum_r = sum_f = 0
         # with the chain value unchanged, ends past the saturated cap are
         # dominated by the start before (module docstring)
         hi = len(sweep) if f != swept_f else bisect_right(sweep_t, a + n_caps - 2)
         swept_f = f
-        for b, j, n_falls, sum_falls in sweep[bisect_right(sweep_t, a):hi]:
-            w = b - a
-            while fixed[i_x] <= b:
-                sum_x += fixed[i_x]
-                i_x += 1
-            while moving[i_m] <= w:
-                sum_m += moving[i_m]
-                i_m += 1
-            minutes = (i_x + i_m - n_falls) * b - sum_x - sum_m - i_m * a + sum_falls
+        for b, j in sweep[bisect_right(sweep_t, a):hi]:
+            while ir < n_rises and rises[ir] <= b:
+                sum_r += rises[ir]
+                ir += 1
+            while i_f < n_falls and falls[i_f] <= b:
+                sum_f += falls[i_f]
+                i_f += 1
+            minutes = (ir - i_f) * b - sum_r + sum_f
             if minutes > 0:
+                w = b - a
                 v = f - (-minutes // (caps[w] if w < n_caps else t_ds))
                 if v > best[j]:
                     best[j] = v
                     chain[j] = ((a, b, v - f), f_chain)
-    for j in range(closed, n_ends):
+    for j in range(closed, len(ends)):
         if best[j] > f:
             f, f_chain = best[j], chain[j]
     windows: list[Window] = []

@@ -369,8 +369,8 @@ def filter_stations(inst: Instance) -> Instance:
     each within continuous steering.
 
     Pure: a ride that keeps every station comes back as the same object, and
-    so does the instance when nothing is dropped, which one walk over the
-    accesses and the station stops finds out.
+    so does the instance when nothing is dropped. One walk over the accesses
+    finds both the usable ones and the stations they reach.
     """
     zeta, t_cs = inst.zeta, inst.legal.t_cs
     full = inst.exchange_policy == POLICY_FULL
@@ -379,30 +379,24 @@ def filter_stations(inst: Instance) -> Instance:
         return (full and acc.detour(direct) <= zeta
                 and acc.minutes_in <= t_cs and acc.minutes_out <= t_cs)
 
-    reached = set()
-    every = True    # every access is usable
+    rides, reached, changed = [], set(), False
     for r in inst.rides:
+        reached.update(r.stops)
+        keep = True     # every access of r is usable
         for d, seg in zip(r.segment_minutes, r.stations):
             for a in seg:
                 if usable(a, d):
                     reached.add(a.station_id)
                 else:
-                    every = False
-    if every and all(s.id in reached for s in inst.stops if s.kind != "customer"):
+                    keep = False
+        if not keep:
+            r, changed = replace(r, stations=tuple(
+                tuple(a for a in seg if usable(a, d))
+                for d, seg in zip(r.segment_minutes, r.stations))), True
+        rides.append(r)
+    stops = tuple([s for s in inst.stops if s.kind == "customer" or s.id in reached])
+    if not changed and len(stops) == len(inst.stops):
         return inst
-    rides = []
-    for r in inst.rides:
-        if all(usable(a, d) for d, seg in zip(r.segment_minutes, r.stations) for a in seg):
-            rides.append(r)
-            continue
-        segs = tuple(tuple(a for a in seg if usable(a, d))
-                     for d, seg in zip(r.segment_minutes, r.stations))
-        rides.append(replace(r, stations=segs))
-    referenced = {sid for r in rides for sid in r.stops}
-    referenced |= {a.station_id for r in rides for seg in r.stations for a in seg}
-    stops = tuple(s for s in inst.stops if s.kind == "customer" or s.id in referenced)
-    if len(stops) == len(inst.stops) and all(a is b for a, b in zip(rides, inst.rides)):
-        return inst   # only a station used as a ride's stop, which validation rejects
     return replace(inst, rides=tuple(rides), stops=stops)
 
 
@@ -416,9 +410,7 @@ def _ride_footprint(ride: Ride) -> set[str]:
 
 def _sub_instance(inst: Instance, rides: list[Ride], used: set[str]) -> Instance:
     """`inst` cut down to `rides` and the stops and stations in `used`."""
-    return Instance(rides=tuple(rides), stops=tuple([s for s in inst.stops if s.id in used]),
-                    legal=inst.legal, theta_tw=inst.theta_tw, zeta=inst.zeta, ell=inst.ell,
-                    exchange_policy=inst.exchange_policy)
+    return replace(inst, rides=tuple(rides), stops=tuple(s for s in inst.stops if s.id in used))
 
 
 def decompose(inst: Instance) -> list[Instance]:

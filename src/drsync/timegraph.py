@@ -129,10 +129,8 @@ def build_graph(instance: Instance) -> TimeGraph:
     """
     inst = filter_stations(instance)
     g = TimeGraph(inst)
-    nodes, arcs, node_at, steer_idx = g.nodes, g.arcs, g.node_at, g.steer_idx
+    nodes, arcs, node_at, copies, steer_idx = g.nodes, g.arcs, g.node_at, g.copies, g.steer_idx
     t_cs, half, ell = inst.legal.t_cs, inst.theta_tw // 2, inst.ell
-    copies = g.copies
-    late: set[str] = set()   # bases with a copy made after a later one: to sort
 
     # per ride and stop: its grid as (minute, node id)
     grids = []
@@ -143,15 +141,13 @@ def build_graph(instance: Instance) -> TimeGraph:
         ride_grids = []
         for base, tau in zip(ride.stops, ride.departures):
             grid = []
-            at_base = copies.setdefault(base, [])   # a first visit makes copies
+            at_base = copies.setdefault(base, [])   # a first visit makes a copy
             for t in range(tau - half, tau + half + 1, ell):
                 key = (base, t)
                 nid = node_at.get(key)
                 if nid is None:
                     nid = node_at[key] = len(nodes)
                     nodes.append(TimedNode(nid, base, t))
-                    if at_base and nodes[at_base[-1]].time > t:
-                        late.add(base)
                     at_base.append(nid)
                 grid.append((t, nid))
             ride_grids.append(grid)
@@ -168,12 +164,11 @@ def build_graph(instance: Instance) -> TimeGraph:
                     if (station, ts) not in node_at:
                         nid = node_at[(station, ts)] = len(nodes)
                         nodes.append(TimedNode(nid, station, ts))
-                        at_base = copies.setdefault(station, [])
-                        if at_base and nodes[at_base[-1]].time > ts:
-                            late.add(station)
-                        at_base.append(nid)
+                        copies.setdefault(station, []).append(nid)
     g.sink = len(nodes)
     nodes.append(TimedNode(g.sink, DEPOT, None))
+    for ids in copies.values():
+        ids.sort(key=lambda nid: nodes[nid].time)
 
     def fan(tail, a, t, heads, b, drive, rid, k, leg, station, ids):
         """The steering arcs, each followed by its deadhead twin, from `tail`
@@ -221,11 +216,7 @@ def build_graph(instance: Instance) -> TimeGraph:
                     g.seg_in[(rid, k, station)] = ins
                     g.seg_out[(rid, k, station)] = outs
 
-    # the waiting chains, in the insertion order of `copies`, each by rising
-    # minute; a base whose copies were made in time order needs no sort
-    for base, ids in copies.items():
-        if base in late:
-            ids.sort(key=lambda nid: nodes[nid].time)
+    for base, ids in copies.items():  # insertion order: deterministic
         for n, m in zip(ids, ids[1:]):
             t, t2 = nodes[n].time, nodes[m].time
             aid = g.wait_next[n] = len(arcs)
