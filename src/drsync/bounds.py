@@ -211,13 +211,17 @@ def _underway_levels(instance: Instance,
     return levels
 
 
-def lower_bound_parallel(instance: Instance) -> int:
-    """Peak count of rides that must be underway simultaneously."""
+def _peak(levels: list[tuple[int, int]]) -> int:
     best = 0
-    for _t, level in _underway_levels(instance):
+    for _t, level in levels:
         if level > best:
             best = level
     return best
+
+
+def lower_bound_parallel(instance: Instance) -> int:
+    """Peak count of rides that must be underway simultaneously."""
+    return _peak(_underway_levels(instance))
 
 
 def _cap(legal: LegalParams, w: int) -> int:
@@ -241,8 +245,14 @@ def _min_crew(ride, half: int, legal: LegalParams) -> int:
     return max(1, chunk_count(sum(ride.segment_minutes), _cap(legal, longest)))
 
 
-def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
-    """lb3 and a chain of windows that attains it (see the module docstring)."""
+def lower_bound_windows(instance: Instance,
+                        levels: list[tuple[int, int]] | None = None,
+                        ) -> tuple[int, tuple[Window, ...]]:
+    """lb3 and a chain of windows that attains it (see the module docstring).
+
+    ``levels`` are the instance's unweighted ``_underway_levels``, if the
+    caller has them; under policy ``none`` the crew-weighted ones are built.
+    """
     legal = instance.legal
     half = instance.theta_tw // 2
     legs: list[tuple[int, int, int]] = []   # (s, mandatory minutes, e)
@@ -263,10 +273,11 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
     caps = _cap_table(legal)
     n_caps, t_ds, t_dw = len(caps), legal.t_ds, legal.t_dw
 
-    crews = None
     if instance.exchange_policy == POLICY_NONE:
-        crews = {ride.id: _min_crew(ride, half, legal) for ride in instance.rides}
-    levels = _underway_levels(instance, crews)
+        levels = _underway_levels(
+            instance, {ride.id: _min_crew(ride, half, legal) for ride in instance.rides})
+    elif levels is None:
+        levels = _underway_levels(instance)
     # instant windows at the first and the last minute of each level's span
     peaks = {}
     for (t, level), (t_next, _next) in zip(levels, levels[1:]):
@@ -343,8 +354,9 @@ def lower_bound_windows(instance: Instance) -> tuple[int, tuple[Window, ...]]:
 def compute_bounds(instance: Instance) -> BoundReport:
     ub, per_ride = upper_bound(instance)
     lb1 = lower_bound_steering(instance)
-    lb2 = lower_bound_parallel(instance)
-    lb3, windows = lower_bound_windows(instance)
+    levels = _underway_levels(instance)
+    lb2 = _peak(levels)
+    lb3, windows = lower_bound_windows(instance, levels)
     return BoundReport(
         ub=ub,
         lb1=lb1,

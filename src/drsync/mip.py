@@ -16,13 +16,24 @@ interpreter's recursion limit. Under policy ``none`` a child's crew change
 is applied and undone the same way, by the nested generator ``_crew_step``.
 The deadline is checked at every node.
 
-Both crew policies share one taker rule (``_takers``), one ride-along list
-(``_aboard``) and one carrier index (``carriers``). Under policy ``none`` a
-piece goes to a crew member or to a driver who boards at the ride's start
-and rides along to it, and a finished ride carries passengers as one unit;
-under the exchange policies each scheduled piece is a carrier, one unit
-per arc made on first use. A piece is a steering arc of the graph, held as
-the graph's own object: its located ends are the ride's times and bases.
+Both crew policies share one taker rule, one ride-along list (``_aboard``)
+and one carrier index (``carriers``). Under policy ``none`` a piece goes to
+a crew member or to a driver who boards at the ride's start and rides along
+to it, and a finished ride carries passengers as one unit; under the
+exchange policies each scheduled piece is a carrier, one unit per arc. A
+piece is a steering arc of the graph, held as the graph's own object: its
+located ends are the ride's times and bases.
+
+The taker rule works from one reach list per node. Every candidate piece at
+a node boards at the same located time (the ride's current node under the
+exchange policies, its start under ``none``), so when the node is entered
+``_reach`` asks ``itinerary`` once for each free driver, and ``_takers``
+then applies only each piece's own filters (daily steering, span start,
+continuous steering) to that list. Free drivers with equal state keys are
+listed once, the first in index order. The filters read only fields of the
+key, so drivers with one key pass or fail alike; dropping the later ones
+before the filters therefore lists the same children in the same order as
+a per-piece dedupe would, and the tree is the same.
 """
 
 from __future__ import annotations
@@ -107,26 +118,23 @@ class _Driver:
         self.elements: list[tuple] = []
         self.engaged: int | None = None   # ride index while aboard (policy none)
 
-    def key(self):
-        return (self.base, self.time, self.u, self.daily, self.start,
-                self.trail_run, self.engaged)
-
 
 class _Search:
     """Depth-first branch-and-bound over an explicit stack of search nodes.
 
     A node's children are produced by one generator: ``_start_children``, or
     ``_hand_out`` over the piece assignments that ``_exchange_children`` or
-    ``_crew_children`` list with ``_takers`` when the node is entered (a node
-    with none gets no generator). Each step applies one child's change to
-    the shared search state, ``carriers`` included, and yields, and the next
-    step undoes it before applying the next child; under policy ``none``,
-    ``_hand_out`` yields from ``_crew_step``, which does the same for the
-    crew change and the release at the terminal. So a node leaves the state
-    as it found it once its children are exhausted. ``_search`` keeps the open
-    generators on a list, so a deep tree costs list entries rather than
-    interpreter frames. ``_TimeUp`` and ``_Stop`` end the search from any
-    depth; the state they leave behind is not used again.
+    ``_crew_children`` list with ``_reach`` and ``_takers`` when the node is
+    entered (a node with none gets no generator). Each step applies one
+    child's change to the shared search state, ``carriers`` included, and
+    yields, and the next step undoes it before applying the next child;
+    under policy ``none``, ``_hand_out`` yields from ``_crew_step``, which
+    does the same for the crew change and the release at the terminal. So a
+    node leaves the state as it found it once its children are exhausted.
+    ``_search`` keeps the open generators on a list, so a deep tree costs
+    list entries rather than interpreter frames. ``_TimeUp`` and ``_Stop``
+    end the search from any depth; the state they leave behind is not used
+    again.
     """
 
     def __init__(self, model: Model, config: SolverConfig):
@@ -142,9 +150,6 @@ class _Search:
         self.nrides = len(self.rides)
         self.n_segments = [r.n_segments for r in self.rides]
         self.node_time = [n.time for n in self.g.nodes]
-        # (exchange policies only) steering arc id -> the arc as a carrier
-        # unit, made on first use
-        self._unit_of: dict[int, tuple[int, int, tuple[TimedArc]]] = {}
         self.deadline = _time.monotonic() + config.time_limit
         self.t0 = _time.monotonic()
         self.nodes_visited = 0
@@ -161,7 +166,7 @@ class _Search:
         ]
         # policy none: per ride, the drivers aboard it (each with engaged == ride)
         self.crew: list[set[int]] = [set() for _ in range(self.nrides)]
-        # per ride: (segment, node) or a pending tuple -> candidate arcs, on first use
+        # per ride: (segment, node) or a pending tuple -> candidates, on first use
         self._piece_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
@@ -296,8 +301,14 @@ class _Search:
                 yield True
                 self.minstart[ri] = lo
 
-    def _pieces(self, ri: int) -> list[tuple[TimedArc, str]]:
-        """(steering arc, advance kind) for each way to drive ride ri's next leg."""
+    def _pieces(self, ri: int) -> list[tuple]:
+        """(steering arc, advance kind, steer element, carrier unit) for each
+        way to drive ride ri's next leg.
+
+        The unit is the arc as a carrier under the exchange policies, None
+        under policy none. Each arc leaves one node of one ride, so it is
+        made into a candidate once per search.
+        """
         pend = self.pending[ri]
         key = pend or (self.pos[ri], self.cur_node[ri])
         cache = self._piece_cache[ri]
@@ -308,21 +319,21 @@ class _Search:
         arcs = self.g.arcs
         if pend is not None:    # the out-leg from the station the ride waits at
             snode, k, station = pend
-            out = [(arcs[aid], "out") for aid in self.g.seg_out.get((rid, k, station), ())
-                   if arcs[aid].tail == snode]
+            legs = [(arcs[aid], "out") for aid in self.g.seg_out.get((rid, k, station), ())
+                    if arcs[aid].tail == snode]
         else:
             k, node = key
-            out = [(arcs[aid], "direct") for aid in self.g.seg_direct.get((rid, k), ())
-                   if arcs[aid].tail == node]
+            legs = [(arcs[aid], "direct") for aid in self.g.seg_direct.get((rid, k), ())
+                    if arcs[aid].tail == node]
             if not self.policy_none:
                 for acc in self.rides[ri].stations[k]:
-                    out += [(arcs[aid], "pending")
-                            for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
-                            if arcs[aid].tail == node]
-        if not self.policy_none:
-            for piece, _kind in out:
-                if piece.id not in self._unit_of:
-                    self._unit_of[piece.id] = (piece.start, piece.end, (piece,))
+                    legs += [(arcs[aid], "pending")
+                             for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
+                             if arcs[aid].tail == node]
+        none = self.policy_none
+        out = [(piece, kind, ("steer", piece.id),
+                None if none else (piece.start, piece.end, (piece,)))
+               for piece, kind in legs]
         cache[key] = out
         return out
 
@@ -330,79 +341,104 @@ class _Search:
 
     def _exchange_children(self, ri: int, candidates):
         """Each piece goes to every distinct free driver able to take it, then to a new one."""
+        if not candidates:
+            return None
+        # every candidate leaves the ride's current node: one boarding point
+        first = candidates[0][0]
+        base, start = first.from_base, first.start
+        reach = self._reach(base, start)
         children: list[tuple] = []
-        for piece, kind in candidates:
-            self._takers(piece, kind, children, piece.from_base, piece.start, [])
+        for cand in candidates:
+            self._takers(cand, children, reach, base, start, [])
         return self._hand_out(ri, children) if children else None
 
-    def _takers(self, piece: TimedArc, kind: str, children: list,
-                base: str, start: int, aboard: list[tuple]):
-        """Append the children that give `piece` to a free driver or a new one.
+    def _reach(self, base: str, start: int) -> list[tuple]:
+        """The node's reach list: each free driver who reaches ``(base, start)``.
 
-        Each distinct free driver who can reach ``(base, start)`` and then ride
-        ``aboard`` to the piece is listed, then a new driver boarding there.
-        That ride along, with the run that reaches ``base``, renews continuous
+        Drivers aboard a ride (policy none) are not free. The rest are taken
+        in index order, one per state key (base, time, u, daily steering, span
+        start, deadhead run; module docstring). Each entry is (driver index,
+        daily steering, span start, u, the ride along that renews continuous
+        steering, itinerary elements).
+        """
+        t_b = self.t_b
+        carriers = self.carriers
+        reach = []
+        seen = set()
+        for idx, d in enumerate(self.drivers):
+            if d.engaged is not None or d.time > start:
+                continue
+            key = (d.base, d.time, d.u, d.daily, d.start, d.trail_run)
+            if key in seen:
+                continue
+            seen.add(key)
+            way = itinerary(carriers, t_b, d.base, d.time, d.trail_run, base, start)
+            if way is not None:
+                renews, plan, run = way
+                reach.append((idx, d.daily, d.start, d.u, 0 if renews else t_b - run, plan))
+        return reach
+
+    def _takers(self, cand: tuple, children: list, reach: list[tuple],
+                base: str, start: int, aboard: list[tuple]):
+        """Append the children that give candidate ``cand`` to a free driver or a new one.
+
+        Each driver of the node's ``reach`` whose daily steering, span start
+        and continuous steering allow the piece is listed, then a new driver
+        boarding at ``(base, start)``. Both ride ``aboard`` to the piece; that
+        ride along, with the run that reaches ``base``, renews continuous
         steering once it lasts ``t_b``. Children are listed when the node is
         entered: each leaves the drivers as it found them, so later ones see
         the same state.
         """
+        piece = cand[0]
         dur = piece.duration
         max_daily = self.t_ds - dur
         min_start = piece.end - self.t_dw
         max_u = self.t_cs - dur
         ride = piece.start - start
-        seen = set()
-        for idx, d in enumerate(self.drivers):
-            # drivers with equal keys pass or fail these filters alike
-            if (d.engaged is not None or d.time > start or d.daily > max_daily
-                    or d.start < min_start):
-                continue
-            key = d.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            way = itinerary(self.carriers, self.t_b,
-                            d.base, d.time, d.trail_run, base, start)
-            if way is None:
-                continue
-            renews, plan, run = way
-            u0 = 0 if renews or run + ride >= self.t_b else d.u
-            if u0 <= max_u:
-                children.append((piece, kind, idx, plan + aboard, u0, None))
+        for idx, daily, d_start, u, renew_ride, plan in reach:
+            if daily <= max_daily and d_start >= min_start:
+                u0 = 0 if ride >= renew_ride else u
+                if u0 <= max_u:
+                    children.append((cand, idx, plan + aboard if aboard else plan, u0, None))
         if piece.end - start <= self.t_dw and len(self.drivers) + 1 < self.threshold:
-            children.append((piece, kind, None, aboard, 0, (base, start)))
+            children.append((cand, None, aboard, 0, (base, start)))
 
     def _hand_out(self, ri: int, children: list[tuple]):
-        """Visit each child (piece, advance kind, driver index, plan, u before
-        the piece, new driver's (base, time) or None) in order.
+        """Visit each child (candidate, driver index, plan, u before the
+        piece, new driver's (base, time) or None) in order.
 
-        Children with a new driver are listed only while the threshold allows
-        one more driver; one is still skipped if incumbents found in earlier
-        children have lowered the threshold since.
+        A candidate is ``_pieces``' (piece, advance kind, steer element,
+        carrier unit). Children with a new driver are listed only while the
+        threshold allows one more driver; one is still skipped if incumbents
+        found in earlier children have lowered the threshold since. Every
+        child moves ride ri on from the same state, so it is saved once.
         """
         drivers = self.drivers
         carriers = self.carriers
-        unit_of = self._unit_of
+        policy_none = self.policy_none
         ride_pieces = self.ride_pieces[ri]
         stations = self.stations[ri]
         times = self.times[ri]
         pos = self.pos
         cur_node = self.cur_node
         pending = self.pending
-        for piece, kind, idx, plan, u0, new_at in children:
-            if new_at is not None:
-                if len(drivers) + 1 >= self.threshold:
-                    continue
-                drivers.append(_Driver(*new_at))
+        ride_undo = cur_node[ri], pending[ri], pos[ri], len(times), len(stations)
+        for (piece, kind, steer, unit), idx, plan, u0, new_at in children:
+            if new_at is None:
+                d = drivers[idx]
+                undo = d.base, d.time, d.u, d.daily, d.trail_run, len(d.elements)
+            elif len(drivers) + 1 >= self.threshold:
+                continue
+            else:
+                d = _Driver(*new_at)
+                drivers.append(d)
                 idx = len(drivers) - 1
             # apply: driver idx steers the piece after the plan, and the ride moves on
-            d = drivers[idx]
             elements = d.elements
-            undo = (d.base, d.time, d.u, d.daily, d.trail_run, len(elements),
-                    cur_node[ri], pending[ri], pos[ri], len(times), len(stations))
             if plan:
                 elements.extend(plan)
-            elements.append(("steer", piece.id))
+            elements.append(steer)
             d.base = piece.to_base
             d.time = piece.end
             d.u = u0 + piece.duration
@@ -420,21 +456,23 @@ class _Search:
                 pos[ri] += 1
                 times.append(piece.end)
                 cur_node[ri] = piece.head
-            if self.policy_none:
+            if policy_none:
                 yield from self._crew_step(ri, piece, idx)
             else:
-                carriers[piece.from_base].append(unit_of[piece.id])
+                units = carriers[piece.from_base]
+                units.append(unit)
                 yield True
-                carriers[piece.from_base].pop()
-            # undo
-            (d.base, d.time, d.u, d.daily, d.trail_run, n_elements,
-             cur_node[ri], pending[ri], pos[ri], n_times, n_stations) = undo
-            del elements[n_elements:]
+                units.pop()
+            # undo; a new driver leaves with its changes
+            if new_at is None:
+                d.base, d.time, d.u, d.daily, d.trail_run, n_elements = undo
+                del elements[n_elements:]
+            else:
+                drivers.pop()
+            cur_node[ri], pending[ri], pos[ri], n_times, n_stations = ride_undo
             del times[n_times:]
             del stations[n_stations:]
             ride_pieces.pop()
-            if new_at is not None:
-                drivers.pop()
 
     # -- policy-none crew handling ----------------------------------------
 
@@ -445,19 +483,21 @@ class _Search:
         drivers = self.drivers
         start_t = self.times[ri][0]
         start_b = self.rides[ri].stops[0]
-        crew = self.crew[ri]
+        members = [(idx, drivers[idx], self._aboard(ri, drivers[idx].time))
+                   for idx in sorted(self.crew[ri])]
+        reach = self._reach(start_b, start_t)
         recruit_aboard = self._aboard(ri, start_t)
         children: list[tuple] = []
-        for piece, kind in candidates:
+        for cand in candidates:
+            piece = cand[0]
             dur = piece.duration
-            for idx in sorted(crew):
-                d = drivers[idx]
+            for idx, d, aboard in members:
                 u0 = 0 if piece.start - d.time >= t_b else d.u
                 if (u0 + dur > t_cs or d.daily + dur > t_ds
                         or piece.end - d.start > t_dw):
                     continue
-                children.append((piece, kind, idx, self._aboard(ri, d.time), u0, None))
-            self._takers(piece, kind, children, start_b, start_t, recruit_aboard)
+                children.append((cand, idx, aboard, u0, None))
+            self._takers(cand, children, reach, start_b, start_t, recruit_aboard)
         return self._hand_out(ri, children) if children else None
 
     def _aboard(self, ri: int, since: int) -> list[tuple]:

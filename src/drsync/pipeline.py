@@ -53,6 +53,9 @@ DBI_OPTIMAL = "optimal"
 DBI_BOUND_ONLY = "bound_only"
 DBI_INFEASIBLE = "infeasible"
 
+# what a DBI cap's solve concluded, by its status; any other is a timeout
+CAP_OUTCOMES = {"infeasible": "refuted", "optimal": "optimal"}
+
 
 @dataclass(frozen=True)
 class DbmhConfig:
@@ -99,6 +102,9 @@ class RunReport:
     # per component DBI and the B&B worked on: rides, dlb, objective and the
     # stage that closed it (ch_ls, dbi, mip) or "open"
     parts: list[dict] = field(default_factory=list)
+    # per DBI cap tried, in order: part index, cap, outcome (refuted,
+    # optimal, timeout), B&B nodes and seconds
+    dbi_log: list[dict] = field(default_factory=list)
     # the whole instance's constructive bounds, which of them set clb (the
     # first to reach it) and the size of the time graph
     bounds: dict = field(default_factory=dict)
@@ -131,6 +137,7 @@ class RunReport:
             "bb_nodes": self.bb_nodes,
             "parts": self.parts,
             "bounds": self.bounds,
+            "dbi_log": self.dbi_log,
         }
 
 
@@ -139,13 +146,14 @@ def destructive_bound_improvement(
     lb: int,
     s: Solution | None,
     eta_lb: float,
-    cap_nodes: list[int] | None = None,
+    cap_log: list[dict] | None = None,
 ) -> tuple[int, str, Solution | None]:
     """Raise lb by refuting P(lb) until one is feasible (then it is optimal).
 
     Requires lb to be a valid lower bound on entry; every increment is
-    justified by an exhausted search, so it stays valid throughout. The
-    B&B node count of each cap's solve is appended to `cap_nodes` if given.
+    justified by an exhausted search, so it stays valid throughout. Each
+    cap's solve is appended to `cap_log`, if given, as its cap, outcome
+    (refuted, optimal or timeout), B&B nodes and seconds.
     """
     deadline = _time.monotonic() + eta_lb
     while True:
@@ -157,9 +165,12 @@ def destructive_bound_improvement(
         if remaining <= 0:
             return lb, DBI_BOUND_ONLY, None
         restricted = replace(restrict(model, lb), objective_floor=lb)
+        t = _time.monotonic()
         out = solve(restricted, SolverConfig(time_limit=remaining))
-        if cap_nodes is not None:
-            cap_nodes.append(out.nodes)
+        if cap_log is not None:
+            cap_log.append({
+                "cap": lb, "outcome": CAP_OUTCOMES.get(out.status, "timeout"),
+                "nodes": out.nodes, "seconds": round(_time.monotonic() - t, 6)})
         if out.status == "optimal":
             return lb, DBI_OPTIMAL, out.best_solution
         if out.status == "infeasible":
@@ -216,6 +227,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     deadline = t0 + config.global_limit
     timings: dict[str, float] = {}
     bb_nodes: dict[str, int | list[int]] = {}
+    dbi_log: list[dict] = []
     log: list[tuple[float, int]] = []
 
     def search_config(t_end):
@@ -297,7 +309,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             incumbent_log=log, solution=best, instance_id=instance_id,
             seed=config.seed, bb_nodes=bb_nodes,
             parts=[p.report() for p in parts] if bounded else [],
-            bounds=bound_info,
+            bounds=bound_info, dbi_log=dbi_log,
         )
 
     if best is not None and best.objective == clb:
@@ -327,9 +339,13 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         phase_end = t + min(budget, max(remaining(), 0.01))
         cap_nodes: list[int] = []
         bb_nodes["dbi_caps"] = cap_nodes
+        index = {id(p): i for i, p in enumerate(parts)}
         for part, share in _shares([p for p in parts if not p.closed], phase_end):
+            caps: list[dict] = []
             part.lb, dbi_status, dbi_sol = destructive_bound_improvement(
-                part.model, part.lb, part.best, share, cap_nodes)
+                part.model, part.lb, part.best, share, caps)
+            cap_nodes += [c["nodes"] for c in caps]
+            dbi_log += [{"part": index[id(part)], **c} for c in caps]
             if dbi_status == DBI_INFEASIBLE:
                 clock("dbi", t)
                 return finish("infeasible")

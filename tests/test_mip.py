@@ -17,7 +17,9 @@ from drsync.instance import (
     LegalParams,
     Ride,
     check_instance,
+    decompose,
 )
+from drsync import mip
 from drsync.mip import (
     SolveOutcome,
     SolverConfig,
@@ -28,7 +30,7 @@ from drsync.mip import (
 )
 from drsync.oracle import brute_force
 from drsync.search import assign_drivers
-from drsync.solution import check_feasibility
+from drsync.solution import check_feasibility, itinerary
 from drsync.timegraph import FAMILY_DEADHEAD, FAMILY_STEERING, build_graph
 
 from conftest import customer_stops, shared_terminal
@@ -347,6 +349,29 @@ def test_same_tree_on_generated_caps(shape, seed):
     got = [_outcome_key(solve(_cap_model(inst, extra), SolverConfig(time_limit=60)))
            for extra in (0, 1)]
     assert got == SAME_TREE[shape, seed]
+
+
+def test_the_reach_list_is_searched_once_per_node(monkeypatch):
+    # part 2 of 6x4x4-7 at its cap, as DBI solves it in a run. Unlike the
+    # SAME_TREE shapes, its nodes offer several candidate pieces each; every
+    # free driver's relocation is searched once per node, where once per
+    # piece would take 88663 itinerary calls
+    inst = check_instance(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
+    g = build_graph(inst)
+    part = decompose(g.instance)[2]
+    m = build_model(part, g, compute_bounds(part))
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return itinerary(*args)
+
+    monkeypatch.setattr(mip, "itinerary", counting)
+    cap = m.bounds.lb
+    out = solve(replace(restrict(m, cap), objective_floor=cap), SolverConfig(time_limit=60))
+    assert (cap, _outcome_key(out)) == (5, ("optimal", 5, 23786))
+    assert calls == 50223
 
 
 # sha256 over (status, nodes, best solution) of every search on

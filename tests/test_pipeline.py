@@ -51,6 +51,24 @@ def test_gap_instance_found_by_dbi():
     assert rep.bb_nodes["dbi_caps"]
 
 
+def test_timings_log_each_dbi_cap():
+    # one entry per cap tried, in order: part index, cap, outcome, nodes, seconds
+    rep = run(gap_fixture(2, hub=True), DbmhConfig())
+    log = rep.timings_dict()["dbi_log"]
+    assert [(c["part"], c["cap"], c["outcome"]) for c in log] == [(0, 1, "refuted")]
+    assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
+    assert "dbi_log" not in rep.to_dict()
+    # on 6x4x4-7 only part 2 stays open past CH+LS; its cap takes 23786 nodes
+    inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
+    for eta_lb, outcome in ((10.0, "optimal"), (0.02, "timeout")):
+        rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=eta_lb, eta_ls=1.0,
+                                   use_mip=False))
+        log = rep.timings_dict()["dbi_log"]
+        assert [(c["part"], c["cap"], c["outcome"]) for c in log] == [(2, 5, outcome)]
+        assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
+        assert 0 < log[0]["seconds"] <= rep.phase_timings["dbi"]
+
+
 def test_gap_instance_splits_into_closed_rides():
     # each ride of the plain gap family is a component whose bound is met
     # by construction, so no DBI cap is tried
