@@ -24,16 +24,35 @@ exchange policies each scheduled piece is a carrier, one unit per arc. A
 piece is a steering arc of the graph, held as the graph's own object: its
 located ends are the ride's times and bases.
 
-The taker rule works from one reach list per node. Every candidate piece at
-a node boards at the same located time (the ride's current node under the
-exchange policies, its start under ``none``), so when the node is entered
-``_reach`` asks ``itinerary`` once for each free driver, and ``_takers``
-then applies only each piece's own filters (daily steering, span start,
-continuous steering) to that list. Free drivers with equal state keys are
-listed once, the first in index order. The filters read only fields of the
-key, so drivers with one key pass or fail alike; dropping the later ones
-before the filters therefore lists the same children in the same order as
+The taker rule lists a node's children in one pass, ``_list_children``.
+Every candidate piece at a node boards at the same located time (the ride's
+current node under the exchange policies, its start under ``none``), so one
+loop over the free drivers asks ``itinerary`` once for each and keeps those
+who reach the boarding point (the reach list), and one loop over the
+candidates then applies only each piece's own filters (daily steering, span
+start, continuous steering) to that list. Free drivers with equal state
+keys are listed once, the first in index order. The filters read only
+fields of the key, so drivers with one key pass or fail alike; dropping the
+later ones before the filters lists the same children in the same order as
 a per-piece dedupe would, and the tree is the same.
+
+An exact pre-filter skips, before its relocation is searched, a free driver
+who can take no candidate. If its u plus the shortest candidate's duration
+passes ``t_cs``, it steers no candidate unless continuous steering renews
+first, by a wait of ``t_b`` or a deadhead run of ``t_b``. Every wait and
+run of its relocation lies between its own time and the boarding time; a
+run may continue the deadhead run it is on (``trail_run``), and under
+``none`` the ride along to the piece continues it further. So when
+``trail_run`` plus the time from the driver's time to the latest
+candidate's start falls short of ``t_b``, no renewal is possible and the
+driver gets no child. The filter, too, reads only fields of the key, so it
+drops every driver of a key or none of them, and the tree is the same.
+
+The next event is read off a per-ride list of event times, ``event_time``:
+the generators that move a ride (``_start_children`` and ``_hand_out``) set
+it and restore it with the rest of the ride's state, and its first minimum
+is the ride a scan in index order would pick. The few unstarted rides are
+scanned.
 """
 
 from __future__ import annotations
@@ -46,7 +65,7 @@ from typing import Callable
 from .bounds import BoundReport
 from .instance import Instance, POLICY_NONE
 from .solution import RidePlan, Solution, assemble_route, itinerary
-from .timegraph import TimedArc, TimeGraph
+from .timegraph import LEG_IN, LEG_OUT, TimedArc, TimeGraph
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,9 @@ def restrict(model: Model, cap: int) -> Model:
 # Embedded exact search
 # ---------------------------------------------------------------------------
 
+_NEVER = 1 << 62    # event time of a ride that is not started or is finished
+
+
 class _TimeUp(Exception):
     pass
 
@@ -124,8 +146,8 @@ class _Search:
 
     A node's children are produced by one generator: ``_start_children``, or
     ``_hand_out`` over the piece assignments that ``_exchange_children`` or
-    ``_crew_children`` list with ``_reach`` and ``_takers`` when the node is
-    entered (a node with none gets no generator). Each step applies one
+    ``_crew_children`` list with ``_list_children`` when the node is entered
+    (a node with none gets no generator). Each step applies one
     child's change to the shared search state, ``carriers`` included, and
     yields, and the next step undoes it before applying the next child;
     under policy ``none``, ``_hand_out`` yields from ``_crew_step``, which
@@ -157,22 +179,27 @@ class _Search:
         # ride runtime state
         self.pos = [0] * self.nrides
         self.cur_node = [-1] * self.nrides          # graph node of current stop
-        self.pending = [None] * self.nrides         # (station node, seg) awaiting out-leg
+        self.pending = [None] * self.nrides         # (station node, seg, station) awaiting out-leg
         self.minstart = [0] * self.nrides           # first usable index into start grid
-        self.times: list[list[int]] = [[] for _ in range(self.nrides)]
-        self.stations: list[list[str | None]] = [[] for _ in range(self.nrides)]
         self.start_grids = [
             self.inst.window(r.departures[0]).grid(self.inst.ell) for r in self.rides
         ]
+        # per ride: the time of the node it leaves next (its current node, or
+        # the station node it waits at for an out-leg); _NEVER before it
+        # starts and once it is finished
+        self.event_time = [_NEVER] * self.nrides
+        self.unstarted = list(range(self.nrides))   # in index order
         # policy none: per ride, the drivers aboard it (each with engaged == ride)
         self.crew: list[set[int]] = [set() for _ in range(self.nrides)]
-        # per ride: (segment, node) or a pending tuple -> candidates, on first use
-        self._piece_cache: list[dict[tuple, list]] = [dict() for _ in range(self.nrides)]
+        # per ride: (segment, node) or a pending tuple -> _pieces(), on first use
+        self._piece_cache: list[dict[tuple, tuple]] = [dict() for _ in range(self.nrides)]
 
         self.drivers: list[_Driver] = []
         # base -> (start, end, pieces) of each carrier leaving it: a scheduled
         # piece, or under policy none a finished ride
         self.carriers: defaultdict[str, list[tuple]] = defaultdict(list)
+        # per ride, its pieces so far; a finished ride's times and stations
+        # are read off them
         self.ride_pieces: list[list[TimedArc]] = [[] for _ in range(self.nrides)]
 
         self.best_f: int | None = None
@@ -208,19 +235,22 @@ class _Search:
     def _search(self):
         """Depth-first walk: visit a node, then resume the deepest open node's next child."""
         stack = []
+        drivers = self.drivers
+        monotonic, deadline = _time.monotonic, self.deadline
+        next_event, pieces, children_of = self._next_event, self._pieces, self._children
         while True:
             self.nodes_visited += 1
-            if _time.monotonic() > self.deadline:
+            if monotonic() > deadline:
                 raise _TimeUp
-            if len(self.drivers) < self.threshold:
-                ev = self._next_event()
+            if len(drivers) < self.threshold:
+                ev = next_event()
                 if ev is None:
                     self._record_leaf()
                 else:
                     kind, ri, t_active = ev
                     children = None     # dead: a ride was deferred past its window
                     if kind == "piece":
-                        children = self._children(ri, self._pieces(ri))
+                        children = children_of(ri, pieces(ri))
                     elif kind == "start":
                         children = self._start_children(ri, t_active)
                     if children is not None:
@@ -233,52 +263,43 @@ class _Search:
                 return
 
     def _next_event(self):
-        node_time = self.node_time
-        cur_node = self.cur_node
-        pending = self.pending
-        pos = self.pos
-        n_segments = self.n_segments
-        t_active = None
-        choice = None
-        unstarted = None
-        for ri in range(self.nrides):
-            pend = pending[ri]
-            if pend is not None:
-                node = pend[0]
-            else:
-                node = cur_node[ri]
-                if node < 0:
-                    if unstarted is None:
-                        unstarted = [ri]
-                    else:
-                        unstarted.append(ri)
-                    continue
-                if pos[ri] >= n_segments[ri]:
-                    continue
-            t = node_time[node]
-            if t_active is None or t < t_active:
-                t_active, choice = t, ri
-        if unstarted is not None:
-            best_start = None
-            for ri in unstarted:
+        """The next event: ("start", ri, t) when an unstarted ride ri can start
+        no later than the first piece event t (None if there is none), ("dead",
+        ri, None) when an unstarted ride was deferred past its window, ("piece",
+        ri, t) for the first ride in index order whose next piece leaves at the
+        earliest time t, or None once every ride is finished.
+
+        Started rides are read off ``event_time``; the few unstarted ones are
+        scanned.
+        """
+        event_time = self.event_time
+        t_active = min(event_time) if event_time else _NEVER
+        if t_active == _NEVER:
+            t_active = None
+        if self.unstarted:
+            best_ri = best_e = None
+            for ri in self.unstarted:
                 grid = self.start_grids[ri]
-                if self.minstart[ri] >= len(grid):
+                lo = self.minstart[ri]
+                if lo >= len(grid):
                     return ("dead", ri, None)  # deferred past the window: infeasible branch
-                e_min = grid[self.minstart[ri]]
+                e_min = grid[lo]
                 if (t_active is None or e_min <= t_active) and (
-                        best_start is None or e_min < best_start[1]):
-                    best_start = (ri, e_min)
-            if best_start is not None:
-                return ("start", best_start[0], t_active)
-        if choice is None:
+                        best_e is None or e_min < best_e):
+                    best_ri, best_e = ri, e_min
+            if best_ri is not None:
+                return ("start", best_ri, t_active)
+        if t_active is None:
             return None
-        return ("piece", choice, t_active)
+        return ("piece", event_time.index(t_active), t_active)
 
     def _start_children(self, ri: int, t_active):
         """Start ride ri at each grid time up to t_active, then defer it past t_active."""
         grid = self.start_grids[ri]
         base = self.rides[ri].stops[0]
-        times = self.times[ri]
+        unstarted = self.unstarted
+        at = unstarted.index(ri)
+        del unstarted[at]
         lo = self.minstart[ri]
         for gi in range(lo, len(grid)):
             t = grid[gi]
@@ -288,10 +309,11 @@ class _Search:
             if node is None:
                 continue
             self.cur_node[ri] = node
-            times.append(t)
+            self.event_time[ri] = self.node_time[node]
             yield True
-            times.pop()
             self.cur_node[ri] = -1
+        self.event_time[ri] = _NEVER
+        unstarted.insert(at, ri)
         if t_active is not None:
             nxt = lo
             while nxt < len(grid) and grid[nxt] <= t_active:
@@ -301,13 +323,20 @@ class _Search:
                 yield True
                 self.minstart[ri] = lo
 
-    def _pieces(self, ri: int) -> list[tuple]:
-        """(steering arc, advance kind, steer element, carrier unit) for each
-        way to drive ride ri's next leg.
+    def _pieces(self, ri: int) -> tuple:
+        """The ways to drive ride ri's next leg, as (candidates, tired,
+        no_rest).
 
-        The unit is the arc as a carrier under the exchange policies, None
-        under policy none. Each arc leaves one node of one ride, so it is
-        made into a candidate once per search.
+        Each candidate comes with the limits a driver must meet to take it:
+        (candidate, its start, most daily steering before it, earliest span
+        start, most u before it). A candidate is (steering arc, steer
+        element, carrier unit, ride state after it): the unit is the arc as
+        a carrier under the exchange policies, None under policy none; the
+        state is ride ri's (current node, pending out-leg, segment, event
+        time) once the arc is driven. ``tired`` and ``no_rest`` are the
+        pre-filter's extremes (``_list_children``): ``t_cs`` less the
+        shortest duration, ``t_b`` less the latest start. Each arc leaves
+        one node of one ride, so this is made once per search.
         """
         pend = self.pending[ri]
         key = pend or (self.pos[ri], self.cur_node[ri])
@@ -316,57 +345,91 @@ class _Search:
         if out is not None:
             return out
         rid = self.rides[ri].id
-        arcs = self.g.arcs
+        g = self.g
+        arcs = g.arcs
+        node_time = self.node_time
         if pend is not None:    # the out-leg from the station the ride waits at
             snode, k, station = pend
-            legs = [(arcs[aid], "out") for aid in self.g.seg_out.get((rid, k, station), ())
+            ends = [arcs[aid] for aid in g.seg_out.get((rid, k, station), ())
                     if arcs[aid].tail == snode]
+            ins = []
         else:
             k, node = key
-            legs = [(arcs[aid], "direct") for aid in self.g.seg_direct.get((rid, k), ())
-                    if arcs[aid].tail == node]
-            if not self.policy_none:
-                for acc in self.rides[ri].stations[k]:
-                    legs += [(arcs[aid], "pending")
-                             for aid in self.g.seg_in.get((rid, k, acc.station_id), ())
-                             if arcs[aid].tail == node]
+            ends = [arcs[aid] for aid in g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
+            ins = [] if self.policy_none else [
+                arcs[aid] for acc in self.rides[ri].stations[k]
+                for aid in g.seg_in.get((rid, k, acc.station_id), ()) if arcs[aid].tail == node]
+        last = k + 1 == self.n_segments[ri]
+        # an arc that reaches the next stop moves the ride on; an in-leg
+        # leaves it at its node, waiting at the station for the out-leg
+        moves = [(p, (p.head, None, k + 1, _NEVER if last else node_time[p.head]))
+                 for p in ends]
+        moves += [(p, (p.tail, (p.head, k, p.station), k, node_time[p.head])) for p in ins]
         none = self.policy_none
-        out = [(piece, kind, ("steer", piece.id),
-                None if none else (piece.start, piece.end, (piece,)))
-               for piece, kind in legs]
-        cache[key] = out
+        t_ds, t_dw, t_cs = self.t_ds, self.t_dw, self.t_cs
+        cands = [((p, ("steer", p.id), None if none else (p.start, p.end, (p,)), moved),
+                  p.start, t_ds - p.duration, p.end - t_dw, t_cs - p.duration)
+                 for p, moved in moves]
+        out = cache[key] = (cands, t_cs - min([p.duration for p, _ in moves], default=0),
+                            self.t_b - max([p.start for p, _ in moves], default=0))
         return out
 
     # -- piece assignment ---------------------------------------------------
 
-    def _exchange_children(self, ri: int, candidates):
+    def _exchange_children(self, ri: int, pieces: tuple):
         """Each piece goes to every distinct free driver able to take it, then to a new one."""
-        if not candidates:
+        if not pieces[0]:
             return None
         # every candidate leaves the ride's current node: one boarding point
-        first = candidates[0][0]
-        base, start = first.from_base, first.start
-        reach = self._reach(base, start)
-        children: list[tuple] = []
-        for cand in candidates:
-            self._takers(cand, children, reach, base, start, [])
-        return self._hand_out(ri, children) if children else None
+        first = pieces[0][0][0][0]
+        return self._list_children(ri, pieces, first.from_base, first.start, [], [])
 
-    def _reach(self, base: str, start: int) -> list[tuple]:
-        """The node's reach list: each free driver who reaches ``(base, start)``.
+    def _crew_children(self, ri: int, pieces: tuple):
+        """Like ``_exchange_children``, for crews that stay aboard to the terminal:
+        each piece goes to a crew member, or to a taker boarding at the ride's start."""
+        if not pieces[0]:
+            return None
+        drivers = self.drivers
+        pieces_so_far = self.ride_pieces[ri]
+        start_t = (pieces_so_far[0].start if pieces_so_far
+                   else self.node_time[self.cur_node[ri]])
+        members = []
+        for idx in sorted(self.crew[ri]):
+            d = drivers[idx]
+            members.append((idx, d.time, d.u, d.daily, d.start, self._aboard(ri, d.time)))
+        return self._list_children(ri, pieces, self.rides[ri].stops[0], start_t,
+                                   self._aboard(ri, start_t), members)
 
-        Drivers aboard a ride (policy none) are not free. The rest are taken
-        in index order, one per state key (base, time, u, daily steering, span
-        start, deadhead run; module docstring). Each entry is (driver index,
-        daily steering, span start, u, the ride along that renews continuous
-        steering, itinerary elements).
+    def _list_children(self, ri: int, pieces: tuple, base: str, start: int,
+                       aboard: list[tuple], members: list[tuple]):
+        """``_hand_out`` over the node's children, or None when it has none.
+
+        Each candidate goes, in this order, to each crew member in
+        ``members`` (index, time, u, daily steering, span start, ride along;
+        policy none only) whose limits allow it, to each free driver of the
+        node's reach list whose limits allow it, and to a new driver. Free
+        drivers and new ones board at ``(base, start)`` and ride ``aboard``
+        to the piece; that ride along, with the run that reaches ``base``,
+        renews continuous steering once it lasts ``t_b``.
+
+        The reach list is made first, in one loop over the free drivers (not
+        aboard a ride, at ``start`` or before), in index order and one per
+        state key, with one ``itinerary`` call each; the loop over the
+        candidates follows. The exact pre-filter (module docstring) skips a
+        driver before its key is built when its u is above ``tired`` and its
+        ``trail_run`` less its time is below ``no_rest``. Children are
+        listed when the node is entered: each leaves the drivers as it found
+        them, so later ones see the same state.
         """
         t_b = self.t_b
         carriers = self.carriers
+        candidates, tired, no_rest = pieces
         reach = []
         seen = set()
         for idx, d in enumerate(self.drivers):
             if d.engaged is not None or d.time > start:
+                continue
+            if d.u > tired and d.trail_run - d.time < no_rest:
                 continue
             key = (d.base, d.time, d.u, d.daily, d.start, d.trail_run)
             if key in seen:
@@ -375,56 +438,47 @@ class _Search:
             way = itinerary(carriers, t_b, d.base, d.time, d.trail_run, base, start)
             if way is not None:
                 renews, plan, run = way
-                reach.append((idx, d.daily, d.start, d.u, 0 if renews else t_b - run, plan))
-        return reach
-
-    def _takers(self, cand: tuple, children: list, reach: list[tuple],
-                base: str, start: int, aboard: list[tuple]):
-        """Append the children that give candidate ``cand`` to a free driver or a new one.
-
-        Each driver of the node's ``reach`` whose daily steering, span start
-        and continuous steering allow the piece is listed, then a new driver
-        boarding at ``(base, start)``. Both ride ``aboard`` to the piece; that
-        ride along, with the run that reaches ``base``, renews continuous
-        steering once it lasts ``t_b``. Children are listed when the node is
-        entered: each leaves the drivers as it found them, so later ones see
-        the same state.
-        """
-        piece = cand[0]
-        dur = piece.duration
-        max_daily = self.t_ds - dur
-        min_start = piece.end - self.t_dw
-        max_u = self.t_cs - dur
-        ride = piece.start - start
-        for idx, daily, d_start, u, renew_ride, plan in reach:
-            if daily <= max_daily and d_start >= min_start:
-                u0 = 0 if ride >= renew_ride else u
-                if u0 <= max_u:
-                    children.append((cand, idx, plan + aboard if aboard else plan, u0, None))
-        if piece.end - start <= self.t_dw and len(self.drivers) + 1 < self.threshold:
-            children.append((cand, None, aboard, 0, (base, start)))
+                reach.append((idx, d.daily, d.start, d.u, 0 if renews else t_b - run,
+                              plan + aboard if aboard else plan))
+        children: list[tuple] = []
+        new_driver = len(self.drivers) + 1 < self.threshold
+        for cand, p_start, max_daily, min_start, max_u in candidates:
+            for idx, time, u, daily, d_start, ride_along in members:
+                u0 = 0 if p_start - time >= t_b else u
+                if u0 <= max_u and daily <= max_daily and d_start >= min_start:
+                    children.append((cand, idx, ride_along, u0, None))
+            ride = p_start - start
+            for idx, daily, d_start, u, renew_ride, plan in reach:
+                if daily <= max_daily and d_start >= min_start:
+                    u0 = 0 if ride >= renew_ride else u
+                    if u0 <= max_u:
+                        children.append((cand, idx, plan, u0, None))
+            if new_driver and start >= min_start:
+                children.append((cand, None, aboard, 0, (base, start)))
+        return self._hand_out(ri, children) if children else None
 
     def _hand_out(self, ri: int, children: list[tuple]):
         """Visit each child (candidate, driver index, plan, u before the
         piece, new driver's (base, time) or None) in order.
 
-        A candidate is ``_pieces``' (piece, advance kind, steer element,
-        carrier unit). Children with a new driver are listed only while the
-        threshold allows one more driver; one is still skipped if incumbents
-        found in earlier children have lowered the threshold since. Every
-        child moves ride ri on from the same state, so it is saved once.
+        A candidate is ``_pieces``' (piece, steer element, carrier unit,
+        ride state after it). Children with a new driver are listed only
+        while the threshold allows one more driver; one is still skipped if
+        incumbents found in earlier children have lowered the threshold
+        since. Every child moves ride ri on from the same state, so it is
+        saved once, and every piece leaves the same base, so under the
+        exchange policies its carriers are looked up once.
         """
         drivers = self.drivers
-        carriers = self.carriers
         policy_none = self.policy_none
+        units = None if policy_none else self.carriers[children[0][0][0].from_base]
         ride_pieces = self.ride_pieces[ri]
-        stations = self.stations[ri]
-        times = self.times[ri]
         pos = self.pos
         cur_node = self.cur_node
         pending = self.pending
-        ride_undo = cur_node[ri], pending[ri], pos[ri], len(times), len(stations)
-        for (piece, kind, steer, unit), idx, plan, u0, new_at in children:
+        event_time = self.event_time
+        ride_undo = cur_node[ri], pending[ri], pos[ri], event_time[ri]
+        for (piece, steer, unit, moved), idx, plan, u0, new_at in children:
             if new_at is None:
                 d = drivers[idx]
                 undo = d.base, d.time, d.u, d.daily, d.trail_run, len(d.elements)
@@ -445,21 +499,10 @@ class _Search:
             d.daily += piece.duration
             d.trail_run = 0
             ride_pieces.append(piece)
-            if kind == "pending":
-                pending[ri] = (piece.head, piece.segment, piece.station)
-                stations.append(piece.station)
-            else:
-                if kind == "out":
-                    pending[ri] = None
-                else:
-                    stations.append(None)
-                pos[ri] += 1
-                times.append(piece.end)
-                cur_node[ri] = piece.head
+            cur_node[ri], pending[ri], pos[ri], event_time[ri] = moved
             if policy_none:
                 yield from self._crew_step(ri, piece, idx)
             else:
-                units = carriers[piece.from_base]
                 units.append(unit)
                 yield True
                 units.pop()
@@ -469,36 +512,10 @@ class _Search:
                 del elements[n_elements:]
             else:
                 drivers.pop()
-            cur_node[ri], pending[ri], pos[ri], n_times, n_stations = ride_undo
-            del times[n_times:]
-            del stations[n_stations:]
+            cur_node[ri], pending[ri], pos[ri], event_time[ri] = ride_undo
             ride_pieces.pop()
 
     # -- policy-none crew handling ----------------------------------------
-
-    def _crew_children(self, ri: int, candidates):
-        """Like ``_exchange_children``, for crews that stay aboard to the terminal:
-        each piece goes to a crew member, or to a taker boarding at the ride's start."""
-        t_b, t_ds, t_dw, t_cs = self.t_b, self.t_ds, self.t_dw, self.t_cs
-        drivers = self.drivers
-        start_t = self.times[ri][0]
-        start_b = self.rides[ri].stops[0]
-        members = [(idx, drivers[idx], self._aboard(ri, drivers[idx].time))
-                   for idx in sorted(self.crew[ri])]
-        reach = self._reach(start_b, start_t)
-        recruit_aboard = self._aboard(ri, start_t)
-        children: list[tuple] = []
-        for cand in candidates:
-            piece = cand[0]
-            dur = piece.duration
-            for idx, d, aboard in members:
-                u0 = 0 if piece.start - d.time >= t_b else d.u
-                if (u0 + dur > t_cs or d.daily + dur > t_ds
-                        or piece.end - d.start > t_dw):
-                    continue
-                children.append((cand, idx, aboard, u0, None))
-            self._takers(cand, children, reach, start_b, start_t, recruit_aboard)
-        return self._hand_out(ri, children) if children else None
 
     def _aboard(self, ri: int, since: int) -> list[tuple]:
         """Deadheads on ride ri's scheduled pieces from ``since`` on."""
@@ -534,8 +551,9 @@ class _Search:
                     d.trail_run = run
                     d.base, d.time = piece.to_base, end
                 d.engaged = None
+            pieces = self.ride_pieces[ri]
             units = self.carriers[self.rides[ri].stops[0]]
-            units.append((self.times[ri][0], end, tuple(self.ride_pieces[ri])))
+            units.append((pieces[0].start, end, tuple(pieces)))
             self.crew[ri] = set()
             yield True
             self.crew[ri] = crew
@@ -556,8 +574,12 @@ class _Search:
             return
         routes = [assemble_route(self.g, d.elements) for d in self.drivers]
         plan = {}
-        for ri, ride in enumerate(self.rides):
-            plan[ride.id] = RidePlan(tuple(self.times[ri]), tuple(self.stations[ri]))
+        for ride, pieces in zip(self.rides, self.ride_pieces):
+            # an in-leg ends at a station, an out-leg starts at one
+            plan[ride.id] = RidePlan(
+                (pieces[0].start, *[p.end for p in pieces if p.leg != LEG_IN]),
+                tuple(p.station if p.leg == LEG_IN else None for p in pieces
+                      if p.leg != LEG_OUT))
         sol = Solution(self.g, routes, plan)
         self.best_f = f
         self.best_solution = sol

@@ -105,6 +105,9 @@ class RunReport:
     # per DBI cap tried, in order: part index, cap, outcome (refuted,
     # optimal, timeout), B&B nodes and seconds
     dbi_log: list[dict] = field(default_factory=list)
+    # per final solve, parts in order: part index, outcome (optimal,
+    # infeasible, timeout), B&B nodes and seconds
+    mip_log: list[dict] = field(default_factory=list)
     # the whole instance's constructive bounds, which of them set clb (the
     # first to reach it) and the size of the time graph
     bounds: dict = field(default_factory=dict)
@@ -138,6 +141,7 @@ class RunReport:
             "parts": self.parts,
             "bounds": self.bounds,
             "dbi_log": self.dbi_log,
+            "mip_log": self.mip_log,
         }
 
 
@@ -228,6 +232,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     timings: dict[str, float] = {}
     bb_nodes: dict[str, int | list[int]] = {}
     dbi_log: list[dict] = []
+    mip_log: list[dict] = []
     log: list[tuple[float, int]] = []
 
     def search_config(t_end):
@@ -309,7 +314,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             incumbent_log=log, solution=best, instance_id=instance_id,
             seed=config.seed, bb_nodes=bb_nodes,
             parts=[p.report() for p in parts] if bounded else [],
-            bounds=bound_info, dbi_log=dbi_log,
+            bounds=bound_info, dbi_log=dbi_log, mip_log=mip_log,
         )
 
     if best is not None and best.objective == clb:
@@ -331,6 +336,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     if all(p.closed for p in parts):
         return finish("optimal")
 
+    index = {id(p): i for i, p in enumerate(parts)}
     if config.use_dbi and remaining() > 0:
         t = _time.monotonic()
         budget = config.eta_lb
@@ -339,7 +345,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         phase_end = t + min(budget, max(remaining(), 0.01))
         cap_nodes: list[int] = []
         bb_nodes["dbi_caps"] = cap_nodes
-        index = {id(p): i for i, p in enumerate(parts)}
         for part, share in _shares([p for p in parts if not p.closed], phase_end):
             caps: list[dict] = []
             part.lb, dbi_status, dbi_sol = destructive_bound_improvement(
@@ -390,6 +395,10 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 incumbent_callback=callback if config.use_cb else None,
             ))
             nodes += out.nodes
+            mip_log.append({
+                "part": index[id(part)],
+                "outcome": out.status if out.status in ("optimal", "infeasible") else "timeout",
+                "nodes": out.nodes, "seconds": round(_time.monotonic() - start, 6)})
             others = [p.best.objective for p in parts if p is not part and p.best is not None]
             if len(others) == len(parts) - 1:
                 for dt, f in out.incumbent_log:

@@ -278,9 +278,9 @@ def _search_state(search):
     return (
         list(search.drivers), [set(c) for c in search.crew],
         {base: list(units) for base, units in search.carriers.items() if units},
-        [list(p) for p in search.ride_pieces], [list(t) for t in search.times],
-        [list(s) for s in search.stations], list(search.pos), list(search.pending),
-        list(search.cur_node), list(search.minstart),
+        [list(p) for p in search.ride_pieces], list(search.pos), list(search.pending),
+        list(search.cur_node), list(search.minstart), list(search.event_time),
+        list(search.unstarted),
     )
 
 
@@ -351,15 +351,23 @@ def test_same_tree_on_generated_caps(shape, seed):
     assert got == SAME_TREE[shape, seed]
 
 
-def test_the_reach_list_is_searched_once_per_node(monkeypatch):
-    # part 2 of 6x4x4-7 at its cap, as DBI solves it in a run. Unlike the
-    # SAME_TREE shapes, its nodes offer several candidate pieces each; every
-    # free driver's relocation is searched once per node, where once per
-    # piece would take 88663 itinerary calls
+def _reference_model():
+    """P(5) of part 2 of 6x4x4-7, as DBI solves it in a run (23786 nodes).
+
+    Unlike the SAME_TREE shapes, its nodes offer several candidate pieces
+    each.
+    """
     inst = check_instance(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
     g = build_graph(inst)
     part = decompose(g.instance)[2]
     m = build_model(part, g, compute_bounds(part))
+    return replace(restrict(m, m.bounds.lb), objective_floor=m.bounds.lb)
+
+
+def test_the_reach_list_is_searched_once_per_node(monkeypatch):
+    # every free driver's relocation is searched at most once per node, and
+    # not at all when the pre-filter shows it could take no candidate: once
+    # per piece took 88663 itinerary calls, once per node with no filter 50223
     calls = 0
 
     def counting(*args):
@@ -368,10 +376,10 @@ def test_the_reach_list_is_searched_once_per_node(monkeypatch):
         return itinerary(*args)
 
     monkeypatch.setattr(mip, "itinerary", counting)
-    cap = m.bounds.lb
-    out = solve(replace(restrict(m, cap), objective_floor=cap), SolverConfig(time_limit=60))
-    assert (cap, _outcome_key(out)) == (5, ("optimal", 5, 23786))
-    assert calls == 50223
+    m = _reference_model()
+    out = solve(m, SolverConfig(time_limit=60))
+    assert (m.cardinality_cap, _outcome_key(out)) == (5, ("optimal", 5, 23786))
+    assert calls == 25498
 
 
 # sha256 over (status, nodes, best solution) of every search on
@@ -395,6 +403,179 @@ def test_bb_outputs_are_pinned(policy):
             sol = out.best_solution.to_dict() if out.best_solution is not None else None
             h.update(json.dumps([out.status, out.nodes, sol], sort_keys=True).encode())
     assert h.hexdigest() == BB_OUTPUTS[policy]
+
+
+def _spied_searches():
+    """(group, model) of every search the listing and event checks watch: the
+    SAME_TREE caps, the BB_OUTPUTS searches (grouped by policy), one more
+    search under none and the reference search."""
+    for shape, seed in SAME_TREE:
+        cfg = GeneratorConfig(*shape[:3], **({"exchange_policy": shape[3]} if len(shape) > 3 else {}))
+        inst = generate_synthetic(cfg, seed)[0]
+        for extra in (0, 1):
+            yield "same_tree", _cap_model(inst, extra)
+    for policy in BB_OUTPUTS:
+        for _iid, inst in micro_suite(100):
+            m = model_for(check_instance(replace(inst, exchange_policy=policy)))
+            yield policy, m
+            yield policy, restrict(m, m.bounds.lb)
+    # the few micro searches under none skip no driver; this one does
+    inst = generate_synthetic(GeneratorConfig(3, 2, 3, exchange_policy=POLICY_NONE), 3)[0]
+    yield POLICY_NONE, _cap_model(inst, 0)
+    yield "reference", _reference_model()
+
+
+def _unfiltered_children(search, pieces, base, start, aboard, members):
+    """The node's children as listed with no pre-filter, and for each free
+    driver the children its own relocation and the per-piece filters give."""
+    t_b, t_ds, t_dw, t_cs = search.t_b, search.t_ds, search.t_dw, search.t_cs
+    per_driver = {}
+    first_of_key = []
+    seen = set()
+    for idx, d in enumerate(search.drivers):
+        if d.engaged is not None or d.time > start:
+            continue
+        key = (d.base, d.time, d.u, d.daily, d.start, d.trail_run)
+        if key not in seen:
+            seen.add(key)
+            first_of_key.append(idx)
+        way = itinerary(search.carriers, t_b, d.base, d.time, d.trail_run, base, start)
+        got = per_driver[idx] = []
+        if way is None:
+            continue
+        renews, plan, run = way
+        for entry in pieces[0]:
+            piece = entry[0][0]
+            u0 = 0 if renews or run + piece.start - start >= t_b else d.u
+            if (d.daily + piece.duration <= t_ds and piece.end - d.start <= t_dw
+                    and u0 + piece.duration <= t_cs):
+                got.append((entry[0], idx, plan + aboard, u0, None))
+    children = []
+    for entry in pieces[0]:
+        cand = entry[0]
+        piece = cand[0]
+        for idx, time, u, daily, d_start, ride_along in members:
+            u0 = 0 if piece.start - time >= t_b else u
+            if (u0 + piece.duration <= t_cs and daily + piece.duration <= t_ds
+                    and piece.end - d_start <= t_dw):
+                children.append((cand, idx, ride_along, u0, None))
+        children += [c for idx in first_of_key for c in per_driver[idx] if c[0] is cand]
+        if piece.end - start <= t_dw and len(search.drivers) + 1 < search.threshold:
+            children.append((cand, None, aboard, 0, (base, start)))
+    return children, per_driver, first_of_key
+
+
+@pytest.mark.parametrize("group", ["same_tree", *BB_OUTPUTS, "reference"])
+def test_the_pre_filter_skips_only_drivers_with_no_child(monkeypatch, group):
+    # A free driver whose u plus the shortest candidate passes t_cs must renew
+    # continuous steering before it boards, and cannot when the time to the
+    # boarding point, its deadhead run and the longest ride along stay below
+    # t_b. At every node, each driver the filter skips gets no child from its
+    # own relocation and the per-piece filters, the listing asks itinerary
+    # once per key of the rest, and the children are the unfiltered ones.
+    list_children, hand_out = _Search._list_children, _Search._hand_out
+    calls = 0
+    handed = []
+    skipped = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return itinerary(*args)
+
+    def spy_hand_out(search, ri, children):
+        handed.append(list(children))
+        return hand_out(search, ri, children)
+
+    def spy_list(search, ri, pieces, base, start, aboard, members):
+        nonlocal calls, skipped
+        expected, per_driver, first_of_key = _unfiltered_children(
+            search, pieces, base, start, aboard, members)
+        shortest = min(entry[0][0].duration for entry in pieces[0])
+        longest_ride = max(entry[0][0].start for entry in pieces[0]) - start
+        asked = set()
+        for idx in per_driver:
+            d = search.drivers[idx]
+            if (d.u + shortest > search.t_cs
+                    and start - d.time + longest_ride < search.t_b - d.trail_run):
+                assert per_driver[idx] == [], (idx, start)
+                skipped += 1
+            elif idx in first_of_key:
+                asked.add(idx)
+        calls = 0
+        handed.clear()
+        out = list_children(search, ri, pieces, base, start, aboard, members)
+        assert calls == len(asked)
+        assert (handed[0] if out is not None else []) == expected
+        return out
+
+    monkeypatch.setattr(mip, "itinerary", counting)
+    monkeypatch.setattr(_Search, "_hand_out", spy_hand_out)
+    monkeypatch.setattr(_Search, "_list_children", spy_list)
+    searched = 0
+    for g, m in _spied_searches():
+        if g == group:
+            assert solve(m, SolverConfig(time_limit=60)).status != "feasible"
+            searched += 1
+    assert searched > 0
+    assert skipped > 0
+
+
+def _scanned_next_event(search):
+    """The next event by a scan of every ride, as it was found before the
+    search kept each ride's event time."""
+    t_active = choice = None
+    unstarted = []
+    for ri in range(search.nrides):
+        pend = search.pending[ri]
+        if pend is not None:
+            node = pend[0]
+        else:
+            node = search.cur_node[ri]
+            if node < 0:
+                unstarted.append(ri)
+                continue
+            if search.pos[ri] >= search.n_segments[ri]:
+                continue
+        t = search.node_time[node]
+        if t_active is None or t < t_active:
+            t_active, choice = t, ri
+    best_start = None
+    for ri in unstarted:
+        grid = search.start_grids[ri]
+        if search.minstart[ri] >= len(grid):
+            return ("dead", ri, None)
+        e_min = grid[search.minstart[ri]]
+        if (t_active is None or e_min <= t_active) and (
+                best_start is None or e_min < best_start[1]):
+            best_start = (ri, e_min)
+    if best_start is not None:
+        return ("start", best_start[0], t_active)
+    if choice is None:
+        return None
+    return ("piece", choice, t_active)
+
+
+@pytest.mark.parametrize("group", ["same_tree", *BB_OUTPUTS, "reference"])
+def test_the_event_list_matches_a_rescan(monkeypatch, group):
+    # at every node the next event read off the kept event times is the one
+    # a scan of every ride finds, start and dead events included
+    next_event = _Search._next_event
+    kinds = set()
+
+    def checked(search):
+        got = next_event(search)
+        assert got == _scanned_next_event(search)
+        kinds.add(got[0] if got is not None else None)
+        return got
+
+    monkeypatch.setattr(_Search, "_next_event", checked)
+    for g, m in _spied_searches():
+        if g == group:
+            solve(m, SolverConfig(time_limit=60))
+    assert kinds >= {"piece", "start", None}
+    if group == "same_tree":
+        assert "dead" in kinds
 
 
 def test_same_tree_on_fixtures(fig2, sequential_pair, parallel_triplet):

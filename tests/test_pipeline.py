@@ -69,6 +69,30 @@ def test_timings_log_each_dbi_cap():
         assert 0 < log[0]["seconds"] <= rep.phase_timings["dbi"]
 
 
+def test_timings_log_each_final_solve():
+    # one entry per part the final solve works on, in order: part index,
+    # outcome, nodes, seconds. Without DBI, part 2 of 6x4x4-7 goes to the
+    # final solve, which searches the tree of its DBI cap
+    inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
+    rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=10.0, eta_ls=1.0, use_dbi=False))
+    log = rep.timings_dict()["mip_log"]
+    assert [(c["part"], c["outcome"], c["nodes"]) for c in log] == [(2, "optimal", 23786)]
+    assert rep.bb_nodes == {"mip": 23786}
+    assert 0 < log[0]["seconds"] <= rep.phase_timings["mip"]
+    assert "mip_log" not in rep.to_dict()
+    # on 8x6x4-7 in 1 s the parts DBI leaves open get a share each, and a
+    # solve that ends without a proof is a timeout
+    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.2, eta_ls=0.1))
+    log = rep.timings_dict()["mip_log"]
+    assert log
+    closed = {i: p["closed"] for i, p in enumerate(rep.parts)}
+    assert [c["part"] for c in log] == [i for i, how in closed.items() if how in ("mip", "open")]
+    assert [c["outcome"] for c in log] == [
+        "timeout" if closed[c["part"]] == "open" else "optimal" for c in log]
+    assert sum(c["nodes"] for c in log) == rep.bb_nodes["mip"]
+
+
 def test_gap_instance_splits_into_closed_rides():
     # each ride of the plain gap family is a component whose bound is met
     # by construction, so no DBI cap is tried
