@@ -53,6 +53,29 @@ the generators that move a ride (``_start_children`` and ``_hand_out``) set
 it and restore it with the rest of the ride's state, and its first minimum
 is the ride a scan in index order would pick. The few unstarted rides are
 scanned.
+
+Identical rides (every ``Ride`` field equal but ``id`` and ``line_id``, as
+parallel lines give) are searched in one order of their simultaneous moves,
+not in both. Under the exchange policies the rule fires when ride j's piece
+event directly follows the move of a lower-index ride i identical to j, and
+j's ride state equals i's state before that move; the state is the segment,
+the current node, the pending out-leg and the leg, station, start and end of
+each piece so far. j then gets only the children whose rank is not below the
+rank of i's move, where a rank is (candidate position, the driver's state
+key before the move) and a new driver ranks last. It is exact: the two rides
+board at the same located time and their candidate lists line up position
+by position. i's move leaves every driver but its own as it was, and adds
+no carrier that reaches a boarding point at that time, so the mirrored pair
+of moves is in the tree too, and after it the state is the same once the
+labels i and j are swapped. The order of ties among events at one time
+changes no reachable completion, so any solution can be relabelled, one
+step at a time, into one the rule keeps. The same holds in the final solve,
+where only thresholds that later incumbents lower can differ. The classes
+are found once per search; a search without identical rides lists its
+children by ``_exchange_children`` and never reaches the rule's code, and in
+one with them a ride that has none skips it too. Policy ``none`` is left
+out: its crews stay aboard to the terminal, so the crew of each ride would
+have to join the compared state.
 """
 
 from __future__ import annotations
@@ -81,6 +104,7 @@ class SolveOutcome:
     best_solution: Solution | None
     incumbent_log: list[tuple[float, int]] = field(default_factory=list)
     nodes: int = 0                   # branch-and-bound nodes visited
+    symmetry_drops: int = 0          # children the identical-ride rule dropped
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,10 @@ class _Search:
     A node's children are produced by one generator: ``_start_children``, or
     ``_hand_out`` over the piece assignments that ``_exchange_children`` or
     ``_crew_children`` list with ``_list_children`` when the node is entered
-    (a node with none gets no generator). Each step applies one
+    (a node with none gets no generator); in a search with identical rides,
+    ``_identical_children`` gives a ride that has some
+    ``_symmetric_hand_out``, which visits each child it keeps through
+    ``_hand_out`` and restores ``last_move`` when done. Each step applies one
     child's change to the shared search state, ``carriers`` included, and
     yields, and the next step undoes it before applying the next child;
     under policy ``none``, ``_hand_out`` yields from ``_crew_step``, which
@@ -167,7 +194,6 @@ class _Search:
         self.model = model
         self.config = config
         self.policy_none = self.inst.exchange_policy == POLICY_NONE
-        self._children = self._crew_children if self.policy_none else self._exchange_children
         self.rides = list(self.inst.rides)
         self.nrides = len(self.rides)
         self.n_segments = [r.n_segments for r in self.rides]
@@ -193,6 +219,24 @@ class _Search:
         self.crew: list[set[int]] = [set() for _ in range(self.nrides)]
         # per ride: (segment, node) or a pending tuple -> _pieces(), on first use
         self._piece_cache: list[dict[tuple, tuple]] = [dict() for _ in range(self.nrides)]
+        # exchange policies: per ride, the lower-index rides identical to it,
+        # or None when no other ride is identical to it
+        self.identical: list[frozenset[int] | None] = [None] * self.nrides
+        self._children = self._crew_children if self.policy_none else self._exchange_children
+        if not self.policy_none:
+            classes = defaultdict(list)
+            for ri, r in enumerate(self.rides):
+                # every Ride field but id and line_id
+                classes[r.stops, r.departures, r.segment_minutes, r.stations].append(ri)
+            for members in classes.values():
+                if len(members) > 1:
+                    self._children = self._identical_children
+                    for n, ri in enumerate(members):
+                        self.identical[ri] = frozenset(members[:n])
+        # (node, ride, ride state, rank) of the last move of a ride that has
+        # identical rides: the node its child is, and what that child checks
+        self.last_move: tuple | None = None
+        self.symmetry_drops = 0
 
         self.drivers: list[_Driver] = []
         # base -> (start, end, pieces) of each carrier leaving it: a scheduled
@@ -230,7 +274,8 @@ class _Search:
             status = "optimal"
         else:
             status = "optimal" if self.best_solution is not None else "infeasible"
-        return SolveOutcome(status, self.best_solution, self.incumbent_log, self.nodes_visited)
+        return SolveOutcome(status, self.best_solution, self.incumbent_log, self.nodes_visited,
+                            self.symmetry_drops)
 
     def _search(self):
         """Depth-first walk: visit a node, then resume the deepest open node's next child."""
@@ -330,10 +375,11 @@ class _Search:
         Each candidate comes with the limits a driver must meet to take it:
         (candidate, its start, most daily steering before it, earliest span
         start, most u before it). A candidate is (steering arc, steer
-        element, carrier unit, ride state after it): the unit is the arc as
-        a carrier under the exchange policies, None under policy none; the
-        state is ride ri's (current node, pending out-leg, segment, event
-        time) once the arc is driven. ``tired`` and ``no_rest`` are the
+        element, carrier unit, ride state after it, position): the unit is
+        the arc as a carrier under the exchange policies, None under policy
+        none; the state is ride ri's (current node, pending out-leg, segment,
+        event time) once the arc is driven; the position is the candidate's
+        index in this list. ``tired`` and ``no_rest`` are the
         pre-filter's extremes (``_list_children``): ``t_cs`` less the
         shortest duration, ``t_b`` less the latest start. Each arc leaves
         one node of one ride, so this is made once per search.
@@ -367,9 +413,9 @@ class _Search:
         moves += [(p, (p.tail, (p.head, k, p.station), k, node_time[p.head])) for p in ins]
         none = self.policy_none
         t_ds, t_dw, t_cs = self.t_ds, self.t_dw, self.t_cs
-        cands = [((p, ("steer", p.id), None if none else (p.start, p.end, (p,)), moved),
+        cands = [((p, ("steer", p.id), None if none else (p.start, p.end, (p,)), moved, n),
                   p.start, t_ds - p.duration, p.end - t_dw, t_cs - p.duration)
-                 for p, moved in moves]
+                 for n, (p, moved) in enumerate(moves)]
         out = cache[key] = (cands, t_cs - min([p.duration for p, _ in moves], default=0),
                             self.t_b - max([p.start for p, _ in moves], default=0))
         return out
@@ -382,7 +428,17 @@ class _Search:
             return None
         # every candidate leaves the ride's current node: one boarding point
         first = pieces[0][0][0][0]
-        return self._list_children(ri, pieces, first.from_base, first.start, [], [])
+        children = self._list_children(pieces, first.from_base, first.start, [], [])
+        return self._hand_out(ri, children) if children else None
+
+    def _identical_children(self, ri: int, pieces: tuple):
+        """``_exchange_children`` in a search with identical rides, where a
+        ride that has some gets ``_symmetric_hand_out``."""
+        if self.identical[ri] is None or not pieces[0]:
+            return self._exchange_children(ri, pieces)
+        first = pieces[0][0][0][0]
+        children = self._list_children(pieces, first.from_base, first.start, [], [])
+        return self._symmetric_hand_out(ri, children) if children else None
 
     def _crew_children(self, ri: int, pieces: tuple):
         """Like ``_exchange_children``, for crews that stay aboard to the terminal:
@@ -397,12 +453,13 @@ class _Search:
         for idx in sorted(self.crew[ri]):
             d = drivers[idx]
             members.append((idx, d.time, d.u, d.daily, d.start, self._aboard(ri, d.time)))
-        return self._list_children(ri, pieces, self.rides[ri].stops[0], start_t,
-                                   self._aboard(ri, start_t), members)
+        children = self._list_children(pieces, self.rides[ri].stops[0], start_t,
+                                       self._aboard(ri, start_t), members)
+        return self._hand_out(ri, children) if children else None
 
-    def _list_children(self, ri: int, pieces: tuple, base: str, start: int,
+    def _list_children(self, pieces: tuple, base: str, start: int,
                        aboard: list[tuple], members: list[tuple]):
-        """``_hand_out`` over the node's children, or None when it has none.
+        """The node's children, in the order they are visited.
 
         Each candidate goes, in this order, to each crew member in
         ``members`` (index, time, u, daily steering, span start, ride along;
@@ -455,7 +512,7 @@ class _Search:
                         children.append((cand, idx, plan, u0, None))
             if new_driver and start >= min_start:
                 children.append((cand, None, aboard, 0, (base, start)))
-        return self._hand_out(ri, children) if children else None
+        return children
 
     def _hand_out(self, ri: int, children: list[tuple]):
         """Visit each child (candidate, driver index, plan, u before the
@@ -478,7 +535,7 @@ class _Search:
         pending = self.pending
         event_time = self.event_time
         ride_undo = cur_node[ri], pending[ri], pos[ri], event_time[ri]
-        for (piece, steer, unit, moved), idx, plan, u0, new_at in children:
+        for (piece, steer, unit, moved, _), idx, plan, u0, new_at in children:
             if new_at is None:
                 d = drivers[idx]
                 undo = d.base, d.time, d.u, d.daily, d.trail_run, len(d.elements)
@@ -514,6 +571,40 @@ class _Search:
                 drivers.pop()
             cur_node[ri], pending[ri], pos[ri], event_time[ri] = ride_undo
             ride_pieces.pop()
+
+    def _symmetric_hand_out(self, ri: int, children: list[tuple]):
+        """``_hand_out`` for a ride with identical rides: visit the children
+        the identical-ride rule (module docstring) keeps, one at a time, and
+        note each child's move in ``last_move`` for the child node.
+
+        The state is the segment, the current node, the pending out-leg and
+        each piece so far as (leg, station, start, end); a rank is (candidate
+        position, 0, driver's state key) for a driver already out and
+        (candidate position, 1) for a new one. When this node is the child
+        of a move of a lower-index identical ride, made from the state this
+        ride is in now, children ranked below that move are dropped.
+        """
+        state = (self.pos[ri], self.cur_node[ri], self.pending[ri],
+                 [(p.leg, p.station, p.start, p.end) for p in self.ride_pieces[ri]])
+        m = self.last_move
+        floor = None
+        if (m is not None and m[0] == self.nodes_visited and m[1] in self.identical[ri]
+                and m[2] == state):
+            floor = m[3]
+        drivers = self.drivers
+        for child in children:
+            position, idx = child[0][4], child[1]
+            if idx is None:
+                rank = (position, 1)
+            else:
+                d = drivers[idx]   # each child leaves the drivers as it found them
+                rank = (position, 0, (d.base, d.time, d.u, d.daily, d.start, d.trail_run))
+            if floor is not None and rank < floor:
+                self.symmetry_drops += 1
+                continue
+            self.last_move = (self.nodes_visited + 1, ri, state, rank)
+            yield from self._hand_out(ri, [child])
+        self.last_move = m
 
     # -- policy-none crew handling ----------------------------------------
 

@@ -103,10 +103,12 @@ class RunReport:
     # stage that closed it (ch_ls, dbi, mip) or "open"
     parts: list[dict] = field(default_factory=list)
     # per DBI cap tried, in order: part index, cap, outcome (refuted,
-    # optimal, timeout), B&B nodes and seconds
+    # optimal, timeout), B&B nodes, children the identical-ride rule dropped
+    # and seconds
     dbi_log: list[dict] = field(default_factory=list)
     # per final solve, parts in order: part index, outcome (optimal,
-    # infeasible, timeout), B&B nodes and seconds
+    # infeasible, timeout), B&B nodes, children the identical-ride rule
+    # dropped and seconds
     mip_log: list[dict] = field(default_factory=list)
     # the whole instance's constructive bounds, which of them set clb (the
     # first to reach it) and the size of the time graph
@@ -157,7 +159,8 @@ def destructive_bound_improvement(
     Requires lb to be a valid lower bound on entry; every increment is
     justified by an exhausted search, so it stays valid throughout. Each
     cap's solve is appended to `cap_log`, if given, as its cap, outcome
-    (refuted, optimal or timeout), B&B nodes and seconds.
+    (refuted, optimal or timeout), B&B nodes, children the identical-ride
+    rule dropped and seconds.
     """
     deadline = _time.monotonic() + eta_lb
     while True:
@@ -174,7 +177,8 @@ def destructive_bound_improvement(
         if cap_log is not None:
             cap_log.append({
                 "cap": lb, "outcome": CAP_OUTCOMES.get(out.status, "timeout"),
-                "nodes": out.nodes, "seconds": round(_time.monotonic() - t, 6)})
+                "nodes": out.nodes, "symmetry_drops": out.symmetry_drops,
+                "seconds": round(_time.monotonic() - t, 6)})
         if out.status == "optimal":
             return lb, DBI_OPTIMAL, out.best_solution
         if out.status == "infeasible":
@@ -398,7 +402,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             mip_log.append({
                 "part": index[id(part)],
                 "outcome": out.status if out.status in ("optimal", "infeasible") else "timeout",
-                "nodes": out.nodes, "seconds": round(_time.monotonic() - start, 6)})
+                "nodes": out.nodes, "symmetry_drops": out.symmetry_drops,
+                "seconds": round(_time.monotonic() - start, 6)})
             others = [p.best.objective for p in parts if p is not part and p.best is not None]
             if len(others) == len(parts) - 1:
                 for dt, f in out.incumbent_log:

@@ -18,6 +18,7 @@ from drsync.instance import (
     Ride,
     check_instance,
     decompose,
+    filter_stations,
 )
 from drsync import mip
 from drsync.mip import (
@@ -280,19 +281,26 @@ def _search_state(search):
         {base: list(units) for base, units in search.carriers.items() if units},
         [list(p) for p in search.ride_pieces], list(search.pos), list(search.pending),
         list(search.cur_node), list(search.minstart), list(search.event_time),
-        list(search.unstarted),
+        list(search.unstarted), search.last_move,
     )
 
 
-@pytest.mark.parametrize("policy", ["regular_and_intermediate", "none"])
-def test_an_exhausted_search_leaves_the_root_state(policy):
+@pytest.mark.parametrize("shape, seed", [
+    ((2, 2, 4, POLICY_FULL), 3),
+    ((2, 2, 4, POLICY_NONE), 3),
+    # P(4) of a line of identical rides, where the identical-ride rule cuts
+    ((1, 4, 3, POLICY_FULL), 27),
+], ids=["regular_and_intermediate", "none", "identical_rides"])
+def test_an_exhausted_search_leaves_the_root_state(shape, seed):
     # every child undoes what it applied, so a search that visits the whole
     # tree ends where it began
-    inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy=policy), 3)[0]
+    inst = generate_synthetic(GeneratorConfig(*shape[:3], exchange_policy=shape[3]), seed)[0]
     search = _Search(_cap_model(inst, 0), SolverConfig(time_limit=60))
     root = _search_state(search)
-    assert search.run().status == "infeasible"
+    out = search.run()
+    assert out.status == "infeasible"
     assert _search_state(search) == root
+    assert (out.symmetry_drops > 0) == (shape[:3] == (1, 4, 3))
 
 
 def _cap_model(inst, extra):
@@ -352,10 +360,10 @@ def test_same_tree_on_generated_caps(shape, seed):
 
 
 def _reference_model():
-    """P(5) of part 2 of 6x4x4-7, as DBI solves it in a run (23786 nodes).
+    """P(5) of part 2 of 6x4x4-7, as DBI solves it in a run (12138 nodes).
 
     Unlike the SAME_TREE shapes, its nodes offer several candidate pieces
-    each.
+    each, and it has identical rides.
     """
     inst = check_instance(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
     g = build_graph(inst)
@@ -367,7 +375,9 @@ def _reference_model():
 def test_the_reach_list_is_searched_once_per_node(monkeypatch):
     # every free driver's relocation is searched at most once per node, and
     # not at all when the pre-filter shows it could take no candidate: once
-    # per piece took 88663 itinerary calls, once per node with no filter 50223
+    # per piece took 88663 itinerary calls, once per node with no filter
+    # 50223 and with the filter 25498, over the 23786 nodes this search had
+    # before identical rides were searched in one order
     calls = 0
 
     def counting(*args):
@@ -378,8 +388,9 @@ def test_the_reach_list_is_searched_once_per_node(monkeypatch):
     monkeypatch.setattr(mip, "itinerary", counting)
     m = _reference_model()
     out = solve(m, SolverConfig(time_limit=60))
-    assert (m.cardinality_cap, _outcome_key(out)) == (5, ("optimal", 5, 23786))
-    assert calls == 25498
+    assert (m.cardinality_cap, _outcome_key(out)) == (5, ("optimal", 5, 12138))
+    assert out.symmetry_drops == 403
+    assert calls == 13305
 
 
 # sha256 over (status, nodes, best solution) of every search on
@@ -408,7 +419,8 @@ def test_bb_outputs_are_pinned(policy):
 def _spied_searches():
     """(group, model) of every search the listing and event checks watch: the
     SAME_TREE caps, the BB_OUTPUTS searches (grouped by policy), one more
-    search under none and the reference search."""
+    search under none, one with identical rides under regular_stops and the
+    reference search."""
     for shape, seed in SAME_TREE:
         cfg = GeneratorConfig(*shape[:3], **({"exchange_policy": shape[3]} if len(shape) > 3 else {}))
         inst = generate_synthetic(cfg, seed)[0]
@@ -422,6 +434,15 @@ def _spied_searches():
     # the few micro searches under none skip no driver; this one does
     inst = generate_synthetic(GeneratorConfig(3, 2, 3, exchange_policy=POLICY_NONE), 3)[0]
     yield POLICY_NONE, _cap_model(inst, 0)
+    yield from _identical_ride_searches()
+
+
+def _identical_ride_searches():
+    """The spied searches in which the identical-ride rule cuts children (no
+    micro search has identical rides): one under regular_stops and the
+    reference search."""
+    inst = generate_synthetic(GeneratorConfig(1, 4, 3, exchange_policy=POLICY_REGULAR), 27)[0]
+    yield POLICY_REGULAR, _cap_model(inst, 0)
     yield "reference", _reference_model()
 
 
@@ -473,9 +494,8 @@ def test_the_pre_filter_skips_only_drivers_with_no_child(monkeypatch, group):
     # t_b. At every node, each driver the filter skips gets no child from its
     # own relocation and the per-piece filters, the listing asks itinerary
     # once per key of the rest, and the children are the unfiltered ones.
-    list_children, hand_out = _Search._list_children, _Search._hand_out
+    list_children = _Search._list_children
     calls = 0
-    handed = []
     skipped = 0
 
     def counting(*args):
@@ -483,11 +503,7 @@ def test_the_pre_filter_skips_only_drivers_with_no_child(monkeypatch, group):
         calls += 1
         return itinerary(*args)
 
-    def spy_hand_out(search, ri, children):
-        handed.append(list(children))
-        return hand_out(search, ri, children)
-
-    def spy_list(search, ri, pieces, base, start, aboard, members):
+    def spy_list(search, pieces, base, start, aboard, members):
         nonlocal calls, skipped
         expected, per_driver, first_of_key = _unfiltered_children(
             search, pieces, base, start, aboard, members)
@@ -503,22 +519,23 @@ def test_the_pre_filter_skips_only_drivers_with_no_child(monkeypatch, group):
             elif idx in first_of_key:
                 asked.add(idx)
         calls = 0
-        handed.clear()
-        out = list_children(search, ri, pieces, base, start, aboard, members)
+        out = list_children(search, pieces, base, start, aboard, members)
         assert calls == len(asked)
-        assert (handed[0] if out is not None else []) == expected
+        assert out == expected
         return out
 
     monkeypatch.setattr(mip, "itinerary", counting)
-    monkeypatch.setattr(_Search, "_hand_out", spy_hand_out)
     monkeypatch.setattr(_Search, "_list_children", spy_list)
-    searched = 0
+    searched = drops = 0
     for g, m in _spied_searches():
         if g == group:
-            assert solve(m, SolverConfig(time_limit=60)).status != "feasible"
+            out = solve(m, SolverConfig(time_limit=60))
+            assert out.status != "feasible"
             searched += 1
+            drops += out.symmetry_drops
     assert searched > 0
     assert skipped > 0
+    assert (drops > 0) == (group in (POLICY_REGULAR, "reference"))
 
 
 def _scanned_next_event(search):
@@ -570,12 +587,84 @@ def test_the_event_list_matches_a_rescan(monkeypatch, group):
         return got
 
     monkeypatch.setattr(_Search, "_next_event", checked)
+    drops = 0
     for g, m in _spied_searches():
         if g == group:
-            solve(m, SolverConfig(time_limit=60))
+            drops += solve(m, SolverConfig(time_limit=60)).symmetry_drops
+    assert (drops > 0) == (group in (POLICY_REGULAR, "reference"))
     assert kinds >= {"piece", "start", None}
     if group == "same_tree":
         assert "dead" in kinds
+
+
+def _candidate(entry):
+    """A candidate of ``_pieces`` as identical rides share it: its arc's leg,
+    station and times, the ride state it leads to, its position and limits."""
+    (piece, _steer, _unit, moved, position), *limits = entry
+    return piece.leg, piece.station, piece.start, piece.end, moved, position, limits
+
+
+def _signature(pieces):
+    return [(p.leg, p.station, p.start, p.end) for p in pieces]
+
+
+def test_identical_rides_line_up_where_the_rule_fires(monkeypatch):
+    # wherever the identical-ride rule fires, this node is the child of the
+    # move of a lower-index ride equal in every field but the ids, that ride
+    # had this ride's pieces before the move and moved by one of this ride's
+    # candidates, and the two rides' candidates match position by position
+    symmetric = _Search._symmetric_hand_out
+    fired = 0
+
+    def spy(search, ri, children):
+        nonlocal fired
+        m = search.last_move
+        mine = _signature(search.ride_pieces[ri])
+        state = (search.pos[ri], search.cur_node[ri], search.pending[ri], mine)
+        if (m is not None and m[0] == search.nodes_visited and m[1] in search.identical[ri]
+                and m[2] == state):
+            assert m[1] < ri
+            lower = search.rides[m[1]]
+            assert replace(lower, id="", line_id="") == replace(search.rides[ri], id="", line_id="")
+            theirs = _signature(search.ride_pieces[m[1]])
+            assert theirs[:-1] == mine
+            candidates = search._pieces(ri)[0]
+            assert theirs[-1] in [_candidate(e)[:4] for e in candidates]
+            key = search.pending[ri] or (search.pos[ri], search.cur_node[ri])
+            lower_candidates = search._piece_cache[m[1]][key][0]
+            assert list(map(_candidate, candidates)) == list(map(_candidate, lower_candidates))
+            fired += 1
+        return symmetric(search, ri, children)
+
+    monkeypatch.setattr(_Search, "_symmetric_hand_out", spy)
+    drops = 0
+    for _group, m in _identical_ride_searches():
+        drops += solve(m, SolverConfig(time_limit=60)).symmetry_drops
+    assert fired > 100 and drops > 100
+
+
+# parts with identical rides, as (shape, seed, part index)
+IDENTICAL_RIDE_PARTS = [((1, 3, 3), 27, 0), ((1, 3, 3), 40, 0), ((1, 3, 4), 37, 0),
+                        ((1, 3, 4), 54, 0), ((1, 3, 4), 58, 0), ((2, 3, 3), 9, 1),
+                        ((2, 3, 3), 12, 1)]
+
+
+@pytest.mark.parametrize("policy", [POLICY_FULL, POLICY_REGULAR])
+def test_the_identical_ride_rule_keeps_the_oracle_optimum(policy):
+    # with the rule cutting children, the search still finds the oracle's
+    # optimum and refutes one driver fewer
+    for shape, seed, index in IDENTICAL_RIDE_PARTS:
+        cfg = GeneratorConfig(*shape, exchange_policy=policy)
+        part = decompose(filter_stations(check_instance(generate_synthetic(cfg, seed)[0])))[index]
+        m = model_for(part)
+        optimum = brute_force(part).optimum
+        out = solve(m, SolverConfig(time_limit=60))
+        below = solve(replace(restrict(m, optimum - 1), objective_floor=optimum - 1),
+                      SolverConfig(time_limit=60))
+        assert (out.status, out.best_solution.objective, below.status) == (
+            "optimal", optimum, "infeasible"), (shape, seed)
+        assert check_feasibility(out.best_solution, part, m.graph) == []
+        assert out.symmetry_drops > 0 and below.symmetry_drops > 0
 
 
 def test_same_tree_on_fixtures(fig2, sequential_pair, parallel_triplet):

@@ -52,13 +52,15 @@ def test_gap_instance_found_by_dbi():
 
 
 def test_timings_log_each_dbi_cap():
-    # one entry per cap tried, in order: part index, cap, outcome, nodes, seconds
+    # one entry per cap tried, in order: part index, cap, outcome, nodes,
+    # children the identical-ride rule dropped, seconds
     rep = run(gap_fixture(2, hub=True), DbmhConfig())
     log = rep.timings_dict()["dbi_log"]
-    assert [(c["part"], c["cap"], c["outcome"]) for c in log] == [(0, 1, "refuted")]
+    assert [(c["part"], c["cap"], c["outcome"], c["symmetry_drops"]) for c in log] == [
+        (0, 1, "refuted", 0)]
     assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
     assert "dbi_log" not in rep.to_dict()
-    # on 6x4x4-7 only part 2 stays open past CH+LS; its cap takes 23786 nodes
+    # on 6x4x4-7 only part 2 stays open past CH+LS; its cap takes 12138 nodes
     inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
     for eta_lb, outcome in ((10.0, "optimal"), (0.02, "timeout")):
         rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=eta_lb, eta_ls=1.0,
@@ -67,17 +69,21 @@ def test_timings_log_each_dbi_cap():
         assert [(c["part"], c["cap"], c["outcome"]) for c in log] == [(2, 5, outcome)]
         assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
         assert 0 < log[0]["seconds"] <= rep.phase_timings["dbi"]
+        if outcome == "optimal":
+            assert (log[0]["nodes"], log[0]["symmetry_drops"]) == (12138, 403)
 
 
 def test_timings_log_each_final_solve():
     # one entry per part the final solve works on, in order: part index,
-    # outcome, nodes, seconds. Without DBI, part 2 of 6x4x4-7 goes to the
-    # final solve, which searches the tree of its DBI cap
+    # outcome, nodes, children the identical-ride rule dropped, seconds.
+    # Without DBI, part 2 of 6x4x4-7 goes to the final solve, which
+    # searches the tree of its DBI cap
     inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
     rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=10.0, eta_ls=1.0, use_dbi=False))
     log = rep.timings_dict()["mip_log"]
-    assert [(c["part"], c["outcome"], c["nodes"]) for c in log] == [(2, "optimal", 23786)]
-    assert rep.bb_nodes == {"mip": 23786}
+    assert [(c["part"], c["outcome"], c["nodes"], c["symmetry_drops"]) for c in log] == [
+        (2, "optimal", 12138, 403)]
+    assert rep.bb_nodes == {"mip": 12138}
     assert 0 < log[0]["seconds"] <= rep.phase_timings["mip"]
     assert "mip_log" not in rep.to_dict()
     # on 8x6x4-7 in 1 s the parts DBI leaves open get a share each, and a
