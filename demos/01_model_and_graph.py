@@ -31,13 +31,15 @@ for node in graph.nodes:
         print(f"  {node.base}@{node.time}")
 
 print("\nArcs by family:")
-for family in ("steering", "deadhead", "waiting", "depot"):
+for family in ("steering", "deadhead", "waiting"):
     arcs = [a for a in graph.arcs if a.family == family]
     print(f"  {family}: {len(arcs)}")
     if family == "steering":
         for a in arcs:   # each arc carries its located ends
             print(f"    {a.from_base}@{a.start} -> {a.to_base}@{a.end} "
                   f"({a.duration} min steering)")
+
+print(f"  depot: {2 * (len(graph.nodes) - 2)} implicit (source -> every node -> sink)")
 
 print("\nNote the station: its single copy sits at 505 (= 475 + 30), and it")
 print("can only reach the later copy of j, exactly because a detour always")

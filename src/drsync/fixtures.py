@@ -130,9 +130,9 @@ def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, In
     Contains at least one instance where each lower bound dominates the
     other and at least two constructive-bound gap instances. A generated
     instance is kept only if it has at most ``MICRO_LIMIT_RIDES`` rides and
-    its time graph at most ``MICRO_LIMIT_ARCS`` arcs, the limits
-    ``oracle.brute_force`` accepts by default; the crafted fixtures are
-    within them too (both checked by the tests, not here).
+    its time graph at most ``MICRO_LIMIT_ARCS`` arcs (depot arcs counted),
+    the limits ``oracle.brute_force`` accepts by default; the crafted
+    fixtures are within them too (both checked by the tests, not here).
     """
     out: list[tuple[str, Instance]] = [
         ("crafted-lb1-dominant", dominance_lb1_fixture()),

@@ -6,8 +6,8 @@ instance (not from graph arcs), driver states are immutable tuples, and
 the search deepens an explicit driver cap (1, 2, ...) until a feasible
 assignment exists, so any answer is a proven optimum. Shares only the
 data types, ``filter_stations`` (which station accesses are usable),
-``build_graph`` (for its size limit and its witness) and
-``assemble_route`` for the returned witness.
+``build_graph`` and ``graph_stats`` (its size limit, depot arcs counted, and
+its witness) and ``assemble_route`` for the returned witness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .instance import Instance, POLICY_NONE, check_instance, filter_stations
 from .solution import RidePlan, Solution, assemble_route
-from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph
+from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph, graph_stats
 
 
 class OracleSizeError(Exception):
@@ -51,8 +51,8 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
     g = build_graph(instance)
     if len(inst.rides) > max_rides:
         raise OracleSizeError(f"{len(inst.rides)} rides exceeds the limit of {max_rides}")
-    if len(g.arcs) > max_arcs:
-        raise OracleSizeError(f"{len(g.arcs)} arcs exceeds the limit of {max_arcs}")
+    if (n_arcs := graph_stats(g).n_arcs) > max_arcs:
+        raise OracleSizeError(f"{n_arcs} arcs exceeds the limit of {max_arcs}")
 
     legal = inst.legal
     t_cs, t_b, t_ds, t_dw = legal.t_cs, legal.t_b, legal.t_ds, legal.t_dw

@@ -42,7 +42,7 @@ from .instance import Instance, check_instance, decompose
 from .mip import Model, SolverConfig, build_model, restrict, solve
 from .search import ConstructionError, SearchConfig, construct, local_search
 from .solution import Solution
-from .timegraph import TimeGraph, build_graph
+from .timegraph import TimeGraph, build_graph, graph_stats
 
 FOUND_CH_LS = "ch_ls"
 FOUND_CALLBACK = "ls_callback"
@@ -192,6 +192,7 @@ class _Part:
     """One independent component of the instance and its share of the run."""
 
     instance: Instance
+    floor: int = 0             # its max(lb1, lb2), which local search stops at
     best: Solution | None = None
     model: Model | None = None  # built past the whole clb, unless max(lb1, lb2) closes it
     lb: int = 0                # its constructive bound, raised by DBI
@@ -255,7 +256,8 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     lb2 = lower_bound_parallel(instance)
     # split what the graph can use: a station no arc reaches ties no rides.
     # An instance with no rides has no components; it is one empty part
-    parts = [_Part(c) for c in decompose(graph.instance)] or [_Part(graph.instance)]
+    parts = [_Part(c, max(lower_bound_steering(c), lower_bound_parallel(c)))
+             for c in decompose(graph.instance)] or [_Part(graph.instance)]
     clock("prep", t)
 
     best: Solution | None = None
@@ -280,7 +282,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         ls_end = max(deadline, t + 0.01)    # local search gets at least 0.01 s
         for part, share in _shares(parts, ls_end):
             part.best = local_search(part.best, part.instance, graph,
-                                     search_config(_time.monotonic() + share))
+                                     search_config(_time.monotonic() + share), lb=part.floor)
         improved = _join(graph, parts)
         if improved.objective < best.objective:
             log.append((_time.monotonic() - t0, improved.objective))
@@ -300,7 +302,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         **bound_values,
         "clb_set_by": next(k for k, v in bound_values.items() if v == clb),
         "graph_nodes": len(graph.nodes),
-        "graph_arcs": len(graph.arcs),
+        "graph_arcs": graph_stats(graph).n_arcs,
     }
 
     def lower_bounds():
@@ -328,8 +330,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     bounded = True
     for part in parts:
         # lb3 is swept only if it can matter, here as for the whole instance
-        if part.best is not None and part.best.objective == max(
-                lower_bound_steering(part.instance), lower_bound_parallel(part.instance)):
+        if part.best is not None and part.best.objective == part.floor:
             part.lb, part.closed = part.best.objective, FOUND_CH_LS
             continue
         part.model = build_model(part.instance, graph, compute_bounds(part.instance))
@@ -386,7 +387,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 # the callback runs inside the solve: it must not outlast the part's share
                 now = _time.monotonic()
                 cfg = search_config(min(now + config.eta_ls, max(part_end, now + 0.01)))
-                better = local_search(sol, part.instance, graph, cfg)
+                better = local_search(sol, part.instance, graph, cfg, lb=part.floor)
                 if better.objective < sol.objective:
                     stage_origin[id(better)] = FOUND_CALLBACK
                     return better

@@ -794,10 +794,12 @@ def operator_insert_stop_highest_sync(solution, instance, graph, config, seed) -
         arcs = solution.graph.arcs
         visits: dict[str, int] = {}
         for route in solution.routes:
+            # each end of a route once more, where its depot arc meets it
+            bases = [arcs[route[0]].from_base, arcs[route[-1]].to_base]
             for aid in route:
-                arc = arcs[aid]
-                for b in (arc.from_base, arc.to_base):
-                    visits[b] = visits.get(b, 0) + 1
+                bases += (arcs[aid].from_base, arcs[aid].to_base)
+            for b in bases:
+                visits[b] = visits.get(b, 0) + 1
         return sorted(accs, key=lambda a: (-visits.get(a.station_id, 0), a.station_id))
     return _insert_station(solution, instance, graph, config, seed, order)
 
@@ -846,21 +848,29 @@ def _op_seed(config: SearchConfig, iteration: int, op_index: int) -> int:
     return config.seed * 1000003 + iteration * 101 + op_index
 
 
+def _routes_key(arcs: list, routes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The routes in the order they had between their depot arcs, whose ids
+    (``graph_to_dict``) rise with the node and exceed every real arc's."""
+    return [(arcs[r[0]].tail, *r, len(arcs)) for r in routes]
+
+
 def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                  config: SearchConfig | None = None,
-                 trace: list[tuple[int, int]] | None = None) -> Solution:
+                 trace: list[tuple[int, int]] | None = None, lb: int | None = None) -> Solution:
     """Lexicographic descent on (driver count, -remaining working time).
 
     It stops at the first iteration that improves nothing, or before an
     iteration that the driver bound shows cannot improve (module
     docstring); at the bound it does not call segment reassignment.
+    ``lb`` is that bound, max(lb1, lb2) of `instance`, if the caller has it.
     The replay memo of the current plan's greedy record lives only while
     the search stays on that plan; none outlives the search.
     """
     config = config or SearchConfig()
     t_end = config.t_end
     t_dw = instance.legal.t_dw
-    lb = max(lower_bound_steering(instance), lower_bound_parallel(instance))
+    if lb is None:
+        lb = max(lower_bound_steering(instance), lower_bound_parallel(instance))
     current = solution
     f0, th0 = current.objective, current.theta()
     if trace is not None:
@@ -881,7 +891,7 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
                                _op_seed(config, iteration, oi)))
             better = sorted(
                 (c for c in pool if c.objective < f0 or (c.objective == f0 and c.theta() > th0)),
-                key=lambda c: (c.objective, -c.theta(), c.routes))
+                key=lambda c: (c.objective, -c.theta(), _routes_key(graph.arcs, c.routes)))
             # the best improving move that passes the full check is the one taken
             accepted = next((c for c in better if not check_feasibility(c, instance, graph)),
                             None)

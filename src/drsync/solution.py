@@ -1,9 +1,10 @@
 """Solution representation, feasibility checking, and route plumbing.
 
-A solution is a set of driver routes (arc sequences source -> sink) over
-the time graph. The vehicle side is captured by a plan: per ride, the
-chosen departure minute of every stop and the station (if any) inserted
-into each segment. A plan's pieces are the graph's own steering arcs
+A solution is a set of driver routes over the time graph, each the arcs
+from the driver's first located time to its last (the depot arcs to and
+from them are implicit, see ``timegraph``). The vehicle side is captured
+by a plan: per ride, the chosen departure minute of every stop and the
+station (if any) inserted into each segment. A plan's pieces are the graph's own steering arcs
 (``TimedArc``, with their located ends); every piece must be steered by
 exactly one driver.
 
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 from .instance import Instance, POLICY_NONE
 from .timegraph import (
+    DEPOT,
     FAMILY_DEADHEAD,
     FAMILY_DEPOT,
     FAMILY_STEERING,
@@ -33,7 +35,7 @@ from .timegraph import (
 
 
 class SolutionStructureError(Exception):
-    """A route is not a well-formed source->sink path over existing arcs."""
+    """A route is not a well-formed path over existing arcs."""
 
 
 class PlanError(Exception):
@@ -120,16 +122,14 @@ def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[TimedArc]:
 
 
 def assemble_route(graph: TimeGraph, elements: list[tuple]) -> tuple[int, ...]:
-    """Expand timeline elements into a full source->sink arc sequence."""
+    """Expand timeline elements into the route's arc sequence."""
     arcs: list[int] = []
     node = None
     for el in elements:
         if el[0] == "wait":
             _, base, t0, t1 = el
             cur = graph.node_at[(base, t0)]
-            if node is None:
-                arcs.append(graph.depot_out[cur])
-            elif cur != node:
+            if node is not None and cur != node:
                 raise SolutionStructureError(f"wait does not start where driver is ({base}@{t0})")
             while graph.nodes[cur].time < t1:
                 aid = graph.wait_next.get(cur)
@@ -143,15 +143,12 @@ def assemble_route(graph: TimeGraph, elements: list[tuple]) -> tuple[int, ...]:
         else:
             _, aid = el
             arc = graph.arcs[aid]
-            if node is None:
-                arcs.append(graph.depot_out[arc.tail])
-            elif arc.tail != node:
+            if node is not None and arc.tail != node:
                 raise SolutionStructureError("disconnected timeline element")
             arcs.append(aid)
             node = arc.head
     if node is None:
         raise SolutionStructureError("empty driver timeline")
-    arcs.append(graph.depot_in[node])
     return tuple(arcs)
 
 
@@ -194,14 +191,14 @@ class Solution:
         return self._theta
 
     def route_span(self, route: tuple[int, ...]) -> tuple[int, int]:
-        """The route's start and return: the head time of its first arc and
-        the tail time of its last.
+        """The route's start and return: the start of its first arc and the
+        end of its last.
 
-        `route` must be a source->sink path (``_validate_structure``). No
-        arc runs back in time, so these are its earliest and latest times.
+        `route` must be a connected path (``_validate_structure``). No arc
+        runs back in time, so these are its earliest and latest times.
         """
         arcs = self.graph.arcs
-        return arcs[route[0]].end, arcs[route[-1]].start
+        return arcs[route[0]].start, arcs[route[-1]].end
 
     def to_dict(self) -> dict:
         g = self.graph
@@ -215,17 +212,15 @@ class Solution:
             })
         drivers = []
         for k, route in enumerate(self.routes):
-            steps = []
-            for aid in route:
-                arc = g.arcs[aid]
-                steps.append({
-                    "family": arc.family,
-                    "from": {"base": arc.from_base, "time": arc.start},
-                    "to": {"base": arc.to_base, "time": arc.end},
-                    "ride": arc.ride,
-                    "segment": arc.segment,
-                    "station": arc.station,
-                })
+            steps = [{"family": a.family, "from": {"base": a.from_base, "time": a.start},
+                      "to": {"base": a.to_base, "time": a.end},
+                      "ride": a.ride, "segment": a.segment, "station": a.station}
+                     for a in (g.arcs[aid] for aid in route)]
+            # and the implicit depot arcs, from the depot to the route and back
+            depot = {"family": FAMILY_DEPOT, "ride": None, "segment": None, "station": None}
+            away = {"base": DEPOT, "time": None}
+            steps = [{**depot, "from": away, "to": dict(steps[0]["from"])}, *steps,
+                     {**depot, "from": dict(steps[-1]["to"]), "to": dict(away)}]
             drivers.append({"id": k, "route": steps})
         return {
             "schema": "drsync-solution/1",
@@ -427,22 +422,15 @@ class ConnectionPlanner:
 # ---------------------------------------------------------------------------
 
 def _validate_structure(graph: TimeGraph, route: tuple[int, ...], who: str) -> None:
-    if len(route) < 3:
-        raise SolutionStructureError(f"{who}: route too short to be source->sink")
+    """A route is a non-empty connected path of real arcs, one of them steering."""
+    if not route:
+        raise SolutionStructureError(f"{who}: empty route")
     for aid in route:
         if not (0 <= aid < len(graph.arcs)):
             raise SolutionStructureError(f"{who}: arc {aid} does not exist")
-    first, last = graph.arcs[route[0]], graph.arcs[route[-1]]
-    if first.tail != graph.source or first.family != FAMILY_DEPOT:
-        raise SolutionStructureError(f"{who}: route does not start at the source")
-    if last.head != graph.sink or last.family != FAMILY_DEPOT:
-        raise SolutionStructureError(f"{who}: route does not end at the sink")
     for a, b in zip(route, route[1:]):
         if graph.arcs[a].head != graph.arcs[b].tail:
             raise SolutionStructureError(f"{who}: dangling arcs {a}->{b}")
-    for aid in route[1:-1]:
-        if graph.arcs[aid].family == FAMILY_DEPOT:
-            raise SolutionStructureError(f"{who}: depot arc inside the route")
     if not any(graph.arcs[aid].mode == 1 for aid in route):
         raise SolutionStructureError(f"{who}: active driver without a steering arc")
 
@@ -485,8 +473,6 @@ def check_feasibility(solution: Solution, instance: Instance,
 
         for aid in route:
             arc = g.arcs[aid]
-            if arc.family == FAMILY_DEPOT:
-                continue
             if arc.family == FAMILY_STEERING:
                 close_block()
                 u += arc.duration

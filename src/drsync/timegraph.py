@@ -1,9 +1,12 @@
 """Time-expanded directed multigraph over which drivers are routed.
 
 Nodes are (physical location, departure minute) copies plus one timeless
-source and sink for the depot. Four arc families:
+source and sink for the depot. The paper's depot arcs, source -> every node
+-> sink, are implicit: no solver routes over them, so a driver's route is
+its arcs from its first node to its last, and only the dumps
+(``graph_to_dict``) and the size (``graph_stats``) count them. Three arc
+families are built:
 
-* depot:    source -> every node, every node -> sink (duration 0)
 * steering: a driver moves the bus; duration is the full gap between the
             endpoint times (terminal dwell included), capped by t_cs
 * deadhead: mode-0 twin of every steering arc (riding along as passenger)
@@ -53,15 +56,15 @@ LEG_OUT = "out"
 @dataclass(slots=True)
 class TimedNode:
     id: int
-    base: str            # stop/station id, or DEPOT for source/sink
-    time: int | None     # None only for the depot endpoints
+    base: str            # stop/station id, or DEPOT for the source/sink
+    time: int | None     # None only for those, the implicit depot arcs' ends
 
 
 @dataclass(slots=True)
 class TimedArc:
     """An arc and its located ends: from `from_base` at `start` to `to_base`
-    at `end`, the bases and times of its tail and head (DEPOT and None on a
-    depot arc's depot side). A steering arc is the piece of a plan that one
+    at `end`, the bases and times of its tail and head, which are never the
+    source or the sink. A steering arc is the piece of a plan that one
     driver steers; the solvers hold these objects as their pieces."""
 
     id: int
@@ -71,9 +74,9 @@ class TimedArc:
     family: str
     duration: int
     from_base: str
-    start: int | None
+    start: int
     to_base: str
-    end: int | None
+    end: int
     ride: str | None = None
     segment: int | None = None
     leg: str | None = None       # direct / in / out for segment arcs
@@ -89,8 +92,7 @@ class TimeGraph:
     """
 
     __slots__ = ("instance", "nodes", "arcs", "node_at", "copies", "source", "sink",
-                 "seg_direct", "seg_in", "seg_out", "steer_idx",
-                 "depot_out", "depot_in", "wait_next")
+                 "seg_direct", "seg_in", "seg_out", "steer_idx", "wait_next")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -106,21 +108,19 @@ class TimeGraph:
         self.seg_out: dict[tuple[str, int, str], list[int]] = {}
         # steering arc id by (ride, segment, leg, station, tail time, head time)
         self.steer_idx: dict[tuple, int] = {}
-        # route-assembly indexes
-        self.depot_out: dict[int, int] = {}   # node -> source arc id
-        self.depot_in: dict[int, int] = {}    # node -> sink arc id
-        self.wait_next: dict[int, int] = {}   # node -> waiting arc to next copy
+        # route assembly: node -> waiting arc to its next copy
+        self.wait_next: dict[int, int] = {}
 
 
 def build_graph(instance: Instance) -> TimeGraph:
     """Lay out every copy of the instance's usable stations
-    (``filter_stations``) and stops, and wire all arc families.
+    (``filter_stations``) and stops, and wire the three arc families.
 
     Nodes come in this order: the source, the customer copies (by ride, stop
     and grid), the station copies (by ride, segment, station and predecessor
     grid), the sink. Arcs: for each ride and segment the direct pairs, then
     per station its in-pairs, each followed by its out-pairs; the waiting
-    chains in the insertion order of ``copies``; the depot arcs in node order.
+    chains in the insertion order of ``copies``.
     So the arcs from one tail in ``seg_direct`` and ``seg_out`` come by
     rising head time, and ``seg_in`` has one arc per tail.
     Each stop's departure grid is computed once per ride and serves the
@@ -221,14 +221,6 @@ def build_graph(instance: Instance) -> TimeGraph:
             t, t2 = nodes[n].time, nodes[m].time
             aid = g.wait_next[n] = len(arcs)
             arcs.append(TimedArc(aid, n, m, 0, FAMILY_WAITING, t2 - t, base, t, base, t2))
-
-    source, sink, depot_out, depot_in = g.source, g.sink, g.depot_out, g.depot_in
-    for node in nodes[1:-1]:   # every node but the source and the sink
-        nid, base, t = node.id, node.base, node.time
-        aid = depot_out[nid] = len(arcs)
-        arcs.append(TimedArc(aid, source, nid, 0, FAMILY_DEPOT, 0, DEPOT, None, base, t))
-        depot_in[nid] = aid + 1
-        arcs.append(TimedArc(aid + 1, nid, sink, 0, FAMILY_DEPOT, 0, base, t, DEPOT, None))
     return g
 
 
@@ -257,35 +249,48 @@ class GraphStats:
 
 
 def graph_stats(graph: TimeGraph) -> GraphStats:
-    return GraphStats(len(graph.nodes), len(graph.arcs), size_class(len(graph.arcs)))
+    """The paper's graph size: its depot arcs, a source and a sink arc for
+    every node but the two depot ends, are counted with the real ones."""
+    n_arcs = len(graph.arcs) + 2 * (len(graph.nodes) - 2)
+    return GraphStats(len(graph.nodes), n_arcs, size_class(n_arcs))
 
 
 # ---------------------------------------------------------------------------
 # Dumps
 # ---------------------------------------------------------------------------
 
-def _consumption(graph: TimeGraph, arc: TimedArc) -> int:
-    """Steering minutes of `arc` as the dump writes them: a steering arc's
+def _consumption(graph: TimeGraph, family: str, duration: int) -> int:
+    """Steering minutes of an arc as the dump writes them: a steering arc's
     duration, -t_cs for a wait or deadhead of at least a break (it renews
     continuous steering), else 0 (a depot arc lasts 0 minutes)."""
     legal = graph.instance.legal
-    if arc.family == FAMILY_STEERING:
-        return arc.duration
-    return -legal.t_cs if arc.duration >= legal.t_b else 0
+    if family == FAMILY_STEERING:
+        return duration
+    return -legal.t_cs if duration >= legal.t_b else 0
 
 
 def graph_to_dict(graph: TimeGraph) -> dict:
+    """Nodes and arcs, the implicit depot arcs included: after the real
+    arcs, in node order, a source arc then a sink arc for each node."""
+    arcs = [
+        {
+            "id": a.id, "tail": a.tail, "head": a.head, "mode": a.mode,
+            "family": a.family, "duration": a.duration,
+            "consumption": _consumption(graph, a.family, a.duration),
+            "ride": a.ride, "segment": a.segment, "leg": a.leg,
+            "station": a.station, "twin": a.twin,
+        }
+        for a in graph.arcs
+    ]
+    depot = dict(mode=0, family=FAMILY_DEPOT, duration=0,
+                 consumption=_consumption(graph, FAMILY_DEPOT, 0),
+                 ride=None, segment=None, leg=None, station=None, twin=None)
+    for n in graph.nodes[1:-1]:
+        for tail, head in ((graph.source, n.id), (n.id, graph.sink)):
+            arcs.append({"id": len(arcs), "tail": tail, "head": head, **depot})
     return {
         "nodes": [{"id": n.id, "base": n.base, "time": n.time} for n in graph.nodes],
-        "arcs": [
-            {
-                "id": a.id, "tail": a.tail, "head": a.head, "mode": a.mode,
-                "family": a.family, "duration": a.duration, "consumption": _consumption(graph, a),
-                "ride": a.ride, "segment": a.segment, "leg": a.leg,
-                "station": a.station, "twin": a.twin,
-            }
-            for a in graph.arcs
-        ],
+        "arcs": arcs,
     }
 
 
@@ -293,18 +298,15 @@ _DOT_STYLE = {
     FAMILY_STEERING: "solid",
     FAMILY_DEADHEAD: "dashed",
     FAMILY_WAITING: "dotted",
-    FAMILY_DEPOT: "invis",
 }
 
 
-def graph_to_dot(graph: TimeGraph, include_depot: bool = False) -> str:
+def graph_to_dot(graph: TimeGraph) -> str:
     lines = ["digraph timegraph {", "  rankdir=LR;"]
     for n in graph.nodes:
         label = "depot" if n.base == DEPOT else f"{n.base}@{n.time}"
         lines.append(f'  n{n.id} [label="{label}"];')
     for a in graph.arcs:
-        if a.family == FAMILY_DEPOT and not include_depot:
-            continue
         style = _DOT_STYLE[a.family]
         lines.append(f'  n{a.tail} -> n{a.head} [style={style}, label="{a.duration}"];')
     lines.append("}")

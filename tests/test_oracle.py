@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from drsync.generator import GeneratorConfig, generate_synthetic
 from drsync.instance import Instance, Ride, check_instance
 from drsync.oracle import OracleSizeError, brute_force
 from drsync.solution import check_feasibility
-from drsync.timegraph import build_graph
+from drsync.timegraph import build_graph, graph_stats
 
 from conftest import customer_stops
 
@@ -115,4 +116,20 @@ def test_micro_suite_stays_within_the_oracle_limits():
     assert sum(name.startswith("crafted-") for name, _ in suite) == 8
     for name, inst in suite:
         assert len(inst.rides) <= MICRO_LIMIT_RIDES, name
-        assert len(build_graph(inst).arcs) <= MICRO_LIMIT_ARCS, name
+        assert graph_stats(build_graph(inst)).n_arcs <= MICRO_LIMIT_ARCS, name
+
+
+# sha256 of the newline-joined names of the instances micro_suite(1000)
+# admits, per master seed: the default and the benchmark's micro set at its
+# seed 2027. A change to the size rule must not move either set
+MICRO_SUITE_NAMES = {
+    2026: "8d35c47ec8dca2c45485a013c085e5850b72ee948fd83b9e3cbe73fd4ad3fd9e",
+    2027 * 100_000: "862f441ed937014224104eab63bbf23c2637f149977d7df0cc6f4e56a91f159f",
+}
+
+
+@pytest.mark.parametrize("master_seed", list(MICRO_SUITE_NAMES))
+def test_micro_suite_admits_the_pinned_instances(master_seed):
+    names = [name for name, _inst in micro_suite(1000, master_seed=master_seed)]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == MICRO_SUITE_NAMES[master_seed]

@@ -25,7 +25,7 @@ from drsync.pipeline import (
 )
 from drsync.search import construct
 from drsync.solution import check_feasibility, plan_from_routes
-from drsync.timegraph import FAMILY_STEERING, build_graph
+from drsync.timegraph import FAMILY_STEERING, build_graph, graph_stats
 
 from conftest import customer_stops, shared_terminal
 
@@ -177,7 +177,7 @@ def test_timings_carry_the_constructive_bounds(sequential_pair):
         g = build_graph(inst)
         assert rep.timings_dict()["bounds"] == dict(
             zip(("lb1", "lb2", "lb3", "clb_set_by"), values),
-            graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
+            graph_nodes=len(g.nodes), graph_arcs=graph_stats(g).n_arcs)
         assert "bounds" not in rep.to_dict()
 
 
@@ -198,7 +198,7 @@ def test_reported_bounds_are_those_of_the_full_sweep():
         values = {"lb1": b.lb1, "lb2": b.lb2, "lb3": b.lb3}
         assert rep.timings_dict()["bounds"] == dict(
             values, clb_set_by=next(k for k, v in values.items() if v == b.lb),
-            graph_nodes=len(g.nodes), graph_arcs=len(g.arcs))
+            graph_nodes=len(g.nodes), graph_arcs=graph_stats(g).n_arcs)
         assert rep.clb == b.lb
         # a CH+LS-only run bounds its parts once it is past the whole clb
         parts = 0 if rep.objective == b.lb else sum(compute_bounds(c).lb for c in decompose(inst))
@@ -306,7 +306,7 @@ def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
     # only the time left can bound the callback's end
     calls = []
 
-    def recording_local_search(sol, instance, graph, cfg):
+    def recording_local_search(sol, instance, graph, cfg, lb=None):
         calls.append(cfg.t_end)
         return sol
 

@@ -833,6 +833,15 @@ def test_link_matches_connect():
         assert seen == {LINK_NONE, LINK_REACH, LINK_RENEW}
 
 
+def _bracketed(g, routes):
+    """The routes as arc tuples between their depot arcs, numbered as
+    ``graph_to_dict`` numbers them: after the real arcs, a source arc then a
+    sink arc for each node in node order."""
+    n = len(g.arcs)
+    return [(n + 2 * (g.arcs[r[0]].tail - 1), *r, n + 2 * (g.arcs[r[-1]].head - 1) + 1)
+            for r in routes]
+
+
 def _reference_search(solution, inst, g, config, operators):
     """Composite descent that checks every candidate, then takes the best."""
     current = solution
@@ -848,7 +857,7 @@ def _reference_search(solution, inst, g, config, operators):
                   and (c.objective < f0 or (c.objective == f0 and c.theta() > th0))]
         if not better:
             return current, trace
-        current = min(better, key=lambda c: (c.objective, -c.theta(), c.routes))
+        current = min(better, key=lambda c: (c.objective, -c.theta(), _bracketed(g, c.routes)))
         trace.append((current.objective, current.theta()))
 
 
@@ -877,6 +886,38 @@ def test_local_search_takes_best_feasible_move(monkeypatch):
         got = local_search(ch, inst, g, CFG, trace=trace)
         assert trace == want_trace
         assert got.to_dict() == want.to_dict()
+
+
+def test_ties_break_as_between_depot_bracketed_routes():
+    # local search breaks ties between equally good candidates by their
+    # routes; keyed without the depot arcs, the order must be the one the
+    # routes had between them. Ranks are compared over every operator pool
+    # of the CH and the LS solution of micro_suite(100) and ladder parts
+    insts = [inst for _name, inst in micro_suite(100)]
+    insts += [part for shape in LADDER[:4] for seed in (7, 8)
+              for part in decompose(generate_synthetic(GeneratorConfig(*shape), seed)[0])]
+    pools = tied = raw = 0
+    for inst in insts:
+        g = build_graph(inst)
+        try:
+            ch = construct(inst, g)
+        except ConstructionError:
+            continue
+        for sol in (ch, local_search(ch, inst, g, CFG)):
+            pool = [c for oi, op in enumerate(OPERATORS) for c in op(sol, inst, g, CFG, oi)]
+            keys = {
+                "new": [tuple(search._routes_key(g.arcs, c.routes)) for c in pool],
+                "old": [tuple(_bracketed(g, c.routes)) for c in pool],
+                "raw": [tuple(c.routes) for c in pool],
+            }
+            ranks = {name: [sorted(set(ks)).index(k) for k in ks] for name, ks in keys.items()}
+            assert ranks["new"] == ranks["old"]
+            pools += 1
+            tied += len({(c.objective, c.theta()) for c in pool}) < len(set(keys["old"]))
+            raw += ranks["raw"] != ranks["old"]
+    # many pools tie on (drivers, theta) between different routes, and in
+    # some of them the bare arc tuples would order the routes otherwise
+    assert pools > 200 and tied > 100 and raw > 10
 
 
 def _record_fields(rec):

@@ -107,9 +107,14 @@ def test_deadhead_without_steered_twin_is_desync():
 def test_structure_errors_raise(sequential_pair):
     g = build_graph(sequential_pair)
     sol = construct(sequential_pair, g)
-    broken = Solution(g, [sol.routes[0][:-1]], sol.plan)   # missing sink arc
-    with pytest.raises(SolutionStructureError):
-        check_feasibility(broken, sequential_pair, g)
+    steer = next(aid for aid in sol.routes[0] if g.arcs[aid].family == "steering")
+    wait = next(iter(g.wait_next.values()))
+    # an empty route, a dangling pair (a steering arc does not end where it
+    # starts), a route with no steering arc and an arc the graph lacks
+    for route in ((), (steer, steer), (wait,), (len(g.arcs),)):
+        broken = Solution(g, [route], sol.plan)
+        with pytest.raises(SolutionStructureError):
+            check_feasibility(broken, sequential_pair, g)
 
 
 def _spanning_rides(prefix, a, b):

@@ -50,8 +50,13 @@ def test_fig2_arcs_exact(fig2):
     families = {}
     for a in g.arcs:
         families[a.family] = families.get(a.family, 0) + 1
-    assert families == {"steering": 5, "deadhead": 5, "waiting": 2, "depot": 10}
-    assert len(g.arcs) == 22
+    assert families == {"steering": 5, "deadhead": 5, "waiting": 2}
+    assert len(g.arcs) == 12
+    # the dump adds the implicit depot arcs, a source and a sink arc per node
+    dumped = {}
+    for a in graph_to_dict(g)["arcs"]:
+        dumped[a["family"]] = dumped.get(a["family"], 0) + 1
+    assert dumped == {**families, "depot": 10}
 
 
 def test_copy_counts(fig2):
@@ -156,8 +161,6 @@ def test_time_monotonicity_and_twins(seed):
     inst, _ = generate_synthetic(GeneratorConfig(stations_per_segment=1), seed)
     g = build_graph(inst)
     for a in g.arcs:
-        if a.family == "depot":
-            continue
         assert g.nodes[a.head].time - g.nodes[a.tail].time == a.duration > 0
         if a.family == "steering":
             assert a.mode == 1
@@ -243,16 +246,16 @@ LADDER = ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4), (8, 
 # sha256 over each graph's _graph_digest, in instance order, per instance set
 # and exchange policy; the station-free policies build the same graphs
 GRAPH_AND_INDEX_PINS = {
-    ("micro", "none"): "1f7d8969af34dba7bc9111b492e09f7a4f5abf628704541546273911eaa7548f",
+    ("micro", "none"): "9e1de3d70d8d52f470618706dc301de78bd054ae6d55f909d91716faf4602c8d",
     ("micro", "regular_stops"):
-        "1f7d8969af34dba7bc9111b492e09f7a4f5abf628704541546273911eaa7548f",
+        "9e1de3d70d8d52f470618706dc301de78bd054ae6d55f909d91716faf4602c8d",
     ("micro", "regular_and_intermediate"):
-        "72250667af22f7326d724b0322ed69011f86764cbc02d1c2b1d124fa10f8453d",
-    ("ladder", "none"): "42e1227133f297ce1eed3a13868fcaf5b8edc297bde87f5787a663712bbf5d49",
+        "e8020025d6de9cea662fef58b85f998a7f0787b404551a82c93d62deac257d75",
+    ("ladder", "none"): "4ddc469afa9c8c4c721e9fd9a56cd4a4b34be468403c97084ed0228c7fd8b12f",
     ("ladder", "regular_stops"):
-        "42e1227133f297ce1eed3a13868fcaf5b8edc297bde87f5787a663712bbf5d49",
+        "4ddc469afa9c8c4c721e9fd9a56cd4a4b34be468403c97084ed0228c7fd8b12f",
     ("ladder", "regular_and_intermediate"):
-        "2980c2d9de4b222a96839f3f81d3ac64973415077d269a6e4b0c00825d1ed193",
+        "67fbd46a6f28f2669ccb7afa9e31b13d69f553d71690e51fd9a06ed179b17b84",
 }
 
 
@@ -277,12 +280,10 @@ def test_every_arc_carries_its_located_ends():
             tail, head = g.nodes[a.tail], g.nodes[a.head]
             assert (a.from_base, a.start, a.to_base, a.end) == \
                 (tail.base, tail.time, head.base, head.time)
-            if a.family == "depot":
-                assert (DEPOT, None) in ((a.from_base, a.start), (a.to_base, a.end))
-            else:
-                assert a.end - a.start == a.duration
+            assert a.end - a.start == a.duration
+            assert DEPOT not in (tail.base, head.base)   # depot arcs are implicit
             families.add(a.family)
-    assert families == {"steering", "deadhead", "waiting", "depot"}
+    assert families == {"steering", "deadhead", "waiting"}
 
 
 def test_pieces_are_the_graphs_own_steering_arcs():
@@ -312,7 +313,7 @@ def _graph_digest(g) -> str:
         "graph": graph_to_dict(g), "source": g.source, "sink": g.sink,
         "indexes": {name: entries(getattr(g, name)) for name in (
             "node_at", "copies", "seg_direct", "seg_in", "seg_out", "steer_idx",
-            "depot_out", "depot_in", "wait_next")},
+            "wait_next")},
     }
     return hashlib.sha256(
         json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
