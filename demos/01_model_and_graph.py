@@ -19,16 +19,15 @@ instance = check_instance(Instance(
 ))
 
 print("Departure windows (minutes from midnight):")
+half = instance.theta_tw // 2
 for ride in instance.rides:
     for stop, tau in zip(ride.stops, ride.departures):
-        w = instance.window(tau)
-        print(f"  {stop}: scheduled {tau}, window [{w.earliest}, {w.latest}]")
+        print(f"  {stop}: scheduled {tau}, window [{tau - half}, {tau + half}]")
 
 graph = build_graph(instance)
 print("\nTimed node copies:")
 for node in graph.nodes:
-    if node.time is not None:
-        print(f"  {node.base}@{node.time}")
+    print(f"  {node.base}@{node.time}")
 
 print("\nArcs by family:")
 for family in ("steering", "deadhead", "waiting"):
@@ -39,7 +38,7 @@ for family in ("steering", "deadhead", "waiting"):
             print(f"    {a.from_base}@{a.start} -> {a.to_base}@{a.end} "
                   f"({a.duration} min steering)")
 
-print(f"  depot: {2 * (len(graph.nodes) - 2)} implicit (source -> every node -> sink)")
+print(f"  depot: {2 * len(graph.nodes)} implicit (source -> every node -> sink)")
 
 print("\nNote the station: its single copy sits at 505 (= 475 + 30), and it")
 print("can only reach the later copy of j, exactly because a detour always")

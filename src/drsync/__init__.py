@@ -13,7 +13,6 @@ from .instance import (
     Ride,
     StationAccess,
     Stop,
-    TimeWindow,
     load_instance,
     save_instance,
 )
@@ -28,7 +27,7 @@ __all__ = [
     "BoundReport", "DbmhConfig", "GeneratorConfig", "Instance", "LegalParams",
     "Model", "OracleResult", "Ride", "RunReport", "SearchConfig", "SolveOutcome",
     "SolverConfig", "Solution", "StationAccess", "Stop", "TimeGraph",
-    "TimeWindow", "Violation", "brute_force", "build_graph", "build_model",
+    "Violation", "brute_force", "build_graph", "build_model",
     "check_feasibility", "compute_bounds", "construct",
     "destructive_bound_improvement", "generate_synthetic", "graph_stats",
     "load_instance", "local_search", "restrict", "run", "save_instance",

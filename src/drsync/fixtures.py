@@ -128,11 +128,12 @@ def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, In
     """Oracle-solvable micro instances, crafted shapes first, generated fill.
 
     Contains at least one instance where each lower bound dominates the
-    other and at least two constructive-bound gap instances. A generated
-    instance is kept only if it has at most ``MICRO_LIMIT_RIDES`` rides and
-    its time graph at most ``MICRO_LIMIT_ARCS`` arcs (depot arcs counted),
-    the limits ``oracle.brute_force`` accepts by default; the crafted
-    fixtures are within them too (both checked by the tests, not here).
+    other and at least two constructive-bound gap instances. Every
+    instance, crafted or generated, has at most ``MICRO_LIMIT_RIDES`` rides
+    and its time graph at most ``MICRO_LIMIT_ARCS`` arcs (``graph_stats``),
+    the limits ``oracle.brute_force`` accepts by default: the generated
+    shapes have at most 4 rides and stay far below the arc limit, which the
+    tests check over several master seeds.
     """
     out: list[tuple[str, Instance]] = [
         ("crafted-lb1-dominant", dominance_lb1_fixture()),
@@ -174,9 +175,7 @@ def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, In
     while len(out) < count:
         cfg = shapes[si % len(shapes)]
         si += 1
-        inst, stats = generate_synthetic(cfg, seed)
+        inst, _stats = generate_synthetic(cfg, seed)
         seed += 1
-        if len(inst.rides) > MICRO_LIMIT_RIDES or stats.n_arcs > MICRO_LIMIT_ARCS:
-            continue
         out.append((f"gen-{seed - 1:05d}", inst))
     return out[:count]

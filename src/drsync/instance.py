@@ -85,19 +85,6 @@ class Ride:
         return len(self.stops) - 1
 
 
-@dataclass(slots=True)
-class TimeWindow:
-    """Slotted, not frozen: ``Instance.window`` builds one per call."""
-
-    earliest: int
-    latest: int
-
-    def grid(self, ell: int) -> tuple[int, ...]:
-        if ell <= 0:
-            return (self.earliest,)
-        return tuple(range(self.earliest, self.latest + 1, ell))
-
-
 @dataclass(frozen=True)
 class Instance:
     rides: tuple[Ride, ...]
@@ -110,10 +97,6 @@ class Instance:
 
     def stop_map(self) -> dict[str, Stop]:
         return {s.id: s for s in self.stops}
-
-    def window(self, departure: int) -> TimeWindow:
-        half = self.theta_tw // 2
-        return TimeWindow(departure - half, departure + half)
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -22,7 +22,10 @@ a crew member or to a driver who boards at the ride's start and rides along
 to it, and a finished ride carries passengers as one unit; under the
 exchange policies each scheduled piece is a carrier, one unit per arc. A
 piece is a steering arc of the graph, held as the graph's own object: its
-located ends are the ride's times and bases.
+located ends are the ride's times and bases. A ride starts at a copy of its
+first stop's grid, read off the graph as (minute, node) pairs
+(``TimeGraph.starts``), so the search lays out no grid and looks up no
+node of its own.
 
 The taker rule lists a node's children in one pass, ``_list_children``.
 Every candidate piece at a node boards at the same located time (the ride's
@@ -197,7 +200,6 @@ class _Search:
         self.rides = list(self.inst.rides)
         self.nrides = len(self.rides)
         self.n_segments = [r.n_segments for r in self.rides]
-        self.node_time = [n.time for n in self.g.nodes]
         self.deadline = _time.monotonic() + config.time_limit
         self.t0 = _time.monotonic()
         self.nodes_visited = 0
@@ -207,9 +209,8 @@ class _Search:
         self.cur_node = [-1] * self.nrides          # graph node of current stop
         self.pending = [None] * self.nrides         # (station node, seg, station) awaiting out-leg
         self.minstart = [0] * self.nrides           # first usable index into start grid
-        self.start_grids = [
-            self.inst.window(r.departures[0]).grid(self.inst.ell) for r in self.rides
-        ]
+        # per ride: its start grid as (minute, node), read off the graph
+        self.start_grids = [self.g.starts[r.id] for r in self.rides]
         # per ride: the time of the node it leaves next (its current node, or
         # the station node it waits at for an out-leg); _NEVER before it
         # starts and once it is finished
@@ -328,7 +329,7 @@ class _Search:
                 lo = self.minstart[ri]
                 if lo >= len(grid):
                     return ("dead", ri, None)  # deferred past the window: infeasible branch
-                e_min = grid[lo]
+                e_min = grid[lo][0]
                 if (t_active is None or e_min <= t_active) and (
                         best_e is None or e_min < best_e):
                     best_ri, best_e = ri, e_min
@@ -341,27 +342,22 @@ class _Search:
     def _start_children(self, ri: int, t_active):
         """Start ride ri at each grid time up to t_active, then defer it past t_active."""
         grid = self.start_grids[ri]
-        base = self.rides[ri].stops[0]
         unstarted = self.unstarted
         at = unstarted.index(ri)
         del unstarted[at]
         lo = self.minstart[ri]
-        for gi in range(lo, len(grid)):
-            t = grid[gi]
+        for t, node in grid[lo:]:
             if t_active is not None and t > t_active:
                 break
-            node = self.g.node_at.get((base, t))
-            if node is None:
-                continue
             self.cur_node[ri] = node
-            self.event_time[ri] = self.node_time[node]
+            self.event_time[ri] = t
             yield True
             self.cur_node[ri] = -1
         self.event_time[ri] = _NEVER
         unstarted.insert(at, ri)
         if t_active is not None:
             nxt = lo
-            while nxt < len(grid) and grid[nxt] <= t_active:
+            while nxt < len(grid) and grid[nxt][0] <= t_active:
                 nxt += 1
             if nxt > lo:
                 self.minstart[ri] = nxt
@@ -393,7 +389,6 @@ class _Search:
         rid = self.rides[ri].id
         g = self.g
         arcs = g.arcs
-        node_time = self.node_time
         if pend is not None:    # the out-leg from the station the ride waits at
             snode, k, station = pend
             ends = [arcs[aid] for aid in g.seg_out.get((rid, k, station), ())
@@ -408,9 +403,8 @@ class _Search:
         last = k + 1 == self.n_segments[ri]
         # an arc that reaches the next stop moves the ride on; an in-leg
         # leaves it at its node, waiting at the station for the out-leg
-        moves = [(p, (p.head, None, k + 1, _NEVER if last else node_time[p.head]))
-                 for p in ends]
-        moves += [(p, (p.tail, (p.head, k, p.station), k, node_time[p.head])) for p in ins]
+        moves = [(p, (p.head, None, k + 1, _NEVER if last else p.end)) for p in ends]
+        moves += [(p, (p.tail, (p.head, k, p.station), k, p.end)) for p in ins]
         none = self.policy_none
         t_ds, t_dw, t_cs = self.t_ds, self.t_dw, self.t_cs
         cands = [((p, ("steer", p.id), None if none else (p.start, p.end, (p,)), moved, n),
@@ -447,8 +441,7 @@ class _Search:
             return None
         drivers = self.drivers
         pieces_so_far = self.ride_pieces[ri]
-        start_t = (pieces_so_far[0].start if pieces_so_far
-                   else self.node_time[self.cur_node[ri]])
+        start_t = pieces_so_far[0].start if pieces_so_far else self.event_time[ri]
         members = []
         for idx in sorted(self.crew[ri]):
             d = drivers[idx]

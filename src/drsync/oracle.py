@@ -2,12 +2,13 @@
 
 Independent of the embedded solver and the heuristics: departure grids,
 station options and piece timings are enumerated straight from the
-instance (not from graph arcs), driver states are immutable tuples, and
-the search deepens an explicit driver cap (1, 2, ...) until a feasible
-assignment exists, so any answer is a proven optimum. Shares only the
-data types, ``filter_stations`` (which station accesses are usable),
-``build_graph`` and ``graph_stats`` (its size limit, depot arcs counted, and
-its witness) and ``assemble_route`` for the returned witness.
+instance (not from the graph's start grids or arcs), driver states are
+immutable tuples, and the search deepens an explicit driver cap (1, 2, ...)
+until a feasible assignment exists, so any answer is a proven optimum.
+Shares only the data types, ``filter_stations`` (which station accesses
+are usable), ``build_graph`` and ``graph_stats`` (its size limit, the
+implicit depot counted, and its witness) and ``assemble_route`` for the
+returned witness.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
     policy_none = inst.exchange_policy == POLICY_NONE
     rides = inst.rides
     nr = len(rides)
-    grids = [
-        [inst.window(tau).grid(inst.ell) for tau in r.departures] for r in rides
-    ]
+    half, ell = inst.theta_tw // 2, inst.ell
+    grids = [[range(tau - half, tau + half + 1, ell) for tau in r.departures] for r in rides]
     max_pieces = sum(2 * r.n_segments for r in rides)
 
     explored = 0

@@ -96,9 +96,6 @@ class RunReport:
     solution: Solution | None = None
     instance_id: str | None = None
     seed: int = 0
-    # B&B nodes per phase that ran: "dbi_caps" (one count per cap, parts in
-    # order), "mip" (summed over the parts' solves)
-    bb_nodes: dict[str, int | list[int]] = field(default_factory=dict)
     # per component DBI and the B&B worked on: rides, dlb, objective and the
     # stage that closed it (ch_ls, dbi, mip) or "open"
     parts: list[dict] = field(default_factory=list)
@@ -139,7 +136,6 @@ class RunReport:
         return {
             "phase_timings": {k: round(v, 6) for k, v in self.phase_timings.items()},
             "incumbent_log": [[round(t, 6), f] for t, f in self.incumbent_log],
-            "bb_nodes": self.bb_nodes,
             "parts": self.parts,
             "bounds": self.bounds,
             "dbi_log": self.dbi_log,
@@ -235,7 +231,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
     t0 = _time.monotonic()
     deadline = t0 + config.global_limit
     timings: dict[str, float] = {}
-    bb_nodes: dict[str, int | list[int]] = {}
     dbi_log: list[dict] = []
     mip_log: list[dict] = []
     log: list[tuple[float, int]] = []
@@ -298,11 +293,12 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         clb, lb3 = bounds.lb, bounds.lb3
     clock("prep", t)
     bound_values = {"lb1": lb1, "lb2": lb2, "lb3": lb3}
+    stats = graph_stats(graph)
     bound_info = {
         **bound_values,
         "clb_set_by": next(k for k, v in bound_values.items() if v == clb),
-        "graph_nodes": len(graph.nodes),
-        "graph_arcs": graph_stats(graph).n_arcs,
+        "graph_nodes": stats.n_nodes,
+        "graph_arcs": stats.n_arcs,
     }
 
     def lower_bounds():
@@ -318,7 +314,7 @@ def run(instance: Instance, config: DbmhConfig | None = None,
             final_lb=objective if status == "optimal" else proven,
             clb=clb, dlb=dlb, phase_timings=timings, found_by=found_by,
             incumbent_log=log, solution=best, instance_id=instance_id,
-            seed=config.seed, bb_nodes=bb_nodes,
+            seed=config.seed,
             parts=[p.report() for p in parts] if bounded else [],
             bounds=bound_info, dbi_log=dbi_log, mip_log=mip_log,
         )
@@ -348,13 +344,10 @@ def run(instance: Instance, config: DbmhConfig | None = None,
         if config.extend_time_on_disable and not config.use_mip:
             budget = config.global_limit
         phase_end = t + min(budget, max(remaining(), 0.01))
-        cap_nodes: list[int] = []
-        bb_nodes["dbi_caps"] = cap_nodes
         for part, share in _shares([p for p in parts if not p.closed], phase_end):
             caps: list[dict] = []
             part.lb, dbi_status, dbi_sol = destructive_bound_improvement(
                 part.model, part.lb, part.best, share, caps)
-            cap_nodes += [c["nodes"] for c in caps]
             dbi_log += [{"part": index[id(part)], **c} for c in caps]
             if dbi_status == DBI_INFEASIBLE:
                 clock("dbi", t)
@@ -375,7 +368,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
 
     if config.use_mip and remaining() > 0:
         t = _time.monotonic()
-        nodes = 0
         for part, share in _shares([p for p in parts if not p.closed], deadline):
             start = _time.monotonic()
             limit = max(share, 0.01)
@@ -399,7 +391,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 start_solution=part.best,
                 incumbent_callback=callback if config.use_cb else None,
             ))
-            nodes += out.nodes
             mip_log.append({
                 "part": index[id(part)],
                 "outcome": out.status if out.status in ("optimal", "infeasible") else "timeout",
@@ -410,7 +401,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 for dt, f in out.incumbent_log:
                     log.append((start - t0 + dt, sum(others) + f))
             if out.status == "infeasible":
-                bb_nodes["mip"] = nodes
                 clock("mip", t)
                 return finish("infeasible")
             # the solve only ever adopts strictly better incumbents than its start
@@ -420,7 +410,6 @@ def run(instance: Instance, config: DbmhConfig | None = None,
                 best = _join(graph, parts)
             if out.status == "optimal":
                 part.closed = FOUND_MIP
-        bb_nodes["mip"] = nodes
         clock("mip", t)
 
     if best is None:

@@ -159,8 +159,7 @@ def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
     via the first station by (detour, id) that has one."""
     plan: dict[str, RidePlan] = {}
     for ride in instance.rides:
-        t = instance.window(ride.departures[0]).earliest
-        node = graph.node_at[(ride.stops[0], t)]
+        t, node = graph.starts[ride.id][0]
         times = [t]
         stations: list[str | None] = []
         for k, direct in enumerate(ride.segment_minutes):
@@ -849,8 +848,9 @@ def _op_seed(config: SearchConfig, iteration: int, op_index: int) -> int:
 
 
 def _routes_key(arcs: list, routes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The routes in the order they had between their depot arcs, whose ids
-    (``graph_to_dict``) rise with the node and exceed every real arc's."""
+    """The routes in the order they had between the paper's depot arcs: a
+    source arc's id rises with its head node, and a sink arc's exceeds
+    every real arc's."""
     return [(arcs[r[0]].tail, *r, len(arcs)) for r in routes]
 
 

@@ -1,11 +1,10 @@
 """Time-expanded directed multigraph over which drivers are routed.
 
-Nodes are (physical location, departure minute) copies plus one timeless
-source and sink for the depot. The paper's depot arcs, source -> every node
--> sink, are implicit: no solver routes over them, so a driver's route is
-its arcs from its first node to its last, and only the dumps
-(``graph_to_dict``) and the size (``graph_stats``) count them. Three arc
-families are built:
+Every node is a located copy: a physical location at a departure minute.
+The paper's depot, a source and a sink with an arc to and from every node,
+is implicit: no solver routes over it, so a driver's route is its arcs
+from its first node to its last, and only the size (``graph_stats``)
+counts it. Three arc families are built:
 
 * steering: a driver moves the bus; duration is the full gap between the
             endpoint times (terminal dwell included), capped by t_cs
@@ -21,8 +20,9 @@ The graph is the one authority on leg timings: windows, the grid and the
 continuous-steering cap on direct and station legs are decided in
 ``build_graph`` alone, over the station accesses ``filter_stations`` keeps
 (full exchange only, detour within the limit, each drive within the cap).
-Construction and local search read a ride's legal times off its steering
-arcs.
+Each ride's start grid, its first stop's copies by minute, is kept as
+``starts``; the solvers start a ride there and read its later legal times
+off its steering arcs.
 
 Every arc carries its located ends, set once by the build. A steering arc
 is also the one record of a plan's piece: the solvers hold the graph's own
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from .instance import Instance, filter_stations
 
+# the implicit depot, as ``Solution.to_dict`` writes it
 DEPOT = "__depot__"
 
 FAMILY_DEPOT = "depot"
@@ -56,16 +57,16 @@ LEG_OUT = "out"
 @dataclass(slots=True)
 class TimedNode:
     id: int
-    base: str            # stop/station id, or DEPOT for the source/sink
-    time: int | None     # None only for those, the implicit depot arcs' ends
+    base: str            # stop/station id
+    time: int
 
 
 @dataclass(slots=True)
 class TimedArc:
     """An arc and its located ends: from `from_base` at `start` to `to_base`
-    at `end`, the bases and times of its tail and head, which are never the
-    source or the sink. A steering arc is the piece of a plan that one
-    driver steers; the solvers hold these objects as their pieces."""
+    at `end`, the bases and times of its tail and head. A steering arc is
+    the piece of a plan that one driver steers; the solvers hold these
+    objects as their pieces."""
 
     id: int
     tail: int
@@ -91,7 +92,7 @@ class TimeGraph:
     ``tests/test_timegraph.py::test_solving_leaves_the_graph_as_built``.
     """
 
-    __slots__ = ("instance", "nodes", "arcs", "node_at", "copies", "source", "sink",
+    __slots__ = ("instance", "nodes", "arcs", "node_at", "copies", "starts",
                  "seg_direct", "seg_in", "seg_out", "steer_idx", "wait_next")
 
     def __init__(self, instance: Instance):
@@ -100,8 +101,8 @@ class TimeGraph:
         self.arcs: list[TimedArc] = []
         self.node_at: dict[tuple[str, int], int] = {}
         self.copies: dict[str, list[int]] = {}
-        self.source: int = -1
-        self.sink: int = -1
+        # per ride id: its first stop's departure grid as (minute, node id)
+        self.starts: dict[str, list[tuple[int, int]]] = {}
         # steering arc ids per (ride, segment), split by leg
         self.seg_direct: dict[tuple[str, int], list[int]] = {}
         self.seg_in: dict[tuple[str, int, str], list[int]] = {}
@@ -116,16 +117,16 @@ def build_graph(instance: Instance) -> TimeGraph:
     """Lay out every copy of the instance's usable stations
     (``filter_stations``) and stops, and wire the three arc families.
 
-    Nodes come in this order: the source, the customer copies (by ride, stop
-    and grid), the station copies (by ride, segment, station and predecessor
-    grid), the sink. Arcs: for each ride and segment the direct pairs, then
+    Nodes come in this order: the customer copies (by ride, stop and grid),
+    then the station copies (by ride, segment, station and predecessor
+    grid). Arcs: for each ride and segment the direct pairs, then
     per station its in-pairs, each followed by its out-pairs; the waiting
     chains in the insertion order of ``copies``.
     So the arcs from one tail in ``seg_direct`` and ``seg_out`` come by
     rising head time, and ``seg_in`` has one arc per tail.
     Each stop's departure grid is computed once per ride and serves the
-    copies and the arcs alike, and each arc's located ends are the base and
-    minute that the loop making it walks.
+    copies, the arcs and ``starts`` alike, and each arc's located ends are
+    the base and minute that the loop making it walks.
     """
     inst = filter_stations(instance)
     g = TimeGraph(inst)
@@ -134,8 +135,6 @@ def build_graph(instance: Instance) -> TimeGraph:
 
     # per ride and stop: its grid as (minute, node id)
     grids = []
-    g.source = 0
-    nodes.append(TimedNode(0, DEPOT, None))
     # customer copies first so their ids precede every station copy
     for ride in inst.rides:
         ride_grids = []
@@ -152,6 +151,7 @@ def build_graph(instance: Instance) -> TimeGraph:
                 grid.append((t, nid))
             ride_grids.append(grid)
         grids.append(ride_grids)
+        g.starts[ride.id] = ride_grids[0]
     for ride, ride_grids in zip(inst.rides, grids):
         for k, accs in enumerate(ride.stations):
             succ_latest = ride.departures[k + 1] + half
@@ -165,8 +165,6 @@ def build_graph(instance: Instance) -> TimeGraph:
                         nid = node_at[(station, ts)] = len(nodes)
                         nodes.append(TimedNode(nid, station, ts))
                         copies.setdefault(station, []).append(nid)
-    g.sink = len(nodes)
-    nodes.append(TimedNode(g.sink, DEPOT, None))
     for ids in copies.values():
         ids.sort(key=lambda nid: nodes[nid].time)
 
@@ -249,10 +247,10 @@ class GraphStats:
 
 
 def graph_stats(graph: TimeGraph) -> GraphStats:
-    """The paper's graph size: its depot arcs, a source and a sink arc for
-    every node but the two depot ends, are counted with the real ones."""
-    n_arcs = len(graph.arcs) + 2 * (len(graph.nodes) - 2)
-    return GraphStats(len(graph.nodes), n_arcs, size_class(n_arcs))
+    """The paper's graph size: its implicit depot, a source and a sink node
+    and a source and a sink arc for every node, counted with the real ones."""
+    n_arcs = len(graph.arcs) + 2 * len(graph.nodes)
+    return GraphStats(len(graph.nodes) + 2, n_arcs, size_class(n_arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +260,7 @@ def graph_stats(graph: TimeGraph) -> GraphStats:
 def _consumption(graph: TimeGraph, family: str, duration: int) -> int:
     """Steering minutes of an arc as the dump writes them: a steering arc's
     duration, -t_cs for a wait or deadhead of at least a break (it renews
-    continuous steering), else 0 (a depot arc lasts 0 minutes)."""
+    continuous steering), else 0."""
     legal = graph.instance.legal
     if family == FAMILY_STEERING:
         return duration
@@ -270,8 +268,7 @@ def _consumption(graph: TimeGraph, family: str, duration: int) -> int:
 
 
 def graph_to_dict(graph: TimeGraph) -> dict:
-    """Nodes and arcs, the implicit depot arcs included: after the real
-    arcs, in node order, a source arc then a sink arc for each node."""
+    """The graph's nodes and arcs; the implicit depot is not written."""
     arcs = [
         {
             "id": a.id, "tail": a.tail, "head": a.head, "mode": a.mode,
@@ -282,12 +279,6 @@ def graph_to_dict(graph: TimeGraph) -> dict:
         }
         for a in graph.arcs
     ]
-    depot = dict(mode=0, family=FAMILY_DEPOT, duration=0,
-                 consumption=_consumption(graph, FAMILY_DEPOT, 0),
-                 ride=None, segment=None, leg=None, station=None, twin=None)
-    for n in graph.nodes[1:-1]:
-        for tail, head in ((graph.source, n.id), (n.id, graph.sink)):
-            arcs.append({"id": len(arcs), "tail": tail, "head": head, **depot})
     return {
         "nodes": [{"id": n.id, "base": n.base, "time": n.time} for n in graph.nodes],
         "arcs": arcs,
@@ -304,8 +295,7 @@ _DOT_STYLE = {
 def graph_to_dot(graph: TimeGraph) -> str:
     lines = ["digraph timegraph {", "  rankdir=LR;"]
     for n in graph.nodes:
-        label = "depot" if n.base == DEPOT else f"{n.base}@{n.time}"
-        lines.append(f'  n{n.id} [label="{label}"];')
+        lines.append(f'  n{n.id} [label="{n.base}@{n.time}"];')
     for a in graph.arcs:
         style = _DOT_STYLE[a.family]
         lines.append(f'  n{a.tail} -> n{a.head} [style={style}, label="{a.duration}"];')

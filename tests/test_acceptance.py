@@ -94,7 +94,7 @@ def test_criterion_3_destructive_improvement():
         rep = run(inst, DbmhConfig(seed=0))
         clb = rep.clb
         closed.append(rep.status == "optimal" and rep.dlb == res.optimum == k
-                      and bool(rep.bb_nodes["dbi_caps"]))
+                      and bool(rep.dbi_log))
         ratios.append(rep.dlb / clb)
     report("criterion 3: gap family closed by destructive improvement",
            all(closed) and max(ratios) >= 1.2,

@@ -31,10 +31,10 @@ GOLDEN = [
 # sha256 of the canonical graph_to_dict() JSON for the same four instances;
 # "none" and "regular_stops" both build a graph without station copies
 GOLDEN_GRAPH = [
-    "3e43e6aa355e2f42bf33f620bf7d94058c635053eae4d6384c2f5b595a03e1da",
-    "1502a56c593b0ab778c50e47fcc0135cadb2f4a691ed9ebef56f7e35bba7aa00",
-    "c22aa1a3c193a61a497584cf3bbdac60cb78cc5ceba87837c6c5ce90846d2fa0",
-    "c22aa1a3c193a61a497584cf3bbdac60cb78cc5ceba87837c6c5ce90846d2fa0",
+    "679ea0bb86ba3c2574b281a305d04ef7a16a5fd0ea113726344543e1019d2840",
+    "16dfb643cc447d0aa0fe5ccc88ac53132561d9a3c643bf6244d031aea32831eb",
+    "b22370d77dd6eff7d0633faf499644fbe9d0b50081d875b9722123915d936d42",
+    "b22370d77dd6eff7d0633faf499644fbe9d0b50081d875b9722123915d936d42",
 ]
 
 

@@ -13,7 +13,6 @@ from drsync.instance import (
     Ride,
     StationAccess,
     Stop,
-    TimeWindow,
     check_instance,
     decompose,
     filter_stations,
@@ -174,13 +173,6 @@ def test_every_violation_reported():
     assert "even" in text                 # odd window width
     assert "not strictly increasing" in text
     assert "drive time must be positive" in text
-
-
-def test_window_values():
-    inst = Instance(rides=(), stops=())
-    assert replace(inst, theta_tw=10).window(480) == TimeWindow(475, 485)
-    assert replace(inst, theta_tw=0).window(480) == TimeWindow(480, 480)
-    assert replace(inst, theta_tw=30).window(480) == TimeWindow(465, 495)
 
 
 def test_window_underflow():

@@ -554,7 +554,7 @@ def _scanned_next_event(search):
                 continue
             if search.pos[ri] >= search.n_segments[ri]:
                 continue
-        t = search.node_time[node]
+        t = search.g.nodes[node].time
         if t_active is None or t < t_active:
             t_active, choice = t, ri
     best_start = None
@@ -562,7 +562,7 @@ def _scanned_next_event(search):
         grid = search.start_grids[ri]
         if search.minstart[ri] >= len(grid):
             return ("dead", ri, None)
-        e_min = grid[search.minstart[ri]]
+        e_min = grid[search.minstart[ri]][0]
         if (t_active is None or e_min <= t_active) and (
                 best_start is None or e_min < best_start[1]):
             best_start = (ri, e_min)

@@ -102,21 +102,23 @@ def test_empty_instance():
 
 
 def test_micro_suite_stays_within_the_oracle_limits():
-    # micro_suite filters generated instances by these limits and trusts the
-    # crafted ones; every instance, crafted included, must be one the oracle
-    # accepts with its default limits
+    # micro_suite filters nothing: its crafted instances and generated shapes
+    # (at most 4 rides, graphs far below the arc limit) must be ones the
+    # oracle accepts with its default limits, at the default master seed and
+    # at the benchmark's micro set of seed 2027
     defaults = inspect.signature(brute_force).parameters
     assert MICRO_LIMIT_RIDES == defaults["max_rides"].default
     assert MICRO_LIMIT_ARCS == defaults["max_arcs"].default
     # and `drsync oracle` applies the same limits when given none
     args = build_parser().parse_args(["oracle", "instance.json"])
     assert (args.max_rides, args.max_arcs) == (MICRO_LIMIT_RIDES, MICRO_LIMIT_ARCS)
-    suite = micro_suite(300)
-    assert len(suite) == 300
-    assert sum(name.startswith("crafted-") for name, _ in suite) == 8
-    for name, inst in suite:
-        assert len(inst.rides) <= MICRO_LIMIT_RIDES, name
-        assert graph_stats(build_graph(inst)).n_arcs <= MICRO_LIMIT_ARCS, name
+    for master_seed in (2026, 2027 * 100_000, 7):
+        suite = micro_suite(1000, master_seed=master_seed)
+        assert len(suite) == 1000
+        assert sum(name.startswith("crafted-") for name, _ in suite) == 8
+        for name, inst in suite:
+            assert len(inst.rides) <= MICRO_LIMIT_RIDES, name
+            assert graph_stats(build_graph(inst)).n_arcs <= MICRO_LIMIT_ARCS, name
 
 
 # sha256 of the newline-joined names of the instances micro_suite(1000)

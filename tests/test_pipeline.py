@@ -48,7 +48,7 @@ def test_gap_instance_found_by_dbi():
     assert rep.found_by == "dbi"
     assert rep.clb == 1 and rep.dlb == 2
     assert rep.dlb == brute_force(inst).optimum
-    assert rep.bb_nodes["dbi_caps"]
+    assert rep.dbi_log
 
 
 def test_timings_log_each_dbi_cap():
@@ -58,7 +58,7 @@ def test_timings_log_each_dbi_cap():
     log = rep.timings_dict()["dbi_log"]
     assert [(c["part"], c["cap"], c["outcome"], c["symmetry_drops"]) for c in log] == [
         (0, 1, "refuted", 0)]
-    assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
+    assert log[0]["nodes"] > 0
     assert "dbi_log" not in rep.to_dict()
     # on 6x4x4-7 only part 2 stays open past CH+LS; its cap takes 12138 nodes
     inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
@@ -67,7 +67,6 @@ def test_timings_log_each_dbi_cap():
                                    use_mip=False))
         log = rep.timings_dict()["dbi_log"]
         assert [(c["part"], c["cap"], c["outcome"]) for c in log] == [(2, 5, outcome)]
-        assert [c["nodes"] for c in log] == rep.bb_nodes["dbi_caps"]
         assert 0 < log[0]["seconds"] <= rep.phase_timings["dbi"]
         if outcome == "optimal":
             assert (log[0]["nodes"], log[0]["symmetry_drops"]) == (12138, 403)
@@ -83,7 +82,6 @@ def test_timings_log_each_final_solve():
     log = rep.timings_dict()["mip_log"]
     assert [(c["part"], c["outcome"], c["nodes"], c["symmetry_drops"]) for c in log] == [
         (2, "optimal", 12138, 403)]
-    assert rep.bb_nodes == {"mip": 12138}
     assert 0 < log[0]["seconds"] <= rep.phase_timings["mip"]
     assert "mip_log" not in rep.to_dict()
     # on 8x6x4-7 in 1 s the parts DBI leaves open get a share each, and a
@@ -96,15 +94,15 @@ def test_timings_log_each_final_solve():
     assert [c["part"] for c in log] == [i for i, how in closed.items() if how in ("mip", "open")]
     assert [c["outcome"] for c in log] == [
         "timeout" if closed[c["part"]] == "open" else "optimal" for c in log]
-    assert sum(c["nodes"] for c in log) == rep.bb_nodes["mip"]
+    assert all(c["nodes"] > 0 for c in log)
 
 
 def test_gap_instance_splits_into_closed_rides():
     # each ride of the plain gap family is a component whose bound is met
     # by construction, so no DBI cap is tried
     rep = run(gap_fixture(3), DbmhConfig())
-    assert (rep.status, rep.objective, rep.found_by, rep.bb_nodes) == \
-        ("optimal", 3, "ch_ls", {})
+    assert (rep.status, rep.objective, rep.found_by, rep.dbi_log, rep.mip_log) == \
+        ("optimal", 3, "ch_ls", [], [])
     assert [p["closed"] for p in rep.parts] == ["ch_ls"] * 3
 
 
@@ -177,7 +175,7 @@ def test_timings_carry_the_constructive_bounds(sequential_pair):
         g = build_graph(inst)
         assert rep.timings_dict()["bounds"] == dict(
             zip(("lb1", "lb2", "lb3", "clb_set_by"), values),
-            graph_nodes=len(g.nodes), graph_arcs=graph_stats(g).n_arcs)
+            graph_nodes=graph_stats(g).n_nodes, graph_arcs=graph_stats(g).n_arcs)
         assert "bounds" not in rep.to_dict()
 
 
@@ -198,7 +196,7 @@ def test_reported_bounds_are_those_of_the_full_sweep():
         values = {"lb1": b.lb1, "lb2": b.lb2, "lb3": b.lb3}
         assert rep.timings_dict()["bounds"] == dict(
             values, clb_set_by=next(k for k, v in values.items() if v == b.lb),
-            graph_nodes=len(g.nodes), graph_arcs=graph_stats(g).n_arcs)
+            graph_nodes=graph_stats(g).n_nodes, graph_arcs=graph_stats(g).n_arcs)
         assert rep.clb == b.lb
         # a CH+LS-only run bounds its parts once it is past the whole clb
         parts = 0 if rep.objective == b.lb else sum(compute_bounds(c).lb for c in decompose(inst))
@@ -254,7 +252,8 @@ def test_no_exchange_library_closes_at_the_constructive_bound():
     for seed in range(4):
         inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), seed)[0]
         rep = run(inst, DbmhConfig(global_limit=5, eta_lb=5, eta_ls=5))
-        assert (rep.status, rep.found_by, rep.bb_nodes) == ("optimal", "ch_ls", {}), seed
+        assert (rep.status, rep.found_by, rep.dbi_log, rep.mip_log) == \
+            ("optimal", "ch_ls", [], []), seed
         assert rep.clb == rep.objective
 
 
@@ -360,11 +359,9 @@ def test_budget_run_on_48_rides():
     assert rep.solution is not None
     assert check_feasibility(rep.solution, inst) == []
     assert rep.clb <= rep.final_lb <= rep.objective
-    nodes = rep.timings_dict()["bb_nodes"]
-    assert set(nodes) == {"dbi_caps", "mip"}
-    assert nodes["dbi_caps"] and all(n > 0 for n in nodes["dbi_caps"])
-    assert nodes["mip"] > 0
-    assert "bb_nodes" not in rep.to_dict()
+    timings = rep.timings_dict()
+    assert timings["dbi_log"] and all(c["nodes"] > 0 for c in timings["dbi_log"])
+    assert timings["mip_log"] and all(c["nodes"] > 0 for c in timings["mip_log"])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True,
@@ -434,7 +431,7 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
     assert [(p["dlb"], p["objective"], p["closed"]) for p in rep.parts] == \
         [(1, 1, "ch_ls"), (1, 1, "ch_ls"), (4, 5, "open")]
     assert solved == [3]
-    assert rep.bb_nodes == {"mip": 1}
+    assert [c["nodes"] for c in rep.mip_log] == [1]
     assert (rep.status, rep.objective, rep.clb, rep.dlb, rep.final_lb) == \
         ("feasible", 7, 5, 6, 6)
 
@@ -479,10 +476,10 @@ def test_only_a_station_the_graph_uses_ties_rides_into_one_part(monkeypatch, pol
 @pytest.mark.parametrize("flags,report,nodes", [
     ({}, {"clb": 3, "dlb": 4, "final_lb": 4, "found_by": "dbi",
           "incumbent_objectives": [5, 4], "objective": 4, "seed": 0,
-          "status": "optimal"}, {"dbi_caps": [3145]}),
+          "status": "optimal"}, ([3145], [])),
     ({"use_dbi": False}, {"clb": 3, "dlb": 3, "final_lb": 4, "found_by": "ch_ls",
                           "incumbent_objectives": [5, 4], "objective": 4, "seed": 0,
-                          "status": "optimal"}, {"mip": 3145}),
+                          "status": "optimal"}, ([], [3145])),
 ], ids=["dbi", "mip"])
 def test_one_component_takes_the_joint_path(flags, report, nodes):
     # the values are those of the pipeline before it split instances
@@ -490,7 +487,7 @@ def test_one_component_takes_the_joint_path(flags, report, nodes):
     assert len(decompose(inst)) == 1
     rep = run(inst, DbmhConfig(**flags))
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(report, sort_keys=True)
-    assert rep.bb_nodes == nodes
+    assert ([c["nodes"] for c in rep.dbi_log], [c["nodes"] for c in rep.mip_log]) == nodes
     digest = hashlib.sha256(json.dumps(rep.solution.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
         "49113a33c221a764c83cba87918cde04e2e7f259e0df988efa515ca23825690f"
@@ -535,7 +532,7 @@ def test_split_run_keeps_the_global_limit():
     assert rep.clb <= rep.final_lb <= rep.objective
 
 
-# sha256 over [to_dict(), solution.to_dict(), parts, bounds, bb_nodes] of
+# sha256 over [to_dict(), solution.to_dict(), parts, bounds, _bb_nodes] of
 # every run, in corpus order: micro_suite(300) under each exchange policy
 # with the default config, and the ROADMAP ladder of 4x4x3, 6x4x4 and 6x6x4
 # at seeds 7-8 in ch_ls mode. A change meant to keep every primary output
@@ -549,12 +546,23 @@ PIPELINE_PINS = {
 }
 
 
+def _bb_nodes(rep) -> dict:
+    """The B&B nodes of each phase that ran, read off the logs: "dbi_caps",
+    one count per cap, and "mip", summed over the final solves."""
+    out = {}
+    if "dbi" in rep.phase_timings:
+        out["dbi_caps"] = [c["nodes"] for c in rep.dbi_log]
+    if "mip" in rep.phase_timings:
+        out["mip"] = sum(c["nodes"] for c in rep.mip_log)
+    return out
+
+
 def _pipeline_digest(instances, config) -> str:
     h = hashlib.sha256()
     for inst in instances:
         rep = run(inst, config)
         out = [rep.to_dict(), rep.solution.to_dict() if rep.solution else None,
-               rep.parts, rep.bounds, rep.bb_nodes]
+               rep.parts, rep.bounds, _bb_nodes(rep)]
         h.update(json.dumps(out, sort_keys=True, separators=(",", ":")).encode())
     return h.hexdigest()
 

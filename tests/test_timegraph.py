@@ -7,12 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from drsync.fixtures import gap_fixture, micro_suite
 from drsync.generator import GeneratorConfig, generate_synthetic
-from drsync.instance import Instance, LegalParams, Ride, StationAccess, Stop, check_instance
+from drsync.instance import (
+    POLICIES,
+    Instance,
+    LegalParams,
+    Ride,
+    StationAccess,
+    Stop,
+    check_instance,
+)
 from drsync.pipeline import DbmhConfig, run
 from drsync.search import ConstructionError, SearchConfig, construct, local_search
 from drsync.solution import plan_pieces, ride_pieces
 from drsync.timegraph import (
-    DEPOT,
     TimeGraph,
     build_graph,
     graph_stats,
@@ -31,9 +38,9 @@ def arc_view(g, arc):
 
 def test_fig2_nodes_exact(fig2):
     g = build_graph(fig2)
-    timed = {(n.base, n.time) for n in g.nodes if n.base != DEPOT}
+    timed = {(n.base, n.time) for n in g.nodes}
     assert timed == {("i", 475), ("i", 485), ("j", 535), ("j", 545), ("s", 505)}
-    assert len(g.nodes) == 7    # plus source and sink
+    assert len(g.nodes) == 5    # every node a located copy: no source or sink
 
 
 def test_fig2_arcs_exact(fig2):
@@ -52,11 +59,11 @@ def test_fig2_arcs_exact(fig2):
         families[a.family] = families.get(a.family, 0) + 1
     assert families == {"steering": 5, "deadhead": 5, "waiting": 2}
     assert len(g.arcs) == 12
-    # the dump adds the implicit depot arcs, a source and a sink arc per node
+    # the dump writes only what the graph holds: the depot stays implicit
     dumped = {}
     for a in graph_to_dict(g)["arcs"]:
         dumped[a["family"]] = dumped.get(a["family"], 0) + 1
-    assert dumped == {**families, "depot": 10}
+    assert dumped == families
 
 
 def test_copy_counts(fig2):
@@ -143,6 +150,36 @@ def test_size_classes():
 def test_stats(fig2):
     stats = graph_stats(build_graph(fig2))
     assert (stats.n_nodes, stats.n_arcs, stats.size_class) == (7, 22, "small")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), lines=st.integers(1, 3), rides=st.integers(1, 3),
+       segments=st.integers(1, 3), stations=st.integers(0, 2),
+       window=st.sampled_from([(0, 10), (10, 10), (10, 5), (20, 10), (30, 5)]),
+       policy=st.sampled_from(POLICIES))
+def test_every_node_is_located_and_starts_are_the_first_stop_grids(
+        seed, lines, rides, segments, stations, window, policy):
+    theta_tw, ell = window
+    inst = generate_synthetic(GeneratorConfig(
+        lines, rides, segments, stations_per_segment=stations, theta_tw=theta_tw,
+        zeta=theta_tw, ell=ell, exchange_policy=policy), seed)[0]
+    g = build_graph(inst)
+    assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
+    assert all(type(n.time) is int for n in g.nodes)
+    assert {(n.base, n.time): n.id for n in g.nodes} == g.node_at
+    # each ride's start grid, from the instance alone
+    half = inst.theta_tw // 2
+    assert list(g.starts) == [r.id for r in inst.rides]
+    for r in inst.rides:
+        dep0 = r.departures[0]
+        assert g.starts[r.id] == [(t, g.node_at[(r.stops[0], t)])
+                                  for t in range(dep0 - half, dep0 + half + 1, ell)]
+    # the paper's size: the located copies, a source and a sink, and a
+    # source and a sink arc for every copy
+    stats = graph_stats(g)
+    assert (stats.n_nodes, stats.n_arcs) == (len(g.node_at) + 2,
+                                            len(g.arcs) + 2 * len(g.node_at))
+    assert stats.size_class == size_class(stats.n_arcs)
 
 
 def test_determinism(fig2):
@@ -233,9 +270,9 @@ def test_solving_leaves_the_graph_as_built():
     _assert_as_built(g, inst)
     hub = gap_fixture(3, hub=True)
     # with DBI its cap solves, without it the final B&B and its LS callback
-    for config, phase in ((DbmhConfig(), "dbi_caps"), (DbmhConfig(use_dbi=False), "mip")):
+    for config, log in ((DbmhConfig(), "dbi_log"), (DbmhConfig(use_dbi=False), "mip_log")):
         report = run(hub, config)
-        assert report.bb_nodes[phase]
+        assert getattr(report, log)     # a B&B solve ran
         _assert_as_built(report.solution.graph, hub)
 
 
@@ -246,16 +283,16 @@ LADDER = ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4), (8, 
 # sha256 over each graph's _graph_digest, in instance order, per instance set
 # and exchange policy; the station-free policies build the same graphs
 GRAPH_AND_INDEX_PINS = {
-    ("micro", "none"): "9e1de3d70d8d52f470618706dc301de78bd054ae6d55f909d91716faf4602c8d",
+    ("micro", "none"): "a92da408c3ffab0631594f903c7d0e2dd5ebb308b6fad364b9f2b8f07a76dcc6",
     ("micro", "regular_stops"):
-        "9e1de3d70d8d52f470618706dc301de78bd054ae6d55f909d91716faf4602c8d",
+        "a92da408c3ffab0631594f903c7d0e2dd5ebb308b6fad364b9f2b8f07a76dcc6",
     ("micro", "regular_and_intermediate"):
-        "e8020025d6de9cea662fef58b85f998a7f0787b404551a82c93d62deac257d75",
-    ("ladder", "none"): "4ddc469afa9c8c4c721e9fd9a56cd4a4b34be468403c97084ed0228c7fd8b12f",
+        "92ef383841e6485a9b467ba33e87e7b14dc7d9d7d14078a25ce7f58297ac1eca",
+    ("ladder", "none"): "2e03c0a480f90382b94d20b74ee0331e7e3eba964d85e787e28acddb03eddef7",
     ("ladder", "regular_stops"):
-        "4ddc469afa9c8c4c721e9fd9a56cd4a4b34be468403c97084ed0228c7fd8b12f",
+        "2e03c0a480f90382b94d20b74ee0331e7e3eba964d85e787e28acddb03eddef7",
     ("ladder", "regular_and_intermediate"):
-        "67fbd46a6f28f2669ccb7afa9e31b13d69f553d71690e51fd9a06ed179b17b84",
+        "784dbd0edefb30b9e4e8ae54ea1bbfafb79a0282c0da730cd928df333d59b6c3",
 }
 
 
@@ -281,7 +318,6 @@ def test_every_arc_carries_its_located_ends():
             assert (a.from_base, a.start, a.to_base, a.end) == \
                 (tail.base, tail.time, head.base, head.time)
             assert a.end - a.start == a.duration
-            assert DEPOT not in (tail.base, head.base)   # depot arcs are implicit
             families.add(a.family)
     assert families == {"steering", "deadhead", "waiting"}
 
@@ -310,9 +346,9 @@ def _graph_digest(g) -> str:
         return [[list(k) if isinstance(k, tuple) else k, v] for k, v in index.items()]
 
     blob = {
-        "graph": graph_to_dict(g), "source": g.source, "sink": g.sink,
+        "graph": graph_to_dict(g),
         "indexes": {name: entries(getattr(g, name)) for name in (
-            "node_at", "copies", "seg_direct", "seg_in", "seg_out", "steer_idx",
+            "node_at", "copies", "starts", "seg_direct", "seg_in", "seg_out", "steer_idx",
             "wait_next")},
     }
     return hashlib.sha256(
