@@ -120,20 +120,15 @@ def redundant_station_fixture() -> Instance:
     ))
 
 
-MICRO_LIMIT_RIDES = 4
-MICRO_LIMIT_ARCS = 300
-
-
 def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, Instance]]:
     """Oracle-solvable micro instances, crafted shapes first, generated fill.
 
     Contains at least one instance where each lower bound dominates the
     other and at least two constructive-bound gap instances. Every
-    instance, crafted or generated, has at most ``MICRO_LIMIT_RIDES`` rides
-    and its time graph at most ``MICRO_LIMIT_ARCS`` arcs (``graph_stats``),
-    the limits ``oracle.brute_force`` accepts by default: the generated
-    shapes have at most 4 rides and stay far below the arc limit, which the
-    tests check over several master seeds.
+    instance, crafted or generated, is within ``oracle.brute_force``'s
+    default limits, 4 rides and 300 arcs of its time graph (``graph_stats``):
+    the generated shapes have at most 4 rides and stay far below the arc
+    limit, which the tests check over several master seeds.
     """
     out: list[tuple[str, Instance]] = [
         ("crafted-lb1-dominant", dominance_lb1_fixture()),

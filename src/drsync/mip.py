@@ -90,8 +90,8 @@ from typing import Callable
 
 from .bounds import BoundReport
 from .instance import Instance, POLICY_NONE
-from .solution import RidePlan, Solution, assemble_route, itinerary
-from .timegraph import LEG_IN, LEG_OUT, TimedArc, TimeGraph
+from .solution import Solution, assemble_route, itinerary
+from .timegraph import TimedArc, TimeGraph
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,8 @@ class _Search:
         # base -> (start, end, pieces) of each carrier leaving it: a scheduled
         # piece, or under policy none a finished ride
         self.carriers: defaultdict[str, list[tuple]] = defaultdict(list)
-        # per ride, its pieces so far; a finished ride's times and stations
-        # are read off them
-        self.ride_pieces: list[list[TimedArc]] = [[] for _ in range(self.nrides)]
+        # per ride, its pieces so far; a finished ride's are its plan
+        self.ride_arcs: list[list[TimedArc]] = [[] for _ in range(self.nrides)]
 
         self.best_f: int | None = None
         self.best_solution: Solution | None = None
@@ -397,9 +396,9 @@ class _Search:
         else:
             k, node = key
             ends = [arcs[aid] for aid in g.seg_direct.get((rid, k), ()) if arcs[aid].tail == node]
-            ins = [] if self.policy_none else [
-                arcs[aid] for acc in self.rides[ri].stations[k]
-                for aid in g.seg_in.get((rid, k, acc.station_id), ()) if arcs[aid].tail == node]
+            # a graph of policy none has no station legs (filter_stations)
+            ins = [arcs[aid] for acc in self.rides[ri].stations[k]
+                   for aid in g.seg_in.get((rid, k, acc.station_id), ()) if arcs[aid].tail == node]
         last = k + 1 == self.n_segments[ri]
         # an arc that reaches the next stop moves the ride on; an in-leg
         # leaves it at its node, waiting at the station for the out-leg
@@ -440,7 +439,7 @@ class _Search:
         if not pieces[0]:
             return None
         drivers = self.drivers
-        pieces_so_far = self.ride_pieces[ri]
+        pieces_so_far = self.ride_arcs[ri]
         start_t = pieces_so_far[0].start if pieces_so_far else self.event_time[ri]
         members = []
         for idx in sorted(self.crew[ri]):
@@ -522,7 +521,7 @@ class _Search:
         drivers = self.drivers
         policy_none = self.policy_none
         units = None if policy_none else self.carriers[children[0][0][0].from_base]
-        ride_pieces = self.ride_pieces[ri]
+        ride_arcs = self.ride_arcs[ri]
         pos = self.pos
         cur_node = self.cur_node
         pending = self.pending
@@ -548,7 +547,7 @@ class _Search:
             d.u = u0 + piece.duration
             d.daily += piece.duration
             d.trail_run = 0
-            ride_pieces.append(piece)
+            ride_arcs.append(piece)
             cur_node[ri], pending[ri], pos[ri], event_time[ri] = moved
             if policy_none:
                 yield from self._crew_step(ri, piece, idx)
@@ -563,7 +562,7 @@ class _Search:
             else:
                 drivers.pop()
             cur_node[ri], pending[ri], pos[ri], event_time[ri] = ride_undo
-            ride_pieces.pop()
+            ride_arcs.pop()
 
     def _symmetric_hand_out(self, ri: int, children: list[tuple]):
         """``_hand_out`` for a ride with identical rides: visit the children
@@ -578,7 +577,7 @@ class _Search:
         ride is in now, children ranked below that move are dropped.
         """
         state = (self.pos[ri], self.cur_node[ri], self.pending[ri],
-                 [(p.leg, p.station, p.start, p.end) for p in self.ride_pieces[ri]])
+                 [(p.leg, p.station, p.start, p.end) for p in self.ride_arcs[ri]])
         m = self.last_move
         floor = None
         if (m is not None and m[0] == self.nodes_visited and m[1] in self.identical[ri]
@@ -603,7 +602,7 @@ class _Search:
 
     def _aboard(self, ri: int, since: int) -> list[tuple]:
         """Deadheads on ride ri's scheduled pieces from ``since`` on."""
-        return [("deadhead", p.twin) for p in self.ride_pieces[ri] if p.start >= since]
+        return [("deadhead", p.twin) for p in self.ride_arcs[ri] if p.start >= since]
 
     def _crew_step(self, ri: int, piece: TimedArc, idx: int):
         """Add driver idx, who steers ``piece``, to ride ri's crew and, if the
@@ -635,7 +634,7 @@ class _Search:
                     d.trail_run = run
                     d.base, d.time = piece.to_base, end
                 d.engaged = None
-            pieces = self.ride_pieces[ri]
+            pieces = self.ride_arcs[ri]
             units = self.carriers[self.rides[ri].stops[0]]
             units.append((pieces[0].start, end, tuple(pieces)))
             self.crew[ri] = set()
@@ -657,13 +656,7 @@ class _Search:
         if self.best_f is not None and f >= self.best_f:
             return
         routes = [assemble_route(self.g, d.elements) for d in self.drivers]
-        plan = {}
-        for ride, pieces in zip(self.rides, self.ride_pieces):
-            # an in-leg ends at a station, an out-leg starts at one
-            plan[ride.id] = RidePlan(
-                (pieces[0].start, *[p.end for p in pieces if p.leg != LEG_IN]),
-                tuple(p.station if p.leg == LEG_IN else None for p in pieces
-                      if p.leg != LEG_OUT))
+        plan = {ride.id: tuple(pieces) for ride, pieces in zip(self.rides, self.ride_arcs)}
         sol = Solution(self.g, routes, plan)
         self.best_f = f
         self.best_solution = sol

@@ -7,8 +7,8 @@ immutable tuples, and the search deepens an explicit driver cap (1, 2, ...)
 until a feasible assignment exists, so any answer is a proven optimum.
 Shares only the data types, ``filter_stations`` (which station accesses
 are usable), ``build_graph`` and ``graph_stats`` (its size limit, the
-implicit depot counted, and its witness) and ``assemble_route`` for the
-returned witness.
+implicit depot counted, and its witness), and ``assemble_route`` and
+``plan_from_routes`` for the returned witness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time as _time
 from dataclasses import dataclass
 
 from .instance import Instance, POLICY_NONE, check_instance, filter_stations
-from .solution import RidePlan, Solution, assemble_route
+from .solution import Solution, assemble_route, plan_from_routes
 from .timegraph import LEG_DIRECT, LEG_IN, LEG_OUT, build_graph, graph_stats
 
 
@@ -171,12 +171,7 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
         sys_best: list = [None]
 
         def leaf(rstate, drivers, elements):
-            sys_best[0] = (
-                tuple(
-                    RidePlan(rs[4], rs[5]) for rs in rstate
-                ),
-                tuple(tuple(e) for e in elements),
-            )
+            sys_best[0] = tuple(tuple(e) for e in elements)
 
         def rec(rstate, drivers, elements, pieces):
             nonlocal explored
@@ -413,7 +408,7 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
 
     best = None
     if nr == 0:
-        best = ((), ())
+        best = ()
         optimum = 0
     else:
         optimum = None
@@ -427,11 +422,9 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
     if best is None:
         return OracleResult(None, None, explored, _time.monotonic() - t0)
 
-    plans, element_sets = best
-    plan = {rides[ri].id: plans[ri] for ri in range(nr)}
     sidx = g.steer_idx
     routes = []
-    for els in element_sets:
+    for els in best:
         conv = []
         for e in els:
             if e[0] == "steer":
@@ -444,5 +437,5 @@ def brute_force(instance: Instance, max_rides: int = 4, max_arcs: int = 300) -> 
             else:
                 conv.append(e)
         routes.append(assemble_route(g, conv))
-    witness = Solution(g, routes, plan)
+    witness = Solution(g, routes, plan_from_routes(inst, g, routes))
     return OracleResult(optimum, witness, explored, _time.monotonic() - t0)

@@ -8,9 +8,11 @@ break-sized gap or stay aboard to the terminal. A piece is one of the
 graph's steering arcs, the object itself: the greedy steers it by its id
 and rides along on its ``twin``.
 
-The time graph alone decides which leg timings are legal: construction and
-the station insertions read a ride's times off its steering arcs
-(``_leg_end``), and a station removal asks for the direct arc.
+A vehicle plan is each ride's chain of steering arcs, and the time graph
+alone decides which chains are legal: construction and the station
+insertions take the earliest chain (``_leg_end``), a shift looks each arc
+up a grid step away (``_shifted``), and a station removal asks for the
+direct arc. No operator reads a departure window.
 
 The local search has one strategy, the paper's composite neighborhood:
 every iteration calls all seven problem-specific operators on a frozen
@@ -90,14 +92,12 @@ from .solution import (
     LINK_NONE,
     LINK_RENEW,
     ConnectionPlanner,
-    RidePlan,
     Solution,
     assemble_route,
     check_feasibility,
     plan_pieces,
-    ride_pieces,
 )
-from .timegraph import FAMILY_STEERING, LEG_DIRECT, TimedArc, TimeGraph
+from .timegraph import FAMILY_STEERING, LEG_DIRECT, LEG_IN, LEG_OUT, TimedArc, TimeGraph
 
 
 class ConstructionError(Exception):
@@ -134,47 +134,47 @@ def perturbed_select(n: int, p: float, rng: random.Random) -> int:
 # ---------------------------------------------------------------------------
 
 def _leg_end(graph: TimeGraph, rid: str, k: int, station: str | None, node: int,
-             not_before: int) -> TimedArc | None:
-    """The last arc of the earliest steering chain for segment `k` of ride
-    `rid` from `node` (the direct arc, or the in-arc and an out-arc via
-    `station`) that ends no earlier than `not_before`; None if there is none.
-    The arcs from one tail come by rising head time, so the first that fits
-    is it."""
+             not_before: int) -> tuple[TimedArc, ...] | None:
+    """The earliest steering chain for segment `k` of ride `rid` from `node`
+    that ends no earlier than `not_before`: the direct arc, or the in-arc
+    and an out-arc via `station`; None if there is none. The arcs from one
+    tail come by rising head time, so the first that fits is it."""
     arcs = graph.arcs
+    chain: tuple[TimedArc, ...] = ()
     if station is None:
         outs = graph.seg_direct[(rid, k)]
     else:
-        node = next((arcs[a].head for a in graph.seg_in.get((rid, k, station), ())
-                     if arcs[a].tail == node), None)
-        if node is None:
+        arc_in = next((arc for a in graph.seg_in.get((rid, k, station), ())
+                       if (arc := arcs[a]).tail == node), None)
+        if arc_in is None:
             return None
+        node, chain = arc_in.head, (arc_in,)
         outs = graph.seg_out[(rid, k, station)]
-    return next((arc for a in outs
+    last = next((arc for a in outs
                  if (arc := arcs[a]).tail == node and arc.end >= not_before), None)
+    return None if last is None else (*chain, last)
 
 
-def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, RidePlan]:
+def earliest_plan(instance: Instance, graph: TimeGraph) -> dict[str, tuple[TimedArc, ...]]:
     """Earliest departures read off the steering arcs: from the first stop's
     earliest copy, each segment's earliest direct leg, else its earliest leg
     via the first station by (detour, id) that has one."""
-    plan: dict[str, RidePlan] = {}
+    plan: dict[str, tuple[TimedArc, ...]] = {}
     for ride in instance.rides:
         t, node = graph.starts[ride.id][0]
-        times = [t]
-        stations: list[str | None] = []
+        chain: tuple[TimedArc, ...] = ()
         for k, direct in enumerate(ride.segment_minutes):
             vias = sorted(ride.stations[k], key=lambda a: (a.detour(direct), a.station_id))
             for station in [None] + [a.station_id for a in vias]:
-                last = _leg_end(graph, ride.id, k, station, node, times[k])
-                if last is not None:
+                legs = _leg_end(graph, ride.id, k, station, node, t)
+                if legs is not None:
                     break
             else:
                 raise ConstructionError(
                     f"ride {ride.id} segment {k}: no coverable departure exists")
-            node = last.head
-            times.append(last.end)
-            stations.append(station)
-        plan[ride.id] = RidePlan(tuple(times), tuple(stations))
+            chain += legs
+            node, t = legs[-1].head, legs[-1].end
+        plan[ride.id] = chain
     return plan
 
 
@@ -224,8 +224,10 @@ def _fits(sim: _Sim, u_eff: int, piece, legal) -> bool:
 class GreedyRecord:
     """One run of the greedy driver assignment over `plan`, kept for replay.
 
-    The greedy walks the vehicle routes (one per ride, in ``keys`` order,
-    ``(first departure, ride id)``) and hands each route's pieces to drivers.
+    The greedy walks the vehicle routes (each ride's steering arcs as the
+    plan holds them, in ``keys`` order, ``(first departure, ride id)``) and
+    hands each route's pieces to drivers; a replay reads the changed ride's
+    route straight off the new plan.
     Before route j it records every driver's state in ``snapshots[j]``
     (``_Sim.state``); the only thing a route reads beyond the drivers and
     its own pieces is the next departure after a relief, from
@@ -239,8 +241,9 @@ class GreedyRecord:
     route order, or an earlier relief whose look-up the moved departures
     answer differently. Everything here depends on the plan alone.
 
-    ``memo`` maps ``(ride id, RidePlan)`` to what ``_replan`` got for that
-    change: the replayed solution, or None where the replay raised. Local
+    ``memo`` maps ``(ride id, the ids of its new steering arcs)`` to what
+    ``_replan`` got for that change: the replayed solution, or None where
+    the replay raised (arcs compare by value, and do not hash). Local
     search keeps it only while the record is its current solution's, and
     clears it when it moves to another plan or returns.
     """
@@ -250,15 +253,15 @@ class GreedyRecord:
 
     def __init__(self, plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
                  elements, routes):
-        self.plan: dict[str, RidePlan] = plan
+        self.plan: dict[str, tuple[TimedArc, ...]] = plan
         self.keys: list[tuple[int, str]] = keys
-        self.vehicle_routes: list[list] = vehicle_routes
+        self.vehicle_routes: list[tuple[TimedArc, ...]] = vehicle_routes
         self.departures_from: dict[str, list[int]] = departures_from
         self.snapshots: list[tuple[tuple, ...]] = snapshots
         self.reliefs: list[tuple[int, str, int, int | None]] = reliefs
         self.elements: list[list[tuple]] = elements
         self.routes: list[tuple[int, ...] | None] = routes
-        self.memo: dict[tuple[str, RidePlan], Solution | None] = {}
+        self.memo: dict[tuple[str, tuple[int, ...]], Solution | None] = {}
 
     def solution(self, graph: TimeGraph) -> Solution:
         sol = Solution(graph, [r for r in self.routes if r is not None], self.plan)
@@ -266,17 +269,17 @@ class GreedyRecord:
         return sol
 
     def replay(self, instance: Instance, graph: TimeGraph,
-               plan: dict[str, RidePlan], ride) -> Solution:
+               plan: dict[str, tuple[TimedArc, ...]], ride) -> Solution:
         """``assign_drivers(instance, graph, plan)`` for a `plan` that differs
         from this record's only in `ride`; raises what that call raises.
 
         The new record and its solution keep `plan`.
         """
         rid = ride.id
-        vp = ride_pieces(graph, ride, plan[rid])
+        vp = plan[rid]
         keys = list(self.keys)
         routes = list(self.vehicle_routes)
-        old_pos = bisect_left(keys, (self.plan[rid].times[0], rid))
+        old_pos = bisect_left(keys, (self.plan[rid][0].start, rid))
         del keys[old_pos]
         old = routes.pop(old_pos)
         key = (vp[0].start, rid)
@@ -310,19 +313,16 @@ class GreedyRecord:
 
 
 def assign_drivers(instance: Instance, graph: TimeGraph,
-                   plan: dict[str, RidePlan]) -> Solution:
+                   plan: dict[str, tuple[TimedArc, ...]]) -> Solution:
     """Greedy driver assignment over a fixed vehicle plan; always feasible.
 
     The solution carries the run's ``GreedyRecord`` in ``greedy``.
     """
-    pieces = plan_pieces(instance, graph, plan)
-    by_ride: dict[str, list] = {}
     departures_from: dict[str, list[int]] = {}
-    for p in pieces:   # chronological, so every list below comes out sorted
-        by_ride.setdefault(p.ride, []).append(p)
+    for p in plan_pieces(instance, plan):   # chronological, so each list comes out sorted
         departures_from.setdefault(p.from_base, []).append(p.start)
-    keys = sorted((vp[0].start, rid) for rid, vp in by_ride.items())
-    routes = [by_ride[rid] for _start, rid in keys]
+    keys = sorted((pieces[0].start, rid) for rid, pieces in plan.items())
+    routes = [plan[rid] for _start, rid in keys]
     return _greedy(instance, graph, dict(plan), keys, routes,
                    departures_from).solution(graph)
 
@@ -547,8 +547,7 @@ def operator_reassign_segments(solution, instance, graph, config, seed) -> list[
     legal, t_dw = instance.legal, instance.legal.t_dw
     # links and itineraries depend only on the plan, so the planner built for
     # one solution serves every candidate that only moves drivers between routes
-    links = solution.links or ConnectionPlanner(
-        instance, plan_pieces(instance, graph, solution.plan))
+    links = solution.links or ConnectionPlanner(instance, plan_pieces(instance, solution.plan))
     # pieces are in chronological order, so a sorted host is a sorted position list
     pieces = links.pieces
     pos = {p.id: i for i, p in enumerate(pieces)}
@@ -611,24 +610,23 @@ def operator_reassign_segments(solution, instance, graph, config, seed) -> list[
     return out
 
 
-def _replan(solution, instance, graph, ride, rp: RidePlan) -> Solution | None:
-    """The greedy's solution once `ride` follows `rp`; None if it has none.
+def _replan(solution, instance, graph, ride, chain: tuple[TimedArc, ...]) -> Solution | None:
+    """The greedy's solution once `ride` steers `chain`; None if it has none.
 
     The greedy's record of the current plan is built once and kept on the
     solution. It cannot fail on a plan from the greedy or from the exact
-    search, whose pieces are graph arcs and whose crews fit ``t_dw``
-    (``test_mip.py`` checks the latter on every incumbent). The record's
-    memo answers a change it has replayed before. The one copy of the plan
-    made here is the candidate's.
+    search, whose crews fit ``t_dw`` (``test_mip.py`` checks it on every
+    incumbent). The record's memo answers a change it has replayed before.
+    The one copy of the plan made here is the candidate's.
     """
     record = solution.greedy
     if record is None:
         record = solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
-    key = (ride.id, rp)
+    key = (ride.id, tuple(p.id for p in chain))
     if key in record.memo:
         return record.memo[key]
     plan = dict(solution.plan)
-    plan[ride.id] = rp
+    plan[ride.id] = chain
     try:
         cand = record.replay(instance, graph, plan, ride)
     except ConstructionError:
@@ -652,13 +650,13 @@ def _ceiling(solution, instance) -> int | None:
 
 def _span(plan) -> int:
     """Last arrival minus first departure of `plan`."""
-    return (max(rp.times[-1] for rp in plan.values())
-            - min(rp.times[0] for rp in plan.values()))
+    return (max(pieces[-1].end for pieces in plan.values())
+            - min(pieces[0].start for pieces in plan.values()))
 
 
 def _steering(plan) -> int:
     """The plan's steering time: each ride's last arrival minus its first departure."""
-    return sum(rp.times[-1] - rp.times[0] for rp in plan.values())
+    return sum(pieces[-1].end - pieces[0].start for pieces in plan.values())
 
 
 def _at_ceiling(solution, instance) -> bool:
@@ -668,8 +666,23 @@ def _at_ceiling(solution, instance) -> bool:
     return ceiling is not None and _span(solution.plan) >= ceiling
 
 
+def _shifted(graph, pieces, delta) -> tuple[TimedArc, ...] | None:
+    """`pieces` moved by `delta` minutes: for each arc, the arc of the same
+    ride, segment, leg and station `delta` later; None where the graph has
+    none, which is where a moved departure leaves its window."""
+    idx, arcs = graph.steer_idx, graph.arcs
+    out = []
+    for p in pieces:
+        aid = idx.get((p.ride, p.segment, p.leg, p.station, p.start + delta, p.end + delta))
+        if aid is None:
+            return None
+        out.append(arcs[aid])
+    return tuple(out)
+
+
 def _shift(solution, instance, graph, delta) -> list[Solution]:
-    """Each ride's departures moved by `delta`, where their windows allow.
+    """Each ride's departures moved by `delta`, where the graph has the
+    moved arcs (``_shifted``).
 
     The only ride of a solution the greedy built is not shifted: that moves
     every time of the plan by `delta`, and the greedy reads only differences
@@ -683,21 +696,16 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
     if len(instance.rides) < 2 and _built_by_greedy(solution):
         return []
     ceiling = _ceiling(solution, instance)
-    half = instance.theta_tw // 2   # a departure's window is dep +- half
     out = []
     for ride in sorted(instance.rides, key=lambda r: r.id):
-        rp = solution.plan[ride.id]
-        times = tuple(t + delta for t in rp.times)
-        for dep, t in zip(ride.departures, times):
-            if not -half <= t - dep <= half:
-                break
-        else:
-            shifted = RidePlan(times, rp.stations)
-            if ceiling is not None and _span({**solution.plan, ride.id: shifted}) >= ceiling:
-                continue
-            cand = _replan(solution, instance, graph, ride, shifted)
-            if cand is not None:
-                out.append(cand)
+        shifted = _shifted(graph, solution.plan[ride.id], delta)
+        if shifted is None:
+            continue
+        if ceiling is not None and _span({**solution.plan, ride.id: shifted}) >= ceiling:
+            continue
+        cand = _replan(solution, instance, graph, ride, shifted)
+        if cand is not None:
+            out.append(cand)
     return out
 
 
@@ -721,33 +729,33 @@ def _insertable_segments(solution, instance):
     rides = {r.id: r for r in instance.rides}
     seg_in = solution.graph.seg_in
     segs = []
-    for rid in sorted(solution.plan):
-        rp = solution.plan[rid]
+    for rid, pieces in solution.plan.items():
         ride = rides[rid]
-        for k in range(ride.n_segments):
-            if rp.stations[k] is not None:
+        for p in pieces:
+            if p.leg != LEG_DIRECT:
                 continue
+            k = p.segment
             accs = [a for a in ride.stations[k] if (rid, k, a.station_id) in seg_in]
             if accs:
-                segs.append((rp.times[k + 1] - rp.times[k], rid, k, ride, accs))
+                segs.append((p.duration, rid, k, ride, accs))
     segs.sort(key=lambda s: (-s[0], s[1], s[2]))
     solution.insertable = segs
     return segs
 
 
-def _retime(graph, ride, times, stations) -> tuple[int, ...] | None:
-    """`ride`'s `times` with each stop after the first pushed to the earliest
-    steering chain, via `stations`, that leaves the stop before on time and
-    ends no earlier than before; None where a segment has no such chain."""
-    node = graph.node_at[(ride.stops[0], times[0])]
-    out = [times[0]]
-    for k, station in enumerate(stations):
-        last = _leg_end(graph, ride.id, k, station, node, times[k + 1])
-        if last is None:
+def _retime(graph, ride, node, ends, stations) -> tuple[TimedArc, ...] | None:
+    """`ride`'s steering chain from `node`, each segment `k` along the
+    earliest chain via `stations[k]` that leaves where the one before ends
+    and ends no earlier than `ends[k]`; None where a segment has no such
+    chain."""
+    chain: tuple[TimedArc, ...] = ()
+    for k, (station, not_before) in enumerate(zip(stations, ends)):
+        legs = _leg_end(graph, ride.id, k, station, node, not_before)
+        if legs is None:
             return None
-        node = last.head
-        out.append(last.end)
-    return tuple(out)
+        chain += legs
+        node = legs[-1].head
+    return chain
 
 
 def _insert_station(solution, instance, graph, config, seed, order_fn) -> list[Solution]:
@@ -762,12 +770,15 @@ def _insert_station(solution, instance, graph, config, seed, order_fn) -> list[S
     _dur, rid, k, ride, accs = segs[perturbed_select(len(segs), config.p, rng)]
     accs = order_fn(list(accs), ride, k, rng)
     acc = accs[perturbed_select(len(accs), config.p, rng)]
-    rp = solution.plan[rid]
-    stations = rp.stations[:k] + (acc.station_id,) + rp.stations[k + 1:]
-    times = _retime(graph, ride, rp.times, stations)
-    if times is None:
+    pieces = solution.plan[rid]
+    # each segment's station (None on a direct arc) and end
+    stations = [p.station for p in pieces if p.leg != LEG_OUT]
+    stations[k] = acc.station_id
+    chain = _retime(graph, ride, pieces[0].tail, [p.end for p in pieces if p.leg != LEG_IN],
+                    stations)
+    if chain is None:
         return []
-    cand = _replan(solution, instance, graph, ride, RidePlan(times, stations))
+    cand = _replan(solution, instance, graph, ride, chain)
     return [] if cand is None else [cand]
 
 
@@ -810,16 +821,17 @@ def operator_remove_stop(solution, instance, graph, config, seed) -> list[Soluti
     rides = {r.id: r for r in instance.rides}
     out = []
     for rid in sorted(solution.plan):
-        rp = solution.plan[rid]
-        ride = rides[rid]
-        for k in range(ride.n_segments):
-            if rp.stations[k] is None:
+        pieces = solution.plan[rid]
+        for i, p in enumerate(pieces):
+            if p.leg != LEG_IN:
                 continue
-            if (rid, k, LEG_DIRECT, None, rp.times[k], rp.times[k + 1]) not in graph.steer_idx:
+            # the in-leg and its out-leg give way to the direct arc between their ends
+            aid = graph.steer_idx.get((rid, p.segment, LEG_DIRECT, None, p.start,
+                                       pieces[i + 1].end))
+            if aid is None:
                 continue
-            stations = list(rp.stations)
-            stations[k] = None
-            cand = _replan(solution, instance, graph, ride, RidePlan(rp.times, tuple(stations)))
+            chain = pieces[:i] + (graph.arcs[aid],) + pieces[i + 2:]
+            cand = _replan(solution, instance, graph, rides[rid], chain)
             if cand is not None:
                 out.append(cand)
     return out

@@ -3,10 +3,11 @@
 A solution is a set of driver routes over the time graph, each the arcs
 from the driver's first located time to its last (the depot arcs to and
 from them are implicit, see ``timegraph``). The vehicle side is captured
-by a plan: per ride, the chosen departure minute of every stop and the
-station (if any) inserted into each segment. A plan's pieces are the graph's own steering arcs
-(``TimedArc``, with their located ends); every piece must be steered by
-exactly one driver.
+by a plan: per ride, its steering arcs in ride order, the graph's own
+``TimedArc`` objects. Their located ends are the ride's departure minutes
+and a station leg's station, so a plan names only timings the graph holds.
+Only ``Solution.to_dict`` writes a plan back as times and stations. Every
+piece must be steered by exactly one driver.
 
 A driver gets from one located time to another by waiting and
 deadheading through one call, ``itinerary``. Local search asks it through
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import NamedTuple
 
 from .instance import Instance, POLICY_NONE
 from .timegraph import (
@@ -38,11 +38,6 @@ class SolutionStructureError(Exception):
     """A route is not a well-formed path over existing arcs."""
 
 
-class PlanError(Exception):
-    """A plan references timings or stations the graph does not admit: only
-    a plan made by hand, since the solvers read theirs off the arcs."""
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str      # uncovered_segment | continuous_steering | daily_steering |
@@ -51,67 +46,14 @@ class Violation:
     detail: int    # minutes over limit, or a count for structural kinds
 
 
-class RidePlan(NamedTuple):
-    """A ride's departure minute at every stop and the station, if any, in
-    each segment. A tuple, so that hashing it as a dict key stays in C."""
-
-    times: tuple[int, ...]
-    stations: tuple[str | None, ...]
-
-
 _LEG_RANK = {LEG_IN: 0, LEG_DIRECT: 1, LEG_OUT: 2}
 
 
-def _expand_ride(graph: TimeGraph, ride, rp: RidePlan, pieces: list[TimedArc]) -> None:
-    """Append the steering arcs of one ride's plan to `pieces`."""
-    idx, arcs = graph.steer_idx, graph.arcs
-    rid = ride.id
-    for k in range(ride.n_segments):
-        t0, t1 = rp.times[k], rp.times[k + 1]
-        st = rp.stations[k]
-        if st is None:
-            arc = idx.get((rid, k, LEG_DIRECT, None, t0, t1))
-            if arc is None:
-                raise PlanError(f"ride {rid} segment {k}: no direct arc {t0}->{t1}")
-            pieces.append(arcs[arc])
-        else:
-            acc = next((x for x in ride.stations[k] if x.station_id == st), None)
-            if acc is None:
-                raise PlanError(f"ride {rid} segment {k}: station {st} not admissible")
-            ts = t0 + acc.minutes_in
-            arc_in = idx.get((rid, k, LEG_IN, st, t0, ts))
-            arc_out = idx.get((rid, k, LEG_OUT, st, ts, t1))
-            if arc_in is None or arc_out is None:
-                raise PlanError(f"ride {rid} segment {k}: no via-{st} arcs {t0}->{ts}->{t1}")
-            pieces.append(arcs[arc_in])
-            pieces.append(arcs[arc_out])
-
-
-def _piece_key(ride_order: dict[str, int]):
-    return lambda p: (p.start, p.end, ride_order[p.ride], p.segment, _LEG_RANK[p.leg])
-
-
-def plan_pieces(instance: Instance, graph: TimeGraph,
-                plan: dict[str, RidePlan]) -> list[TimedArc]:
-    """Expand a plan into its chronologically ordered steering arcs."""
-    rides = {r.id: r for r in instance.rides}
-    pieces: list[TimedArc] = []
-    for rid, rp in plan.items():
-        _expand_ride(graph, rides[rid], rp, pieces)
-    pieces.sort(key=_piece_key({r.id: i for i, r in enumerate(instance.rides)}))
-    return pieces
-
-
-def ride_pieces(graph: TimeGraph, ride, rp: RidePlan) -> list[TimedArc]:
-    """The pieces of one ride's plan, in the order ``plan_pieces`` gives them.
-
-    ``_expand_ride`` emits them with strictly rising starts (a leg starts
-    where the one before it ends, and every arc lasts at least a minute), so
-    that order needs no sort.
-    """
-    pieces: list[TimedArc] = []
-    _expand_ride(graph, ride, rp, pieces)
-    return pieces
+def plan_pieces(instance: Instance, plan: dict[str, tuple[TimedArc, ...]]) -> list[TimedArc]:
+    """A plan's steering arcs in chronological order."""
+    order = {r.id: i for i, r in enumerate(instance.rides)}
+    return sorted((p for pieces in plan.values() for p in pieces),
+                  key=lambda p: (p.start, p.end, order[p.ride], p.segment, _LEG_RANK[p.leg]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +102,7 @@ class Solution:
     """
 
     def __init__(self, graph: TimeGraph, routes: list[tuple[int, ...]],
-                 plan: dict[str, RidePlan]):
+                 plan: dict[str, tuple[TimedArc, ...]]):
         self.graph = graph
         self.routes = [tuple(r) for r in routes]
         self.plan = plan
@@ -204,11 +146,14 @@ class Solution:
         g = self.graph
         rides = []
         for rid in sorted(self.plan):
-            rp = self.plan[rid]
+            pieces = self.plan[rid]
+            # the first start, then each segment's end: an in-leg ends at a
+            # station, and a direct arc has no station
+            times = [p.start for p in pieces[:1]] + [p.end for p in pieces if p.leg != LEG_IN]
             rides.append({
                 "id": rid,
-                "times": list(rp.times),
-                "stations": list(rp.stations),
+                "times": times,
+                "stations": [p.station for p in pieces if p.leg != LEG_OUT],
             })
         drivers = []
         for k, route in enumerate(self.routes):
@@ -232,28 +177,16 @@ class Solution:
 
 
 def plan_from_routes(instance: Instance, graph: TimeGraph,
-                     routes: list[tuple[int, ...]]) -> dict[str, RidePlan]:
-    """Recover the vehicle plan implied by the steering arcs of a route set."""
-    rides = {r.id: r for r in instance.rides}
-    times: dict[str, dict[int, int]] = {rid: {} for rid in rides}
-    stations: dict[str, dict[int, str | None]] = {rid: {} for rid in rides}
+                     routes: list[tuple[int, ...]]) -> dict[str, tuple[TimedArc, ...]]:
+    """The vehicle plan a route set steers: each ride's steering arcs, in ride order."""
+    by_ride: dict[str, list[TimedArc]] = {r.id: [] for r in instance.rides}
     for route in routes:
         for aid in route:
             arc = graph.arcs[aid]
-            if arc.family != FAMILY_STEERING:
-                continue
-            rid, k = arc.ride, arc.segment
-            if arc.leg in (LEG_DIRECT, LEG_IN):
-                times[rid][k] = arc.start
-                stations[rid][k] = arc.station
-            if arc.leg in (LEG_DIRECT, LEG_OUT):
-                times[rid][k + 1] = arc.end
-    plan = {}
-    for rid, ride in rides.items():
-        tvec = tuple(times[rid].get(i, -1) for i in range(len(ride.stops)))
-        svec = tuple(stations[rid].get(k) for k in range(ride.n_segments))
-        plan[rid] = RidePlan(tvec, svec)
-    return plan
+            if arc.family == FAMILY_STEERING:
+                by_ride[arc.ride].append(arc)
+    return {rid: tuple(sorted(pieces, key=lambda p: p.start))
+            for rid, pieces in by_ride.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +364,7 @@ def _validate_structure(graph: TimeGraph, route: tuple[int, ...], who: str) -> N
     for a, b in zip(route, route[1:]):
         if graph.arcs[a].head != graph.arcs[b].tail:
             raise SolutionStructureError(f"{who}: dangling arcs {a}->{b}")
-    if not any(graph.arcs[aid].mode == 1 for aid in route):
+    if not any(graph.arcs[aid].family == FAMILY_STEERING for aid in route):
         raise SolutionStructureError(f"{who}: active driver without a steering arc")
 
 

@@ -8,7 +8,7 @@ counts it. Three arc families are built:
 
 * steering: a driver moves the bus; duration is the full gap between the
             endpoint times (terminal dwell included), capped by t_cs
-* deadhead: mode-0 twin of every steering arc (riding along as passenger)
+* deadhead: twin of every steering arc (riding along as passenger)
 * waiting:  consecutive time copies of the same location
 
 Copies of a customer stop sit on the departure-window grid. Copies of a
@@ -25,9 +25,9 @@ Each ride's start grid, its first stop's copies by minute, is kept as
 off its steering arcs.
 
 Every arc carries its located ends, set once by the build. A steering arc
-is also the one record of a plan's piece: the solvers hold the graph's own
-arc objects (``solution.plan_pieces``), and read bases and times off them
-rather than through the nodes.
+is also the one record of a plan's piece: a vehicle plan is each ride's
+steering arcs (``solution.Solution.plan``), the graph's own objects, and
+the solvers read bases and times off them rather than through the nodes.
 
 A run builds the graph first, with only the cheap bounds lb1 and lb2
 beside it; the lb3 sweep waits until CH+LS has run (see ``pipeline``).
@@ -71,7 +71,6 @@ class TimedArc:
     id: int
     tail: int
     head: int
-    mode: int            # 1 = steering, 0 = everything else
     family: str
     duration: int
     from_base: str
@@ -181,9 +180,9 @@ def build_graph(instance: Instance) -> TimeGraph:
                 continue
             dur = t2 - t
             sid = len(arcs)
-            arcs.append(TimedArc(sid, tail, head, 1, FAMILY_STEERING, dur, a, t, b, t2,
+            arcs.append(TimedArc(sid, tail, head, FAMILY_STEERING, dur, a, t, b, t2,
                                  rid, k, leg, station, sid + 1))
-            arcs.append(TimedArc(sid + 1, tail, head, 0, FAMILY_DEADHEAD, dur, a, t, b, t2,
+            arcs.append(TimedArc(sid + 1, tail, head, FAMILY_DEADHEAD, dur, a, t, b, t2,
                                  rid, k, leg, station, sid))
             steer_idx[(rid, k, leg, station, t, t2)] = sid
             ids.append(sid)
@@ -218,7 +217,7 @@ def build_graph(instance: Instance) -> TimeGraph:
         for n, m in zip(ids, ids[1:]):
             t, t2 = nodes[n].time, nodes[m].time
             aid = g.wait_next[n] = len(arcs)
-            arcs.append(TimedArc(aid, n, m, 0, FAMILY_WAITING, t2 - t, base, t, base, t2))
+            arcs.append(TimedArc(aid, n, m, FAMILY_WAITING, t2 - t, base, t, base, t2))
     return g
 
 
@@ -268,10 +267,11 @@ def _consumption(graph: TimeGraph, family: str, duration: int) -> int:
 
 
 def graph_to_dict(graph: TimeGraph) -> dict:
-    """The graph's nodes and arcs; the implicit depot is not written."""
+    """The graph's nodes and arcs; the implicit depot is not written. An
+    arc's mode is the paper's: 1 for steering, 0 for every other family."""
     arcs = [
         {
-            "id": a.id, "tail": a.tail, "head": a.head, "mode": a.mode,
+            "id": a.id, "tail": a.tail, "head": a.head, "mode": int(a.family == FAMILY_STEERING),
             "family": a.family, "duration": a.duration,
             "consumption": _consumption(graph, a.family, a.duration),
             "ride": a.ride, "segment": a.segment, "leg": a.leg,

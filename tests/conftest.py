@@ -13,6 +13,41 @@ def customer_stops(*names):
     return tuple(Stop(n, "customer") for n in names)
 
 
+def ride_chain(graph, ride, times, stations):
+    """`ride`'s steering arcs at the departure `times` via `stations` (None
+    for a direct leg), looked up in `graph`; KeyError where it has none."""
+    idx, arcs = graph.steer_idx, graph.arcs
+    chain = []
+    for k, station in enumerate(stations):
+        t0, t1 = times[k], times[k + 1]
+        if station is None:
+            chain.append(arcs[idx[(ride.id, k, "direct", None, t0, t1)]])
+        else:
+            acc = next(a for a in ride.stations[k] if a.station_id == station)
+            ts = t0 + acc.minutes_in
+            chain += [arcs[idx[(ride.id, k, "in", station, t0, ts)]],
+                      arcs[idx[(ride.id, k, "out", station, ts, t1)]]]
+    return tuple(chain)
+
+
+def plan_of(graph, spec):
+    """A hand-made plan over `graph` from ride id -> (times, stations)."""
+    rides = {r.id: r for r in graph.instance.rides}
+    return {rid: ride_chain(graph, rides[rid], times, stations)
+            for rid, (times, stations) in spec.items()}
+
+
+def ride_times(pieces):
+    """A ride's departure minutes read off its steering arcs, as
+    ``Solution.to_dict`` writes them: an in-leg ends at a station."""
+    return (pieces[0].start, *[p.end for p in pieces if p.leg != "in"])
+
+
+def ride_stations(pieces):
+    """Each segment's station, None on a direct leg."""
+    return tuple(p.station for p in pieces if p.leg != "out")
+
+
 def shared_terminal(shape, seed):
     """A generated two-line instance whose lines end at the same stop."""
     inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 from bisect import bisect_left
@@ -15,8 +16,6 @@ from drsync.bounds import (
     upper_bound,
 )
 from drsync.fixtures import (
-    MICRO_LIMIT_ARCS,
-    MICRO_LIMIT_RIDES,
     dominance_lb1_fixture,
     dominance_lb2_fixture,
     micro_suite,
@@ -236,7 +235,9 @@ def test_lb3_sweep_matches_naive_windows(shape):
        legal=st.sampled_from([LegalParams(), TIGHT]), seed=st.integers(0, 100_000))
 def test_lb3_never_exceeds_the_oracle_optimum(shape, policy, legal, seed):
     inst, stats = generate_synthetic(_shape(shape, policy, legal), seed)
-    assume(len(inst.rides) <= MICRO_LIMIT_RIDES and stats.n_arcs <= MICRO_LIMIT_ARCS)
+    limits = inspect.signature(brute_force).parameters
+    assume(len(inst.rides) <= limits["max_rides"].default
+           and stats.n_arcs <= limits["max_arcs"].default)
     rep = compute_bounds(inst)
     assert rep.lb3 >= max(rep.lb1, rep.lb2)
     res = brute_force(inst)

@@ -174,7 +174,7 @@ def test_solver_matches_oracle_and_symmetry(fig2, sequential_pair, parallel_trip
         res = brute_force(inst)
         assert out.best_solution.objective == res.optimum
         for route in out.best_solution.routes:
-            assert any(m.graph.arcs[a].mode == 1 for a in route)
+            assert any(m.graph.arcs[a].family == FAMILY_STEERING for a in route)
 
 
 def test_released_crew_carries_its_deadhead_run_into_the_next_hop():
@@ -259,7 +259,7 @@ def test_completed_rides_are_the_carriers_under_policy_none(monkeypatch):
     def checked(search):
         nonlocal with_rides
         expected = {}
-        for ri, pieces in enumerate(search.ride_pieces):
+        for ri, pieces in enumerate(search.ride_arcs):
             if search.pos[ri] == search.n_segments[ri]:
                 expected.setdefault(search.rides[ri].stops[0], []).append(
                     (pieces[0].start, pieces[-1].end, tuple(pieces)))
@@ -279,7 +279,7 @@ def _search_state(search):
     return (
         list(search.drivers), [set(c) for c in search.crew],
         {base: list(units) for base, units in search.carriers.items() if units},
-        [list(p) for p in search.ride_pieces], list(search.pos), list(search.pending),
+        [list(p) for p in search.ride_arcs], list(search.pos), list(search.pending),
         list(search.cur_node), list(search.minstart), list(search.event_time),
         list(search.unstarted), search.last_move,
     )
@@ -619,14 +619,14 @@ def test_identical_rides_line_up_where_the_rule_fires(monkeypatch):
     def spy(search, ri, children):
         nonlocal fired
         m = search.last_move
-        mine = _signature(search.ride_pieces[ri])
+        mine = _signature(search.ride_arcs[ri])
         state = (search.pos[ri], search.cur_node[ri], search.pending[ri], mine)
         if (m is not None and m[0] == search.nodes_visited and m[1] in search.identical[ri]
                 and m[2] == state):
             assert m[1] < ri
             lower = search.rides[m[1]]
             assert replace(lower, id="", line_id="") == replace(search.rides[ri], id="", line_id="")
-            theirs = _signature(search.ride_pieces[m[1]])
+            theirs = _signature(search.ride_arcs[m[1]])
             assert theirs[:-1] == mine
             candidates = search._pieces(ri)[0]
             assert theirs[-1] in [_candidate(e)[:4] for e in candidates]

@@ -7,8 +7,6 @@ import pytest
 from drsync.bounds import compute_bounds
 from drsync.cli import build_parser
 from drsync.fixtures import (
-    MICRO_LIMIT_ARCS,
-    MICRO_LIMIT_RIDES,
     exchange_fixture,
     micro_suite,
     station_exchange_fixture,
@@ -107,18 +105,17 @@ def test_micro_suite_stays_within_the_oracle_limits():
     # oracle accepts with its default limits, at the default master seed and
     # at the benchmark's micro set of seed 2027
     defaults = inspect.signature(brute_force).parameters
-    assert MICRO_LIMIT_RIDES == defaults["max_rides"].default
-    assert MICRO_LIMIT_ARCS == defaults["max_arcs"].default
+    max_rides, max_arcs = defaults["max_rides"].default, defaults["max_arcs"].default
     # and `drsync oracle` applies the same limits when given none
     args = build_parser().parse_args(["oracle", "instance.json"])
-    assert (args.max_rides, args.max_arcs) == (MICRO_LIMIT_RIDES, MICRO_LIMIT_ARCS)
+    assert (args.max_rides, args.max_arcs) == (max_rides, max_arcs)
     for master_seed in (2026, 2027 * 100_000, 7):
         suite = micro_suite(1000, master_seed=master_seed)
         assert len(suite) == 1000
         assert sum(name.startswith("crafted-") for name, _ in suite) == 8
         for name, inst in suite:
-            assert len(inst.rides) <= MICRO_LIMIT_RIDES, name
-            assert graph_stats(build_graph(inst)).n_arcs <= MICRO_LIMIT_ARCS, name
+            assert len(inst.rides) <= max_rides, name
+            assert graph_stats(build_graph(inst)).n_arcs <= max_arcs, name
 
 
 # sha256 of the newline-joined names of the instances micro_suite(1000)

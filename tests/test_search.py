@@ -51,8 +51,6 @@ from drsync.solution import (
     LINK_REACH,
     LINK_RENEW,
     ConnectionPlanner,
-    PlanError,
-    RidePlan,
     Solution,
     assemble_route,
     check_feasibility,
@@ -60,7 +58,7 @@ from drsync.solution import (
 )
 from drsync.timegraph import build_graph
 
-from conftest import customer_stops, long_ride_none
+from conftest import customer_stops, long_ride_none, ride_chain, ride_stations, ride_times
 
 CFG = SearchConfig(seed=0)
 
@@ -118,7 +116,7 @@ def test_ch_wait_rule_keeps_driver_at_stop():
     # the driver relieved at B must steer ride b, with no deadheading at all
     rides_per_driver = []
     for route in sol.routes:
-        rides_per_driver.append({g.arcs[a].ride for a in route if g.arcs[a].mode == 1})
+        rides_per_driver.append({g.arcs[a].ride for a in route if g.arcs[a].family == "steering"})
         assert not any(g.arcs[a].family == "deadhead" for a in route)
     assert {"a", "b"} in rides_per_driver
 
@@ -169,7 +167,7 @@ def test_reassign_merges_drivers(sequential_pair):
     from drsync.solution import Solution, assemble_route, plan_pieces
     g = build_graph(sequential_pair)
     plan = construct(sequential_pair, g).plan
-    pieces = plan_pieces(sequential_pair, g, plan)
+    pieces = plan_pieces(sequential_pair, plan)
     routes = [assemble_route(g, [("steer", p.id)]) for p in pieces]
     arranged = Solution(g, routes, plan)
     assert arranged.objective == 2
@@ -272,22 +270,44 @@ def test_shifting_the_only_ride_keeps_objective_and_theta():
         for sol in (ch, local_search(ch, inst, g, CFG)):
             want = sol.greedy.solution(g)
             (ride,) = inst.rides
-            rp = sol.plan[ride.id]
             for delta in (-inst.ell, inst.ell):
-                plan = {ride.id: RidePlan(tuple(t + delta for t in rp.times), rp.stations)}
+                moved = _moved(g, ride, sol.plan[ride.id], delta)
+                if moved is None:
+                    continue
                 try:
-                    got = sol.greedy.replay(inst, g, plan, ride)
-                except (PlanError, ConstructionError):
+                    got = sol.greedy.replay(inst, g, {ride.id: moved}, ride)
+                except ConstructionError:
                     continue
                 assert (got.objective, got.theta()) == (want.objective, want.theta())
                 same += 1
     assert same > 500
 
 
+def _moved(g, ride, pieces, delta):
+    """`ride`'s `pieces` with every time moved by `delta`, looked up in `g`;
+    None where it has no such arc."""
+    try:
+        return ride_chain(g, ride, [t + delta for t in ride_times(pieces)],
+                          ride_stations(pieces))
+    except KeyError:
+        return None
+
+
+def _plan_key(plan):
+    """A plan as a hashable value: each ride's arc ids."""
+    return frozenset((rid, tuple(p.id for p in pieces)) for rid, pieces in plan.items())
+
+
+def _plan_json(plan):
+    """A plan as ``[ride id, [times, stations]]`` pairs by ride id."""
+    return sorted((rid, (ride_times(pieces), ride_stations(pieces)))
+                  for rid, pieces in plan.items())
+
+
 def _one_driver_per_piece(inst, g, plan) -> Solution:
     """A solution the greedy did not build: each piece of `plan` its own driver."""
     return Solution(g, [assemble_route(g, [("steer", p.id)])
-                        for p in plan_pieces(inst, g, plan)], plan)
+                        for p in plan_pieces(inst, plan)], plan)
 
 
 def _waiting_first(sol, g, since) -> Solution:
@@ -320,36 +340,41 @@ def test_shifting_the_only_ride_of_a_foreign_solution():
 
 
 def _plan_span(plan) -> int:
-    return (max(rp.times[-1] for rp in plan.values())
-            - min(rp.times[0] for rp in plan.values()))
+    return (max(pieces[-1].end for pieces in plan.values())
+            - min(pieces[0].start for pieces in plan.values()))
 
 
 def _plan_moves(sol, inst):
     """Every one-ride plan change the plan operators may make of `sol`, as
-    (operator kind, ride, new RidePlan)."""
+    (operator kind, ride, its new steering arcs). A shift is taken where
+    every moved time stays in its window, and a removal where the direct
+    drive fits the gap and continuous steering: the graph has their arcs."""
+    g = sol.graph
     half = inst.theta_tw // 2
     for kind, delta in (("postpone", inst.ell), ("prepone", -inst.ell)):
         for ride in inst.rides:
-            rp = sol.plan[ride.id]
-            times = tuple(t + delta for t in rp.times)
+            pieces = sol.plan[ride.id]
+            times = [t + delta for t in ride_times(pieces)]
             if all(-half <= t - dep <= half for dep, t in zip(ride.departures, times)):
-                yield kind, ride, RidePlan(times, rp.stations)
+                yield kind, ride, ride_chain(g, ride, times, ride_stations(pieces))
     if inst.exchange_policy == POLICY_FULL:
         for _dur, rid, k, ride, accs in search._insertable_segments(sol, inst):
-            rp = sol.plan[rid]
+            pieces = sol.plan[rid]
+            times, stations = ride_times(pieces), ride_stations(pieces)
             for acc in accs:
-                stations = rp.stations[:k] + (acc.station_id,) + rp.stations[k + 1:]
-                fixed = search._retime(sol.graph, ride, rp.times, stations)
+                via = stations[:k] + (acc.station_id,) + stations[k + 1:]
+                fixed = search._retime(g, ride, pieces[0].tail, times[1:], via)
                 if fixed is not None:
-                    yield "insert", ride, RidePlan(fixed, stations)
+                    yield "insert", ride, fixed
     for ride in inst.rides:
-        rp = sol.plan[ride.id]
+        pieces = sol.plan[ride.id]
+        times, stations = ride_times(pieces), ride_stations(pieces)
         for k in range(ride.n_segments):
-            gap = rp.times[k + 1] - rp.times[k]
-            if (rp.stations[k] is not None and ride.segment_minutes[k] <= gap
+            gap = times[k + 1] - times[k]
+            if (stations[k] is not None and ride.segment_minutes[k] <= gap
                     <= inst.legal.t_cs):
-                stations = rp.stations[:k] + (None,) + rp.stations[k + 1:]
-                yield "remove", ride, RidePlan(rp.times, stations)
+                direct = stations[:k] + (None,) + stations[k + 1:]
+                yield "remove", ride, ride_chain(g, ride, times, direct)
 
 
 def _one_driver_solutions():
@@ -372,17 +397,16 @@ def _one_driver_solutions():
             if sol.objective != 1:
                 continue
             yield inst, g, sol, False
-            late = {r.id: RidePlan(tuple(t + inst.ell for t in sol.plan[r.id].times),
-                                   sol.plan[r.id].stations) for r in inst.rides}
-            if any(t - dep > half for r in inst.rides
-                   for dep, t in zip(r.departures, late[r.id].times)):
+            if any(t + inst.ell - dep > half for r in inst.rides
+                   for dep, t in zip(r.departures, ride_times(sol.plan[r.id]))):
                 continue
+            late = {r.id: _moved(g, r, sol.plan[r.id], inst.ell) for r in inst.rides}
             try:
                 moved = assign_drivers(inst, g, late)
-            except (PlanError, ConstructionError):
+            except ConstructionError:
                 continue
             if moved.objective == 1:
-                since = min(rp.times[0] for rp in sol.plan.values())
+                since = min(pieces[0].start for pieces in sol.plan.values())
                 yield inst, g, _waiting_first(moved, g, since), True
 
 
@@ -399,32 +423,32 @@ def test_plan_moves_past_the_ceiling_never_improve():
         ceiling = inst.legal.t_dw - theta0
         record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
         offered = {"postpone": set(), "prepone": set(), "insert": set(), "remove": set()}
-        for kind, ride, rp in _plan_moves(sol, inst):
+        for kind, ride, chain in _plan_moves(sol, inst):
             plan = dict(sol.plan)
-            plan[ride.id] = rp
+            plan[ride.id] = chain
             try:
                 cand = record.replay(inst, g, plan, ride)
-            except (PlanError, ConstructionError):
+            except ConstructionError:
                 cand = None
             improves = cand is not None and cand.objective == 1 and cand.theta() > theta0
             if _plan_span(plan) >= ceiling:
-                assert not improves, (kind, ride.id, rp)
+                assert not improves, (kind, ride.id, ride_times(chain))
                 skipped += 1
                 at_ceiling += _plan_span(plan) == ceiling and cand is not None
             elif cand is not None:
-                offered[kind].add(frozenset(plan.items()))
+                offered[kind].add(_plan_key(plan))
                 # improving, though its plan spans as much as the one it
                 # changes: a ceiling read off the plan would have lost it
                 rescued += is_foreign and improves and _plan_span(plan) >= _plan_span(sol.plan)
         foreign += is_foreign
         for kind, op in (("postpone", operator_postpone), ("prepone", operator_prepone),
                          ("remove", operator_remove_stop)):
-            got = {frozenset(c.plan.items()) for c in op(sol, inst, g, CFG, 0)}
+            got = {_plan_key(c.plan) for c in op(sol, inst, g, CFG, 0)}
             assert got == offered[kind], kind
         for oi, op in enumerate((operator_insert_stop_random, operator_insert_stop_shortest_detour,
                                  operator_insert_stop_highest_sync)):
             for c in op(sol, inst, g, CFG, oi):
-                assert frozenset(c.plan.items()) in offered["insert"]
+                assert _plan_key(c.plan) in offered["insert"]
     assert skipped > 2000 and at_ceiling > 1000
     assert foreign > 500 and rescued > 500
 
@@ -493,16 +517,16 @@ def test_no_move_improves_past_the_driver_bound(monkeypatch):
         stopped += 1
         stopped_multi += f0 > 1
         record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
-        for kind, ride, rp in _plan_moves(sol, inst):
+        for kind, ride, chain in _plan_moves(sol, inst):
             plan = dict(sol.plan)
-            plan[ride.id] = rp
+            plan[ride.id] = chain
             try:
                 cand = record.replay(inst, g, plan, ride)
-            except (PlanError, ConstructionError):
+            except ConstructionError:
                 continue
             replayed += 1
-            assert cand.objective > f0 or (cand.objective == f0
-                                           and cand.theta() <= theta0), (kind, ride.id, rp)
+            assert cand.objective > f0 or (cand.objective == f0 and cand.theta() <= theta0), \
+                (kind, ride.id, ride_times(chain))
     assert skipped > 2500 and stopped > 1500
     assert stopped_multi > 500 and replayed > 2500
 
@@ -606,7 +630,7 @@ def test_insertion_draws_are_pinned():
                     for iteration in (0, 1):
                         out = op(ch, part, g, config, _op_seed(config, iteration, oi))
                         cands += len(out)
-                        h.update(json.dumps([sorted(c.plan.items()) for c in out]).encode())
+                        h.update(json.dumps([_plan_json(c.plan) for c in out]).encode())
     assert (parts, cands) == (535, 984)
     assert h.hexdigest() == INSERTION_DRAWS
 
@@ -652,92 +676,51 @@ def test_plan_timings_are_pinned():
             h.update(str(exc).encode())
             continue
         plans += 1
-        h.update(json.dumps(sorted(plan.items())).encode())
+        h.update(json.dumps(_plan_json(plan)).encode())
         half = part.theta_tw // 2
         for ride in part.rides:
-            rp = plan[ride.id]
-            room = half - max(t - dep for dep, t in zip(ride.departures, rp.times))
+            planned, via = ride_times(plan[ride.id]), ride_stations(plan[ride.id])
+            room = half - max(t - dep for dep, t in zip(ride.departures, planned))
             for step in range(0, room + 1, part.ell):
-                later = tuple(t + step for t in rp.times)
-                for times in [later] + ([rp.times[:1] + later[1:]] if step else []):
+                later = tuple(t + step for t in planned)
+                for times in [later] + ([planned[:1] + later[1:]] if step else []):
+                    start = g.node_at[(ride.stops[0], times[0])]
                     for k in range(ride.n_segments):
-                        if rp.stations[k] is not None:
+                        if via[k] is not None:
                             continue
                         for acc in ride.stations[k]:
                             if (ride.id, k, acc.station_id) not in g.seg_in:
                                 continue
-                            stations = (rp.stations[:k] + (acc.station_id,)
-                                        + rp.stations[k + 1:])
-                            got = search._retime(g, ride, times, stations)
+                            stations = via[:k] + (acc.station_id,) + via[k + 1:]
+                            got = search._retime(g, ride, start, times[1:], stations)
                             retimes += 1
                             dropped += got is None
+                            got = got if got is None else ride_times(got)
                             h.update(json.dumps([ride.id, k, acc.station_id, times,
                                                  got]).encode())
     assert (parts, plans, retimes, dropped) == (1887, 1812, 10521, 5500)
     assert h.hexdigest() == PLAN_TIMINGS
 
 
-def test_no_operator_move_lacks_arcs(monkeypatch):
-    # every plan move the operators make has the changed ride's arcs in the
-    # graph: shifts stay on the window grid, insertions retime along arcs
-    # and removals take a direct arc that exists. So _replan catches only
-    # ConstructionError. Checked by local search from the construction on
-    # _timing_parts, and from every B&B incumbent of the parts of
-    # micro_suite(300) through the callback
-    replay = GreedyRecord.replay
-    replays = []
-
-    def checked(self, instance, graph, plan, ride):
-        replays.append(None)
-        try:
-            return replay(self, instance, graph, plan, ride)
-        except PlanError as exc:
-            pytest.fail(f"a move of ride {ride.id} to {plan[ride.id]} has no arcs: {exc}")
-
-    monkeypatch.setattr(GreedyRecord, "replay", checked)
-    for part in _timing_parts():
-        g = build_graph(part)
-        try:
-            ch = construct(part, g)
-        except ConstructionError:
-            continue
-        local_search(ch, part, g, CFG)
-    from_ch = len(replays)
-    incumbents = 0
-    for _name, inst in micro_suite(300):
-        for policy in POLICIES:
-            for part in decompose(check_instance(replace(inst, exchange_policy=policy))):
-                g = build_graph(part)
-
-                def callback(sol):
-                    better = local_search(sol, part, g, CFG)
-                    return better if better.objective < sol.objective else None
-
-                out = solve(build_model(part, g, compute_bounds(part)),
-                            SolverConfig(time_limit=60, incumbent_callback=callback))
-                incumbents += len(out.incumbent_log)
-    assert from_ch > 2500 and incumbents > 1500 and len(replays) - from_ch > 900
-
-
 def _late_start(inst, g):
     """redundant_station_fixture's ride one step late, its driver waiting
     first from the construction's departure."""
     ch = construct(inst, g)
-    late = {"r1": RidePlan(tuple(t + inst.ell for t in ch.plan["r1"].times), (None,))}
-    return _waiting_first(assign_drivers(inst, g, late), g, ch.plan["r1"].times[0])
+    late = {"r1": _moved(g, inst.rides[0], ch.plan["r1"], inst.ell)}
+    return _waiting_first(assign_drivers(inst, g, late), g, ch.plan["r1"][0].start)
 
 
 def test_insert_produces_feasible_station_visit():
     inst = redundant_station_fixture()
     g = build_graph(inst)
     sol = construct(inst, g)
-    assert sol.plan["r1"].stations == (None,)
+    assert ride_stations(sol.plan["r1"]) == (None,)
     # one driver whose route spans the plan: no insertion can improve it
     assert operator_insert_stop_shortest_detour(sol, inst, g, CFG, 0) == []
     sol = _late_start(inst, g)
-    assert sol.objective == 1 and sol.plan["r1"].stations == (None,)
+    assert sol.objective == 1 and ride_stations(sol.plan["r1"]) == (None,)
     cands = operator_insert_stop_shortest_detour(sol, inst, g, CFG, 0)
-    assert cands and cands[0].plan["r1"].stations == ("S",)
+    assert cands and ride_stations(cands[0].plan["r1"]) == ("S",)
     assert check_feasibility(cands[0], inst, g) == []
 
 
@@ -751,11 +734,11 @@ def test_remove_redundant_station():
     # one driver whose route spans the plan: no removal can improve it
     assert visit.objective == 1
     assert operator_remove_stop(visit, inst, g, CFG, 0) == []
-    with_station = _waiting_first(visit, g, base.plan["r1"].times[0])
+    with_station = _waiting_first(visit, g, base.plan["r1"][0].start)
     cands = operator_remove_stop(with_station, inst, g, CFG, 0)
     assert cands
     best = cands[0]
-    assert best.plan["r1"].stations == (None,)
+    assert ride_stations(best.plan["r1"]) == (None,)
     assert best.objective == with_station.objective
     assert best.theta() >= with_station.theta()
 
@@ -764,7 +747,7 @@ def test_remove_station_blocked_when_required():
     inst = station_exchange_fixture()   # 300-minute leg: direct arc impossible
     g = build_graph(inst)
     sol = construct(inst, g)
-    assert sol.plan["r1"].stations == ("S",)
+    assert ride_stations(sol.plan["r1"]) == ("S",)
     assert operator_remove_stop(sol, inst, g, CFG, 0) == []
 
 
@@ -821,7 +804,7 @@ def test_link_matches_connect():
     for inst in (generate_synthetic(GeneratorConfig(3, 2, 3), 1)[0],
                  _none_policy((2, 2, 4), 1)):
         g = build_graph(inst)
-        pieces = plan_pieces(inst, g, construct(inst, g).plan)
+        pieces = plan_pieces(inst, construct(inst, g).plan)
         planner = ConnectionPlanner(inst, pieces)
         seen = set()
         for a, pa in enumerate(pieces):
@@ -933,7 +916,7 @@ def _checked_replay(outcomes):
     def checked(self, instance, graph, plan, ride):
         try:
             want = assign_drivers(instance, graph, plan)
-        except (PlanError, ConstructionError) as exc:
+        except ConstructionError as exc:
             with pytest.raises(type(exc)):
                 replay(self, instance, graph, plan, ride)
             outcomes.append(type(exc))
@@ -948,13 +931,18 @@ def _checked_replay(outcomes):
     return checked
 
 
-def _one_ride_changes(inst, plan):
-    """Shifts and stretches of single rides that the greedy may reject."""
+def _one_ride_changes(g, inst, plan):
+    """Shifts and stretches of single rides that the greedy may reject, where
+    the graph has their arcs."""
     for ride in inst.rides:
-        rp = plan[ride.id]
-        for d in (-2 * inst.ell, inst.ell, 3 * inst.ell):
-            yield ride, RidePlan(tuple(t + d for t in rp.times), rp.stations)
-        yield ride, RidePlan(rp.times[:-1] + (rp.times[-1] + 2 * inst.ell,), rp.stations)
+        times, stations = ride_times(plan[ride.id]), ride_stations(plan[ride.id])
+        changes = [[t + d for t in times] for d in (-2 * inst.ell, inst.ell, 3 * inst.ell)]
+        changes.append([*times[:-1], times[-1] + 2 * inst.ell])
+        for changed in changes:
+            try:
+                yield ride, ride_chain(g, ride, changed, stations)
+            except KeyError:
+                pass
 
 
 def test_replay_matches_full_greedy(monkeypatch):
@@ -977,15 +965,15 @@ def test_replay_matches_full_greedy(monkeypatch):
         out = local_search(ch, inst, g, CFG)
         # and changes the operators never make, for error parity
         for sol in (ch, out):
-            for ride, rp in _one_ride_changes(inst, sol.plan):
+            for ride, chain in _one_ride_changes(g, inst, sol.plan):
                 plan = dict(sol.plan)
-                plan[ride.id] = rp
+                plan[ride.id] = chain
                 try:
                     checked(sol.greedy, inst, g, plan, ride)
-                except (PlanError, ConstructionError):
+                except ConstructionError:
                     pass
     assert outcomes.count(Solution) > 1000
-    assert PlanError in outcomes and ConstructionError in outcomes
+    assert ConstructionError in outcomes
 
 
 def test_replay_redoes_earlier_relief():
@@ -1003,10 +991,10 @@ def test_replay_redoes_earlier_relief():
     ))
     g = build_graph(inst)
     ch = construct(inst, g)
-    assert ch.plan["a"].times[1] == 735 and ch.plan["b"].times[0] == 775
+    assert ride_times(ch.plan["a"])[1] == 735 and ride_times(ch.plan["b"])[0] == 775
     assert ch.objective == 3
     plan = dict(ch.plan)
-    plan["b"] = RidePlan((785, 905), (None,))
+    plan["b"] = ride_chain(g, inst.rides[1], (785, 905), (None,))
     got = ch.greedy.replay(inst, g, plan, inst.rides[1])
     want = assign_drivers(inst, g, plan)
     assert want.objective == 2
@@ -1030,7 +1018,7 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
     replan, replay = search._replan, GreedyRecord.replay
     replays = []
     reassigned = {}   # id -> candidate of segment reassignment, kept alive
-    # (id(record), ride id, plan) -> (record, solution that asked first)
+    # (id(record), ride id, its arc ids) -> (record, solution that asked first)
     first_asked = {}
     hits = []         # per hit of an asked key: whether an earlier solution asked
 
@@ -1043,20 +1031,20 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
         reassigned.update((id(c), c) for c in out)
         return out
 
-    def checked(solution, instance, graph, ride, rp):
+    def checked(solution, instance, graph, ride, chain):
         n = len(replays)
-        got = replan(solution, instance, graph, ride, rp)
+        got = replan(solution, instance, graph, ride, chain)
         record = solution.greedy
-        key = (id(record), ride.id, rp)
+        key = (id(record), ride.id, tuple(p.id for p in chain))
         if len(replays) > n:
             first_asked.setdefault(key, (record, solution))
             return got
         # served without a replay: from the memo
         plan = dict(solution.plan)
-        plan[ride.id] = rp
+        plan[ride.id] = chain
         try:
             want = replay(record, instance, graph, plan, ride)
-        except (PlanError, ConstructionError):
+        except ConstructionError:
             assert got is None
         else:
             assert got.routes == want.routes
@@ -1119,27 +1107,30 @@ def test_no_memo_outlives_the_search(monkeypatch):
     assert ch.greedy.memo == {}
 
 
-def test_plan_operators_on_a_plan_the_greedy_rejects(sequential_pair):
+def test_plan_operators_on_a_plan_the_greedy_rejects():
     # the plan operators re-crew by replaying the greedy's record of the
     # current plan, so they take only plans the greedy can crew: no stage
     # makes another (test_mip.py checks every B&B incumbent), and one made
-    # by hand raises instead of taking a second, full path
-    inst = sequential_pair
+    # by hand raises instead of taking a second, full path. Here ride x
+    # arrives 20 minutes late, past t_dw for a crew that stays aboard
+    inst = long_ride_none()
     g = build_graph(inst)
     ch = construct(inst, g)
-    early = dict(ch.plan)
-    early["a"] = RidePlan(tuple(t - inst.ell for t in ch.plan["a"].times), ch.plan["a"].stations)
-    with pytest.raises(PlanError):
-        assign_drivers(inst, g, early)
+    times = ride_times(ch.plan["x"])
+    late = dict(ch.plan)
+    late["x"] = ride_chain(g, inst.rides[0], (*times[:-1], times[-1] + 20),
+                           ride_stations(ch.plan["x"]))
+    with pytest.raises(ConstructionError):
+        assign_drivers(inst, g, late)
     # with one driver, every postponed plan spans at least the route: no
     # move can improve it, so none is replayed
-    sol = Solution(g, ch.routes, early)
+    sol = Solution(g, ch.routes[:1], late)
     assert sol.objective == 1
     assert operator_postpone(sol, inst, g, CFG, 0) == []
     assert sol.greedy is None
-    sol = Solution(g, _one_driver_per_piece(inst, g, ch.plan).routes, early)
-    assert sol.objective == 2
-    with pytest.raises(PlanError):
+    sol = Solution(g, _one_driver_per_piece(inst, g, ch.plan).routes, late)
+    assert sol.objective > 1
+    with pytest.raises(ConstructionError):
         operator_postpone(sol, inst, g, CFG, 0)
     assert sol.greedy is None
 

@@ -3,13 +3,12 @@ from dataclasses import replace
 import pytest
 
 from drsync.bounds import compute_bounds
-from drsync.fixtures import micro_suite
+from drsync.fixtures import micro_suite, station_exchange_fixture
 from drsync.instance import POLICIES, Instance, Ride, check_instance
 from drsync.mip import SolverConfig, build_model, solve
 from drsync.search import ConstructionError, SearchConfig, construct, local_search
 from drsync.solution import (
     ConnectionPlanner,
-    RidePlan,
     Solution,
     SolutionStructureError,
     assemble_route,
@@ -20,13 +19,15 @@ from drsync.solution import (
 )
 from drsync.timegraph import build_graph
 
-from conftest import customer_stops
+from conftest import customer_stops, plan_of
 
 
-def manual_solution(inst, plan, piece_groups):
-    """Build a solution steering the plan's pieces in the given driver groups."""
+def manual_solution(inst, spec, piece_groups):
+    """Build a solution steering the pieces of the plan `spec` (``plan_of``)
+    in the given driver groups."""
     g = build_graph(inst)
-    pieces = plan_pieces(inst, g, plan)
+    plan = plan_of(g, spec)
+    pieces = plan_pieces(inst, plan)
     routes = []
     for group in piece_groups:
         elements = []
@@ -47,7 +48,7 @@ def test_overlong_continuous_steering_reported():
         stops=customer_stops("A", "B", "C"),
         theta_tw=10, zeta=0, ell=10,
     ))
-    plan = {"r": RidePlan((475, 615, 755), (None, None))}
+    plan = {"r": ((475, 615, 755), (None, None))}
     sol, g = manual_solution(inst, plan, [[0, 1]])
     violations = check_feasibility(sol, inst, g)
     assert [v.kind for v in violations] == ["continuous_steering"]
@@ -60,7 +61,7 @@ def test_uncovered_segment_reported():
         stops=customer_stops("A", "B", "C"),
         theta_tw=10, zeta=0, ell=10,
     ))
-    plan = {"r": RidePlan((475, 595, 715), (None, None))}
+    plan = {"r": ((475, 595, 715), (None, None))}
     sol, g = manual_solution(inst, plan, [[0]])
     kinds = {v.kind for v in check_feasibility(sol, inst, g)}
     assert "uncovered_segment" in kinds
@@ -76,8 +77,8 @@ def test_deadhead_without_steered_twin_is_desync():
         theta_tw=10, zeta=0, ell=10,
     ))
     g = build_graph(inst)
-    plan = {"a": RidePlan((475, 535), (None,)), "b": RidePlan((555, 615), (None,))}
-    pieces = plan_pieces(inst, g, plan)
+    plan = plan_of(g, {"a": ((475, 535), (None,)), "b": ((555, 615), (None,))})
+    pieces = plan_pieces(inst, plan)
     # driver 0 steers ride a; driver 1 rides a bus that nobody steers
     # (the other time copy of the A->B leg), then steers ride b
     ghost = next(a for a in g.arcs if a.family == "steering"
@@ -131,8 +132,7 @@ def test_theta_arithmetic():
         stops=customer_stops("A", "B"),
         theta_tw=10, zeta=0, ell=10,
     ))
-    plan = {"r0": RidePlan((480, 700), (None,)),
-            "r1": RidePlan((780, 900), (None,))}
+    plan = {"r0": ((480, 700), (None,)), "r1": ((780, 900), (None,))}
     sol, g = manual_solution(inst, plan, [[0, 1]])
     # one driver, start 480, return 900: t_dw - 420 = 360
     assert sol.theta() == 360
@@ -178,7 +178,7 @@ def test_daily_working_reported():
         stops=customer_stops("A", "B", "C"),
         theta_tw=10, zeta=0, ell=10,
     ))
-    plan = {"a": RidePlan((480, 540), (None,)), "b": RidePlan((1200, 1290), (None,))}
+    plan = {"a": ((480, 540), (None,)), "b": ((1200, 1290), (None,))}
     sol, g = manual_solution(inst, plan, [[0, 1]])
     assert sol.route_span(sol.routes[0]) == (480, 1290)
     violations = check_feasibility(sol, inst, g)
@@ -226,6 +226,19 @@ def test_plan_round_trip(fig2):
     assert recovered == sol.plan
 
 
+def test_to_dict_writes_a_station_plan_as_times_and_stations():
+    # the one place a plan turns back into times: the first start, then each
+    # segment's end, which for a station visit is its out-leg's
+    inst = station_exchange_fixture()
+    g = build_graph(inst)
+    sol = construct(inst, g)
+    arc_in, arc_out = sol.plan["r1"]
+    assert (arc_in.leg, arc_out.leg) == ("in", "out")
+    assert sol.to_dict()["rides"] == [
+        {"id": "r1", "times": [arc_in.start, arc_out.end], "stations": ["S"]}]
+    assert plan_from_routes(inst, g, sol.routes) == sol.plan
+
+
 def test_serialization_shape(fig2):
     g = build_graph(fig2)
     sol = construct(fig2, g)
@@ -247,7 +260,7 @@ def test_serialization_shape(fig2):
         "same-base-reversed", "other-base-reversed"])
 def test_connect_edge_cases(sequential_pair, query, want):
     g = build_graph(sequential_pair)
-    pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+    pieces = plan_pieces(sequential_pair, construct(sequential_pair, g).plan)
     assert ConnectionPlanner(sequential_pair, pieces).connect(*query) == want
 
 
@@ -255,7 +268,7 @@ def test_connect_rides_a_carrier_then_waits(sequential_pair):
     # from ride a's start to Q at 660: ride along a (120 min, which renews),
     # then wait at Q for the rest
     g = build_graph(sequential_pair)
-    pieces = plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+    pieces = plan_pieces(sequential_pair, construct(sequential_pair, g).plan)
     a = next(p for p in pieces if p.ride == "a")
     plan = [("deadhead", a.twin), ("wait", "Q", a.end, 660)]
     got = ConnectionPlanner(sequential_pair, pieces).connect("P", a.start, "Q", 660)
@@ -265,7 +278,7 @@ def test_connect_rides_a_carrier_then_waits(sequential_pair):
 def test_itinerary_cases(sequential_pair):
     # t_b is 45; ride a runs P 480 -> Q 600 and is the one carrier
     g = build_graph(sequential_pair)
-    a = next(p for p in plan_pieces(sequential_pair, g, construct(sequential_pair, g).plan)
+    a = next(p for p in plan_pieces(sequential_pair, construct(sequential_pair, g).plan)
              if p.ride == "a")
     units = {"P": [(a.start, a.end, (a,))]}
     hop = ("deadhead", a.twin)
@@ -298,7 +311,7 @@ def test_itinerary_takes_a_renewing_way_first():
                Ride("y", "L2", ("P", "Q"), (525, 535), (10,), ((),))),
         stops=customer_stops("P", "Q"), theta_tw=0, zeta=0, ell=5))
     g = build_graph(inst)
-    pieces = plan_pieces(inst, g, construct(inst, g).plan)
+    pieces = plan_pieces(inst, construct(inst, g).plan)
     units = ConnectionPlanner(inst, pieces).units
     y = next(p for p in pieces if p.ride == "y")
     assert itinerary(units, 45, "P", 480, 0, "Q", 540) == (

@@ -15,10 +15,11 @@ from drsync.instance import (
     StationAccess,
     Stop,
     check_instance,
+    decompose,
 )
 from drsync.pipeline import DbmhConfig, run
-from drsync.search import ConstructionError, SearchConfig, construct, local_search
-from drsync.solution import plan_pieces, ride_pieces
+from drsync.search import ConstructionError, SearchConfig, _shifted, construct, local_search
+from drsync.solution import plan_pieces
 from drsync.timegraph import (
     TimeGraph,
     build_graph,
@@ -28,7 +29,7 @@ from drsync.timegraph import (
     size_class,
 )
 
-from conftest import customer_stops
+from conftest import customer_stops, ride_times
 
 
 def arc_view(g, arc):
@@ -197,16 +198,17 @@ def test_dot_output(fig2):
 def test_time_monotonicity_and_twins(seed):
     inst, _ = generate_synthetic(GeneratorConfig(stations_per_segment=1), seed)
     g = build_graph(inst)
+    modes = [d["mode"] for d in graph_to_dict(g)["arcs"]]
     for a in g.arcs:
         assert g.nodes[a.head].time - g.nodes[a.tail].time == a.duration > 0
         if a.family == "steering":
-            assert a.mode == 1
+            assert modes[a.id] == 1
             assert a.duration <= inst.legal.t_cs
             twin = g.arcs[a.twin]
             assert twin.family == "deadhead"
             assert (twin.tail, twin.head) == (a.tail, a.head)
         else:
-            assert a.mode == 0
+            assert modes[a.id] == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -330,14 +332,75 @@ def test_pieces_are_the_graphs_own_steering_arcs():
             plan = construct(inst, g).plan
         except ConstructionError:
             continue
-        pieces = plan_pieces(inst, g, plan)
+        pieces = plan_pieces(inst, plan)
         assert all(p is g.arcs[p.id] and p.family == "steering" for p in pieces)
         via += sum(p.station is not None for p in pieces)
         for ride in inst.rides:
-            own = ride_pieces(g, ride, plan[ride.id])
-            assert all(p is g.arcs[p.id] for p in own)
-            assert own == [p for p in pieces if p.ride == ride.id]
+            # a ride's arcs in ride order, from its first stop to its last,
+            # each leg starting where the one before ends
+            own = plan[ride.id]
+            assert all(p.ride == ride.id for p in own)
+            assert (own[0].segment, own[-1].segment) == (0, ride.n_segments - 1)
+            assert own[0].leg != "out" and own[-1].leg != "in"
+            assert all(a.head == b.tail for a, b in zip(own, own[1:]))
+            assert list(own) == [p for p in pieces if p.ride == ride.id]
     assert via > 0
+
+
+def _shift_plans():
+    """The CH and LS plans of micro_suite(300), of the first six ladder rungs
+    at seeds 7-8, and of station-heavy instances (2x2x3 and 3x3x3, three
+    stations a segment, legs of 200-270 minutes, seeds 0-11), those also
+    with continuous steering lowered to 230 so that construction places
+    stations; the parts of each under every policy."""
+    insts = [inst for _name, inst in micro_suite(300)]
+    insts += [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+              for shape in LADDER[:6] for seed in (7, 8)]
+    for n in (2, 3):
+        heavy = GeneratorConfig(n, n, 3, stations_per_segment=3, drive_min=200, drive_max=270,
+                                zeta=30, theta_tw=30)
+        for seed in range(12):
+            inst = generate_synthetic(heavy, seed)[0]
+            insts += [inst, replace(inst, legal=LegalParams(t_cs=230))]
+    for inst in insts:
+        for policy in POLICIES:
+            for part in decompose(check_instance(replace(inst, exchange_policy=policy))):
+                g = build_graph(part)
+                try:
+                    ch = construct(part, g)
+                except ConstructionError:
+                    continue
+                for sol in (ch, local_search(ch, part, g, SearchConfig())):
+                    yield part, g, sol.plan
+
+
+def test_a_shifted_plan_has_its_arcs_exactly_inside_its_windows():
+    # postpone and prepone look a moved ride up by its own arcs: the graph
+    # has every arc moved by a whole number of grid steps exactly when every
+    # moved stop time stays in its window, dep +- theta_tw // 2, read here
+    # off the instance. Node copies would not do: another ride's window may
+    # give a stop a copy outside this ride's
+    checked = via = shared = 0
+    for inst, g, plan in _shift_plans():
+        half = inst.theta_tw // 2
+        reach = inst.theta_tw // inst.ell + 1
+        for ride in inst.rides:
+            pieces = plan[ride.id]
+            via += any(p.station is not None for p in pieces)
+            for delta in range(-reach * inst.ell, (reach + 1) * inst.ell, inst.ell):
+                inside = all(abs(t + delta - dep) <= half
+                             for t, dep in zip(ride_times(pieces), ride.departures))
+                moved = _shifted(g, pieces, delta)
+                assert (moved is not None) == inside, (ride.id, delta)
+                if moved is not None:
+                    assert [(p.segment, p.leg, p.station, p.start - delta, p.end - delta)
+                            for p in moved] == [(p.segment, p.leg, p.station, p.start, p.end)
+                                                for p in pieces]
+                shared += not inside and all(
+                    (p.from_base, p.start + delta) in g.node_at
+                    and (p.to_base, p.end + delta) in g.node_at for p in pieces)
+                checked += 1
+    assert checked > 40_000 and via > 200 and shared > 500
 
 
 def _graph_digest(g) -> str:
