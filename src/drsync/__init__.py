@@ -6,7 +6,7 @@ stations reached by small detours, under EU daily driving-time rules.
 """
 
 from .bounds import BoundReport, compute_bounds
-from .generator import GeneratorConfig, generate_synthetic
+from .generator import GeneratorConfig, generate_synthetic, synthetic_instance
 from .instance import (
     Instance,
     LegalParams,
@@ -31,7 +31,7 @@ __all__ = [
     "check_feasibility", "compute_bounds", "construct",
     "destructive_bound_improvement", "generate_synthetic", "graph_stats",
     "load_instance", "local_search", "restrict", "run", "save_instance",
-    "solve",
+    "solve", "synthetic_instance",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ departure-shift win the greedy construction cannot see.
 
 from __future__ import annotations
 
-from .generator import GeneratorConfig, generate_synthetic
+from .generator import GeneratorConfig, synthetic_instance
 from .instance import Instance, Ride, StationAccess, Stop, check_instance
 
 
@@ -120,6 +120,34 @@ def redundant_station_fixture() -> Instance:
     ))
 
 
+# the generated shapes of micro_suite, drawn in turn
+MICRO_SHAPES = (
+    GeneratorConfig(n_lines=1, rides_per_line=1, segments_per_ride=2,
+                    stations_per_segment=1, drive_min=60, drive_max=260),
+    GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=2,
+                    stations_per_segment=1, drive_min=40, drive_max=200,
+                    overlap="sequential"),
+    GeneratorConfig(n_lines=2, rides_per_line=1, segments_per_ride=2,
+                    stations_per_segment=0, drive_min=60, drive_max=240,
+                    overlap="parallel"),
+    GeneratorConfig(n_lines=2, rides_per_line=2, segments_per_ride=1,
+                    stations_per_segment=1, drive_min=30, drive_max=150,
+                    overlap="mixed"),
+    GeneratorConfig(n_lines=1, rides_per_line=3, segments_per_ride=1,
+                    stations_per_segment=0, drive_min=90, drive_max=250,
+                    overlap="sequential"),
+    GeneratorConfig(n_lines=2, rides_per_line=2, segments_per_ride=2,
+                    stations_per_segment=0, drive_min=30, drive_max=120,
+                    overlap="mixed"),
+    GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=3,
+                    stations_per_segment=1, drive_min=30, drive_max=90,
+                    overlap="sequential"),
+    GeneratorConfig(n_lines=4, rides_per_line=1, segments_per_ride=1,
+                    stations_per_segment=0, drive_min=60, drive_max=260,
+                    overlap="parallel"),
+)
+
+
 def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, Instance]]:
     """Oracle-solvable micro instances, crafted shapes first, generated fill.
 
@@ -128,7 +156,8 @@ def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, In
     instance, crafted or generated, is within ``oracle.brute_force``'s
     default limits, 4 rides and 300 arcs of its time graph (``graph_stats``):
     the generated shapes have at most 4 rides and stay far below the arc
-    limit, which the tests check over several master seeds.
+    limit, which the tests check over several master seeds. Generation
+    builds no time graph; the oracle and the run build their own.
     """
     out: list[tuple[str, Instance]] = [
         ("crafted-lb1-dominant", dominance_lb1_fixture()),
@@ -140,37 +169,12 @@ def micro_suite(count: int = 100, master_seed: int = 2026) -> list[tuple[str, In
         ("crafted-postpone", postpone_fixture()),
         ("crafted-redundant-station", redundant_station_fixture()),
     ]
-    shapes = [
-        GeneratorConfig(n_lines=1, rides_per_line=1, segments_per_ride=2,
-                        stations_per_segment=1, drive_min=60, drive_max=260),
-        GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=2,
-                        stations_per_segment=1, drive_min=40, drive_max=200,
-                        overlap="sequential"),
-        GeneratorConfig(n_lines=2, rides_per_line=1, segments_per_ride=2,
-                        stations_per_segment=0, drive_min=60, drive_max=240,
-                        overlap="parallel"),
-        GeneratorConfig(n_lines=2, rides_per_line=2, segments_per_ride=1,
-                        stations_per_segment=1, drive_min=30, drive_max=150,
-                        overlap="mixed"),
-        GeneratorConfig(n_lines=1, rides_per_line=3, segments_per_ride=1,
-                        stations_per_segment=0, drive_min=90, drive_max=250,
-                        overlap="sequential"),
-        GeneratorConfig(n_lines=2, rides_per_line=2, segments_per_ride=2,
-                        stations_per_segment=0, drive_min=30, drive_max=120,
-                        overlap="mixed"),
-        GeneratorConfig(n_lines=1, rides_per_line=2, segments_per_ride=3,
-                        stations_per_segment=1, drive_min=30, drive_max=90,
-                        overlap="sequential"),
-        GeneratorConfig(n_lines=4, rides_per_line=1, segments_per_ride=1,
-                        stations_per_segment=0, drive_min=60, drive_max=260,
-                        overlap="parallel"),
-    ]
     seed = master_seed
     si = 0
     while len(out) < count:
-        cfg = shapes[si % len(shapes)]
+        cfg = MICRO_SHAPES[si % len(MICRO_SHAPES)]
         si += 1
-        inst, _stats = generate_synthetic(cfg, seed)
+        inst = synthetic_instance(cfg, seed)
         seed += 1
         out.append((f"gen-{seed - 1:05d}", inst))
     return out[:count]

@@ -4,6 +4,10 @@ Lines are synthetic stop sequences; rides of a line run the same stops out
 and back on alternating trips. The overlap profile controls whether rides
 of different lines run simultaneously (forcing parallel drivers) or chain
 head-to-tail (creating reuse and handover potential).
+
+Generating an instance builds no time graph: ``synthetic_instance`` returns
+the checked instance alone. A caller that wants its size (node and arc
+counts, size class) computes ``graph_stats(build_graph(inst))`` itself.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ class GeneratorConfig:
             raise GeneratorConfigError("; ".join(bad))
 
 
-def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[Instance, GraphStats]:
-    """Deterministic instance for (config, seed), plus its graph size class."""
+def synthetic_instance(config: GeneratorConfig, seed: int) -> Instance:
+    """Deterministic checked instance for (config, seed); builds no graph."""
     config.validate()
     rng = random.Random(seed)
     half = config.theta_tw // 2
@@ -136,7 +140,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[Instance, Gr
                 stations=tuple(tuple(s) for s in sts),
             ))
 
-    inst = check_instance(Instance(
+    return check_instance(Instance(
         rides=tuple(rides),
         stops=tuple(stops),
         legal=config.legal,
@@ -145,4 +149,11 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[Instance, Gr
         ell=config.ell,
         exchange_policy=config.exchange_policy,
     ))
+
+
+# Kept only because the benchmark's workloads unpack (instance, stats); delete
+# it once they call synthetic_instance.
+def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[Instance, GraphStats]:
+    """``synthetic_instance`` plus the size of its time graph."""
+    inst = synthetic_instance(config, seed)
     return inst, graph_stats(build_graph(inst))

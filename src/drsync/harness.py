@@ -15,7 +15,7 @@ import os
 from dataclasses import fields, replace
 
 from .bounds import compute_bounds
-from .generator import GeneratorConfig, generate_synthetic
+from .generator import GeneratorConfig, synthetic_instance
 from .instance import (
     Instance,
     InstanceError,
@@ -27,7 +27,7 @@ from .instance import (
 )
 from .pipeline import DbmhConfig, RunReport, run
 from .search import ConstructionError
-from .timegraph import size_class
+from .timegraph import build_graph, graph_stats, size_class
 
 METHOD_DBMH = "dbmh"
 METHOD_CH_LS = "ch_ls"
@@ -459,8 +459,8 @@ def cmd_generate(out_dir: str, config: GeneratorConfig, seed: int, count: int = 
     os.makedirs(out_dir, exist_ok=True)
     made = []
     for i in range(count):
-        inst, stats = generate_synthetic(config, seed + i)
+        inst = synthetic_instance(config, seed + i)
         name = f"gen-{seed + i:04d}"
         save_instance(inst, os.path.join(out_dir, f"{name}.json"))
-        made.append((name, stats))
+        made.append((name, graph_stats(build_graph(inst))))
     return made

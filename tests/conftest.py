@@ -3,7 +3,7 @@ import logging
 
 import pytest
 
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.instance import Instance, Ride, StationAccess, Stop, check_instance
 
 logging.getLogger("drsync").setLevel(logging.ERROR)
@@ -50,7 +50,7 @@ def ride_stations(pieces):
 
 def shared_terminal(shape, seed):
     """A generated two-line instance whose lines end at the same stop."""
-    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    inst = synthetic_instance(GeneratorConfig(*shape), seed)
     old, new = f"L1S{shape[2]}", f"L0S{shape[2]}"
     rides = tuple(dataclasses.replace(r, stops=tuple(new if s == old else s for s in r.stops))
                   for r in inst.rides)

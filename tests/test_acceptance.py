@@ -13,7 +13,7 @@ import pytest
 from drsync.bounds import compute_bounds
 from drsync.cli import main
 from drsync.fixtures import exchange_fixture, gap_fixture, micro_suite
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.harness import cmd_bench, cmd_sweep
 from drsync.instance import save_instance
 from drsync.oracle import brute_force
@@ -170,7 +170,7 @@ def test_criterion_6_window_monotonicity():
     bad = []
     seed = 500
     while checked < 20:
-        inst, stats = generate_synthetic(shapes[checked % 2], seed)
+        inst = synthetic_instance(shapes[checked % 2], seed)
         seed += 1
         narrow = brute_force(inst, max_arcs=900)
         if narrow.optimum is None:

@@ -20,12 +20,12 @@ from drsync.fixtures import (
     dominance_lb2_fixture,
     micro_suite,
 )
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.instance import POLICIES, Instance, LegalParams, Ride, check_instance
 from drsync.oracle import brute_force
 from drsync.search import ConstructionError, SearchConfig, construct, local_search
 from drsync.solution import check_feasibility
-from drsync.timegraph import build_graph
+from drsync.timegraph import build_graph, graph_stats
 
 from conftest import customer_stops
 
@@ -120,7 +120,7 @@ def test_dominance_both_directions():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 5000))
 def test_monotone_under_ride_addition(seed):
-    inst, _ = generate_synthetic(GeneratorConfig(n_lines=2, rides_per_line=2), seed)
+    inst = synthetic_instance(GeneratorConfig(n_lines=2, rides_per_line=2), seed)
     full = compute_bounds(inst)
     fewer = check_instance(replace(inst, rides=inst.rides[:-1]))
     part = compute_bounds(fewer)
@@ -132,7 +132,7 @@ def test_monotone_under_ride_addition(seed):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 3000))
 def test_bound_report_invariants(seed):
-    inst, _ = generate_synthetic(GeneratorConfig(), seed)
+    inst = synthetic_instance(GeneratorConfig(), seed)
     rep = compute_bounds(inst)
     assert rep.lb == max(rep.lb1, rep.lb2, rep.lb3)
     assert rep.lb3 >= max(rep.lb1, rep.lb2)
@@ -221,12 +221,12 @@ def test_lb3_sweep_matches_naive_windows(shape):
     micro_shapes = MICRO_SHAPES[SWEEP_SHAPES.index(shape)::len(SWEEP_SHAPES)]
     for policy in POLICIES:
         for seed in range(8):
-            inst = generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+            inst = synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy), seed)
             assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
         for cfg in micro_shapes:
             for seed in range(6):
                 for legal in (LegalParams(), TIGHT):
-                    inst = generate_synthetic(_shape(cfg, policy, legal), seed)[0]
+                    inst = synthetic_instance(_shape(cfg, policy, legal), seed)
                     assert lower_bound_windows(inst)[0] == _naive_lb3(inst)
 
 
@@ -234,7 +234,8 @@ def test_lb3_sweep_matches_naive_windows(shape):
 @given(shape=st.sampled_from(MICRO_SHAPES), policy=st.sampled_from(POLICIES),
        legal=st.sampled_from([LegalParams(), TIGHT]), seed=st.integers(0, 100_000))
 def test_lb3_never_exceeds_the_oracle_optimum(shape, policy, legal, seed):
-    inst, stats = generate_synthetic(_shape(shape, policy, legal), seed)
+    inst = synthetic_instance(_shape(shape, policy, legal), seed)
+    stats = graph_stats(build_graph(inst))
     limits = inspect.signature(brute_force).parameters
     assume(len(inst.rides) <= limits["max_rides"].default
            and stats.n_arcs <= limits["max_arcs"].default)
@@ -250,7 +251,7 @@ def test_lb3_never_exceeds_a_certified_search_objective(policy):
     seen = 0
     for shape in [(2, 2, 4), (3, 2, 3), (2, 3, 3), (3, 3, 3), (4, 4, 3)]:
         for seed in range(4):
-            inst = generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+            inst = synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy), seed)
             rep = compute_bounds(inst)
             assert rep.lb3 >= max(rep.lb1, rep.lb2)
             g = build_graph(inst)
@@ -266,7 +267,7 @@ def test_lb3_never_exceeds_a_certified_search_objective(policy):
 
 def test_lb3_ignores_ride_order():
     for shape in [(3, 3, 3), (4, 4, 3), (6, 4, 4)]:
-        inst = generate_synthetic(GeneratorConfig(*shape), 7)[0]
+        inst = synthetic_instance(GeneratorConfig(*shape), 7)
         want = lower_bound_windows(inst)
         rides = list(inst.rides)
         for seed in range(3):
@@ -305,7 +306,7 @@ def test_lb3_span_ends_chain_rides_a_working_span_apart():
 def test_lb3_counts_whole_crews_under_no_exchange():
     # under "none" every crew member rides the whole ride, so an instant
     # counts each ride underway by its minimum crew; lb2 stays the plain count
-    inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)[0]
+    inst = synthetic_instance(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)
     rep = compute_bounds(inst)
     assert (rep.lb1, rep.lb2, rep.lb3) == (2, 2, 5)
     assert rep.busiest_interval == ((365, 365, 3), (1156, 1156, 2))
@@ -331,7 +332,7 @@ def test_lb3_sweep_prunes_only_dominated_ends(policy):
     # before it already tried with the saturated cap (module docstring).
     # A one-line day long enough that a window past the saturated cap sets
     # lb3: pruning every start that way gives 3
-    inst = generate_synthetic(GeneratorConfig(1, 8, 3, exchange_policy=policy), 13)[0]
+    inst = synthetic_instance(GeneratorConfig(1, 8, 3, exchange_policy=policy), 13)
     assert lower_bound_windows(inst)[0] == _naive_lb3(inst) == 4
     # five one-leg rides in [300, 1049] (h = 190, so none is ever mandatorily
     # underway), one of them from 299: 1320 mandatory minutes in [299, 1049],
@@ -368,9 +369,9 @@ def test_lb3_values_and_window_chains_are_pinned(policy):
     # exchange policies share a digest
     instances = [check_instance(replace(inst, exchange_policy=policy))
                  for _name, inst in micro_suite(300)]
-    instances += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+    instances += [synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy), seed)
                   for shape in LADDER for seed in (7, 8)]
-    instances += [generate_synthetic(_shape(cfg, policy, TIGHT), seed)[0]
+    instances += [synthetic_instance(_shape(cfg, policy, TIGHT), seed)
                   for cfg in MICRO_SHAPES for seed in range(6)]
     h = hashlib.sha256()
     for inst in instances:

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.search import SearchConfig, construct, local_search
 from drsync.timegraph import build_graph, graph_to_dict
 
@@ -54,13 +54,13 @@ def _digest(obj) -> str:
 @pytest.mark.parametrize("config, seed, digest",
                          [(c, s, d) for (c, s, _), d in zip(GOLDEN, GOLDEN_GRAPH)])
 def test_graph_digest(config, seed, digest):
-    inst = generate_synthetic(config, seed)[0]
+    inst = synthetic_instance(config, seed)
     assert _digest(graph_to_dict(build_graph(inst))) == digest
 
 
 @pytest.mark.parametrize("config, seed, digest", GOLDEN)
 def test_ch_ls_output_digest(config, seed, digest):
-    inst = generate_synthetic(config, seed)[0]
+    inst = synthetic_instance(config, seed)
     g = build_graph(inst)
     out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()

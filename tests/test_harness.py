@@ -14,7 +14,7 @@ from drsync.fixtures import (
     gap_fixture,
     postpone_fixture,
 )
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.harness import (
     cmd_bench,
     cmd_compare_bounds,
@@ -25,9 +25,10 @@ from drsync.harness import (
     run_suite,
     tabulate_rows,
 )
-from drsync.instance import Instance, Ride, check_instance, save_instance
+from drsync.instance import Instance, Ride, check_instance, load_instance, save_instance
 from drsync.oracle import brute_force
 from drsync.pipeline import DbmhConfig
+from drsync.timegraph import build_graph, graph_stats
 
 from conftest import customer_stops
 
@@ -200,7 +201,7 @@ def test_ablation_consistency(tmp_path):
 def test_compare_bounds(tmp_path):
     # six lines that share no stop: the components' own bounds sum to more
     # than the whole instance's lb, so its dLB exceeds lb whatever DBI refutes
-    split, _ = generate_synthetic(GeneratorConfig(
+    split = synthetic_instance(GeneratorConfig(
         n_lines=6, rides_per_line=4, segments_per_ride=4), 7)
     suite = make_suite(tmp_path, [
         ("lb1dom", dominance_lb1_fixture()),
@@ -356,4 +357,9 @@ def test_cli_generate(tmp_path, capsys):
     assert main(["generate", "--out", str(out), "--count", "2", "--seed", "3"]) == 0
     files = sorted(os.listdir(out))
     assert files == ["gen-0003.json", "gen-0004.json"]
-    assert "class=" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(files)
+    for line, name in zip(printed, files):
+        stats = graph_stats(build_graph(load_instance(str(out / name))))
+        assert line == (f"{name[:-5]}: nodes={stats.n_nodes} arcs={stats.n_arcs} "
+                        f"class={stats.size_class}")

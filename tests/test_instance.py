@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsync.generator import GeneratorConfig, GeneratorConfigError, generate_synthetic
+from drsync.fixtures import MICRO_SHAPES, micro_suite
+from drsync.generator import GeneratorConfig, GeneratorConfigError, synthetic_instance
 from drsync.instance import (
+    POLICIES,
     Instance,
     InstanceFormatError,
     InstanceValidationError,
@@ -22,6 +24,7 @@ from drsync.instance import (
     save_instance,
     split_by_line,
 )
+from drsync.timegraph import build_graph, graph_stats
 
 from conftest import customer_stops
 
@@ -294,21 +297,22 @@ def test_split_by_line(parallel_triplet, sequential_pair):
 
 def test_generator_deterministic(tmp_path):
     cfg = GeneratorConfig()
-    a, _ = generate_synthetic(cfg, 1)
-    b, _ = generate_synthetic(cfg, 1)
+    a = synthetic_instance(cfg, 1)
+    b = synthetic_instance(cfg, 1)
     assert a == b
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_instance(a, str(pa))
     save_instance(b, str(pb))
     assert pa.read_bytes() == pb.read_bytes()
-    c, _ = generate_synthetic(cfg, 2)
+    c = synthetic_instance(cfg, 2)
     assert c != a
 
 
 def test_generator_minimal_config():
-    inst, stats = generate_synthetic(GeneratorConfig(
+    inst = synthetic_instance(GeneratorConfig(
         n_lines=1, rides_per_line=1, segments_per_ride=1,
         stations_per_segment=0), 0)
+    stats = graph_stats(build_graph(inst))
     assert len(inst.stops) == 2
     assert stats.size_class == "small"
 
@@ -316,20 +320,37 @@ def test_generator_minimal_config():
 def test_generator_medium_class():
     cfg = GeneratorConfig(n_lines=4, rides_per_line=3, segments_per_ride=3,
                           stations_per_segment=1, theta_tw=30, ell=10)
-    inst, stats = generate_synthetic(cfg, 0)
+    inst = synthetic_instance(cfg, 0)
+    stats = graph_stats(build_graph(inst))
     assert 1000 <= stats.n_arcs < 5000
     assert stats.size_class == "medium"
 
 
+def test_generation_builds_no_graph(monkeypatch):
+    # a generated instance's size is for its caller to compute
+    def refuse(inst):
+        raise AssertionError("generation built a time graph")
+    monkeypatch.setattr("drsync.generator.build_graph", refuse)
+    monkeypatch.setattr("drsync.timegraph.build_graph", refuse)
+    assert len(micro_suite(200)) == 200
+    ladder = [GeneratorConfig(*shape) for shape in ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4),
+                                                    (6, 6, 4), (8, 6, 4), (8, 12, 4), (1, 24, 4))]
+    for cfg in MICRO_SHAPES + tuple(ladder):
+        for policy in POLICIES:
+            for seed in (7, 8):
+                inst = synthetic_instance(replace(cfg, exchange_policy=policy), seed)
+                assert inst.exchange_policy == policy
+
+
 def test_generator_rejects_bad_drive_range():
     with pytest.raises(GeneratorConfigError):
-        generate_synthetic(GeneratorConfig(drive_min=2, drive_max=100), 0)
+        synthetic_instance(GeneratorConfig(drive_min=2, drive_max=100), 0)
     with pytest.raises(GeneratorConfigError):
-        generate_synthetic(GeneratorConfig(drive_min=30, drive_max=400), 0)
+        synthetic_instance(GeneratorConfig(drive_min=30, drive_max=400), 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_generator_round_trip_any_seed(seed):
-    inst, _ = generate_synthetic(GeneratorConfig(), seed)
+    inst = synthetic_instance(GeneratorConfig(), seed)
     assert instance_from_dict(instance_to_dict(inst)) == inst

@@ -8,7 +8,7 @@ import pytest
 
 from drsync.bounds import compute_bounds
 from drsync.fixtures import gap_fixture, micro_suite
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.instance import (
     POLICY_FULL,
     POLICY_NONE,
@@ -206,7 +206,7 @@ def test_crew_members_stay_engaged(monkeypatch):
     # policy none: every driver in a ride's crew is aboard that ride, also
     # after the search backtracks over a release of the crew at the terminal,
     # so no other ride can take a member as a free driver
-    inst = generate_synthetic(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)[0]
+    inst = synthetic_instance(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)
     next_event = _Search._next_event
     checks = 0
 
@@ -249,7 +249,7 @@ def test_completed_rides_are_the_carriers_under_policy_none(monkeypatch):
     # policy none: a passenger rides a whole ride, so at every node the
     # carriers are one (start, end, pieces) unit per completed ride, filed
     # under its first stop, and nothing else
-    inst = generate_synthetic(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)[0]
+    inst = synthetic_instance(GeneratorConfig(1, 3, 3, exchange_policy="none"), 0)
     next_event = _Search._next_event
     with_rides = 0
 
@@ -294,7 +294,7 @@ def _search_state(search):
 def test_an_exhausted_search_leaves_the_root_state(shape, seed):
     # every child undoes what it applied, so a search that visits the whole
     # tree ends where it began
-    inst = generate_synthetic(GeneratorConfig(*shape[:3], exchange_policy=shape[3]), seed)[0]
+    inst = synthetic_instance(GeneratorConfig(*shape[:3], exchange_policy=shape[3]), seed)
     search = _Search(_cap_model(inst, 0), SolverConfig(time_limit=60))
     root = _search_state(search)
     out = search.run()
@@ -353,7 +353,7 @@ def _outcome_key(out):
                          ids=["x".join(map(str, shape)) + f"-{seed}" for shape, seed in SAME_TREE])
 def test_same_tree_on_generated_caps(shape, seed):
     cfg = GeneratorConfig(*shape[:3], **({"exchange_policy": shape[3]} if len(shape) > 3 else {}))
-    inst = generate_synthetic(cfg, seed)[0]
+    inst = synthetic_instance(cfg, seed)
     got = [_outcome_key(solve(_cap_model(inst, extra), SolverConfig(time_limit=60)))
            for extra in (0, 1)]
     assert got == SAME_TREE[shape, seed]
@@ -365,7 +365,7 @@ def _reference_model():
     Unlike the SAME_TREE shapes, its nodes offer several candidate pieces
     each, and it has identical rides.
     """
-    inst = check_instance(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
+    inst = check_instance(synthetic_instance(GeneratorConfig(6, 4, 4), 7))
     g = build_graph(inst)
     part = decompose(g.instance)[2]
     m = build_model(part, g, compute_bounds(part))
@@ -423,7 +423,7 @@ def _spied_searches():
     reference search."""
     for shape, seed in SAME_TREE:
         cfg = GeneratorConfig(*shape[:3], **({"exchange_policy": shape[3]} if len(shape) > 3 else {}))
-        inst = generate_synthetic(cfg, seed)[0]
+        inst = synthetic_instance(cfg, seed)
         for extra in (0, 1):
             yield "same_tree", _cap_model(inst, extra)
     for policy in BB_OUTPUTS:
@@ -432,7 +432,7 @@ def _spied_searches():
             yield policy, m
             yield policy, restrict(m, m.bounds.lb)
     # the few micro searches under none skip no driver; this one does
-    inst = generate_synthetic(GeneratorConfig(3, 2, 3, exchange_policy=POLICY_NONE), 3)[0]
+    inst = synthetic_instance(GeneratorConfig(3, 2, 3, exchange_policy=POLICY_NONE), 3)
     yield POLICY_NONE, _cap_model(inst, 0)
     yield from _identical_ride_searches()
 
@@ -441,7 +441,7 @@ def _identical_ride_searches():
     """The spied searches in which the identical-ride rule cuts children (no
     micro search has identical rides): one under regular_stops and the
     reference search."""
-    inst = generate_synthetic(GeneratorConfig(1, 4, 3, exchange_policy=POLICY_REGULAR), 27)[0]
+    inst = synthetic_instance(GeneratorConfig(1, 4, 3, exchange_policy=POLICY_REGULAR), 27)
     yield POLICY_REGULAR, _cap_model(inst, 0)
     yield "reference", _reference_model()
 
@@ -655,7 +655,7 @@ def test_the_identical_ride_rule_keeps_the_oracle_optimum(policy):
     # optimum and refutes one driver fewer
     for shape, seed, index in IDENTICAL_RIDE_PARTS:
         cfg = GeneratorConfig(*shape, exchange_policy=policy)
-        part = decompose(filter_stations(check_instance(generate_synthetic(cfg, seed)[0])))[index]
+        part = decompose(filter_stations(check_instance(synthetic_instance(cfg, seed))))[index]
         m = model_for(part)
         optimum = brute_force(part).optimum
         out = solve(m, SolverConfig(time_limit=60))
@@ -689,7 +689,7 @@ def test_same_tree_on_fixtures(fig2, sequential_pair, parallel_triplet):
 def test_deep_trees_return_within_limit(shape):
     # 48 and 96 rides: several hundred pieces deep, past the interpreter's
     # recursion limit; every node checks the deadline
-    inst = generate_synthetic(GeneratorConfig(*shape), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(*shape), 7)
     m = model_for(inst)
     limit_before = sys.getrecursionlimit()
     start = time.monotonic()
@@ -708,7 +708,7 @@ def _policy_instances():
     out = [inst for _name, inst in micro_suite(100)]
     for policy in ("regular_and_intermediate", "regular_stops", "none"):
         for shape in ((2, 2, 4), (3, 2, 3), (2, 3, 3)):
-            out += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy), s)[0]
+            out += [synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy), s)
                     for s in range(3)]
     return out
 

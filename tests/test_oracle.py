@@ -11,7 +11,7 @@ from drsync.fixtures import (
     micro_suite,
     station_exchange_fixture,
 )
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.instance import Instance, Ride, check_instance
 from drsync.oracle import OracleSizeError, brute_force
 from drsync.solution import check_feasibility
@@ -81,7 +81,7 @@ def test_station_split_needs_full_policy():
 
 def test_window_widening_never_hurts():
     for seed in range(6):
-        inst, stats = generate_synthetic(GeneratorConfig(
+        inst = synthetic_instance(GeneratorConfig(
             n_lines=1, rides_per_line=2, segments_per_ride=2,
             stations_per_segment=0, drive_min=40, drive_max=200,
             overlap="sequential"), seed)

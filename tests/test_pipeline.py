@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from drsync import pipeline
 from drsync.bounds import compute_bounds, lower_bound_parallel, lower_bound_steering
 from drsync.fixtures import gap_fixture, micro_suite, postpone_fixture, station_exchange_fixture
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.harness import method_config
 from drsync.instance import (
     POLICIES, Instance, Ride, StationAccess, Stop, check_instance, decompose, filter_stations,
@@ -61,7 +61,7 @@ def test_timings_log_each_dbi_cap():
     assert log[0]["nodes"] > 0
     assert "dbi_log" not in rep.to_dict()
     # on 6x4x4-7 only part 2 stays open past CH+LS; its cap takes 12138 nodes
-    inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(6, 4, 4), 7)
     for eta_lb, outcome in ((10.0, "optimal"), (0.02, "timeout")):
         rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=eta_lb, eta_ls=1.0,
                                    use_mip=False))
@@ -77,7 +77,7 @@ def test_timings_log_each_final_solve():
     # outcome, nodes, children the identical-ride rule dropped, seconds.
     # Without DBI, part 2 of 6x4x4-7 goes to the final solve, which
     # searches the tree of its DBI cap
-    inst = generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(6, 4, 4), 7)
     rep = run(inst, DbmhConfig(global_limit=30.0, eta_lb=10.0, eta_ls=1.0, use_dbi=False))
     log = rep.timings_dict()["mip_log"]
     assert [(c["part"], c["outcome"], c["nodes"], c["symmetry_drops"]) for c in log] == [
@@ -86,7 +86,7 @@ def test_timings_log_each_final_solve():
     assert "mip_log" not in rep.to_dict()
     # on 8x6x4-7 in 1 s the parts DBI leaves open get a share each, and a
     # solve that ends without a proof is a timeout
-    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(8, 6, 4), 7)
     rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.2, eta_ls=0.1))
     log = rep.timings_dict()["mip_log"]
     assert log
@@ -169,7 +169,7 @@ def test_report_serialization_deterministic(sequential_pair):
 def test_timings_carry_the_constructive_bounds(sequential_pair):
     # every bound reaches clb on the pair, so the first one is named; on the
     # no-exchange instance only the crew-weighted instants of lb3 reach it
-    none_1 = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)[0]
+    none_1 = synthetic_instance(GeneratorConfig(2, 2, 4, exchange_policy="none"), 1)
     for inst, values in ((sequential_pair, (1, 1, 1, "lb1")), (none_1, (2, 2, 5, "lb3"))):
         rep = run(inst, DbmhConfig())
         g = build_graph(inst)
@@ -185,7 +185,7 @@ def test_reported_bounds_are_those_of_the_full_sweep():
     cfg = method_config("ch_ls", DbmhConfig())
     insts = [dataclasses.replace(inst, exchange_policy=policy)
              for _, inst in micro_suite(300) for policy in POLICIES]
-    insts += [generate_synthetic(GeneratorConfig(*shape), 7)[0]
+    insts += [synthetic_instance(GeneratorConfig(*shape), 7)
               for shape in ((2, 2, 2), (3, 3, 3), (4, 4, 3), (6, 4, 4), (6, 6, 4), (8, 6, 4),
                             (8, 12, 4))]
     branches = {True: 0, False: 0}
@@ -250,7 +250,7 @@ def test_no_exchange_library_closes_at_the_constructive_bound():
     # the exact benchmark's "none" shape: whole crews lift lb3 to the CH+LS
     # objective, so neither DBI nor the B&B runs
     for seed in range(4):
-        inst = generate_synthetic(GeneratorConfig(2, 2, 4, exchange_policy="none"), seed)[0]
+        inst = synthetic_instance(GeneratorConfig(2, 2, 4, exchange_policy="none"), seed)
         rep = run(inst, DbmhConfig(global_limit=5, eta_lb=5, eta_ls=5))
         assert (rep.status, rep.found_by, rep.dbi_log, rep.mip_log) == \
             ("optimal", "ch_ls", [], []), seed
@@ -289,7 +289,7 @@ def test_incumbent_log_never_increases_through_the_bb(shape, seed, flags):
     # both runs leave components open for the B&B; the log holds
     # whole-instance totals, so a part's solve that is not seeded with its
     # share of the CH+LS incumbent would log worse ones
-    inst = generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    inst = synthetic_instance(GeneratorConfig(*shape), seed)
     rep = run(inst, DbmhConfig(eta_lb=0.3, eta_ls=0.3, **flags))
     assert "mip" in rep.phase_timings
     assert len(rep.parts) > 1
@@ -310,7 +310,7 @@ def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
         return sol
 
     monkeypatch.setattr(pipeline, "local_search", recording_local_search)
-    inst = generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0]
+    inst = synthetic_instance(GeneratorConfig(2, 2, 4), 0)
     limit = 2.0
     start = time.monotonic()
     rep = run(inst, DbmhConfig(global_limit=limit, eta_lb=limit, eta_mip=0.001,
@@ -323,7 +323,7 @@ def test_ls_callback_deadline_stays_inside_the_run(monkeypatch):
 def test_the_bb_adopts_a_better_incumbent_from_the_callback():
     # without CH the B&B's first leaf has 6 drivers; the callback's local
     # search returns 5, which the B&B adopts and the run credits to it
-    inst = generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0]
+    inst = synthetic_instance(GeneratorConfig(2, 2, 4), 0)
     rep = run(inst, DbmhConfig(use_ch=False, use_dbi=False,
                                global_limit=5.0, eta_lb=1.0, eta_ls=1.0))
     assert (rep.status, rep.objective, rep.found_by) == ("optimal", 5, "ls_callback")
@@ -352,7 +352,7 @@ def test_extend_time_on_disable_gives_dbi_the_whole_budget(monkeypatch, extend):
 
 def test_budget_run_on_48_rides():
     # the budget benchmark's largest rung, once past the recursion limit
-    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(8, 6, 4), 7)
     limit_before = sys.getrecursionlimit()
     rep = run(inst, DbmhConfig(global_limit=8.0, eta_lb=1.0, eta_mip=2.0, eta_ls=0.5))
     assert sys.getrecursionlimit() == limit_before
@@ -374,7 +374,7 @@ def test_budget_run_on_48_rides():
 @example(n_lines=6, rides_per_line=5, segments=3, policy="none", seed=7)
 def test_short_runs_on_random_shapes(n_lines, rides_per_line, segments, policy, seed):
     cfg = GeneratorConfig(n_lines, rides_per_line, segments, exchange_policy=policy)
-    inst = generate_synthetic(cfg, seed)[0]
+    inst = synthetic_instance(cfg, seed)
     rep = run(inst, DbmhConfig(global_limit=0.2, eta_lb=0.2, eta_mip=0.2, eta_ls=0.2))
     assert rep.solution is not None, rep.status
     assert check_feasibility(rep.solution, inst) == []
@@ -391,8 +391,8 @@ def test_split_matches_the_joint_solve(monkeypatch, flags):
         for policy in ("regular_and_intermediate", "regular_stops", "none"):
             # seeds up to 11: with CH, lb3 closes most of these before the split
             for seed in range(12):
-                inst = generate_synthetic(
-                    GeneratorConfig(*shape, exchange_policy=policy), seed)[0]
+                inst = synthetic_instance(
+                    GeneratorConfig(*shape, exchange_policy=policy), seed)
                 rep = run(inst, cfg)
                 with monkeypatch.context() as m:
                     m.setattr(pipeline, "decompose", lambda instance: [instance])
@@ -426,7 +426,7 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
         return SolveOutcome("feasible", config.start_solution, [], 1)
 
     monkeypatch.setattr(pipeline, "solve", timing_out)
-    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(3, 3, 3), 7)
     rep = run(inst, DbmhConfig(use_dbi=False))
     assert [(p["dlb"], p["objective"], p["closed"]) for p in rep.parts] == \
         [(1, 1, "ch_ls"), (1, 1, "ch_ls"), (4, 5, "open")]
@@ -439,7 +439,7 @@ def test_parts_the_bb_leaves_open_keep_the_gap(monkeypatch):
 def test_ch_ls_runs_per_component():
     # construction and local search on each line: 1 + 1 + 5 drivers, where
     # the same stages on the whole instance end at 8
-    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(3, 3, 3), 7)
     rep = run(inst, method_config("ch_ls", DbmhConfig()))
     assert rep.objective == 7
     assert [p["closed"] for p in rep.parts] == ["ch_ls", "ch_ls", "open"]
@@ -523,7 +523,7 @@ def test_empty_instance_is_optimal_with_no_drivers(method):
 
 
 def test_split_run_keeps_the_global_limit():
-    inst = generate_synthetic(GeneratorConfig(8, 6, 4), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(8, 6, 4), 7)
     assert len(decompose(inst)) == 8
     start = time.monotonic()
     rep = run(inst, DbmhConfig(global_limit=1.0, eta_lb=0.1, eta_ls=0.3))
@@ -570,7 +570,7 @@ def _pipeline_digest(instances, config) -> str:
 @pytest.mark.parametrize("corpus", list(PIPELINE_PINS))
 def test_pipeline_outputs_are_pinned(corpus):
     if corpus == "ladder_ch_ls":
-        instances = [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+        instances = [synthetic_instance(GeneratorConfig(*shape), seed)
                      for shape in ((4, 4, 3), (6, 4, 4), (6, 6, 4)) for seed in (7, 8)]
         config = method_config("ch_ls", DbmhConfig())
     else:

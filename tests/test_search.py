@@ -45,7 +45,7 @@ from drsync.search import (
     _op_seed,
     perturbed_select,
 )
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.solution import (
     LINK_NONE,
     LINK_REACH,
@@ -248,8 +248,8 @@ def _one_ride_parts():
             out += [part for part in parts if len(part.rides) == 1]
     for k in range(1, 7):
         for policy in POLICIES:
-            out += [generate_synthetic(GeneratorConfig(1, 1, k, exchange_policy=policy),
-                                       seed)[0] for seed in range(8)]
+            out += [synthetic_instance(GeneratorConfig(1, 1, k, exchange_policy=policy),
+                                       seed) for seed in range(8)]
     return out
 
 
@@ -383,7 +383,7 @@ def _one_driver_solutions():
     build: the same driver one step later on every ride, waiting first."""
     instances = [part for _name, inst in micro_suite(300) for policy in POLICIES
                  for part in decompose(check_instance(replace(inst, exchange_policy=policy)))]
-    instances += [generate_synthetic(GeneratorConfig(1, n, k, exchange_policy=policy), seed)[0]
+    instances += [synthetic_instance(GeneratorConfig(1, n, k, exchange_policy=policy), seed)
                   for n in (2, 3, 4) for k in (1, 2, 3) for policy in POLICIES
                   for seed in range(3)]
     for inst in instances:
@@ -460,12 +460,12 @@ def _bound_starts():
     crew with its first driver waiting one copy earlier at the first base."""
     instances = [part for _name, inst in micro_suite(300) for policy in POLICIES
                  for part in decompose(check_instance(replace(inst, exchange_policy=policy)))]
-    instances += [generate_synthetic(GeneratorConfig(1, n, k, exchange_policy=policy), seed)[0]
+    instances += [synthetic_instance(GeneratorConfig(1, n, k, exchange_policy=policy), seed)
                   for n in (2, 3, 4) for k in (1, 2, 3) for policy in POLICIES
                   for seed in range(3)]
     instances += [part for shape in ((4, 4, 3), (6, 4, 4)) for policy in POLICIES
-                  for part in decompose(generate_synthetic(
-                      GeneratorConfig(*shape, exchange_policy=policy), 7)[0])]
+                  for part in decompose(synthetic_instance(
+                      GeneratorConfig(*shape, exchange_policy=policy), 7))]
     for inst in instances:
         g = build_graph(inst)
         try:
@@ -613,7 +613,7 @@ INSERTION_DRAWS = "7139bd88182ae15684effa46ed3b5310e57b1dc5c26d15159c9c8ba157e98
 def test_insertion_draws_are_pinned():
     insts = [inst for _name, inst in micro_suite(300)]
     cfg = GeneratorConfig(2, 3, 3, stations_per_segment=3, zeta=30, theta_tw=30)
-    insts += [generate_synthetic(cfg, seed)[0] for seed in range(6)]
+    insts += [synthetic_instance(cfg, seed) for seed in range(6)]
     configs = [SearchConfig(seed=s) for s in (0, 1)]
     ops = (operator_insert_stop_random, operator_insert_stop_shortest_detour,
            operator_insert_stop_highest_sync)
@@ -645,11 +645,11 @@ def _timing_parts():
     The wide-window legs take 120 to 260 minutes against a continuous-steering
     cap lowered to 200, so that many of them need a station."""
     insts = [inst for _name, inst in micro_suite(300)]
-    insts += [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    insts += [synthetic_instance(GeneratorConfig(*shape), seed)
               for shape in LADDER for seed in (7, 8)]
     wide = GeneratorConfig(2, 3, 3, stations_per_segment=3, drive_min=120, drive_max=260,
                            theta_tw=30, zeta=30)
-    insts += [replace(generate_synthetic(replace(wide, ell=ell), seed)[0],
+    insts += [replace(synthetic_instance(replace(wide, ell=ell), seed),
                       legal=LegalParams(t_cs=200))
               for ell in (5, 10) for seed in range(12)]
     return [part for inst in insts for policy in POLICIES
@@ -779,7 +779,7 @@ def test_local_search_fixed_point_and_determinism(sequential_pair):
 
 
 def _none_policy(shape, seed):
-    return generate_synthetic(GeneratorConfig(*shape, exchange_policy="none"), seed)[0]
+    return synthetic_instance(GeneratorConfig(*shape, exchange_policy="none"), seed)
 
 
 def test_operator_outputs_always_feasible(monkeypatch):
@@ -801,7 +801,7 @@ def test_operator_outputs_always_feasible(monkeypatch):
 
 def test_link_matches_connect():
     codes = {(False, False): LINK_NONE, (True, False): LINK_REACH, (True, True): LINK_RENEW}
-    for inst in (generate_synthetic(GeneratorConfig(3, 2, 3), 1)[0],
+    for inst in (synthetic_instance(GeneratorConfig(3, 2, 3), 1),
                  _none_policy((2, 2, 4), 1)):
         g = build_graph(inst)
         pieces = plan_pieces(inst, construct(inst, g).plan)
@@ -857,9 +857,9 @@ def test_local_search_takes_best_feasible_move(monkeypatch):
     operators = OPERATORS + (_drop_first_driver,)
     monkeypatch.setattr("drsync.search.OPERATORS", operators)
     instances = [postpone_fixture()]
-    instances += [generate_synthetic(GeneratorConfig(4, 4, 3), seed)[0] for seed in (7, 8)]
+    instances += [synthetic_instance(GeneratorConfig(4, 4, 3), seed) for seed in (7, 8)]
     # several moves here reach the same driver count; remaining time picks one
-    instances.append(generate_synthetic(GeneratorConfig(2, 2, 4), 0)[0])
+    instances.append(synthetic_instance(GeneratorConfig(2, 2, 4), 0))
     instances += [_none_policy((2, 2, 4), seed) for seed in range(5)]
     for inst in instances:
         g = build_graph(inst)
@@ -878,7 +878,7 @@ def test_ties_break_as_between_depot_bracketed_routes():
     # of the CH and the LS solution of micro_suite(100) and ladder parts
     insts = [inst for _name, inst in micro_suite(100)]
     insts += [part for shape in LADDER[:4] for seed in (7, 8)
-              for part in decompose(generate_synthetic(GeneratorConfig(*shape), seed)[0])]
+              for part in decompose(synthetic_instance(GeneratorConfig(*shape), seed))]
     pools = tied = raw = 0
     for inst in insts:
         g = build_graph(inst)
@@ -954,8 +954,8 @@ def test_replay_matches_full_greedy(monkeypatch):
     instances = [long_ride_none()]
     for policy in ("regular_and_intermediate", "regular_stops", "none"):
         for shape in ((2, 2, 4), (3, 2, 3), (4, 4, 3)):
-            instances += [generate_synthetic(GeneratorConfig(*shape, exchange_policy=policy),
-                                             seed)[0] for seed in range(10)]
+            instances += [synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy),
+                                             seed) for seed in range(10)]
     for inst in instances:
         g = build_graph(inst)
         try:
@@ -1008,7 +1008,7 @@ def _memo_instances():
     """micro_suite(100) under every policy, and the parts of 6x4x4 seed 7."""
     out = [check_instance(replace(inst, exchange_policy=policy))
            for _name, inst in micro_suite(100) for policy in POLICIES]
-    return out + decompose(generate_synthetic(GeneratorConfig(6, 4, 4), 7)[0])
+    return out + decompose(synthetic_instance(GeneratorConfig(6, 4, 4), 7))
 
 
 def test_memo_hits_equal_a_fresh_replay(monkeypatch):
@@ -1179,7 +1179,7 @@ def test_deadline_checked_between_operators(monkeypatch):
     assert out.to_dict() == local_search(ch, inst, g, SearchConfig(seed=3)).to_dict()
     # above the bound (8 drivers after the first move, against 5) the
     # second iteration calls every operator again, and improves nothing
-    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(3, 3, 3), 7)
     g = build_graph(inst)
     ch = construct(inst, g)
     calls.clear()
@@ -1202,7 +1202,7 @@ LONG_LINE_CH_LS = {
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_ch_ls_on_a_long_line_is_pinned(policy):
-    inst = generate_synthetic(GeneratorConfig(1, 24, 4, exchange_policy=policy), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(1, 24, 4, exchange_policy=policy), 7)
     g = build_graph(inst)
     out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     blob = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")).encode()
@@ -1222,7 +1222,7 @@ TIE_BREAK_CH_LS = {
 
 @pytest.mark.parametrize("policy", sorted(TIE_BREAK_CH_LS))
 def test_ch_ls_tie_break_between_carriers_is_pinned(policy):
-    inst = generate_synthetic(GeneratorConfig(8, 6, 4, exchange_policy=policy), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(8, 6, 4, exchange_policy=policy), 7)
     g = build_graph(inst)
     out = local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     assert (out.objective, out.theta()) == (48, 17150)
@@ -1241,7 +1241,7 @@ def test_reassignment_backtracking_stops_at_the_deadline(monkeypatch):
             return float(len(reads))
 
     monkeypatch.setattr("drsync.search._time", Ticking())
-    inst = generate_synthetic(GeneratorConfig(3, 3, 3), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(3, 3, 3), 7)
     g = build_graph(inst)
     ch = construct(inst, g)
     full = operator_reassign_segments(ch, inst, g, CFG, 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drsync.fixtures import gap_fixture, micro_suite
-from drsync.generator import GeneratorConfig, generate_synthetic
+from drsync.generator import GeneratorConfig, synthetic_instance
 from drsync.instance import (
     POLICIES,
     Instance,
@@ -161,9 +161,9 @@ def test_stats(fig2):
 def test_every_node_is_located_and_starts_are_the_first_stop_grids(
         seed, lines, rides, segments, stations, window, policy):
     theta_tw, ell = window
-    inst = generate_synthetic(GeneratorConfig(
+    inst = synthetic_instance(GeneratorConfig(
         lines, rides, segments, stations_per_segment=stations, theta_tw=theta_tw,
-        zeta=theta_tw, ell=ell, exchange_policy=policy), seed)[0]
+        zeta=theta_tw, ell=ell, exchange_policy=policy), seed)
     g = build_graph(inst)
     assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
     assert all(type(n.time) is int for n in g.nodes)
@@ -196,7 +196,7 @@ def test_dot_output(fig2):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 5000))
 def test_time_monotonicity_and_twins(seed):
-    inst, _ = generate_synthetic(GeneratorConfig(stations_per_segment=1), seed)
+    inst = synthetic_instance(GeneratorConfig(stations_per_segment=1), seed)
     g = build_graph(inst)
     modes = [d["mode"] for d in graph_to_dict(g)["arcs"]]
     for a in g.arcs:
@@ -215,7 +215,7 @@ def test_time_monotonicity_and_twins(seed):
 @given(seed=st.integers(0, 5000))
 def test_station_copy_law(seed):
     # one ride per line so copy sets per base equal copy sets per segment
-    inst, _ = generate_synthetic(
+    inst = synthetic_instance(
         GeneratorConfig(rides_per_line=1, stations_per_segment=2, theta_tw=20),
         seed)
     g = build_graph(inst)
@@ -234,9 +234,9 @@ def test_arcs_from_one_tail_come_by_rising_head_time():
     # seg_direct and seg_out list each tail's arcs by rising head time, and
     # seg_in holds at most one arc per tail
     insts = [inst for _name, inst in micro_suite(100)]
-    insts += [generate_synthetic(GeneratorConfig(
+    insts += [synthetic_instance(GeneratorConfig(
         2, 3, 3, stations_per_segment=3, drive_min=60, drive_max=260,
-        theta_tw=30, zeta=30, ell=5), seed)[0] for seed in range(6)]
+        theta_tw=30, zeta=30, ell=5), seed) for seed in range(6)]
     multi = {"direct": 0, "out": 0}
     for inst in insts:
         g = build_graph(inst)
@@ -266,7 +266,7 @@ def _assert_as_built(graph, instance):
 def test_solving_leaves_the_graph_as_built():
     # nodes and arcs are not frozen, so nothing but this test stops a solver
     # stage from editing the graph it shares with every other stage
-    inst = generate_synthetic(GeneratorConfig(4, 4, 3), 7)[0]
+    inst = synthetic_instance(GeneratorConfig(4, 4, 3), 7)
     g = build_graph(inst)
     local_search(construct(inst, g), inst, g, SearchConfig(seed=0))
     _assert_as_built(g, inst)
@@ -303,10 +303,10 @@ def _located_end_instances():
     three stations a segment, whose legs of up to 260 minutes against a
     continuous-steering cap of 200 need stations."""
     insts = [inst for _name, inst in micro_suite(100)]
-    insts += [generate_synthetic(GeneratorConfig(*shape), 7)[0] for shape in LADDER]
+    insts += [synthetic_instance(GeneratorConfig(*shape), 7) for shape in LADDER]
     wide = GeneratorConfig(2, 3, 3, stations_per_segment=3, drive_min=120, drive_max=260,
                            theta_tw=30, zeta=30, ell=5)
-    insts += [replace(generate_synthetic(wide, seed)[0], legal=LegalParams(t_cs=200))
+    insts += [replace(synthetic_instance(wide, seed), legal=LegalParams(t_cs=200))
               for seed in range(4)]
     return insts
 
@@ -354,13 +354,13 @@ def _shift_plans():
     with continuous steering lowered to 230 so that construction places
     stations; the parts of each under every policy."""
     insts = [inst for _name, inst in micro_suite(300)]
-    insts += [generate_synthetic(GeneratorConfig(*shape), seed)[0]
+    insts += [synthetic_instance(GeneratorConfig(*shape), seed)
               for shape in LADDER[:6] for seed in (7, 8)]
     for n in (2, 3):
         heavy = GeneratorConfig(n, n, 3, stations_per_segment=3, drive_min=200, drive_max=270,
                                 zeta=30, theta_tw=30)
         for seed in range(12):
-            inst = generate_synthetic(heavy, seed)[0]
+            inst = synthetic_instance(heavy, seed)
             insts += [inst, replace(inst, legal=LegalParams(t_cs=230))]
     for inst in insts:
         for policy in POLICIES:
@@ -423,7 +423,7 @@ def test_graph_and_indexes_are_pinned(name, policy):
     if name == "micro":
         insts = [inst for _, inst in micro_suite(100)]
     else:
-        insts = [generate_synthetic(GeneratorConfig(*shape), 7)[0] for shape in LADDER]
+        insts = [synthetic_instance(GeneratorConfig(*shape), 7) for shape in LADDER]
     h = hashlib.sha256()
     for inst in insts:
         h.update(_graph_digest(build_graph(replace(inst, exchange_policy=policy))).encode())

@@ -54,7 +54,7 @@ def main(argv=None) -> int:
 
     import workloads
     from drsync.fixtures import micro_suite
-    from drsync.generator import GeneratorConfig, generate_synthetic
+    from drsync.generator import GeneratorConfig, synthetic_instance
     from drsync.harness import method_config
     from drsync.instance import check_instance
     from drsync.pipeline import DbmhConfig, run
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     config = method_config("ch_ls", DbmhConfig())
     shapes = [GeneratorConfig(n, n, 3, stations_per_segment=3, drive_min=200, drive_max=270,
                               zeta=30, theta_tw=30) for n in (2, 3)]
-    insts = (check_instance(dataclasses.replace(generate_synthetic(shape, seed)[0],
+    insts = (check_instance(dataclasses.replace(synthetic_instance(shape, seed),
                                                 exchange_policy=policy))
              for shape in shapes for seed in range(12) for policy in POLICIES)
     print("ch_ls/stations", digest(run(inst, config) for inst in insts), flush=True)
