@@ -32,18 +32,16 @@ when it builds a candidate's routes. Both come from ``solution.itinerary``,
 the relocation call the branch-and-bound shares.
 The plan operators
 (postpone, prepone, the station insertions and removal) change one ride,
-then replay the greedy driver assignment from a checkpoint: the
-``GreedyRecord`` of the current plan holds the driver states before every
-vehicle route, and the rerun starts at the first route whose inputs the
-change touches. A plan from elsewhere (the exact search's incumbents) gets
-its record from one full greedy run, kept on the solution. Each distinct
-neighbouring plan is replayed once: the record memoizes its replays, and
-segment reassignment's moves keep the plan and so the record and its memo.
-The search clears the memo when it moves to another plan and when it
-returns. The search's end, ``SearchConfig.t_end``, is checked between
-operators and inside the backtracking of segment reassignment.
+then crew the changed plan by running the greedy driver assignment on it.
+Each distinct neighbouring plan is crewed once: the solution's ``memo``
+keeps the greedy's answers, and segment reassignment's moves keep the plan
+and so share the memo. The search clears the memo when it moves to another
+plan and when it returns. The search's end, ``SearchConfig.t_end``, is
+checked between operators and inside the backtracking of segment
+reassignment.
 
-Two kinds of plan move are known without a replay, and both are exact:
+Two kinds of plan move are known not to improve without a greedy run, and
+both are exact:
 
 - Shifting the only ride of a solution the greedy built moves every time
   of the plan by the same step. The greedy reads only differences of
@@ -73,10 +71,6 @@ every feasible solution. At ``f0 <= lb`` drivers, then:
   So once ``f0 * t_dw`` minus the current plan's steering time is at most
   theta, no move improves, and the search returns at once. With one
   driver the span-based ``_ceiling`` above is tighter, and both stay.
-
-A replay costs little more than the greedy's rerun from the first changed
-route: the changed ride's place in the route order is found by bisection,
-and the plan is copied once per candidate.
 """
 
 from __future__ import annotations
@@ -193,17 +187,6 @@ class _Sim:
         self.start = time
         self.elements: list[tuple] = []
 
-    def state(self) -> tuple:
-        return (self.base, self.time, self.u, self.daily, self.start, len(self.elements))
-
-    @classmethod
-    def restore(cls, state: tuple, elements: list[tuple]) -> _Sim:
-        """The driver in `state`, whose timeline is a prefix of `elements`."""
-        sim = cls.__new__(cls)
-        sim.base, sim.time, sim.u, sim.daily, sim.start, n = state
-        sim.elements = elements[:n]
-        return sim
-
     def rested_u(self, at_time: int, t_b: int) -> int:
         return 0 if at_time - self.time >= t_b else self.u
 
@@ -221,148 +204,31 @@ def _fits(sim: _Sim, u_eff: int, piece, legal) -> bool:
             and piece.end - sim.start <= legal.t_dw)
 
 
-class GreedyRecord:
-    """One run of the greedy driver assignment over `plan`, kept for replay.
-
-    The greedy walks the vehicle routes (each ride's steering arcs as the
-    plan holds them, in ``keys`` order, ``(first departure, ride id)``) and
-    hands each route's pieces to drivers; a replay reads the changed ride's
-    route straight off the new plan.
-    Before route j it records every driver's state in ``snapshots[j]``
-    (``_Sim.state``); the only thing a route reads beyond the drivers and
-    its own pieces is the next departure after a relief, from
-    ``departures_from``, logged in ``reliefs`` as ``(j, base, now, next
-    departure or None)``.
-    ``elements[d]`` and ``routes[d]`` are driver d's final timeline and
-    assembled route (None for an empty timeline).
-
-    After a plan change to one ride, ``replay`` restarts the greedy at the
-    first route whose inputs changed: the ride's old or new place in the
-    route order, or an earlier relief whose look-up the moved departures
-    answer differently. Everything here depends on the plan alone.
-
-    ``memo`` maps ``(ride id, the ids of its new steering arcs)`` to what
-    ``_replan`` got for that change: the replayed solution, or None where
-    the replay raised (arcs compare by value, and do not hash). Local
-    search keeps it only while the record is its current solution's, and
-    clears it when it moves to another plan or returns.
-    """
-
-    __slots__ = ("plan", "keys", "vehicle_routes", "departures_from", "snapshots",
-                 "reliefs", "elements", "routes", "memo")
-
-    def __init__(self, plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
-                 elements, routes):
-        self.plan: dict[str, tuple[TimedArc, ...]] = plan
-        self.keys: list[tuple[int, str]] = keys
-        self.vehicle_routes: list[tuple[TimedArc, ...]] = vehicle_routes
-        self.departures_from: dict[str, list[int]] = departures_from
-        self.snapshots: list[tuple[tuple, ...]] = snapshots
-        self.reliefs: list[tuple[int, str, int, int | None]] = reliefs
-        self.elements: list[list[tuple]] = elements
-        self.routes: list[tuple[int, ...] | None] = routes
-        self.memo: dict[tuple[str, tuple[int, ...]], Solution | None] = {}
-
-    def solution(self, graph: TimeGraph) -> Solution:
-        sol = Solution(graph, [r for r in self.routes if r is not None], self.plan)
-        sol.greedy = self
-        return sol
-
-    def replay(self, instance: Instance, graph: TimeGraph,
-               plan: dict[str, tuple[TimedArc, ...]], ride) -> Solution:
-        """``assign_drivers(instance, graph, plan)`` for a `plan` that differs
-        from this record's only in `ride`; raises what that call raises.
-
-        The new record and its solution keep `plan`.
-        """
-        rid = ride.id
-        vp = plan[rid]
-        keys = list(self.keys)
-        routes = list(self.vehicle_routes)
-        old_pos = bisect_left(keys, (self.plan[rid][0].start, rid))
-        del keys[old_pos]
-        old = routes.pop(old_pos)
-        key = (vp[0].start, rid)
-        new_pos = bisect_left(keys, key)
-        keys.insert(new_pos, key)
-        routes.insert(new_pos, vp)
-
-        # a ride's pieces start at distinct minutes, so each side is a set
-        gone = {(p.from_base, p.start) for p in old}
-        came = {(p.from_base, p.start) for p in vp}
-        departures_from = dict(self.departures_from)
-        moved: dict[str, list[int]] = {}   # base -> departures added or removed there
-        for base, t in gone ^ came:
-            if base not in moved:
-                departures_from[base] = list(departures_from.get(base, ()))
-            moved.setdefault(base, []).append(t)
-            if (base, t) in came:
-                insort(departures_from[base], t)
-            else:
-                departures_from[base].remove(t)
-
-        j0 = min(old_pos, new_pos)
-        for j, base, now, nxt in self.reliefs:
-            if j >= j0:
-                break
-            if any(now < t and (nxt is None or t <= nxt) for t in moved.get(base, ())):
-                j0 = j   # this relief's look-ahead now sees another departure
-                break
-        return _greedy(instance, graph, plan, keys, routes, departures_from,
-                       self, j0).solution(graph)
-
-
 def assign_drivers(instance: Instance, graph: TimeGraph,
                    plan: dict[str, tuple[TimedArc, ...]]) -> Solution:
     """Greedy driver assignment over a fixed vehicle plan; always feasible.
 
-    The solution carries the run's ``GreedyRecord`` in ``greedy``.
+    The greedy walks the vehicle routes (each ride's steering arcs as the
+    plan holds them) by ``(first departure, ride id)`` and hands each
+    route's pieces to drivers. The solution keeps `plan` as given.
     """
-    departures_from: dict[str, list[int]] = {}
-    for p in plan_pieces(instance, plan):   # chronological, so each list comes out sorted
-        departures_from.setdefault(p.from_base, []).append(p.start)
-    keys = sorted((pieces[0].start, rid) for rid, pieces in plan.items())
-    routes = [plan[rid] for _start, rid in keys]
-    return _greedy(instance, graph, dict(plan), keys, routes,
-                   departures_from).solution(graph)
-
-
-def _greedy(instance, graph, plan, keys, vehicle_routes, departures_from,
-            base: GreedyRecord | None = None, j0: int = 0) -> GreedyRecord:
-    """Run the greedy over `vehicle_routes`, from route `j0` of `base` on."""
     legal = instance.legal
-    assign = _assign_none if instance.exchange_policy == POLICY_NONE else _assign_exchange
-    if base is None:
-        drivers: list[_Sim] = []
-        states: list[tuple] = []
-        snapshots: list[tuple] = []
-        reliefs: list[tuple] = []
-    else:
-        states = list(base.snapshots[j0])
-        drivers = [_Sim.restore(st, els) for st, els in zip(states, base.elements)]
-        snapshots = base.snapshots[:j0]
-        reliefs = base.reliefs[:bisect_left(base.reliefs, (j0,))]
+    drivers: list[_Sim] = []
     at_base: dict[str, list[int]] = {}   # base -> drivers standing there, in creation order
-    for di, sim in enumerate(drivers):
-        at_base.setdefault(sim.base, []).append(di)
-    for j in range(j0, len(vehicle_routes)):
-        snapshots.append(tuple(states))
-        touched = assign(drivers, at_base, vehicle_routes[j], j, legal, departures_from,
-                         reliefs)
-        states.extend([None] * (len(drivers) - len(states)))
-        for di in touched:
-            states[di] = drivers[di].state()
-
-    elements, routes = [], []
-    for di, sim in enumerate(drivers):
-        if base is not None and di < len(base.elements) and sim.elements == base.elements[di]:
-            elements.append(base.elements[di])
-            routes.append(base.routes[di])
-        else:
-            elements.append(sim.elements)
-            routes.append(assemble_route(graph, sim.elements) if sim.elements else None)
-    return GreedyRecord(plan, keys, vehicle_routes, departures_from, snapshots, reliefs,
-                        elements, routes)
+    order = sorted(plan, key=lambda rid: (plan[rid][0].start, rid))
+    if instance.exchange_policy == POLICY_NONE:
+        for rid in order:
+            _assign_none(drivers, at_base, plan[rid], legal)
+    else:
+        departures_from: dict[str, list[int]] = {}
+        for p in plan_pieces(instance, plan):   # chronological, so each list comes out sorted
+            departures_from.setdefault(p.from_base, []).append(p.start)
+        for rid in order:
+            _assign_exchange(drivers, at_base, plan[rid], legal, departures_from)
+    sol = Solution(graph, [assemble_route(graph, sim.elements)
+                           for sim in drivers if sim.elements], plan)
+    sol.by_greedy = True
+    return sol
 
 
 def _take(sim: _Sim, vp, pos, legal) -> int:
@@ -397,13 +263,12 @@ def _refile(at_base, di: int, old: str, new: str) -> None:
         insort(at_base.setdefault(new, []), di)
 
 
-def _assign_exchange(drivers, at_base, vp, j, legal, departures_from, reliefs) -> list[int]:
-    """Crew route `vp` (the j-th): the first available driver steers on.
+def _assign_exchange(drivers, at_base, vp, legal, departures_from) -> None:
+    """Crew route `vp`: the first available driver steers on.
 
     ``at_base`` lists the drivers standing at each base, so the first fit
     in creation order is found among those at the piece's base only.
     """
-    touched = []
     pos = 0
     while pos < len(vp):
         p = vp[pos]
@@ -417,22 +282,19 @@ def _assign_exchange(drivers, at_base, vp, j, legal, departures_from, reliefs) -
             drivers.append(_Sim(p.from_base, p.start))
             pick = len(drivers) - 1
             at_base.setdefault(p.from_base, []).append(pick)
-        touched.append(pick)
         sim = drivers[pick]
         pos = _take(sim, vp, pos, legal)
         if pos < len(vp):
-            _relieve(sim, vp, departures_from, legal, reliefs, j)
+            _relieve(sim, vp, departures_from, legal)
         _refile(at_base, pick, p.from_base, sim.base)
-    return touched
 
 
-def _relieve(sim: _Sim, vp, departures_from, legal, reliefs, j):
+def _relieve(sim: _Sim, vp, departures_from, legal) -> None:
     """Relieved mid-route: wait here for a break-sized gap, else ride along."""
-    here, now = sim.base, sim.time
-    times = departures_from.get(here, ())
+    now = sim.time
+    times = departures_from.get(sim.base, ())
     i = bisect_right(times, now)
     nxt = times[i] if i < len(times) else None
-    reliefs.append((j, here, now, nxt))
     wait_ok = nxt is not None and legal.t_b <= nxt - now <= 4 * legal.t_b
     span_ok = vp[-1].end - sim.start <= legal.t_dw
     if wait_ok or not span_ok:
@@ -440,7 +302,7 @@ def _relieve(sim: _Sim, vp, departures_from, legal, reliefs, j):
     _ride_along(sim, vp, vp[-1].end, legal)
 
 
-def _assign_none(drivers, at_base, vp, j, legal, departures_from, reliefs) -> list[int]:
+def _assign_none(drivers, at_base, vp, legal) -> None:
     """Crew route `vp` with drivers who all stay aboard to its terminal.
 
     Every crew member boards at the route's first base and start; whoever
@@ -487,7 +349,6 @@ def _assign_none(drivers, at_base, vp, j, legal, departures_from, reliefs) -> li
     for di in crew:
         _ride_along(drivers[di], vp, term_t, legal)
         _refile(at_base, di, start_b, drivers[di].base)
-    return crew
 
 
 def construct(instance: Instance, graph: TimeGraph) -> Solution:
@@ -606,32 +467,27 @@ def operator_reassign_segments(solution, instance, graph, config, seed) -> list[
         if None not in routes:
             out.append(Solution(graph, routes, solution.plan))
             out[-1].links = links
-            out[-1].greedy = solution.greedy
+            out[-1].memo = solution.memo
     return out
 
 
 def _replan(solution, instance, graph, ride, chain: tuple[TimedArc, ...]) -> Solution | None:
     """The greedy's solution once `ride` steers `chain`; None if it has none.
 
-    The greedy's record of the current plan is built once and kept on the
-    solution. It cannot fail on a plan from the greedy or from the exact
-    search, whose crews fit ``t_dw`` (``test_mip.py`` checks it on every
-    incumbent). The record's memo answers a change it has replayed before.
-    The one copy of the plan made here is the candidate's.
+    The solution's memo answers a change asked for before on its plan. The
+    one copy of the plan made here is the candidate's.
     """
-    record = solution.greedy
-    if record is None:
-        record = solution.greedy = assign_drivers(instance, graph, solution.plan).greedy
     key = (ride.id, tuple(p.id for p in chain))
-    if key in record.memo:
-        return record.memo[key]
+    memo = solution.memo
+    if key in memo:
+        return memo[key]
     plan = dict(solution.plan)
     plan[ride.id] = chain
     try:
-        cand = record.replay(instance, graph, plan, ride)
+        cand = assign_drivers(instance, graph, plan)
     except ConstructionError:
         cand = None   # the changed ride's crew breaks a limit
-    record.memo[key] = cand
+    memo[key] = cand
     return cand
 
 
@@ -693,7 +549,7 @@ def _shift(solution, instance, graph, delta) -> list[Solution]:
     shifted where the shifted plan spans the ceiling of a one-driver
     solution (``_ceiling``).
     """
-    if len(instance.rides) < 2 and _built_by_greedy(solution):
+    if len(instance.rides) < 2 and solution.by_greedy:
         return []
     ceiling = _ceiling(solution, instance)
     out = []
@@ -875,8 +731,8 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
     iteration that the driver bound shows cannot improve (module
     docstring); at the bound it does not call segment reassignment.
     ``lb`` is that bound, max(lb1, lb2) of `instance`, if the caller has it.
-    The replay memo of the current plan's greedy record lives only while
-    the search stays on that plan; none outlives the search.
+    The memo of the current plan lives only while the search stays on that
+    plan; none outlives the search.
     """
     config = config or SearchConfig()
     t_end = config.t_end
@@ -910,25 +766,12 @@ def local_search(solution: Solution, instance: Instance, graph: TimeGraph,
             if accepted is None:
                 break
             iteration += 1
-            if accepted.greedy is not current.greedy:
-                _forget(current)   # another record: its neighbours are asked no more
+            if accepted.memo is not current.memo:
+                current.memo.clear()   # another plan: its neighbours are asked no more
             current = accepted
             f0, th0 = current.objective, current.theta()
             if trace is not None:
                 trace.append((f0, th0))
         return current
     finally:
-        _forget(current)
-
-
-def _forget(solution: Solution) -> None:
-    """Drop the replay memo of `solution`'s greedy record, if it has one."""
-    if solution.greedy is not None:
-        solution.greedy.memo.clear()
-
-
-def _built_by_greedy(solution: Solution) -> bool:
-    """Whether `solution` is its greedy record's own driver assignment."""
-    record = solution.greedy
-    return record is not None and solution.routes == [r for r in record.routes
-                                                      if r is not None]
+        current.memo.clear()

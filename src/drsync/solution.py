@@ -110,9 +110,13 @@ class Solution:
         # a ConnectionPlanner over the pieces of `plan` whose link() answers
         # may be reused, set by whoever built one for this plan
         self.links: ConnectionPlanner | None = None
-        # the greedy driver assignment's run over `plan` (search.GreedyRecord),
-        # from which a one-ride plan change replays; set like `links`
-        self.greedy = None
+        # whether the greedy driver assignment crewed `plan` into `routes`
+        self.by_greedy = False
+        # the greedy's solutions of one-ride changes of `plan`, by (ride id,
+        # the ids of its new steering arcs), None where the greedy failed
+        # (search._replan); solutions over one plan may share it, and local
+        # search empties it once it leaves the plan
+        self.memo: dict[tuple[str, tuple[int, ...]], Solution | None] = {}
         # the segments of `plan` a station could be inserted into, found by
         # the first station-insertion operator that looks (search)
         self.insertable: list[tuple] | None = None

@@ -87,12 +87,11 @@ def test_every_top_level_function_is_referenced():
 
 
 # functions whose signature is a protocol every function of its kind shares:
-# the local-search operators take (solution, instance, graph, config, seed) and
-# the greedy's crew assigners take the same arguments whichever policy they serve
+# the local-search operators take (solution, instance, graph, config, seed)
 PROTOCOL_SIGNATURES = {
     "operator_reassign_segments", "operator_postpone", "operator_prepone",
     "operator_insert_stop_random", "operator_insert_stop_shortest_detour",
-    "operator_insert_stop_highest_sync", "operator_remove_stop", "_assign_none",
+    "operator_insert_stop_highest_sync", "operator_remove_stop",
 }
 
 

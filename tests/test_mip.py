@@ -127,10 +127,10 @@ def test_callback_injection(sequential_pair):
 
 
 def test_the_greedy_crews_every_incumbent_plan():
-    # local search re-crews a changed plan by replaying the greedy's record
-    # of the plan it starts from, built once for a B&B incumbent, so the
-    # greedy must crew every incumbent's plan: its pieces are graph arcs, at
-    # most t_cs long, and every crew's span fits t_dw
+    # local search re-crews each one-ride change of a B&B incumbent's plan
+    # with the greedy, which must crew the incumbent's plan to leave room
+    # for such changes: its pieces are graph arcs, at most t_cs long, and
+    # every crew's span fits t_dw
     instances = [check_instance(replace(inst, exchange_policy=policy))
                  for _iid, inst in micro_suite(100)
                  for policy in (POLICY_FULL, POLICY_REGULAR, POLICY_NONE)]

@@ -30,7 +30,6 @@ from drsync.oracle import brute_force
 from drsync.search import (
     OPERATORS,
     ConstructionError,
-    GreedyRecord,
     SearchConfig,
     assign_drivers,
     construct,
@@ -255,11 +254,11 @@ def _one_ride_parts():
 
 def test_shifting_the_only_ride_keeps_objective_and_theta():
     # why postpone and prepone leave the only ride of a solution the greedy
-    # built alone: moving every time of the plan by one grid step, replayed
-    # through the greedy's record, gives the greedy's driver count and
-    # remaining working time on the plan as it was, so it is never an
-    # improving move. Checked on the construction's plan and on the local
-    # search's (which may visit stations).
+    # built alone: moving every time of the plan by one grid step, crewed by
+    # the greedy, gives the greedy's driver count and remaining working time
+    # on the plan as it was, so it is never an improving move. Checked on
+    # the construction's plan and on the local search's (which may visit
+    # stations).
     same = 0
     for inst in _one_ride_parts():
         g = build_graph(inst)
@@ -268,14 +267,14 @@ def test_shifting_the_only_ride_keeps_objective_and_theta():
         except ConstructionError:
             continue
         for sol in (ch, local_search(ch, inst, g, CFG)):
-            want = sol.greedy.solution(g)
+            want = assign_drivers(inst, g, sol.plan)
             (ride,) = inst.rides
             for delta in (-inst.ell, inst.ell):
                 moved = _moved(g, ride, sol.plan[ride.id], delta)
                 if moved is None:
                     continue
                 try:
-                    got = sol.greedy.replay(inst, g, {ride.id: moved}, ride)
+                    got = assign_drivers(inst, g, {ride.id: moved})
                 except ConstructionError:
                     continue
                 assert (got.objective, got.theta()) == (want.objective, want.theta())
@@ -314,10 +313,10 @@ def _waiting_first(sol, g, since) -> Solution:
     """The one driver of `sol`, a solution the greedy built, standing at the
     first stop from `since` on: a solution the greedy did not build, whose
     route spans more than its plan."""
-    (elements,) = [els for els in sol.greedy.elements if els]
-    first = g.nodes[g.arcs[elements[0][1]].tail]
-    wait = ("wait", first.base, since, first.time)
-    return Solution(g, [assemble_route(g, [wait] + elements)], sol.plan)
+    (route,) = sol.routes
+    first = g.nodes[g.arcs[route[0]].tail]
+    wait = assemble_route(g, [("wait", first.base, since, first.time)])
+    return Solution(g, [wait + route], sol.plan)
 
 
 def test_shifting_the_only_ride_of_a_foreign_solution():
@@ -413,21 +412,19 @@ def _one_driver_solutions():
 def test_plan_moves_past_the_ceiling_never_improve():
     # a one-driver solution keeps t_dw - theta of working time; a plan move
     # whose plan spans that much or more cannot improve it, so the plan
-    # operators neither replay nor return it. Every such move, replayed
-    # through the greedy's record, is not improving; the shifts and the
-    # removals offered are exactly the rest, and no insertion offered
-    # reaches the ceiling.
+    # operators neither crew nor return it. Every such move, crewed by the
+    # greedy, is not improving; the shifts and the removals offered are
+    # exactly the rest, and no insertion offered reaches the ceiling.
     skipped = at_ceiling = foreign = rescued = 0
     for inst, g, sol, is_foreign in _one_driver_solutions():
         theta0 = sol.theta()
         ceiling = inst.legal.t_dw - theta0
-        record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
         offered = {"postpone": set(), "prepone": set(), "insert": set(), "remove": set()}
         for kind, ride, chain in _plan_moves(sol, inst):
             plan = dict(sol.plan)
             plan[ride.id] = chain
             try:
-                cand = record.replay(inst, g, plan, ride)
+                cand = assign_drivers(inst, g, plan)
             except ConstructionError:
                 cand = None
             improves = cand is not None and cand.objective == 1 and cand.theta() > theta0
@@ -474,13 +471,14 @@ def _bound_starts():
             continue
         yield inst, g, ch
         yield inst, g, local_search(ch, inst, g, CFG)
-        elements = [els for els in ch.greedy.elements if els]
-        first = g.nodes[g.arcs[elements[0][0][1]].tail]
+        routes = list(ch.routes)
+        first = g.nodes[g.arcs[routes[0][0]].tail]
         earlier = [g.nodes[n].time for n in g.copies[first.base]
                    if g.nodes[n].time < first.time]
         if earlier:
-            elements[0] = [("wait", first.base, max(earlier), first.time)] + elements[0]
-            foreign = Solution(g, [assemble_route(g, els) for els in elements], ch.plan)
+            routes[0] = assemble_route(
+                g, [("wait", first.base, max(earlier), first.time)]) + routes[0]
+            foreign = Solution(g, routes, ch.plan)
             if check_feasibility(foreign, inst, g) == []:
                 yield inst, g, foreign
 
@@ -490,7 +488,7 @@ def test_no_move_improves_past_the_driver_bound(monkeypatch):
     # each of its moves drops a driver, and none passes the feasibility
     # check. And where f0 * t_dw minus the plan's steering time is at most
     # theta, it returns before an iteration: every shift, insertion and
-    # removal, replayed through the greedy's record, is not improving.
+    # removal, crewed by the greedy, is not improving.
     calls = []
 
     def recorded(oi, op):
@@ -501,7 +499,7 @@ def test_no_move_improves_past_the_driver_bound(monkeypatch):
 
     monkeypatch.setattr("drsync.search.OPERATORS",
                         tuple(recorded(oi, op) for oi, op in enumerate(OPERATORS)))
-    skipped = stopped = stopped_multi = replayed = 0
+    skipped = stopped = stopped_multi = crewed = 0
     for inst, g, sol in _bound_starts():
         f0, theta0 = sol.objective, sol.theta()
         calls.clear()
@@ -516,19 +514,18 @@ def test_no_move_improves_past_the_driver_bound(monkeypatch):
             continue
         stopped += 1
         stopped_multi += f0 > 1
-        record = sol.greedy or assign_drivers(inst, g, sol.plan).greedy
         for kind, ride, chain in _plan_moves(sol, inst):
             plan = dict(sol.plan)
             plan[ride.id] = chain
             try:
-                cand = record.replay(inst, g, plan, ride)
+                cand = assign_drivers(inst, g, plan)
             except ConstructionError:
                 continue
-            replayed += 1
+            crewed += 1
             assert cand.objective > f0 or (cand.objective == f0 and cand.theta() <= theta0), \
                 (kind, ride.id, ride_times(chain))
     assert skipped > 2500 and stopped > 1500
-    assert stopped_multi > 500 and replayed > 2500
+    assert stopped_multi > 500 and crewed > 2500
 
 
 def test_wrapped_operators_skip_reassignment_at_the_bound(monkeypatch):
@@ -903,84 +900,11 @@ def test_ties_break_as_between_depot_bracketed_routes():
     assert pools > 200 and tied > 100 and raw > 10
 
 
-def _record_fields(rec):
-    departures = {b: ts for b, ts in rec.departures_from.items() if ts}
-    return (rec.keys, rec.vehicle_routes, departures, rec.snapshots, rec.reliefs,
-            rec.elements, rec.routes)
-
-
-def _checked_replay(outcomes):
-    """GreedyRecord.replay that also runs the full greedy and compares."""
-    replay = GreedyRecord.replay
-
-    def checked(self, instance, graph, plan, ride):
-        try:
-            want = assign_drivers(instance, graph, plan)
-        except ConstructionError as exc:
-            with pytest.raises(type(exc)):
-                replay(self, instance, graph, plan, ride)
-            outcomes.append(type(exc))
-            raise
-        got = replay(self, instance, graph, plan, ride)
-        assert got.routes == want.routes
-        assert got.plan == want.plan
-        # the replayed record must serve later replays as the full one would
-        assert _record_fields(got.greedy) == _record_fields(want.greedy)
-        outcomes.append(Solution)
-        return got
-    return checked
-
-
-def _one_ride_changes(g, inst, plan):
-    """Shifts and stretches of single rides that the greedy may reject, where
-    the graph has their arcs."""
-    for ride in inst.rides:
-        times, stations = ride_times(plan[ride.id]), ride_stations(plan[ride.id])
-        changes = [[t + d for t in times] for d in (-2 * inst.ell, inst.ell, 3 * inst.ell)]
-        changes.append([*times[:-1], times[-1] + 2 * inst.ell])
-        for changed in changes:
-            try:
-                yield ride, ride_chain(g, ride, changed, stations)
-            except KeyError:
-                pass
-
-
-def test_replay_matches_full_greedy(monkeypatch):
-    # every one-ride plan change that local search makes, replayed from the
-    # record of the solution it changes, against a from-scratch run
-    outcomes = []
-    checked = _checked_replay(outcomes)
-    monkeypatch.setattr(GreedyRecord, "replay", checked)
-    instances = [long_ride_none()]
-    for policy in ("regular_and_intermediate", "regular_stops", "none"):
-        for shape in ((2, 2, 4), (3, 2, 3), (4, 4, 3)):
-            instances += [synthetic_instance(GeneratorConfig(*shape, exchange_policy=policy),
-                                             seed) for seed in range(10)]
-    for inst in instances:
-        g = build_graph(inst)
-        try:
-            ch = construct(inst, g)
-        except ConstructionError:
-            continue
-        out = local_search(ch, inst, g, CFG)
-        # and changes the operators never make, for error parity
-        for sol in (ch, out):
-            for ride, chain in _one_ride_changes(g, inst, sol.plan):
-                plan = dict(sol.plan)
-                plan[ride.id] = chain
-                try:
-                    checked(sol.greedy, inst, g, plan, ride)
-                except ConstructionError:
-                    pass
-    assert outcomes.count(Solution) > 1000
-    assert ConstructionError in outcomes
-
-
-def test_replay_redoes_earlier_relief():
+def test_postpone_offers_the_greedy_relief_crew():
     # ride a relieves its driver at B at 735; ride b leaves B at 775, too
     # soon for a break, so the driver rides along to C. Postponing b to 785
     # makes the gap a break: the driver now waits at B and takes b over.
-    # The change to b flips the choice made while crewing the earlier ride a.
+    # The change to b flips the choice made while crewing the earlier ride a
     inst = check_instance(Instance(
         rides=(
             Ride("a", "L1", ("A", "B", "C"), (480, 740, 970), (260, 230), ((), ())),
@@ -995,12 +919,9 @@ def test_replay_redoes_earlier_relief():
     assert ch.objective == 3
     plan = dict(ch.plan)
     plan["b"] = ride_chain(g, inst.rides[1], (785, 905), (None,))
-    got = ch.greedy.replay(inst, g, plan, inst.rides[1])
     want = assign_drivers(inst, g, plan)
     assert want.objective == 2
     assert not any(g.arcs[a].family == "deadhead" for r in want.routes for a in r)
-    assert got.routes == want.routes
-    assert _record_fields(got.greedy) == _record_fields(want.greedy)
     assert want.routes in [c.routes for c in operator_postpone(ch, inst, g, CFG, 0)]
 
 
@@ -1011,20 +932,20 @@ def _memo_instances():
     return out + decompose(synthetic_instance(GeneratorConfig(6, 4, 4), 7))
 
 
-def test_memo_hits_equal_a_fresh_replay(monkeypatch):
-    # whatever _replan serves from a record's memo is what a fresh replay
-    # from that record builds, also after a segment reassignment move, which
-    # keeps the plan and so the record and its memo
-    replan, replay = search._replan, GreedyRecord.replay
-    replays = []
+def test_memo_hits_equal_a_fresh_greedy_run(monkeypatch):
+    # whatever _replan serves from a solution's memo is what a fresh greedy
+    # run on the changed plan builds, also after a segment reassignment
+    # move, which keeps the plan and so shares the memo
+    replan = search._replan
+    runs = []
     reassigned = {}   # id -> candidate of segment reassignment, kept alive
-    # (id(record), ride id, its arc ids) -> (record, solution that asked first)
+    # (id(memo), ride id, its arc ids) -> solution that asked first
     first_asked = {}
     hits = []         # per hit of an asked key: whether an earlier solution asked
 
-    def counted(self, *args):
-        replays.append(None)
-        return replay(self, *args)
+    def counted(*args):
+        runs.append(None)
+        return assign_drivers(*args)
 
     def reassign(solution, *args):
         out = operator_reassign_segments(solution, *args)
@@ -1032,29 +953,26 @@ def test_memo_hits_equal_a_fresh_replay(monkeypatch):
         return out
 
     def checked(solution, instance, graph, ride, chain):
-        n = len(replays)
+        n = len(runs)
         got = replan(solution, instance, graph, ride, chain)
-        record = solution.greedy
-        key = (id(record), ride.id, tuple(p.id for p in chain))
-        if len(replays) > n:
-            first_asked.setdefault(key, (record, solution))
+        key = (id(solution.memo), ride.id, tuple(p.id for p in chain))
+        if len(runs) > n:
+            first_asked.setdefault(key, solution)
             return got
-        # served without a replay: from the memo
+        # served without a greedy run: from the memo
         plan = dict(solution.plan)
         plan[ride.id] = chain
         try:
-            want = replay(record, instance, graph, plan, ride)
+            want = assign_drivers(instance, graph, plan)
         except ConstructionError:
             assert got is None
         else:
             assert got.routes == want.routes
             assert got.plan == want.plan
-            assert _record_fields(got.greedy) == _record_fields(want.greedy)
-        asker = first_asked[key][1]
-        hits.append(asker is not solution and id(solution) in reassigned)
+        hits.append(first_asked[key] is not solution and id(solution) in reassigned)
         return got
 
-    monkeypatch.setattr(GreedyRecord, "replay", counted)
+    monkeypatch.setattr("drsync.search.assign_drivers", counted)
     monkeypatch.setattr("drsync.search._replan", checked)
     monkeypatch.setattr("drsync.search.OPERATORS", (reassign,) + OPERATORS[1:])
     for inst in _memo_instances():
@@ -1080,7 +998,7 @@ def test_no_memo_outlives_the_search(monkeypatch):
         except ConstructionError:
             continue
         out = local_search(ch, inst, g, CFG)
-        assert out.greedy.memo == {} and ch.greedy.memo == {}
+        assert out.memo == {} and ch.memo == {}
         seen += 1
     assert seen > 40
     # the stand-in clock of test_deadline_checked_between_operators ends the
@@ -1093,7 +1011,7 @@ def test_no_memo_outlives_the_search(monkeypatch):
         def run(solution, *args):
             clock.now += 1.0
             out = op(solution, *args)
-            filled.append(len(solution.greedy.memo))
+            filled.append(len(solution.memo))
             return out
         return run
 
@@ -1104,15 +1022,22 @@ def test_no_memo_outlives_the_search(monkeypatch):
     ch = construct(inst, g)
     assert local_search(ch, inst, g, SearchConfig(seed=3, t_end=2.5)) is ch
     assert len(filled) == 3 and filled[-1] > 0
-    assert ch.greedy.memo == {}
+    assert ch.memo == {}
 
 
-def test_plan_operators_on_a_plan_the_greedy_rejects():
-    # the plan operators re-crew by replaying the greedy's record of the
-    # current plan, so they take only plans the greedy can crew: no stage
-    # makes another (test_mip.py checks every B&B incumbent), and one made
-    # by hand raises instead of taking a second, full path. Here ride x
-    # arrives 20 minutes late, past t_dw for a crew that stays aboard
+def test_plan_operators_on_a_plan_the_greedy_rejects(monkeypatch):
+    # the plan operators crew each changed plan with the greedy and never
+    # the current one, so on a plan the greedy rejects they return the
+    # changed plans it does crew, and raise nothing. No stage makes such a
+    # plan (test_mip.py checks every B&B incumbent); here it is made by
+    # hand: ride x arrives 20 minutes late, past t_dw for a crew that stays
+    # aboard
+    runs = []
+
+    def counted(*args):
+        runs.append(None)
+        return assign_drivers(*args)
+
     inst = long_ride_none()
     g = build_graph(inst)
     ch = construct(inst, g)
@@ -1122,17 +1047,20 @@ def test_plan_operators_on_a_plan_the_greedy_rejects():
                            ride_stations(ch.plan["x"]))
     with pytest.raises(ConstructionError):
         assign_drivers(inst, g, late)
+    monkeypatch.setattr("drsync.search.assign_drivers", counted)
+    plan_ops = OPERATORS[1:]
     # with one driver, every postponed plan spans at least the route: no
-    # move can improve it, so none is replayed
+    # move can improve it, so the greedy runs on none
     sol = Solution(g, ch.routes[:1], late)
     assert sol.objective == 1
-    assert operator_postpone(sol, inst, g, CFG, 0) == []
-    assert sol.greedy is None
+    assert [c for oi, op in enumerate(plan_ops) for c in op(sol, inst, g, CFG, oi)] == []
+    assert runs == []
     sol = Solution(g, _one_driver_per_piece(inst, g, ch.plan).routes, late)
     assert sol.objective > 1
-    with pytest.raises(ConstructionError):
-        operator_postpone(sol, inst, g, CFG, 0)
-    assert sol.greedy is None
+    # a shift keeps ride x's span and the greedy crews each route on its
+    # own, so it crews none of the moves it runs on: each leaves a None
+    assert [c for oi, op in enumerate(plan_ops) for c in op(sol, inst, g, CFG, oi)] == []
+    assert runs and list(sol.memo.values()) == [None] * len(runs)
 
 
 class _Clock:
